@@ -162,6 +162,9 @@ def prepare(m: Module, images: list[HeapImage], cfg: PipelineConfig,
 
     if cfg.mode.endswith("Merging"):
         hw_sel = (cfg.hw_table or DEFAULT_HW_CYCLES)["select"]
+        # parent outcomes of verification trials, shared by every candidate:
+        # `work` only gains functions under fresh names below
+        verify_memo: dict = {}
         for depth_round in range(1, cfg.merge_depth + 1):
             pairs = rank_pairs(work, cfg.min_similarity)
             if depth_round > 1:
@@ -182,7 +185,7 @@ def prepare(m: Module, images: list[HeapImage], cfg: PipelineConfig,
                     continue
                 funnel["aligned"] += 1
                 rep = verify_merge(work, n1, n2, mf, trials=cfg.verify_trials,
-                                   seed=cfg.seed)
+                                   seed=cfg.seed, memo=verify_memo)
                 if not rep.passed:
                     log.error("merged %s failed verification: %s",
                               mf.function.name, rep.detail)

@@ -9,7 +9,7 @@ from .core import (
 )
 from .interp import (
     DEFAULT_FUEL, REGION_BASE, SCRATCH_BASE, SCRATCH_SIZE,
-    Arena, ExecResult, HeapImage, InterpError, Trace, interpret,
+    Arena, ExecResult, HeapImage, InterpError, Program, Trace, interpret,
     run_heap_image,
 )
 from .parser import ParseError, parse_module
@@ -23,7 +23,7 @@ __all__ = [
     "clone_function", "operand_slot_types", "structurally_equal", "wrap_int",
     "zero_literal",
     "DEFAULT_FUEL", "REGION_BASE", "SCRATCH_BASE", "SCRATCH_SIZE",
-    "Arena", "ExecResult", "HeapImage", "InterpError", "Trace",
+    "Arena", "ExecResult", "HeapImage", "InterpError", "Program", "Trace",
     "interpret", "run_heap_image",
     "ParseError", "parse_module",
     "print_function", "print_instr", "print_module",

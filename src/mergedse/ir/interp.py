@@ -9,12 +9,33 @@ image start at REGION_BASE. The observable heap image is the region area.
 Interpretation also collects a Trace: per-function dynamic opcode counts
 (own and whole-call-extent), the dynamic call matrix, per-call-edge data
 footprints in bytes, and the total dynamic instruction count.
+
+Execution runs on a `Program`, a module decoded once: each function is
+decoded on first call into straight-line segments. A segment ends at a
+`call` or at a terminator; an unconditional `jmp` does not end it but
+continues it into the target block, unless that block is already part of
+it. A segment holds one prebound handler per instruction (operands resolved
+to slots of a flat frame list, literals preloaded), its successor segment
+indices and its opcode histogram. Fuel is charged once per segment; a
+segment longer than the remaining fuel runs only the instructions the fuel
+pays for and then raises, so fuel runs out at the same dynamic instruction
+as with per-instruction charging. Frames count segment runs per calling
+context (a function reached through one chain of calls); opcode counts,
+whole-extent counts, the call matrix and the total are folded from those
+counts once, when a result's trace is first read. Loads and stores use
+precompiled `struct` codecs behind the bounds check. A frame records the
+start addresses of its loads and stores, one set per access width, and
+expands them to bytes only when it returns, for its call edge's footprint.
+`interpret` accepts a Module or a Program; callers that run one module
+many times (differential verification) decode it once.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import add, and_, eq, ge, gt, le, lt, mul, ne, or_, sub, xor
 
 from .core import INT_BITS, TYPE_WIDTH, Function, IRError, Module, Reg, wrap_int
 
@@ -49,28 +70,22 @@ class Trace:
     def calls_between(self, caller: str, callee: str) -> int:
         return self.calls.get((caller, callee), 0)
 
-    def bytes_per_call(self, caller: str, callee: str) -> float:
-        n = self.calls.get((caller, callee), 0)
-        return self.edge_bytes.get((caller, callee), 0) / n if n else 0.0
-
     def merge(self, other: "Trace") -> "Trace":
         """Accumulate another trace into this one (multi-input profiles)."""
         for fn, ops in other.counts.items():
-            mine = self.counts.setdefault(fn, {})
-            for op, c in ops.items():
-                mine[op] = mine.get(op, 0) + c
+            _add_counts(self.counts.setdefault(fn, {}), ops)
         for fn, ops in other.hier_counts.items():
-            mine = self.hier_counts.setdefault(fn, {})
-            for op, c in ops.items():
-                mine[op] = mine.get(op, 0) + c
-        for k, c in other.calls.items():
-            self.calls[k] = self.calls.get(k, 0) + c
-        for k, c in other.edge_bytes.items():
-            self.edge_bytes[k] = self.edge_bytes.get(k, 0) + c
-        for fn, c in other.invocations.items():
-            self.invocations[fn] = self.invocations.get(fn, 0) + c
+            _add_counts(self.hier_counts.setdefault(fn, {}), ops)
+        _add_counts(self.calls, other.calls)
+        _add_counts(self.edge_bytes, other.edge_bytes)
+        _add_counts(self.invocations, other.invocations)
         self.total += other.total
         return self
+
+
+def _add_counts(into: dict, other: dict):
+    for k, c in other.items():
+        into[k] = into.get(k, 0) + c
 
 
 class Arena:
@@ -88,44 +103,9 @@ class Arena:
         self.regions[name] = (addr, len(content))
         return addr
 
-    def check(self, addr: int, width: int):
-        if addr < NULL_GUARD:
-            raise InterpError("oob", f"access to null/guard address {addr}")
-        if addr + width > len(self.data):
-            raise InterpError("oob", f"out-of-bounds access at {addr}+{width}")
-
-    def load(self, ty: str, addr: int):
-        w = TYPE_WIDTH[ty]
-        self.check(addr, w)
-        raw = bytes(self.data[addr:addr + w])
-        if ty == "f64":
-            return struct.unpack("<d", raw)[0]
-        v = int.from_bytes(raw, "little")
-        if ty == "ptr":
-            return v
-        return wrap_int(v, ty)
-
-    def store(self, ty: str, addr: int, value):
-        w = TYPE_WIDTH[ty]
-        self.check(addr, w)
-        if ty == "f64":
-            raw = struct.pack("<d", value)
-        elif ty == "ptr":
-            raw = int(value & (1 << 64) - 1).to_bytes(8, "little")
-        else:
-            raw = int(value & (1 << INT_BITS[ty]) - 1).to_bytes(w, "little")
-        self.data[addr:addr + w] = raw
-
     def region_image(self) -> bytes:
         """Observable heap state: the named-region bytes."""
         return bytes(self.data[REGION_BASE:])
-
-
-@dataclass
-class ExecResult:
-    value: int | float | None
-    trace: Trace
-    heap: bytes
 
 
 def _coerce_arg(value, ty: str):
@@ -140,186 +120,436 @@ def _coerce_arg(value, ty: str):
     return wrap_int(int(value), ty)
 
 
-class _Machine:
-    def __init__(self, m: Module, arena: Arena, fuel: int):
+# ---------------------------------------------------------------------------
+# Decoding: functions to segments of prebound handlers
+# ---------------------------------------------------------------------------
+
+# Frame slots before the registers: the heap bytes, then the touched start
+# addresses of this frame's loads and stores, one set per access width.
+_HEAP = 0
+_TOUCHED = {1: 1, 4: 2, 8: 3}
+_RESERVED = 4
+
+# Segment ends.
+_BR, _JMP, _CALL, _RET = range(4)
+
+# Loads decode and stores encode exactly what wrap_int keeps: i32/i64 are
+# read signed, ptr unsigned, and an i1 byte keeps its low bit as 0 or -1.
+_LOAD_CODEC = {"i32": struct.Struct("<i"), "i64": struct.Struct("<q"),
+               "ptr": struct.Struct("<Q"), "f64": struct.Struct("<d")}
+_STORE_CODEC = {"i32": struct.Struct("<I"), "i64": struct.Struct("<Q"),
+                "ptr": struct.Struct("<Q"), "f64": struct.Struct("<d")}
+_STORE_MASK = {"i1": 1, "i32": (1 << 32) - 1, "i64": (1 << 64) - 1,
+               "ptr": (1 << 64) - 1}
+
+_BINOP = {"add": add, "sub": sub, "mul": mul, "and": and_, "or": or_,
+          "xor": xor, "fadd": add, "fsub": sub, "fmul": mul}
+_CMP = {"eq": eq, "ne": ne, "slt": lt, "sgt": gt, "sle": le, "sge": ge,
+        "olt": lt, "ogt": gt, "oeq": eq}
+_INF = float("inf")
+
+
+def _wrapper(ty: str):
+    bits = INT_BITS[ty]
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    return lambda v: ((v + half) & mask) - half
+
+
+# Argument conversion on frame entry, as _coerce_arg does for well-typed
+# values (interpret checks the entry arguments' types first).
+_CONVERT = {"i1": _wrapper("i1"), "i32": _wrapper("i32"),
+            "i64": _wrapper("i64"), "f64": float, "ptr": int}
+
+
+def _oob(addr: int, width: int):
+    if addr < NULL_GUARD:
+        raise InterpError("oob", f"access to null/guard address {addr}")
+    raise InterpError("oob", f"out-of-bounds access at {addr}+{width}")
+
+
+def _wrapping(op: str, d: int, a: int, b: int, ty: str):
+    """add/sub/mul/and/or/xor/shl/ashr, wrapped like wrap_int:
+    ((v + half) & mask) - half is v's canonical signed representative."""
+    bits = INT_BITS[ty]
+    half, mask, sh = 1 << (bits - 1), (1 << bits) - 1, bits - 1
+    if op == "shl":
+        def h(r): r[d] = ((r[a] << (r[b] & sh)) + half & mask) - half
+    elif op == "ashr":
+        def h(r): r[d] = ((r[a] >> (r[b] & sh)) + half & mask) - half
+    else:
+        f = _BINOP[op]
+
+        def h(r): r[d] = (f(r[a], r[b]) + half & mask) - half
+    return h
+
+
+def _handler(ins, d, s: list[int], fname: str):
+    """The prebound handler of one non-call, non-terminator instruction:
+    `d` is the result slot, `s` the operand slots."""
+    op, ty = ins.op, ins.ty
+    if op in ("add", "sub", "mul", "and", "or", "xor", "shl", "ashr"):
+        return _wrapping(op, d, s[0], s[1], ty)
+    if op in ("sdiv", "srem"):
+        a, b, want_q = s[0], s[1], op == "sdiv"
+        msg = f"division by zero in @{fname}"
+
+        def h(r):
+            x, y = r[a], r[b]
+            if y == 0:
+                raise InterpError("div-zero", msg)
+            q = abs(x) // abs(y)
+            if (x < 0) != (y < 0):
+                q = -q
+            r[d] = wrap_int(q if want_q else x - q * y, ty)
+        return h
+    if op in ("fadd", "fsub", "fmul"):
+        a, b, f = s[0], s[1], _BINOP[op]
+
+        def h(r): r[d] = f(r[a], r[b])
+        return h
+    if op == "fdiv":
+        a, b, msg = s[0], s[1], f"float division by zero in @{fname}"
+
+        def h(r):
+            y = r[b]
+            if y == 0.0:
+                raise InterpError("div-zero", msg)
+            r[d] = r[a] / y
+        return h
+    if op in ("icmp", "fcmp"):
+        a, b = s
+        cmp = _CMP[ins.pred]
+
+        def h(r): r[d] = 1 if cmp(r[a], r[b]) else 0
+        return h
+    if op == "select":
+        c, a, b = s
+
+        def h(r): r[d] = r[a] if r[c] else r[b]
+        return h
+    if op == "zext":
+        a, mask = s[0], (1 << INT_BITS[ty]) - 1
+
+        def h(r): r[d] = r[a] & mask
+        return h
+    if op == "trunc":
+        a, to = s[0], ins.cast_to
+
+        def h(r): r[d] = wrap_int(r[a], to)
+        return h
+    if op == "sitofp":
+        a = s[0]
+
+        def h(r): r[d] = float(r[a])
+        return h
+    if op == "fptosi":
+        a, to = s[0], ins.cast_to
+
+        def h(r):
+            v = r[a]
+            r[d] = 0 if v != v or v in (_INF, -_INF) else wrap_int(int(v), to)
+        return h
+    if op == "gep":
+        a, b, w = s[0], s[1], TYPE_WIDTH[ty]
+
+        def h(r): r[d] = r[a] + r[b] * w
+        return h
+    if op == "const":
+        a = s[0]
+
+        def h(r): r[d] = r[a]
+        return h
+    if op == "load":
+        return _load(d, s[0], ty)
+    if op == "store":
+        return _store(s[0], s[1], ty)
+    raise AssertionError(f"unhandled opcode {op}")
+
+
+def _load(d: int, a: int, ty: str):
+    w, t = TYPE_WIDTH[ty], _TOUCHED[TYPE_WIDTH[ty]]
+    if ty == "i1":
+        def h(r):
+            addr, data = r[a], r[_HEAP]
+            if addr < NULL_GUARD or addr + 1 > len(data):
+                _oob(addr, 1)
+            r[d] = -(data[addr] & 1)
+            r[t].add(addr)
+        return h
+    unpack = _LOAD_CODEC[ty].unpack_from
+
+    def h(r):
+        addr, data = r[a], r[_HEAP]
+        if addr < NULL_GUARD or addr + w > len(data):
+            _oob(addr, w)
+        r[d] = unpack(data, addr)[0]
+        r[t].add(addr)
+    return h
+
+
+def _store(v: int, a: int, ty: str):
+    w, t = TYPE_WIDTH[ty], _TOUCHED[TYPE_WIDTH[ty]]
+    if ty == "i1":
+        def h(r):
+            addr, data = r[a], r[_HEAP]
+            if addr < NULL_GUARD or addr + 1 > len(data):
+                _oob(addr, 1)
+            data[addr] = r[v] & 1
+            r[t].add(addr)
+        return h
+    pack = _STORE_CODEC[ty].pack_into
+    if ty == "f64":
+        def h(r):
+            addr, data = r[a], r[_HEAP]
+            if addr < NULL_GUARD or addr + w > len(data):
+                _oob(addr, w)
+            pack(data, addr, r[v])
+            r[t].add(addr)
+        return h
+    mask = _STORE_MASK[ty]
+
+    def h(r):
+        addr, data = r[a], r[_HEAP]
+        if addr < NULL_GUARD or addr + w > len(data):
+            _oob(addr, w)
+        pack(data, addr, r[v] & mask)
+        r[t].add(addr)
+    return h
+
+
+class _Decoded:
+    """One function as segments. A segment is the tuple
+    (handlers, length, end, x, y, z, u, steps) where the end and its data
+    are _BR (cond slot, true segment, false segment), _JMP (target segment),
+    _CALL (callee name, argument slots, result slot or None, next segment)
+    or _RET (value slot or None). `length` counts every instruction the
+    segment charges, the ending one included; `steps` holds one entry per
+    instruction before the end (None for a followed `jmp`), for running a
+    prefix when fuel runs out."""
+
+    def __init__(self, f: Function):
+        self.name = f.name
+        slots: dict[str, int] = {}
+        frame: list = [None] * _RESERVED
+
+        def slot(o) -> int:
+            if type(o) is Reg:
+                if o.name not in slots:
+                    slots[o.name] = len(frame)
+                    frame.append(None)
+                return slots[o.name]
+            frame.append(o.value)
+            return len(frame) - 1
+
+        self.params = [(slot(Reg(p)), _CONVERT[ty]) for p, ty in f.params]
+        # every block split after each call: (label, piece) -> segment index
+        pieces: dict[str, list[list]] = {}
+        for b in f.blocks:
+            pieces[b.label] = cur = [[]]
+            for ins in b.instrs[:-1]:
+                cur[-1].append(ins)
+                if ins.op == "call":
+                    cur.append([])
+            cur[-1].append(b.instrs[-1])
+        index = {key: k for k, key in enumerate(
+            (label, j) for label, ps in pieces.items() for j in range(len(ps)))}
+
+        self.segs: list[tuple] = []
+        self.lens: list[int] = []
+        self.hists: list[tuple[tuple[str, int], ...]] = []
+        self.touches = False
+        for (label, j) in index:
+            # a jmp does not end the segment: it continues into the target
+            # block unless that block is already part of it
+            instrs, seen = list(pieces[label][j]), {label}
+            while instrs[-1].op == "jmp" and instrs[-1].succs[0] not in seen:
+                label, j = instrs[-1].succs[0], 0
+                seen.add(label)
+                instrs += pieces[label][0]
+            body, steps, hist = [], [], {}
+            for ins in instrs:
+                hist[ins.op] = hist.get(ins.op, 0) + 1
+            for ins in instrs[:-1]:
+                h = None
+                if ins.op != "jmp":
+                    self.touches |= ins.op in ("load", "store")
+                    s = [slot(o) for o in ins.operands]
+                    h = _handler(ins, slot(Reg(ins.result)) if ins.result
+                                 is not None else None, s, f.name)
+                    body.append(h)
+                steps.append(h)
+            last = instrs[-1]
+            s = [slot(o) for o in last.operands]
+            if last.op == "call":
+                d = slot(Reg(last.result)) if last.result is not None else None
+                end = (_CALL, last.callee, tuple(s), d, index[label, j + 1])
+            elif last.op == "br":
+                end = (_BR, s[0], index[last.succs[0], 0],
+                       index[last.succs[1], 0], None)
+            elif last.op == "jmp":
+                end = (_JMP, index[last.succs[0], 0], None, None, None)
+            else:
+                end = (_RET, s[0] if s else None, None, None, None)
+            self.segs.append((tuple(body), len(instrs)) + end + (tuple(steps),))
+            self.lens.append(len(instrs))
+            self.hists.append(tuple(hist.items()))
+        self.frame = frame
+        # footprint charged to every call edge into this function besides
+        # the bytes it touches: its scalar arguments and its return value
+        self.edge_const = (sum(TYPE_WIDTH[t] for _, t in f.params if t != "ptr")
+                           + (TYPE_WIDTH[f.ret] if f.ret != "void" else 0))
+
+
+class Program:
+    """A module decoded for execution. Functions are decoded on first call;
+    the module's functions must not change while the Program is in use."""
+
+    def __init__(self, m: Module):
         self.module = m
-        self.arena = arena
+        self._decoded: dict[str, _Decoded] = {}
+
+    def function(self, name: str) -> _Decoded:
+        fn = self._decoded.get(name)
+        if fn is None:
+            fn = self._decoded[name] = _Decoded(self.module.functions[name])
+        return fn
+
+
+class _Context:
+    """A calling context: one function reached through one chain of calls
+    from the entry. Its frames add their segment runs, their invocations and
+    the bytes their call edge touched here; the Trace is folded from all
+    contexts once, when the run's trace is first read."""
+
+    __slots__ = ("fn", "parent", "runs", "visits", "touched", "callees")
+
+    def __init__(self, fn: _Decoded, parent: "_Context | None"):
+        self.fn = fn
+        self.parent = parent
+        self.runs = [0] * len(fn.segs)
+        self.visits = 0
+        self.touched = 0
+        self.callees: dict[str, _Context] = {}
+
+
+class _Machine:
+    def __init__(self, prog: Program, arena: Arena, fuel: int):
+        self.prog = prog
+        self.heap = arena.data
         self.fuel = fuel
-        self.trace = Trace()
-        self.extents: list[set[int]] = []
-        self.blockmaps: dict[str, dict[str, object]] = {}
-        self._last_frame_counts: dict[str, int] = {}
+        self.contexts: list[_Context] = []
 
-    def blocks_of(self, f: Function) -> dict[str, object]:
-        bm = self.blockmaps.get(f.name)
-        if bm is None:
-            bm = {b.label: b for b in f.blocks}
-            self.blockmaps[f.name] = bm
-        return bm
+    def context(self, fname: str, parent: _Context | None) -> _Context:
+        ctx = _Context(self.prog.function(fname), parent)
+        if parent is not None:
+            parent.callees[fname] = ctx
+        self.contexts.append(ctx)
+        return ctx
 
-    def touch(self, addr: int, width: int):
-        if self.extents:
-            self.extents[-1].update(range(addr, addr + width))
+    def call(self, ctx: _Context, args: list):
+        """Run one frame; returns its value and the bytes the frame and its
+        callees touched."""
+        fn = ctx.fn
+        ctx.visits += 1
+        r = fn.frame[:]
+        r[_HEAP] = self.heap
+        if fn.touches:
+            r[1], r[2], r[3] = set(), set(), set()   # the _TOUCHED slots
+        for (s, conv), a in zip(fn.params, args):
+            r[s] = conv(a)
+        segs, runs = fn.segs, ctx.runs
+        reached: set[int] = set()
+        fuel = self.fuel
+        i = 0
+        while True:
+            body, n, end, x, y, z, u, steps = segs[i]
+            if fuel < n:
+                for h in steps[:max(fuel, 0)]:
+                    if h is not None:
+                        h(r)
+                raise InterpError("fuel", f"fuel exhausted in @{fn.name}")
+            fuel -= n
+            runs[i] += 1
+            for h in body:
+                h(r)
+            if end == _BR:
+                i = y if r[x] else z
+            elif end == _JMP:
+                i = x
+            elif end == _CALL:
+                sub = ctx.callees.get(x) or self.context(x, ctx)
+                self.fuel = fuel
+                value, sub_bytes = self.call(sub, [r[s] for s in y])
+                fuel = self.fuel
+                sub.touched += len(sub_bytes)
+                if reached:
+                    reached |= sub_bytes
+                else:
+                    reached = sub_bytes   # the callee's set is ours now
+                if z is not None:
+                    r[z] = value
+                i = u
+            else:
+                value = r[x] if x is not None else None
+                break
+        self.fuel = fuel
+        # the entry has no call edge to charge its footprint to
+        if fn.touches and ctx.parent is not None:
+            reached |= r[_TOUCHED[1]]
+            for w in (4, 8):
+                for a in r[_TOUCHED[w]]:
+                    reached.update(range(a, a + w))
+        return value, reached
 
-    def call(self, fname: str, args: list) -> int | float | None:
-        m = self.module
-        f = m.functions[fname]
-        tr = self.trace
-        tr.invocations[fname] = tr.invocations.get(fname, 0) + 1
-        regs: dict[str, object] = {}
-        for (p, ty), a in zip(f.params, args):
-            regs[p] = _coerce_arg(a, ty)
-        counts = tr.counts.setdefault(fname, {})
-        frame_counts: dict[str, int] = {}
-        extent: set[int] = set()
-        self.extents.append(extent)
-        arena = self.arena
-        blocks = self.blocks_of(f)
-        block = f.blocks[0]
-        try:
-            while True:
-                jump = None
-                for ins in block.instrs:
-                    if self.fuel <= 0:
-                        raise InterpError(
-                            "fuel", f"fuel exhausted in @{fname}")
-                    self.fuel -= 1
-                    op = ins.op
-                    counts[op] = counts.get(op, 0) + 1
-                    frame_counts[op] = frame_counts.get(op, 0) + 1
-                    tr.total += 1
-
-                    ops = ins.operands
-                    if op == "br":
-                        c = ops[0]
-                        cv = regs[c.name] if type(c) is Reg else c.value
-                        jump = ins.succs[0] if cv else ins.succs[1]
-                        break
-                    if op == "jmp":
-                        jump = ins.succs[0]
-                        break
-                    if op == "ret":
-                        if not ops:
-                            return None
-                        o = ops[0]
-                        return regs[o.name] if type(o) is Reg else o.value
-
-                    vals = [regs[o.name] if type(o) is Reg else o.value
-                            for o in ops]
-                    ty = ins.ty
-
-                    if op == "add":
-                        r = wrap_int(vals[0] + vals[1], ty)
-                    elif op == "sub":
-                        r = wrap_int(vals[0] - vals[1], ty)
-                    elif op == "mul":
-                        r = wrap_int(vals[0] * vals[1], ty)
-                    elif op == "sdiv" or op == "srem":
-                        a, b = vals
-                        if b == 0:
-                            raise InterpError("div-zero",
-                                              f"division by zero in @{fname}")
-                        q = abs(a) // abs(b)
-                        if (a < 0) != (b < 0):
-                            q = -q
-                        r = wrap_int(q if op == "sdiv" else a - q * b, ty)
-                    elif op == "and":
-                        r = wrap_int(vals[0] & vals[1], ty)
-                    elif op == "or":
-                        r = wrap_int(vals[0] | vals[1], ty)
-                    elif op == "xor":
-                        r = wrap_int(vals[0] ^ vals[1], ty)
-                    elif op == "shl":
-                        r = wrap_int(vals[0] << (vals[1] & (INT_BITS[ty] - 1)), ty)
-                    elif op == "ashr":
-                        r = wrap_int(vals[0] >> (vals[1] & (INT_BITS[ty] - 1)), ty)
-                    elif op == "fadd":
-                        r = vals[0] + vals[1]
-                    elif op == "fsub":
-                        r = vals[0] - vals[1]
-                    elif op == "fmul":
-                        r = vals[0] * vals[1]
-                    elif op == "fdiv":
-                        if vals[1] == 0.0:
-                            raise InterpError("div-zero",
-                                              f"float division by zero in @{fname}")
-                        r = vals[0] / vals[1]
-                    elif op == "icmp":
-                        a, b = vals
-                        p = ins.pred
-                        r = int(a == b if p == "eq" else a != b if p == "ne"
-                                else a < b if p == "slt" else a > b if p == "sgt"
-                                else a <= b if p == "sle" else a >= b)
-                    elif op == "fcmp":
-                        a, b = vals
-                        p = ins.pred
-                        r = int(a < b if p == "olt" else a > b if p == "ogt"
-                                else a == b)
-                    elif op == "select":
-                        r = vals[1] if vals[0] else vals[2]
-                    elif op == "zext":
-                        v = vals[0]
-                        r = v & ((1 << INT_BITS[ty]) - 1)
-                    elif op == "trunc":
-                        r = wrap_int(vals[0], ins.cast_to)
-                    elif op == "sitofp":
-                        r = float(vals[0])
-                    elif op == "fptosi":
-                        v = vals[0]
-                        if v != v or v in (float("inf"), float("-inf")):
-                            r = 0
-                        else:
-                            r = wrap_int(int(v), ins.cast_to)
-                    elif op == "load":
-                        addr = vals[0]
-                        r = arena.load(ty, addr)
-                        self.touch(addr, TYPE_WIDTH[ty])
-                    elif op == "store":
-                        addr = vals[1]
-                        arena.store(ty, addr, vals[0])
-                        self.touch(addr, TYPE_WIDTH[ty])
-                        continue
-                    elif op == "gep":
-                        r = vals[0] + vals[1] * TYPE_WIDTH[ty]
-                    elif op == "const":
-                        r = vals[0]
-                    elif op == "call":
-                        callee = ins.callee
-                        key = (fname, callee)
-                        tr.calls[key] = tr.calls.get(key, 0) + 1
-                        r = self.call(callee, vals)
-                        sub = self.extents.pop()
-                        scalars = sum(TYPE_WIDTH[t]
-                                      for _, t in m.functions[callee].params
-                                      if t != "ptr")
-                        retw = (TYPE_WIDTH[m.functions[callee].ret]
-                                if m.functions[callee].ret != "void" else 0)
-                        tr.edge_bytes[key] = (tr.edge_bytes.get(key, 0)
-                                              + len(sub) + scalars + retw)
-                        extent.update(sub)
-                        # fold the callee's extent counts into this frame
-                        child = self._last_frame_counts
-                        for cop, cc in child.items():
-                            frame_counts[cop] = frame_counts.get(cop, 0) + cc
-                        if ins.result is None:
-                            continue
-                    else:
-                        raise AssertionError(f"unhandled opcode {op}")
-
-                    regs[ins.result] = r
-                if jump is not None:
-                    block = blocks[jump]
-        finally:
-            hier = tr.hier_counts.setdefault(fname, {})
-            for cop, cc in frame_counts.items():
-                hier[cop] = hier.get(cop, 0) + cc
-            self._last_frame_counts = frame_counts
+    def trace(self) -> Trace:
+        tr = Trace()
+        for ctx in self.contexts:
+            fn, name = ctx.fn, ctx.fn.name
+            own: dict[str, int] = {}
+            for hist, k, n in zip(fn.hists, ctx.runs, fn.lens):
+                if k:
+                    tr.total += k * n
+                    for op, c in hist:
+                        own[op] = own.get(op, 0) + k * c
+            _add_counts(tr.counts.setdefault(name, {}), own)
+            # whole-extent counts: every function on the call chain
+            anc = ctx
+            while anc is not None:
+                _add_counts(tr.hier_counts.setdefault(anc.fn.name, {}), own)
+                anc = anc.parent
+            tr.invocations[name] = tr.invocations.get(name, 0) + ctx.visits
+            if ctx.parent is not None:
+                key = (ctx.parent.fn.name, name)
+                tr.calls[key] = tr.calls.get(key, 0) + ctx.visits
+                tr.edge_bytes[key] = (tr.edge_bytes.get(key, 0) + ctx.touched
+                                      + ctx.visits * fn.edge_const)
+        return tr
 
 
-def interpret(m: Module, entry: str | None = None, args: list | None = None,
-              arena: Arena | None = None, fuel: int = DEFAULT_FUEL) -> ExecResult:
+class ExecResult:
+    """Return value and observable heap image of one run. Its trace is
+    folded from the run's calling contexts when first read, so callers
+    that only compare outcomes never pay for it."""
+
+    def __init__(self, value: int | float | None, heap: bytes,
+                 mach: _Machine):
+        self.value = value
+        self.heap = heap
+        self._mach = mach
+
+    @cached_property
+    def trace(self) -> Trace:
+        return self._mach.trace()
+
+
+def interpret(m: Module | Program, entry: str | None = None,
+              args: list | None = None, arena: Arena | None = None,
+              fuel: int = DEFAULT_FUEL) -> ExecResult:
     """Run `entry` (default: the module entry) on `args` with a fresh or
-    caller-provided arena. Deterministic for fixed (module, args, heap)."""
+    caller-provided arena. Deterministic for fixed (module, args, heap).
+    `m` may be a Module or a Program decoded from one."""
+    prog = m if isinstance(m, Program) else Program(m)
+    m = prog.module
     entry = entry or m.entry
     f = m.functions.get(entry)
     if f is None:
@@ -328,11 +558,11 @@ def interpret(m: Module, entry: str | None = None, args: list | None = None,
     if len(args) != len(f.params):
         raise InterpError("type", f"@{entry} expects {len(f.params)} arguments, "
                           f"got {len(args)}")
+    args = [_coerce_arg(a, ty) for a, (_, ty) in zip(args, f.params)]
     arena = arena or Arena()
-    mach = _Machine(m, arena, fuel)
-    value = mach.call(entry, args)
-    mach.extents.pop()
-    return ExecResult(value, mach.trace, arena.region_image())
+    mach = _Machine(prog, arena, fuel)
+    value = mach.call(mach.context(entry, None), args)[0]
+    return ExecResult(value, arena.region_image(), mach)
 
 
 # ---------------------------------------------------------------------------

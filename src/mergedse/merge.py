@@ -21,8 +21,8 @@ from math import factorial
 
 from .analysis import must_assigned_at, natural_loops
 from .ir import (
-    Arena, Block, Function, Instr, InterpError, IRError, Lit, Module, Reg,
-    interpret, operand_slot_types, validate_module, zero_literal,
+    Arena, Block, Function, Instr, InterpError, IRError, Lit, Module, Program,
+    Reg, interpret, operand_slot_types, validate_module, zero_literal,
 )
 
 log = logging.getLogger("mergedse")
@@ -684,10 +684,27 @@ def best_alignment(m: Module, name1: str, name2: str,
 # Differential verification
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TrialPlan:
-    scalars: list
-    regions: list[bytes]
+    scalars: tuple
+    regions: tuple[bytes, ...]
+
+    def key(self) -> tuple:
+        """Hashable identity; floats by bit pattern, so -0.0 != 0.0."""
+        return tuple(_canon(s) for s in self.scalars), self.regions
+
+
+def _random_bytes(rng: random.Random, n: int) -> bytes:
+    """n bytes, each drawn as rng.randrange(256) would draw it (9 random
+    bits, redrawn while >= 256), so the stream and the rng state after the
+    call are the same; the direct loop is cheaper than randrange."""
+    bits = rng.getrandbits
+    out = bytearray()
+    while len(out) < n:
+        b = bits(9)
+        if b < 256:
+            out.append(b)
+    return bytes(out)
 
 
 def _plan_trial(params: list[tuple[str, str]], rng: random.Random,
@@ -696,7 +713,7 @@ def _plan_trial(params: list[tuple[str, str]], rng: random.Random,
     regions = []
     for _, ty in params:
         if ty == "ptr":
-            regions.append(bytes(rng.randrange(256) for _ in range(region_size)))
+            regions.append(_random_bytes(rng, region_size))
             scalars.append(None)
         elif ty == "i1":
             scalars.append(rng.randrange(2))
@@ -706,7 +723,7 @@ def _plan_trial(params: list[tuple[str, str]], rng: random.Random,
             scalars.append(rng.randrange(-64, 65))
         else:
             scalars.append(round(rng.uniform(-8.0, 8.0), 3))
-    return TrialPlan(scalars, regions)
+    return TrialPlan(tuple(scalars), tuple(regions))
 
 
 def _materialize(plan: TrialPlan, params: list[tuple[str, str]]):
@@ -722,9 +739,9 @@ def _materialize(plan: TrialPlan, params: list[tuple[str, str]]):
     return arena, args
 
 
-def _run(m: Module, fname: str, arena: Arena, args: list, fuel: int):
+def _run(prog: Program, fname: str, arena: Arena, args: list, fuel: int):
     try:
-        r = interpret(m, fname, args, arena, fuel=fuel)
+        r = interpret(prog, fname, args, arena, fuel=fuel)
         return ("ok", _canon(r.value), r.heap)
     except InterpError as e:
         return ("error:" + e.kind, None, None)
@@ -748,33 +765,42 @@ class VerifyReport:
 
 def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
                  trials: int = DEFAULT_TRIALS, seed: int = 0,
-                 fuel: int = 10 ** 6) -> VerifyReport:
+                 fuel: int = 10 ** 6, memo: dict | None = None) -> VerifyReport:
     """Differential random-input check: merged ≡ parent on each f_sel side.
 
     Values must be bit-equal (f64 compared by bit pattern) and the observable
     heap images identical; a matching error kind on both sides also counts as
     agreement. Failure is reported with the first counterexample.
+
+    `memo` maps (parent, fuel, trial plan) to the parent's outcome. A caller
+    may share one memo across calls on the same module as long as the module
+    only gains functions under fresh names meanwhile; parent runs found in it
+    are skipped.
     """
+    mname = merged.function.name
     mm = m
-    if merged.function.name not in mm.functions:
-        mm = m.clone()
-        mm.functions[merged.function.name] = merged.function
+    if mname not in m.functions:
+        mm = Module({**m.functions, mname: merged.function}, m.entry)
+    prog = Program(mm)
+    memo = {} if memo is None else memo
     rng = random.Random(seed)
     for side, pname in ((1, name1), (2, name2)):
-        parent = mm.function(pname)
+        params = mm.function(pname).params
         for _ in range(trials):
-            plan = _plan_trial(parent.params, rng)
-            arena_p, args_p = _materialize(plan, parent.params)
-            out_p = _run(mm, pname, arena_p, args_p, fuel)
-
-            margs_plan = merged.args_for(side, args_p)
-            arena_m, _ = _materialize(plan, parent.params)  # identical heap
-            out_m = _run(mm, merged.function.name, arena_m, margs_plan, fuel)
+            plan = _plan_trial(params, rng)
+            arena_m, args_p = _materialize(plan, params)
+            key = (pname, fuel, plan.key())
+            out_p = memo.get(key)
+            if out_p is None:
+                arena_p, _ = _materialize(plan, params)
+                out_p = memo[key] = _run(prog, pname, arena_p, args_p, fuel)
+            out_m = _run(prog, mname, arena_m, merged.args_for(side, args_p),
+                         fuel)
 
             if out_p != out_m:
                 return VerifyReport(
-                    (name1, name2), merged.function.name, trials, False,
+                    (name1, name2), mname, trials, False,
                     counterexample=(1 if side == 1 else 0, args_p),
                     detail=f"parent {out_p[0]} value/heap differs from merged "
                            f"{out_m[0]}")
-    return VerifyReport((name1, name2), merged.function.name, trials, True)
+    return VerifyReport((name1, name2), mname, trials, True)

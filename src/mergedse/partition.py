@@ -69,14 +69,6 @@ class PartitionProblem:
             cost += self.bytes_.get((i, j), Fraction(0)) / self.bandwidth
         return cost
 
-    def frontier_edges(self) -> list[tuple[str, str]]:
-        out = []
-        for i in self.names:
-            for j in sorted(self.callees.get(i, ())):
-                if j in self.sw:
-                    out.append((i, j))
-        return out
-
 
 @dataclass
 class PartitionSolution:

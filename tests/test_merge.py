@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from mergedse.analysis import rank_pairs
+from mergedse.analysis import extract_loops, rank_pairs
 from mergedse.ir import (
-    Function, Instr, interpret, parse_module, print_function,
+    Function, Instr, interpret, parse_module, print_function, print_module,
     structurally_equal, validate_module,
 )
 from mergedse.merge import (
-    MergeRejected, _compatible, align, best_alignment, default_weights,
-    linearize, merge_functions, merge_parameters, seed_pairs, verify_merge,
+    MergeRejected, _compatible, _plan_trial, align, best_alignment,
+    default_weights, linearize, merge_functions, merge_parameters, seed_pairs,
+    verify_merge,
 )
 
 
@@ -334,3 +335,79 @@ def test_corpus_pairs_verify(corpus):
             assert rep.passed, (name, n1, n2, rep.detail)
             checked += 1
     assert checked >= 5
+
+
+def _plan_trial_reference(params, rng, region_size=64):
+    """_plan_trial as first written: randrange(256) per region byte."""
+    scalars, regions = [], []
+    for _, ty in params:
+        if ty == "ptr":
+            regions.append(bytes(rng.randrange(256) for _ in range(region_size)))
+            scalars.append(None)
+        elif ty == "i1":
+            scalars.append(rng.randrange(2))
+        elif ty == "i64":
+            scalars.append(rng.randrange(0, 9))
+        elif ty == "i32":
+            scalars.append(rng.randrange(-64, 65))
+        else:
+            scalars.append(round(rng.uniform(-8.0, 8.0), 3))
+    return scalars, regions
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2027])
+def test_plan_trial_keeps_the_randrange_stream(seed):
+    param_lists = [
+        [],
+        [("p", "ptr")],
+        [("p", "ptr"), ("n", "i32")],
+        [("a", "i1"), ("p", "ptr"), ("q", "ptr"), ("x", "f64"), ("k", "i64")],
+        [("x", "f64"), ("y", "f64"), ("n", "i32")],
+    ]
+    for params in param_lists:
+        for size in (1, 64, 300):
+            new, old = random.Random(seed), random.Random(seed)
+            for _ in range(4):
+                plan = _plan_trial(params, new, size)
+                scalars, regions = _plan_trial_reference(params, old, size)
+                assert list(plan.scalars) == scalars
+                assert list(plan.regions) == regions
+                assert new.getstate() == old.getstate()
+
+
+def test_shared_verify_memo_matches_fresh(corpus):
+    m = extract_loops(next(m for name, m, _ in corpus if name == "reduce").clone())
+    before, names = print_module(m), list(m.functions)
+    shared = {}
+    checked = 0
+    for n1, n2, _ in rank_pairs(m, 0.3):
+        try:
+            mf = merge_functions(m, n1, n2)
+        except MergeRejected:
+            continue
+        fresh = verify_merge(m, n1, n2, mf, trials=48, seed=7)
+        assert verify_merge(m, n1, n2, mf, trials=48, seed=7,
+                            memo=shared) == fresh
+        checked += 1
+    assert checked >= 20
+    assert shared
+    assert print_module(m) == before and list(m.functions) == names
+
+
+def test_shared_verify_memo_still_catches_a_broken_merge(pair_module):
+    shared = {}
+    mf = merge_functions(pair_module, "sel_a", "sel_b")
+    assert verify_merge(pair_module, "sel_a", "sel_b", mf, trials=200,
+                        seed=9, memo=shared).passed
+    # same parents and trial plans, so every parent run is a memo hit
+    broken = merge_functions(pair_module, "sel_a", "sel_b")
+    for b in broken.function.blocks:
+        for k, ins in enumerate(b.instrs):
+            if ins.op == "select" and ins.result and ins.result.startswith("sel"):
+                c, x, y = ins.operands
+                b.instrs[k] = Instr("select", ins.ty, ins.result, (c, y, x))
+    rep = verify_merge(pair_module, "sel_a", "sel_b", broken, trials=200,
+                       seed=9, memo=shared)
+    assert not rep.passed
+    assert rep == verify_merge(pair_module, "sel_a", "sel_b", broken,
+                               trials=200, seed=9)
