@@ -130,7 +130,6 @@ def _tool_config(args, tables) -> PipelineConfig:
         clock=clock,
         seed=args.seed if args.seed is not None else 7,
         sw_table=sw_table, hw_table=hw_table,
-        jobs=args.jobs or 1,
     )
 
 
@@ -175,8 +174,6 @@ def _add_common(sp, budget=True):
         sp.add_argument("--model", default=None, help="area model file")
     sp.add_argument("--seed", type=int, default=None,
                     help="seed for all randomized stages")
-    sp.add_argument("--jobs", type=int, default=None,
-                    help="worker threads for sweeps")
     sp.add_argument("-o", "--output", default=None, help="output file")
 
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +18,9 @@ from .cost import (
 )
 from .ir import HeapImage, IRError, Module, Trace, run_heap_image
 from .merge import DEFAULT_SEEDS, MergeRejected, merge_functions, verify_merge
-from .partition import PartitionSolution, build_problem, solve
+from .partition import (
+    BANDWIDTH_ZERO, PartitionSolution, build_problem, solve,
+)
 
 log = logging.getLogger("mergedse")
 
@@ -51,7 +52,6 @@ class PipelineConfig:
     model_path: str | None = None
     sw_table: dict[str, int] | None = None
     hw_table: dict[str, int] | None = None
-    jobs: int = 1
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -59,6 +59,8 @@ class PipelineConfig:
         for name in ("area_budget", "latency", "bandwidth"):
             if getattr(self, name) < 0:
                 raise IRError(f"{name} must be non-negative")
+        if self.bandwidth == 0:
+            raise IRError(BANDWIDTH_ZERO)
         if self.clock <= 0:
             raise IRError("clock must be positive")
 
@@ -97,6 +99,8 @@ class DseReport:
     funnel: dict[str, int]
     merges: list[MergeRecord] = field(default_factory=list)
     n_merged_selected: int = 0
+    optimal: bool = True       # solver status; not emitted under dse-report/v1
+    solver_nodes: int = 0
 
 
 @dataclass
@@ -273,7 +277,8 @@ def _report_for(prep: Prepared, cfg: PipelineConfig, sol: PartitionSolution,
         merged_hw=sol.merged_hw,
         area_used=sum(problem.area[n] for n, v in sol.hwv.items() if v),
         sw_pct=pct(sw_time), hw_pct=pct(hw_time), comm_pct=pct(comm),
-        funnel=funnel, merges=merges, n_merged_selected=len(merged_sel))
+        funnel=funnel, merges=merges, n_merged_selected=len(merged_sel),
+        optimal=sol.optimal, solver_nodes=sol.nodes)
 
 
 def run_pipeline(m: Module, images: list[HeapImage], cfg: PipelineConfig,
@@ -307,19 +312,12 @@ def sweep(m: Module, images: list[HeapImage], cfg: PipelineConfig,
     for mode in modes:
         mcfg = PipelineConfig(**{**cfg.__dict__, "mode": mode})
         prep = prepare(m, images, mcfg, model)
-        points = [(b, l, bw) for b in budgets for l in latencies
-                  for bw in bandwidths]
-
-        def point(args):
-            b, l, bw = args
-            sol, problem = partition_point(prep, mcfg, b, l, bw)
-            return _report_for(prep, mcfg, sol, problem, program, b, l, bw)
-
-        if cfg.jobs > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                out.extend(pool.map(point, points))
-        else:
-            out.extend(map(point, points))
+        for b in budgets:
+            for l in latencies:
+                for bw in bandwidths:
+                    sol, problem = partition_point(prep, mcfg, b, l, bw)
+                    out.append(_report_for(prep, mcfg, sol, problem, program,
+                                           b, l, bw))
     return out
 
 

@@ -14,13 +14,17 @@ under an area budget and an interconnect model:
                swv_i + hwv_i <= 1, all variables binary
                merged functions never run in software
 
-Costs are exact rationals throughout so the branch-and-bound optimum can be
-compared for equality against the brute-force oracle.
+Costs are exact rationals, so the branch-and-bound optimum can be compared
+for equality against the brute-force oracle. `solve` scales them once to
+integers over a common denominator, checks only the root groups a decision
+touches, and bounds each uncovered group by its cheapest cover; it returns
+the same first optimal assignment as a plain enumeration would.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,6 +33,7 @@ from .ir import IRError
 log = logging.getLogger("mergedse")
 
 INF_BANDWIDTH = Fraction(-1)  # sentinel: data movement is free
+BANDWIDTH_ZERO = "bandwidth must be positive ('inf' makes data movement free)"
 
 
 def as_fraction(x) -> Fraction:
@@ -65,7 +70,7 @@ class PartitionProblem:
     def edge_cost(self, i: str, j: str) -> Fraction:
         c = self.calls.get((i, j), 0)
         cost = c * self.latency * self.clock
-        if self.bandwidth != INF_BANDWIDTH and self.bandwidth > 0:
+        if self.bandwidth != INF_BANDWIDTH:
             cost += self.bytes_.get((i, j), Fraction(0)) / self.bandwidth
         return cost
 
@@ -106,6 +111,8 @@ def build_problem(m, costs, trace, merge_parents: dict[str, tuple[str, str]],
     missing = [n for n in names if n not in costs]
     if missing:
         raise PartitionError(f"missing cost estimates for {missing}")
+    if bandwidth == 0:
+        raise PartitionError(BANDWIDTH_ZERO)
     cg = build_call_graph(m)
 
     children: dict[str, set[str]] = {n: set() for n in names}
@@ -286,156 +293,181 @@ _HW, _SW, _NONE = 0, 1, 2
 def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution:
     """Exact depth-first branch-and-bound.
 
-    Decision order is by descending software-minus-hardware savings, trying
-    hardware first. Unit propagation enforces the exactly-once root coverage
-    and the hardware-callee closure; the bound combines the committed cost
-    with a fractional-knapsack relaxation of the area constraint over the
-    undecided functions (interconnect costs are nonnegative and ignored,
-    keeping the bound admissible).
+    Functions are decided by descending software-minus-hardware savings
+    (then name), trying hardware, software, then neither. Every root group
+    (a root and its merged descendants) keeps selected, undecided and
+    hardware-selected counts and a count of hardware callers of its root,
+    updated on assignment and undone on backtrack. A decision checks only
+    the groups that contain the function and, for hardware, the groups of its
+    root callees, so every leaf reached is feasible. The bound adds, for each
+    uncovered group, its cheapest cover: the root in software or hardware, or
+    an undecided merged member at 1/k of its cost and area when it covers k
+    groups, none of them covered yet. It is the greedy LP relaxation of that
+    multiple-choice knapsack (Sinha & Zoltners, 1979) over each group's lower
+    convex hull, with the straddling step granted in full; interconnect costs
+    are nonnegative and ignored. Costs are integers over one common
+    denominator, times the lcm of the k, so each 1/k share is exact.
+    Infeasible subtrees hold no leaf, the bound never exceeds a subtree's
+    optimum, and the incumbent only changes on strict improvement, so the
+    result is the first optimal leaf in decision order, the same assignment a
+    plain enumeration returns even among exactly tied costs.
     """
     names = sorted(p.names, key=lambda x: (-(p.sw[x] - p.hw[x]), x))
     index = {x: k for k, x in enumerate(names)}
     n = len(names)
+    roots = sorted(p.roots)
+    groups_of: list[list[int]] = [[] for _ in names]
+    for g, r in enumerate(roots):
+        for x in [r, *p.descend[r]]:
+            groups_of[index[x]].append(g)
+    edges = {(i, j): p.edge_cost(i, j)
+             for i in p.names for j in p.callees.get(i, ())}
+    scale = (math.lcm(*(c.denominator for c in [*p.sw.values(), *p.hw.values(),
+                                                 *edges.values()]))
+             * math.lcm(*(len(gs) for gs in groups_of)))
+    sw = [int(p.sw[x] * scale) for x in names]
+    hw = [int(p.hw[x] * scale) for x in names]
+    area = [p.area[x] for x in names]
+    callers: list[list[tuple[int, int]]] = [[] for _ in names]
+    callees: list[list[tuple[int, int]]] = [[] for _ in names]
+    for (i, j), c in edges.items():
+        if c:
+            c = int(c * scale)
+            callers[index[j]].append((index[i], c))
+            callees[index[i]].append((index[j], c))
+    root_callee_groups = [[roots.index(j) for j in sorted(p.callees.get(x, ()))
+                           if j in p.roots] for x in names]
+    choices = [(_HW, _NONE) if x in p.merged else
+               (_HW, _SW, _NONE) if p.descend[x] else (_HW, _SW) for x in names]
+    group_root = [index[r] for r in roots]
+    group_merged = [[(index[d], hw[index[d]] // len(groups_of[index[d]]),
+                      area[index[d]] / len(groups_of[index[d]]),
+                      groups_of[index[d]]) for d in sorted(p.descend[r])]
+                    for r in roots]
+    limit = p.area_budget + 1e-9
 
-    groups = {r: [r] + sorted(p.descend[r]) for r in sorted(p.roots)}
-    hw_callers_watch: dict[str, list[str]] = {r: [] for r in p.roots}
-    callers_of: dict[str, list[str]] = {x: [] for x in p.names}
-    for i in p.names:
-        for j in sorted(p.callees.get(i, ())):
-            callers_of[j].append(i)
-            if j in p.roots:
-                hw_callers_watch[j].append(i)
+    st = [-1] * n             # -1 undecided, else _HW/_SW/_NONE
+    selected = [0] * len(roots)
+    undecided = [1 + len(p.descend[r]) for r in roots]
+    hw_selected = [0] * len(roots)
+    hw_callers = [0] * len(roots)
+    best: int | None = None
+    best_state: list[int] | None = None
+    nodes = 0
+    hit_limit = False
 
-    state = [-1] * n          # -1 undecided, else _HW/_SW/_NONE
-    best_obj: list = [None]
-    best_state: list = [None]
-    nodes = [0]
-    hit_limit = [False]
+    def assign(k: int, c: int) -> bool:
+        """Decide function k; False when a touched group became infeasible."""
+        st[k] = c
+        ok = True
+        for g in groups_of[k]:
+            undecided[g] -= 1
+            if c != _NONE:
+                selected[g] += 1
+                hw_selected[g] += c == _HW
+            if selected[g] > 1 or not undecided[g] and (
+                    not selected[g] or hw_callers[g] and not hw_selected[g]):
+                ok = False
+        if c == _HW:
+            for g in root_callee_groups[k]:
+                hw_callers[g] += 1
+                if not hw_selected[g] and not undecided[g]:
+                    ok = False
+        return ok
 
-    def allowed(name: str) -> tuple[int, ...]:
-        if name in p.merged:
-            return (_HW, _NONE)
-        if p.descend[name]:
-            return (_HW, _SW, _NONE)
-        return (_HW, _SW)
+    def unassign(k: int, c: int):
+        st[k] = -1
+        for g in groups_of[k]:
+            undecided[g] += 1
+            if c != _NONE:
+                selected[g] -= 1
+                hw_selected[g] -= c == _HW
+        if c == _HW:
+            for g in root_callee_groups[k]:
+                hw_callers[g] -= 1
 
-    def delta_cost(st, name: str, choice: int) -> Fraction:
-        """Objective increase from deciding `name`, counting frontier edges
-        whose two endpoints are now both decided."""
-        if choice == _NONE:
-            return Fraction(0)
-        if choice == _HW:
-            d = p.hw[name]
-            for i in callers_of[name]:
-                if st[index[i]] == _SW:
-                    d += p.edge_cost(i, name)
-            return d
-        d = p.sw[name]
-        for j in p.callees.get(name, ()):
-            if st[index[j]] == _HW:
-                d += p.edge_cost(name, j)
-        return d
-
-    def feasible_complete(st) -> bool:
-        for members in groups.values():
-            if sum(1 for x in members if st[index[x]] in (_HW, _SW)) != 1:
-                return False
-        for j, callers in hw_callers_watch.items():
-            if st[index[j]] == _HW or any(st[index[d]] == _HW
-                                          for d in p.descend[j]):
+    def lower_bound(committed: int, used_area: float) -> int | None:
+        """Admissible bound on every leaf below; None when none is feasible."""
+        room = limit - used_area
+        steps = []
+        for g, r in enumerate(group_root):
+            if selected[g]:
                 continue
-            if any(st[index[i]] == _HW for i in callers):
-                return False
-        return True
-
-    def propagate_ok(st, used_area: float) -> bool:
-        if used_area > p.area_budget + 1e-9:
-            return False
-        for members in groups.values():
-            selected = undecided = 0
-            for x in members:
-                s = st[index[x]]
-                if s == -1:
-                    undecided += 1
-                elif s != _NONE:
-                    selected += 1
-            if selected > 1 or (selected == 0 and undecided == 0):
-                return False
-        for j, callers in hw_callers_watch.items():
-            if not any(st[index[i]] == _HW for i in callers):
-                continue
-            cands = [j] + sorted(p.descend[j])
-            if any(st[index[d]] == _HW for d in cands):
-                continue
-            if all(st[index[d]] != -1 for d in cands):
-                return False
-        return True
-
-    def lower_bound(st, committed: Fraction, used_area: float) -> Fraction:
-        base = committed
-        savings: list[tuple[Fraction, float]] = []
-        for k in range(n):
-            if st[k] != -1:
-                continue
-            name = names[k]
-            if name in p.merged or p.descend[name]:
-                continue  # may contribute zero (covered / unselected)
-            base += p.sw[name]
-            gain = p.sw[name] - p.hw[name]
-            if gain > 0:
-                savings.append((gain, p.area[name]))
-        if not savings:
-            return base
-        savings.sort(key=lambda t: (t[0] / t[1]) if t[1] > 0 else float("inf"),
-                     reverse=True)
-        room = p.area_budget - used_area
-        saved = Fraction(0)
-        for gain, a in savings:
-            if a <= room:
-                saved += gain
-                room -= a
-            elif room > 0:
-                saved += gain  # straddling item granted fully: still a bound
-                break
+            opts = [(0.0, sw[r]), (area[r], hw[r])] if st[r] == -1 else []
+            for k, c, a, gs in group_merged[g]:
+                if st[k] == -1 and not any(selected[h] for h in gs):
+                    opts.append((a, c))
+            if not opts:
+                return None
+            opts.sort()
+            hull = [opts[0]]
+            for a2, c2 in opts[1:]:
+                if c2 >= hull[-1][1]:
+                    continue
+                while len(hull) > 1:
+                    (a0, c0), (a1, c1) = hull[-2], hull[-1]
+                    if (c1 - c0) * (a2 - a0) < (c2 - c0) * (a1 - a0):
+                        break
+                    hull.pop()
+                hull.append((a2, c2))
+            committed += hull[0][1]
+            room -= hull[0][0]
+            for (a1, c1), (a2, c2) in zip(hull, hull[1:]):
+                steps.append(((c1 - c2) / (a2 - a1), a2 - a1, c1 - c2))
+        if room < 0:
+            return None
+        steps.sort(reverse=True)
+        for _, da, gain in steps:
+            if da <= room:
+                committed -= gain
+                room -= da
             else:
+                if room > 0:
+                    committed -= gain  # the straddling step, granted in full
                 break
-        return base - saved
+        return committed
 
-    def dfs(depth: int, st, used_area: float, committed: Fraction):
-        if nodes[0] >= node_limit:
-            hit_limit[0] = True
+    def dfs(depth: int, used_area: float, committed: int):
+        nonlocal best, best_state, nodes, hit_limit
+        if nodes >= node_limit:
+            hit_limit = True
             return
-        nodes[0] += 1
-        if best_obj[0] is not None and committed >= best_obj[0]:
-            return
-        if (best_obj[0] is not None
-                and lower_bound(st, committed, used_area) >= best_obj[0]):
+        nodes += 1
+        if best is not None and committed >= best:
             return
         if depth == n:
-            if feasible_complete(st):
-                if best_obj[0] is None or committed < best_obj[0]:
-                    best_obj[0] = committed
-                    best_state[0] = list(st)
+            best, best_state = committed, list(st)
             return
-        name = names[depth]
-        for choice in allowed(name):
-            st[depth] = choice
-            ua = used_area + (p.area[name] if choice == _HW else 0.0)
-            if propagate_ok(st, ua):
-                dfs(depth + 1, st, ua, committed + delta_cost(st, name, choice))
-            st[depth] = -1
+        bound = lower_bound(committed, used_area)
+        if bound is None or best is not None and bound >= best:
+            return
+        for c in choices[depth]:
+            ua = used_area + area[depth] if c == _HW else used_area
+            if ua > limit:
+                continue
+            if assign(depth, c):
+                if c == _HW:
+                    d = hw[depth] + sum(e for i, e in callers[depth]
+                                        if st[i] == _SW)
+                elif c == _SW:
+                    d = sw[depth] + sum(e for j, e in callees[depth]
+                                        if st[j] == _HW)
+                else:
+                    d = 0
+                dfs(depth + 1, ua, committed + d)
+            unassign(depth, c)
 
-    dfs(0, state, 0.0, Fraction(0))
-    if best_state[0] is None:
+    dfs(0, 0.0, 0)
+    if best_state is None:
         raise PartitionError("infeasible instance (no software fallback?)")
-    st = best_state[0]
-    hwv = {name: 1 for k, name in enumerate(names) if st[k] == _HW}
-    swv = {name: 1 for k, name in enumerate(names) if st[k] == _SW}
+    hwv = {name: 1 for k, name in enumerate(names) if best_state[k] == _HW}
+    swv = {name: 1 for k, name in enumerate(names) if best_state[k] == _SW}
     obj, frontier = _objective(p, hwv, swv)
-    assert obj == best_obj[0], "incremental cost drifted from recomputation"
+    assert obj == Fraction(best, scale), \
+        "incremental cost drifted from recomputation"
     sol = PartitionSolution(hwv, swv, frontier, obj,
-                            optimal=not hit_limit[0], nodes=nodes[0])
+                            optimal=not hit_limit, nodes=nodes)
     sol._merged = set(p.merged)
-    if hit_limit[0]:
+    if hit_limit:
         log.warning("solver node limit reached; best-found solution returned")
     return sol

@@ -22,7 +22,7 @@ def test_help_lists_documented_flags():
                   "--dump-dataset"],
         "eval": ["--model", "--test"],
         "dse": ["--config", "--budget", "--latency", "--bandwidth", "--clock",
-                "--mode", "--model", "--seed", "--jobs", "-o"],
+                "--mode", "--model", "--seed", "-o"],
         "sweep": ["--budgets", "--latencies", "--bandwidths", "--modes"],
         "verify": ["--pair", "--trials"],
         "transform": ["--extract-loops"],
@@ -96,6 +96,20 @@ def test_exit_codes(tmp_path):
     cfg.write_text("warp_speed = 9\n")
     r = run_cli(["dse", "--config", str(cfg), POLY_IR, POLY_HEAP])
     assert r.returncode == 2
+
+
+def test_zero_bandwidth_exits_2(tmp_path, model_file):
+    r = run_cli(["dse", "--model", model_file, "--budget", "6000",
+                 "--bandwidth", "0", POLY_IR, POLY_HEAP,
+                 "-o", str(tmp_path / "dse")])
+    assert r.returncode == 2
+    assert "bandwidth must be positive" in r.stderr
+    r = run_cli(["sweep", "--model", model_file, "--modes", "FE",
+                 "--budgets", "6000", "--latencies", "25", "--bandwidths",
+                 "inf,0", POLY_IR, POLY_HEAP, "-o", str(tmp_path / "sweep")])
+    assert r.returncode == 2
+    assert "bandwidth must be positive" in r.stderr
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_train_eval_cycle(tmp_path):

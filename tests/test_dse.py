@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from mergedse.cost import DEFAULT_SW_CYCLES, DEFAULT_HW_CYCLES
+from mergedse import dse
 from mergedse.dse import (
-    MODES, PipelineConfig, partition_point, prepare,
+    MODES, PipelineConfig, partition_point, prepare, report_to_dict,
     reports_to_csv, reports_to_json, run_pipeline, sweep, validate_report_json,
 )
-from mergedse.ir import HeapImage, parse_module, run_heap_image
-from mergedse.partition import _objective, solve_bruteforce
+from mergedse.ir import HeapImage, IRError, parse_module, run_heap_image
+from mergedse.partition import _objective, solve, solve_bruteforce
 
 FAST = dict(verify_trials=8)
 
@@ -202,17 +203,39 @@ def test_csv_and_json_emission(corpus, area_model):
     assert any("speedup" in b for b in validate_report_json(broken))
 
 
-def test_sweep_with_worker_pool_matches_sequential(corpus, area_model):
-    name, m, img = _corpus_subset(corpus, ["geometry"])[0]
-    seq = sweep(m, [img], PipelineConfig(jobs=1, **FAST),
-                budgets=[2000, 9000], latencies=[25],
-                bandwidths=[float("inf")], modes=["FE", "FE+Merging"],
-                model=area_model, program=name)
-    par = sweep(m, [img], PipelineConfig(jobs=4, **FAST),
-                budgets=[2000, 9000], latencies=[25],
-                bandwidths=[float("inf")], modes=["FE", "FE+Merging"],
-                model=area_model, program=name)
-    assert reports_to_csv(seq) == reports_to_csv(par)
+def test_zero_bandwidth_rejected(corpus, area_model):
+    # 0 B/s would make every transfer infinitely slow, not free
+    with pytest.raises(IRError, match="bandwidth must be positive"):
+        PipelineConfig(bandwidth=0.0)
+    name, m, img = _corpus_subset(corpus, ["poly"])[0]
+    with pytest.raises(IRError, match="bandwidth must be positive"):
+        sweep(m, [img], PipelineConfig(**FAST), budgets=[6000],
+              latencies=[25], bandwidths=[0.0], modes=["FE"],
+              model=area_model, program=name)
+
+
+def test_solver_status_reaches_report(corpus, area_model, monkeypatch):
+    name, m, img = _corpus_subset(corpus, ["poly"])[0]
+    cfg = PipelineConfig(mode="FE", area_budget=14400.0, **FAST)
+    r = run_pipeline(m, [img], cfg, model=area_model, program=name)
+    assert r.optimal and r.solver_nodes > 5
+    monkeypatch.setattr(dse, "solve", lambda p: solve(p, node_limit=5))
+    r = run_pipeline(m, [img], cfg, model=area_model, program=name)
+    assert r.optimal is False
+    assert r.solver_nodes == 5
+    assert "optimal" not in report_to_dict(r)  # dse-report/v1 is unchanged
+
+
+def test_reduce_merged_solve_node_count(corpus, area_model):
+    # ROADMAP target: at least 10x fewer nodes than the 34,084 a bound that
+    # skips merged groups needs on this instance
+    name, m, img = _corpus_subset(corpus, ["reduce"])[0]
+    cfg = PipelineConfig(mode="FLE+Merging")
+    prep = prepare(m, [img], cfg, area_model)
+    assert len(prep.merge_parents) >= 5
+    sol, problem = partition_point(prep, cfg, 30000.0, 25, float("inf"))
+    assert sol.optimal
+    assert sol.nodes <= 3400
 
 
 def test_sweep_rejects_empty_lists(corpus, area_model):

@@ -1,5 +1,8 @@
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +46,7 @@ def make_problem(n_orig, merged_spec, rng, budget_frac=0.4, latency=25,
     area = {x: float(rng.randrange(5, 50)) for x in allnames}
     calls, bts = {}, {}
     for a in allnames:
-        for b in callees[a]:
+        for b in sorted(callees[a]):  # set order varies with the hash seed
             if rng.random() < 0.6:
                 calls[(a, b)] = rng.randrange(1, 50)
                 bts[(a, b)] = Fraction(rng.randrange(0, 4096))
@@ -92,6 +95,74 @@ def rand_problem(rng, n_orig=None, n_merged=None):
                         latency=rng.choice([0, 25, 500]),
                         bandwidth=rng.choice([INF_BANDWIDTH, Fraction(10 ** 9),
                                               Fraction(4 * 10 ** 9)]))
+
+
+def wide_problem(rng):
+    """Reduce-like instance: 4-5 leaf roots of equal cost merged pairwise
+    (up to 10 merged functions) under a few random caller roots, so that many
+    assignments tie exactly."""
+    k = rng.choice([4, 5])
+    n_callers = rng.randrange(1, 4)
+    leaves = [f"f{n_callers + i}" for i in range(k)]
+    pairs = [(a, b) for i, a in enumerate(leaves) for b in leaves[i + 1:]]
+    rng.shuffle(pairs)
+    pairs = pairs[:rng.randrange(k, len(pairs) + 1)]
+    spec = [(f"m{i}", a, b) for i, (a, b) in enumerate(pairs)]
+    p = make_problem(n_callers + k, spec, rng, call_prob=0.5,
+                     budget_frac=rng.choice([0.0, 0.1, 0.2, 0.4, 0.7, 1.0]),
+                     latency=rng.choice([0, 25, 500]),
+                     bandwidth=rng.choice([INF_BANDWIDTH, Fraction(10 ** 9)]))
+    sw = Fraction(rng.randrange(20, 100), 10 ** 6)
+    hw = Fraction(rng.randrange(0, 20), 10 ** 6)
+    area = float(rng.randrange(10, 40))
+    for x in leaves:
+        p.sw[x], p.hw[x], p.area[x] = sw, hw, area
+    for mn, a, b in spec:
+        p.hw[mn] = 2 * hw + Fraction(rng.randrange(0, 3), 10 ** 6)
+        p.area[mn] = area * rng.choice([1.0, 1.25, 1.5])
+    p.area_budget = rng.choice([0.0, 0.1, 0.2, 0.4, 0.7, 1.0]) \
+        * sum(p.area.values())
+    return p
+
+
+GOLDEN = Path(__file__).parent / "data" / "solve_golden.json"
+GOLDEN_CASES = ([("rand", s) for s in range(120)]
+                + [("wide", s) for s in range(60)])
+
+
+def golden_problem(gen: str, seed: int) -> PartitionProblem:
+    rng = random.Random(seed)
+    return rand_problem(rng) if gen == "rand" else wide_problem(rng)
+
+
+def record_golden() -> list:
+    out = []
+    for gen, seed in GOLDEN_CASES:
+        s = solve(golden_problem(gen, seed))
+        out.append({"gen": gen, "seed": seed,
+                    "hwv": sorted(n for n, v in s.hwv.items() if v),
+                    "swv": sorted(n for n, v in s.swv.items() if v),
+                    "objective": [s.objective.numerator,
+                                  s.objective.denominator]})
+    return out
+
+
+def test_solve_matches_golden_assignments():
+    # recorded with the plain branch-and-bound that preceded the pruning one
+    # (regenerate with `python tests/test_partition.py --record` only for an
+    # intended change of tie-breaking); exact cost ties in the wide instances
+    # must still resolve to the recorded assignment
+    golden = json.loads(GOLDEN.read_text())
+    assert [(g["gen"], g["seed"]) for g in golden] == GOLDEN_CASES
+    for g in golden:
+        p = golden_problem(g["gen"], g["seed"])
+        s = solve(p)
+        assert s.optimal
+        assert check_solution(p, s) == []
+        assert sorted(n for n, v in s.hwv.items() if v) == g["hwv"], g
+        assert sorted(n for n, v in s.swv.items() if v) == g["swv"], g
+        assert s.objective == Fraction(*g["objective"]), g
+        assert s.objective == solve_bruteforce(p).objective, g
 
 
 def test_budget_zero_forces_software():
@@ -319,3 +390,10 @@ def test_bruteforce_rejects_large_instances():
     p = make_problem(21, [], rng)
     with pytest.raises(PartitionError, match="too large"):
         solve_bruteforce(p)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_partition.py --record")
+    GOLDEN.write_text("[\n" + ",\n".join(json.dumps(g) for g in record_golden())
+                      + "\n]\n")
