@@ -146,7 +146,8 @@ def _load_or_train_model(args):
     if getattr(args, "model", None):
         return load_model(args.model)
     seed = args.seed if getattr(args, "seed", None) is not None else 7
-    log.info("no model path given; training the bundled MLP (seed %d)", seed)
+    log.info("no model path given; using the default MLP for seed %d "
+             "(seed 7 loads the bundled file, other seeds train)", seed)
     return default_model(seed)
 
 
@@ -480,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (IRError, FileNotFoundError, ValueError) as e:
+    except (IRError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except AssertionError as e:

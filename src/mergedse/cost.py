@@ -438,10 +438,27 @@ def save_model(model, path: str):
 
 
 def load_model(path: str):
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != "mergedse-model v1":
-        raise CostError(f"{path}: not a mergedse-model v1 file")
+    """Read a file written by `save_model`. A missing field or layer, a bad
+    number, or layer shapes that do not chain raise CostError naming it."""
+    try:
+        with open(path) as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+        if not lines or lines[0] != "mergedse-model v1":
+            raise CostError(f"{path}: not a mergedse-model v1 file")
+        return _model_from_lines(lines)
+    except ValueError as e:  # also a file that is not text
+        raise CostError(f"{path}: {e}") from None
+
+
+def _model_from_lines(lines: list[str]):
+    def need(ok, what):
+        if not ok:
+            raise ValueError(what)
+
+    def vec(text, n):
+        v = np.array([float(x) for x in text.split()])
+        need(v.size == n, f"expected {n} values, got {v.size}")
+        return v
 
     fields = {}
     i = 1
@@ -451,31 +468,34 @@ def load_model(path: str):
         i += 1
         if key == "yscale":
             break
-    kind = fields["kind"]
-    alpha = float(fields["alpha"])
-    xmean = np.array([float(v) for v in fields["xmean"].split()])
-    xstd = np.array([float(v) for v in fields["xstd"].split()])
-    ymean, ystd = (float(v) for v in fields["yscale"].split())
+    missing = [k for k in ("kind", "alpha", "features", "xmean", "xstd",
+                           "yscale") if k not in fields]
+    need(not missing, "missing " + ", ".join(missing))
+    kind, alpha, d = fields["kind"], float(fields["alpha"]), int(fields["features"])
+    xmean, xstd = vec(fields["xmean"], d), vec(fields["xstd"], d)
+    ymean, ystd = (float(v) for v in vec(fields["yscale"], 2))
     rest = lines[i:]
     if kind == "lasso":
         kv = dict(ln.split(" ", 1) for ln in rest if ln)
-        w = np.array([float(v) for v in kv["weights"].split()])
-        return LassoModel(w, float(kv["intercept"]), alpha, xmean, xstd,
-                          ymean, ystd)
-    if kind == "mlp":
-        nlayers = int(rest[0].split()[1])
-        weights, biases = [], []
-        k = 1
-        for _ in range(nlayers):
-            _, din, dout = rest[k].split()
-            din, dout = int(din), int(dout)
-            W = np.array([float(v) for v in rest[k + 1].split()]).reshape(din, dout)
-            b = np.array([float(v) for v in rest[k + 2].split()])
-            weights.append(W)
-            biases.append(b)
-            k += 3
-        return MLPModel(weights, biases, alpha, xmean, xstd, ymean, ystd)
-    raise CostError(f"{path}: unknown model kind {kind!r}")
+        need("weights" in kv and "intercept" in kv, "missing weights or intercept")
+        return LassoModel(vec(kv["weights"], d), float(kv["intercept"]), alpha,
+                          xmean, xstd, ymean, ystd)
+    need(kind == "mlp", f"unknown model kind {kind!r}")
+    need(rest and rest[0].startswith("layers "), "missing layers")
+    nlayers = int(rest[0].split()[1])
+    need(len(rest) >= 1 + 3 * nlayers, f"truncated: {nlayers} layers announced")
+    weights, biases = [], []
+    rows = d
+    for k in range(1, 1 + 3 * nlayers, 3):
+        head = rest[k].split()
+        need(len(head) == 3 and head[0] == "layer", f"bad layer header {rest[k]!r}")
+        din, dout = int(head[1]), int(head[2])
+        need(din == rows, f"layer {len(weights)} has {din} rows, expected {rows}")
+        weights.append(vec(rest[k + 1], din * dout).reshape(din, dout))
+        biases.append(vec(rest[k + 2], dout))
+        rows = dout
+    need(nlayers > 0 and rows == 1, f"last layer has width {rows}, expected 1")
+    return MLPModel(weights, biases, alpha, xmean, xstd, ymean, ystd)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from pathlib import Path
 
 from .analysis import build_call_graph, extract_loops, rank_pairs
 from .cost import (
-    DEFAULT_CLOCK, DEFAULT_HW_CYCLES, CostEstimate, estimate_costs,
-    estimate_profitability, synthetic_dataset, train_mlp,
+    DEFAULT_CLOCK, DEFAULT_DATASET_SEED, DEFAULT_HW_CYCLES, CostEstimate,
+    estimate_costs, estimate_profitability, load_model, synthetic_dataset,
+    train_mlp,
 )
 from .ir import HeapImage, IRError, Module, Trace, run_heap_image
 from .merge import DEFAULT_SEEDS, MergeRejected, merge_functions, verify_merge
@@ -49,7 +50,6 @@ class PipelineConfig:
     merge_depth: int = 2
     verify_trials: int = 48
     seed: int = 7
-    model_path: str | None = None
     sw_table: dict[str, int] | None = None
     hw_table: dict[str, int] | None = None
 
@@ -115,9 +115,16 @@ class Prepared:
     baseline: Fraction
 
 
-def default_model(seed: int = 7, samples: int = 600):
-    """The bundled area model: an MLP trained on the synthetic-oracle dataset."""
-    _, X, y = synthetic_dataset(samples, seed)
+# written by `mergedse train --seed 7`; tests check it against a fresh training
+BUNDLED_MODEL = Path(__file__).parent / "models" / "mlp-seed7.txt"
+
+
+def default_model(seed: int = DEFAULT_DATASET_SEED):
+    """The bundled area model: an MLP trained on the synthetic-oracle dataset.
+    The default seed's model ships as package data; other seeds train it."""
+    if seed == DEFAULT_DATASET_SEED:
+        return load_model(BUNDLED_MODEL)
+    _, X, y = synthetic_dataset(600, seed)
     split = int(0.8 * len(X))
     return train_mlp(X[:split], y[:split], seed=seed)
 
@@ -230,12 +237,11 @@ def prepare(m: Module, images: list[HeapImage], cfg: PipelineConfig,
                 work.functions[mf.function.name] = mf.function
                 merge_parents[mf.function.name] = (n1, n2)
                 est = pcosts[mf.function.name]
-                own_glue = ((mf.mux_selects * hw_sel + 1) * inv) * cfg.clock
                 costs[mf.function.name] = CostEstimate(
                     name=mf.function.name, area=area12,
                     own_area=est.own_area, sw=Fraction(0), hw=hw12,
                     own_sw=Fraction(0),
-                    own_hw=costs[n1].own_hw + costs[n2].own_hw + own_glue)
+                    own_hw=costs[n1].own_hw + costs[n2].own_hw + glue)
                 added += 1
             if added == 0:
                 break

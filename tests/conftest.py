@@ -57,7 +57,7 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def area_model():
-    # one bundled-model training shared across the non-acceptance suites
+    # the bundled seed-7 model, loaded from package data (no training)
     return default_model(seed=7)
 
 

@@ -1,8 +1,10 @@
 import subprocess
 import sys
 
+import pytest
+
 from mergedse.cli import build_parser, main
-from mergedse.dse import corpus_dir
+from mergedse.dse import BUNDLED_MODEL, corpus_dir
 
 POLY_IR = str(corpus_dir() / "poly.ir")
 POLY_HEAP = str(corpus_dir() / "poly.heap")
@@ -96,6 +98,31 @@ def test_exit_codes(tmp_path):
     cfg.write_text("warp_speed = 9\n")
     r = run_cli(["dse", "--config", str(cfg), POLY_IR, POLY_HEAP])
     assert r.returncode == 2
+
+
+def _malformed_model(tmp_path, case):
+    if case == "directory":
+        return str(tmp_path)
+    good = BUNDLED_MODEL.read_bytes()
+    data = {"header-only": b"mergedse-model v1\n",
+            "cut-after-layers": good[:good.index(b"layers 7\n") + 9],
+            "not-text": b"\xff\xfe"}[case]
+    path = tmp_path / "model.txt"
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["header-only", "cut-after-layers",
+                                  "directory", "not-text"])
+def test_malformed_model_exits_2(tmp_path, case):
+    r = run_cli(["dse", "--model", _malformed_model(tmp_path, case),
+                 "--budget", "6000", "--mode", "FE",
+                 str(corpus_dir() / "reduce.ir"),
+                 str(corpus_dir() / "reduce.heap"),
+                 "-o", str(tmp_path / "dse")])
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert "error:" in r.stderr
 
 
 def test_zero_bandwidth_exits_2(tmp_path, model_file):

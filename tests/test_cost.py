@@ -201,6 +201,24 @@ def test_model_persistence_roundtrip(tmp_path, area_model):
     assert np.array_equal(loaded.predict(X), lasso.predict(X))
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t.replace("alpha 0.0\n", ""), "missing alpha"),
+    (lambda t: t.replace("xstd ", "xstd 1.0 ", 1), "expected 29 values"),
+    (lambda t: t.replace("layer 29 40", "layer 28 40"), "has 28 rows"),
+    (lambda t: t.replace("layer 40 1\n", "layer 40 2\n"), "expected 80 values"),
+    (lambda t: t[:t.index("layer 40 1\n")].replace("layers 7", "layers 6"),
+     "last layer has width 40"),
+    (lambda t: t.replace("yscale ", "yscale x", 1), "could not convert"),
+])
+def test_load_model_rejects_malformed_files(tmp_path, edit, message):
+    from mergedse.dse import BUNDLED_MODEL
+    path = tmp_path / "bad.txt"
+    path.write_text(edit(BUNDLED_MODEL.read_text()))
+    with pytest.raises(CostError, match=message) as info:
+        load_model(str(path))
+    assert str(path) in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from mergedse.cost import DEFAULT_SW_CYCLES, DEFAULT_HW_CYCLES
+from mergedse.cost import (
+    DEFAULT_HW_CYCLES, DEFAULT_SW_CYCLES, load_model, save_model,
+    synthetic_dataset, train_mlp,
+)
 from mergedse import dse
 from mergedse.dse import (
     MODES, PipelineConfig, partition_point, prepare, report_to_dict,
@@ -17,6 +21,33 @@ FAST = dict(verify_trials=8)
 
 def _corpus_subset(corpus, names):
     return [c for c in corpus if c[0] in names]
+
+
+def test_bundled_model_matches_training(tmp_path):
+    # Retrains the shipped model (about 20 s) so the file cannot go stale.
+    # Fails by design on a platform whose floating point training differs.
+    _, X, y = synthetic_dataset(600, 7)
+    split = int(0.8 * len(X))
+    path = tmp_path / "mlp-seed7.txt"
+    save_model(train_mlp(X[:split], y[:split], seed=7), str(path))
+    assert path.read_bytes() == dse.BUNDLED_MODEL.read_bytes()
+
+
+def test_default_model_loads_seed7_and_trains_other_seeds(monkeypatch):
+    calls = []
+
+    def fake_train(X, y, seed=0, **kw):
+        calls.append(seed)
+        return train_mlp(X, y, seed=seed, epochs=1)
+
+    monkeypatch.setattr(dse, "train_mlp", fake_train)
+    _, X, _ = synthetic_dataset(30, seed=8)
+    bundled = dse.default_model(7)
+    assert calls == []
+    assert np.array_equal(bundled.predict(X),
+                          load_model(dse.BUNDLED_MODEL).predict(X))
+    dse.default_model(3)
+    assert calls == [3]
 
 
 def test_budget_zero_speedup_exactly_one(corpus, area_model):
