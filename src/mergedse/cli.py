@@ -111,26 +111,18 @@ def _apply_config(args, cfgfile: dict):
 
 def _tool_config(args, tables) -> PipelineConfig:
     from .cost import DEFAULT_HW_CYCLES, DEFAULT_SW_CYCLES
-    for field_name in ("budget", "latency", "bandwidth", "clock"):
-        v = getattr(args, field_name, None)
-        if v is not None and v < 0:
-            raise IRError(f"{field_name} must be non-negative")
     sw_table = dict(DEFAULT_SW_CYCLES)
     sw_table.update(tables["sw"])
     hw_table = dict(DEFAULT_HW_CYCLES)
     hw_table.update(tables["hw"])
-    clock = Fraction(args.clock).limit_denominator(10 ** 15) if args.clock \
-        else Fraction(1, 10 ** 9)
-    return PipelineConfig(
-        mode=args.mode or "FLE+Merging",
-        area_budget=args.budget if args.budget is not None
-        else AREA_PRESETS["artix-z7007s"],
-        latency=args.latency if args.latency is not None else 25,
-        bandwidth=args.bandwidth if args.bandwidth is not None else float("inf"),
-        clock=clock,
-        seed=args.seed if args.seed is not None else 7,
-        sw_table=sw_table, hw_table=hw_table,
-    )
+    # flags left unset take PipelineConfig's defaults
+    given = {"mode": args.mode, "area_budget": args.budget,
+             "latency": args.latency, "bandwidth": args.bandwidth,
+             "seed": args.seed}
+    if args.clock is not None:
+        given["clock"] = Fraction(args.clock).limit_denominator(10 ** 15)
+    return PipelineConfig(**{k: v for k, v in given.items() if v is not None},
+                          sw_table=sw_table, hw_table=hw_table)
 
 
 def _load_program(args):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analysis import CallGraph
+from .analysis import CallGraph, fingerprint
 from .ir import IRError, Module, OPCODES, OPCODE_INDEX, Trace
 
 log = logging.getLogger("mergedse")
@@ -28,25 +28,20 @@ class CostError(IRError):
 # ---------------------------------------------------------------------------
 
 def own_features(m: Module, fname: str) -> np.ndarray:
-    v = np.zeros(len(OPCODES), dtype=np.float64)
-    for ins in m.function(fname).instructions():
-        v[OPCODE_INDEX[ins.op]] += 1
-    return v
+    return fingerprint(m.function(fname)).vector().astype(np.float64)
 
 
-def extract_features(m: Module, fname: str, cg: CallGraph,
-                     hierarchical: bool = True) -> np.ndarray:
-    """Static opcode counts; hierarchical counts add every callee's counts
-    multiplied by its static call-site multiplicity, over the call DAG."""
-    if not hierarchical:
-        return own_features(m, fname)
-    memo: dict[str, np.ndarray] = {}
-    for name in cg.topo_order:  # callees first
+def hierarchical_features(m: Module, cg: CallGraph) -> dict[str, np.ndarray]:
+    """Every function's static opcode counts plus each callee's hierarchical
+    counts times its static call-site multiplicity, in one pass over the call
+    DAG (callees first)."""
+    rows: dict[str, np.ndarray] = {}
+    for name in cg.topo_order:
         v = own_features(m, name)
         for callee in sorted(cg.direct[name]):
-            v = v + cg.call_sites[(name, callee)] * memo[callee]
-        memo[name] = v
-    return memo[fname]
+            v = v + cg.call_sites[(name, callee)] * rows[callee]
+        rows[name] = v
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -578,24 +573,46 @@ class CostEstimate:
     own_hw: Fraction   # own-instruction accelerated seconds
 
 
+def predict_areas(m: Module, model, cg: CallGraph
+                  ) -> dict[str, tuple[float, float]]:
+    """(standalone area, own-body area) of every function of m, in LUTs,
+    predicted as one batch in module order: the MLP's last bits depend on
+    the batch shape, so an area is reproducible only within its module."""
+    names = list(m.functions)
+    hier = hierarchical_features(m, cg)
+    area_h = np.maximum(model.predict(np.stack([hier[n] for n in names])), 1.0)
+    area_o = np.maximum(
+        model.predict(np.stack([own_features(m, n) for n in names])), 1.0)
+    return {n: (float(area_h[i]), float(area_o[i]))
+            for i, n in enumerate(names)}
+
+
 def estimate_costs(m: Module, trace: Trace, model, cg: CallGraph,
                    sw_table: dict[str, int] | None = None,
                    hw_table: dict[str, int] | None = None,
                    clock: Fraction = DEFAULT_CLOCK) -> dict[str, CostEstimate]:
-    names = list(m.functions)
-    hier = np.stack([extract_features(m, n, cg) for n in names])
-    own = np.stack([own_features(m, n) for n in names])
-    area_h = np.maximum(model.predict(hier), 1.0)
-    area_o = np.maximum(model.predict(own), 1.0)
     out = {}
-    for i, n in enumerate(names):
+    for n, (area, own_area) in predict_areas(m, model, cg).items():
         out[n] = CostEstimate(
             name=n,
-            area=float(area_h[i]),
-            own_area=float(area_o[i]),
+            area=area,
+            own_area=own_area,
             sw=sw_latency(trace, n, sw_table, clock),
             hw=hw_latency(trace, n, hw_table, clock),
             own_sw=sw_latency(trace, n, sw_table, clock, hierarchical=False),
             own_hw=hw_latency(trace, n, hw_table, clock, hierarchical=False),
         )
     return out
+
+
+def merged_cost(m: Module, name: str, model, cg: CallGraph,
+                a: CostEstimate, b: CostEstimate, glue: Fraction
+                ) -> CostEstimate:
+    """Cost of the merged accelerator `name` of parents a and b, where m is
+    the module holding it (last) and cg its call graph. Its areas come from
+    m's batch; it runs both parents' profiled work in hardware plus `glue`,
+    and has no software time of its own."""
+    area, own_area = predict_areas(m, model, cg)[name]
+    return CostEstimate(name, area, own_area, sw=Fraction(0),
+                        hw=a.hw + b.hw + glue, own_sw=Fraction(0),
+                        own_hw=a.own_hw + b.own_hw + glue)

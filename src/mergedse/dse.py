@@ -9,13 +9,14 @@ import json
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from .analysis import build_call_graph, extract_loops, rank_pairs
 from .cost import (
     DEFAULT_CLOCK, DEFAULT_DATASET_SEED, DEFAULT_HW_CYCLES, CostEstimate,
-    estimate_costs, estimate_profitability, load_model, synthetic_dataset,
-    train_mlp,
+    estimate_costs, estimate_profitability, load_model, merged_cost,
+    synthetic_dataset, train_mlp,
 )
 from .ir import HeapImage, IRError, Module, Trace, run_heap_image
 from .merge import DEFAULT_SEEDS, MergeRejected, merge_functions, verify_merge
@@ -154,9 +155,7 @@ def _covered_invocations(name: str, parents, trace) -> int:
 def prepare(m: Module, images: list[HeapImage], cfg: PipelineConfig,
             model=None) -> Prepared:
     """Run the mode's transform + profile + merge + cost stages once."""
-    work = m.clone()
-    if cfg.mode.startswith("FLE"):
-        work = extract_loops(work)
+    work = extract_loops(m) if cfg.mode.startswith("FLE") else m.clone()
     trace = _profile(work, images)
     if model is None:
         model = default_model(cfg.seed)
@@ -203,45 +202,34 @@ def prepare(m: Module, images: list[HeapImage], cfg: PipelineConfig,
                     continue
                 funnel["verified"] += 1
 
-                probe = work.clone()
-                probe.functions[mf.function.name] = mf.function
-                pcg = build_call_graph(probe)
-                pcosts = estimate_costs(probe, trace, model, pcg,
-                                        cfg.sw_table, cfg.hw_table, cfg.clock)
-                area12 = pcosts[mf.function.name].area
-                parents_area = costs[n1].area + costs[n2].area
-                ep = float("nan")
-                record = MergeRecord(mf.function.name, (n1, n2), sim,
-                                     mf.alignment.aligned_fraction,
-                                     rep.passed, rep.trials, area12,
-                                     parents_area, ep)
-                if not area12 < parents_area:
-                    merges.append(record)
-                    continue
-                funnel["area_win"] += 1
-
                 inv = (_covered_invocations(n1, merge_parents, trace)
                        + _covered_invocations(n2, merge_parents, trace))
                 glue = ((mf.mux_selects * hw_sel + 1) * inv) * cfg.clock
-                hw12 = costs[n1].hw + costs[n2].hw + glue
-                ep = float(estimate_profitability(
-                    costs[n1].sw, costs[n2].sw, costs[n1].hw, costs[n2].hw,
-                    hw12, baseline)) if baseline > 0 else 0.0
-                record.ep = ep
+                name = mf.function.name
+                view = Module({**work.functions, name: mf.function}, work.entry)
+                est = merged_cost(view, name, model, build_call_graph(view),
+                                  costs[n1], costs[n2], glue)
+                parents_area = costs[n1].area + costs[n2].area
+                record = MergeRecord(name, (n1, n2), sim,
+                                     mf.alignment.aligned_fraction,
+                                     rep.passed, rep.trials, est.area,
+                                     parents_area, float("nan"))
                 merges.append(record)
-                if ep <= 0:
+                if not est.area < parents_area:
+                    continue
+                funnel["area_win"] += 1
+
+                record.ep = float(estimate_profitability(
+                    costs[n1].sw, costs[n2].sw, costs[n1].hw, costs[n2].hw,
+                    est.hw, baseline)) if baseline > 0 else 0.0
+                if record.ep <= 0:
                     continue
                 funnel["ep_positive"] += 1
 
                 # accepted: extend the working module and the cost table
-                work.functions[mf.function.name] = mf.function
-                merge_parents[mf.function.name] = (n1, n2)
-                est = pcosts[mf.function.name]
-                costs[mf.function.name] = CostEstimate(
-                    name=mf.function.name, area=area12,
-                    own_area=est.own_area, sw=Fraction(0), hw=hw12,
-                    own_sw=Fraction(0),
-                    own_hw=costs[n1].own_hw + costs[n2].own_hw + glue)
+                work.functions[name] = mf.function
+                merge_parents[name] = (n1, n2)
+                costs[name] = est
                 added += 1
             if added == 0:
                 break
@@ -311,6 +299,10 @@ def sweep(m: Module, images: list[HeapImage], cfg: PipelineConfig,
     latencies = PRESET_LATENCIES if latencies is None else latencies
     bandwidths = PRESET_BANDWIDTHS if bandwidths is None else bandwidths
     modes = list(MODES) if modes is None else modes
+    # every grid point is a valid configuration before any mode is prepared
+    for mode, b, l, bw in product(modes, budgets, latencies, bandwidths):
+        PipelineConfig(**{**cfg.__dict__, "mode": mode, "area_budget": b,
+                          "latency": l, "bandwidth": bw})
     if model is None:
         model = default_model(cfg.seed)
 

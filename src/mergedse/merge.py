@@ -313,10 +313,6 @@ class _Namer:
         return name
 
 
-def _rename_operand(o, rename: dict[str, str]):
-    return Reg(rename[o.name]) if isinstance(o, Reg) else o
-
-
 def merge_functions(m: Module, name1: str, name2: str,
                     alignment: Alignment | None = None,
                     param_map: ParamMap | None = None,
@@ -635,9 +631,8 @@ def merge_functions(m: Module, name1: str, name2: str,
                         parent_instrs=stats["parent"], glue=stats["glue"],
                         mux_selects=stats["mux"], arg_plan=arg_plan)
 
-    check = m.clone()
-    check.functions[merged_name] = merged
-    diags = validate_module(check, raise_on_error=False)
+    diags = validate_module(Module({**m.functions, merged_name: merged},
+                                   m.entry), raise_on_error=False)
     if diags:
         raise MergeRejected("merged body failed validation: " + "; ".join(diags))
     return mf

@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from mergedse.cost import synthetic_dataset, train_mlp
 from mergedse.dse import corpus_programs, default_model
 from mergedse.ir import HeapImage, parse_module
 
@@ -59,6 +62,17 @@ def corpus():
 def area_model():
     # the bundled seed-7 model, loaded from package data (no training)
     return default_model(seed=7)
+
+
+@pytest.fixture(scope="session")
+def trained_seed7_mlp():
+    """The seed-7 MLP trained from scratch on the canonical 480-row split
+    (about 20 s), and the seconds that dataset and training took."""
+    t0 = time.time()
+    _, X, y = synthetic_dataset(600, 7)
+    split = int(0.8 * len(X))
+    model = train_mlp(X[:split], y[:split], seed=7)
+    return model, time.time() - t0
 
 
 @pytest.fixture(scope="session")

@@ -142,12 +142,13 @@ def test_criterion_04_monotonicity_and_dominance(corpus, area_model):
             f"merging dominance ({len(bad)} violations)")
 
 
-def test_criterion_05_model_quality_orderings():
+def test_criterion_05_model_quality_orderings(trained_seed7_mlp):
+    # MLP-600 is the session's seed-7 training; its seconds count in dt
+    mlp600, train_s = trained_seed7_mlp
     t0 = time.time()
     _, X, y = synthetic_dataset(600)  # the canonical dataset
     split = int(0.8 * len(X))
     Xtr, ytr, Xte, yte = X[:split], y[:split], X[split:], y[split:]
-    mlp600 = train_mlp(Xtr, ytr, seed=7)
     lasso600 = train_lasso(Xtr, ytr)
     # the 200-sample condition trains on the first 160 pool rows (80% of
     # 200) and is scored on the same held-out 120-row test set
@@ -157,7 +158,7 @@ def test_criterion_05_model_quality_orderings():
     _, l6 = evaluate_model(lasso600, Xte, yte)
     _, m2 = evaluate_model(mlp200, Xte, yte)
     _, l2 = evaluate_model(lasso200, Xte, yte)
-    dt = time.time() - t0
+    dt = time.time() - t0 + train_s
     ok = (m6 < l6) and (m6 < m2) and (l6 < l2) and (m6 <= 0.30) and dt < 300
     _report(5, ok,
             f"MRE_test MLP-600 {m6:.3f} < LASSO-600 {l6:.3f}; "

@@ -139,6 +139,28 @@ def test_zero_bandwidth_exits_2(tmp_path, model_file):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_zero_clock_exits_2(tmp_path, model_file, capsys):
+    # a zero clock used to fall back to 1 ns silently
+    cfg = tmp_path / "clock.cfg"
+    cfg.write_text("clock = 0\n")
+    out = tmp_path / "dse"
+    for flags in (["--clock", "0"], ["--config", str(cfg)]):
+        assert main(["dse", "--model", model_file, "--budget", "6000",
+                     *flags, POLY_IR, POLY_HEAP, "-o", str(out)]) == 2
+        assert "clock must be positive" in capsys.readouterr().err
+        assert not out.with_suffix(".csv").exists()
+
+
+def test_negative_sweep_grid_exits_2(tmp_path, model_file, capsys):
+    out = tmp_path / "sweep"
+    for flag in ("--budgets=-1", "--latencies=-1", "--bandwidths=-1"):
+        assert main(["sweep", "--model", model_file, "--modes", "FE", flag,
+                     POLY_IR, POLY_HEAP, "-o", str(out)]) == 2
+        assert "must be non-negative" in capsys.readouterr().err
+        assert not out.with_suffix(".csv").exists()
+        assert not out.with_suffix(".json").exists()
+
+
 def test_train_eval_cycle(tmp_path):
     model = tmp_path / "model.txt"
     data = tmp_path / "data.csv"

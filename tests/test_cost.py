@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mergedse.analysis import build_call_graph
 from mergedse.cost import (
     CostError, DEFAULT_SW_CYCLES, _standardize, estimate_costs,
-    estimate_profitability, evaluate_model, extract_features, hw_latency,
+    estimate_profitability, evaluate_model, hierarchical_features, hw_latency,
     load_model, mean_relative_error, mlp_loss_and_grads, own_features,
     r_squared, read_dataset, save_model, sw_latency, synthetic_dataset,
     synthetic_hls_oracle, train_lasso, train_mlp, write_dataset,
@@ -42,7 +42,7 @@ def test_leaf_feature_counts():
 def test_hierarchical_adds_callee_counts(pair_module):
     cg = build_call_graph(pair_module)
     own = own_features(pair_module, "sel_a")
-    hier = extract_features(pair_module, "sel_a", cg)
+    hier = hierarchical_features(pair_module, cg)["sel_a"]
     helper = own_features(pair_module, "helper")
     assert np.array_equal(hier, own + helper)
     assert (hier >= own).all()
@@ -66,20 +66,21 @@ def test_two_call_sites_double_the_callee():
     }
     """)
     cg = build_call_graph(m)
-    hier = extract_features(m, "top", cg)
+    hier = hierarchical_features(m, cg)["top"]
     assert np.array_equal(hier, own_features(m, "top") + 2 * own_features(m, "leaf"))
 
 
 def test_hierarchy_matches_independent_recomputation(corpus):
     for name, m, _ in corpus:
         cg = build_call_graph(m)
+        rows = hierarchical_features(m, cg)
+        assert set(rows) == set(m.functions)
         for fname in m.functions:
-            hier = extract_features(m, fname, cg)
             expected = own_features(m, fname).astype(float)
             for callee in sorted(cg.direct[fname]):
                 expected = expected + (cg.call_sites[(fname, callee)]
-                                       * extract_features(m, callee, cg))
-            assert np.array_equal(hier, expected)
+                                       * rows[callee])
+            assert np.array_equal(rows[fname], expected)
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mergedse.analysis import build_call_graph
 from mergedse.cost import (
-    DEFAULT_HW_CYCLES, DEFAULT_SW_CYCLES, load_model, save_model,
-    synthetic_dataset, train_mlp,
+    DEFAULT_HW_CYCLES, DEFAULT_SW_CYCLES, estimate_costs, load_model,
+    save_model, synthetic_dataset, train_mlp,
 )
 from mergedse import dse
 from mergedse.dse import (
     MODES, PipelineConfig, partition_point, prepare, report_to_dict,
     reports_to_csv, reports_to_json, run_pipeline, sweep, validate_report_json,
 )
-from mergedse.ir import HeapImage, IRError, parse_module, run_heap_image
+from mergedse.ir import (
+    HeapImage, IRError, Module, parse_module, run_heap_image,
+)
+from mergedse.merge import verify_merge
 from mergedse.partition import _objective, solve, solve_bruteforce
 
 FAST = dict(verify_trials=8)
@@ -23,13 +27,11 @@ def _corpus_subset(corpus, names):
     return [c for c in corpus if c[0] in names]
 
 
-def test_bundled_model_matches_training(tmp_path):
-    # Retrains the shipped model (about 20 s) so the file cannot go stale.
+def test_bundled_model_matches_training(tmp_path, trained_seed7_mlp):
+    # Compares a fresh training with the shipped file so it cannot go stale.
     # Fails by design on a platform whose floating point training differs.
-    _, X, y = synthetic_dataset(600, 7)
-    split = int(0.8 * len(X))
     path = tmp_path / "mlp-seed7.txt"
-    save_model(train_mlp(X[:split], y[:split], seed=7), str(path))
+    save_model(trained_seed7_mlp[0], str(path))
     assert path.read_bytes() == dse.BUNDLED_MODEL.read_bytes()
 
 
@@ -48,6 +50,40 @@ def test_default_model_loads_seed7_and_trains_other_seeds(monkeypatch):
                           load_model(dse.BUNDLED_MODEL).predict(X))
     dse.default_model(3)
     assert calls == [3]
+
+
+@pytest.mark.parametrize("mode", ["FE+Merging", "FLE+Merging"])
+def test_candidate_areas_match_probe_module_costing(corpus, area_model,
+                                                    monkeypatch, mode):
+    # Reference: the former candidate costing, which deep-cloned the module,
+    # added the candidate and ran estimate_costs over that probe module.
+    verified = []
+
+    def spy(work, n1, n2, mf, **kw):
+        rep = verify_merge(work, n1, n2, mf, **kw)
+        if rep.passed:
+            verified.append((Module(dict(work.functions), work.entry),
+                             mf.function))
+        return rep
+
+    monkeypatch.setattr(dse, "verify_merge", spy)
+    accepted = 0
+    for name, m, img in _corpus_subset(corpus, ["blur", "checksum", "reduce"]):
+        verified.clear()
+        prep = prepare(m, [img], PipelineConfig(mode=mode), area_model)
+        assert len(verified) == len(prep.merges) > 0
+        for (work, f), record in zip(verified, prep.merges):
+            probe = work.clone()
+            probe.functions[f.name] = f
+            old = estimate_costs(probe, prep.trace, area_model,
+                                 build_call_graph(probe))[f.name]
+            assert record.name == f.name
+            assert record.area.hex() == old.area.hex(), (name, f.name)
+            if f.name in prep.merge_parents:
+                accepted += 1
+                assert (prep.costs[f.name].own_area.hex()
+                        == old.own_area.hex()), (name, f.name)
+    assert accepted > 0
 
 
 def test_budget_zero_speedup_exactly_one(corpus, area_model):
@@ -234,15 +270,22 @@ def test_csv_and_json_emission(corpus, area_model):
     assert any("speedup" in b for b in validate_report_json(broken))
 
 
-def test_zero_bandwidth_rejected(corpus, area_model):
+def test_zero_bandwidth_rejected(corpus, area_model, monkeypatch):
     # 0 B/s would make every transfer infinitely slow, not free
     with pytest.raises(IRError, match="bandwidth must be positive"):
         PipelineConfig(bandwidth=0.0)
     name, m, img = _corpus_subset(corpus, ["poly"])[0]
-    with pytest.raises(IRError, match="bandwidth must be positive"):
-        sweep(m, [img], PipelineConfig(**FAST), budgets=[6000],
-              latencies=[25], bandwidths=[0.0], modes=["FE"],
-              model=area_model, program=name)
+    # every grid value is checked before any mode is prepared
+    monkeypatch.setattr(dse, "prepare", None)
+    grid = dict(budgets=[6000], latencies=[25], bandwidths=[float("inf")])
+    for key, bad, match in [
+            ("bandwidths", [float("inf"), 0.0], "bandwidth must be positive"),
+            ("bandwidths", [-1e9], "bandwidth must be non-negative"),
+            ("latencies", [25, -500], "latency must be non-negative"),
+            ("budgets", [-5], "area_budget must be non-negative")]:
+        with pytest.raises(IRError, match=match):
+            sweep(m, [img], PipelineConfig(**FAST), **{**grid, key: bad},
+                  modes=["FE"], model=area_model, program=name)
 
 
 def test_solver_status_reaches_report(corpus, area_model, monkeypatch):
