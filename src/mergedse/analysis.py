@@ -11,7 +11,8 @@ import numpy as np
 
 from .ir import (
     OPCODES, OPCODE_INDEX, SCRATCH_BASE, SCRATCH_SIZE,
-    Block, Function, Instr, IRError, Lit, Module, Reg, validate_module,
+    Block, Function, Instr, IRError, Lit, Module, Reg, must_assigned_at,
+    validate_module,
 )
 
 log = logging.getLogger("mergedse")
@@ -220,32 +221,6 @@ def liveness(f: Function) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
 # ---------------------------------------------------------------------------
 # Loop-to-function extraction
 # ---------------------------------------------------------------------------
-
-def must_assigned_at(f: Function) -> dict[str, set[str]]:
-    """Registers definitely assigned on every path at each block's entry."""
-    labels, succs, preds = _cfg(f)
-    universe = {p for p, _ in f.params}
-    gen: dict[str, set[str]] = {}
-    for b in f.blocks:
-        g = {ins.result for ins in b.instrs if ins.result is not None}
-        gen[b.label] = g
-        universe |= g
-    avail = {lab: set(universe) for lab in labels}
-    avail[f.entry] = {p for p, _ in f.params}
-    changed = True
-    while changed:
-        changed = False
-        for b in f.blocks:
-            if b.label == f.entry:
-                continue
-            inb = set(universe)
-            for p in preds[b.label]:
-                inb &= avail[p] | gen[p]
-            if inb != avail[b.label]:
-                avail[b.label] = inb
-                changed = True
-    return avail
-
 
 def _reg_order(f: Function) -> dict[str, int]:
     """Deterministic register ordering: params first, then first occurrence."""

@@ -12,6 +12,7 @@ import logging
 import os
 import sys
 from fractions import Fraction
+from math import isfinite
 from pathlib import Path
 
 from . import __version__
@@ -120,7 +121,9 @@ def _tool_config(args, tables) -> PipelineConfig:
              "latency": args.latency, "bandwidth": args.bandwidth,
              "seed": args.seed}
     if args.clock is not None:
-        given["clock"] = Fraction(args.clock).limit_denominator(10 ** 15)
+        # a non-finite clock reaches PipelineConfig as is, which rejects it
+        given["clock"] = (Fraction(args.clock).limit_denominator(10 ** 15)
+                          if isfinite(args.clock) else args.clock)
     return PipelineConfig(**{k: v for k, v in given.items() if v is not None},
                           sw_table=sw_table, hw_table=hw_table)
 
@@ -392,11 +395,7 @@ def _cmd_dse(args, tables):
                           program=Path(args.program).stem)
     base = Path(args.output) if args.output else Path("dse-report")
     base.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
-    csv_path.write_text(reports_to_csv([report]))
-    json_path.write_text(reports_to_json([report]))
-    print(f"wrote {csv_path} and {json_path}", file=sys.stderr)
+    _write_reports(base, [report])
     return EXIT_OK
 
 
@@ -424,11 +423,17 @@ def _cmd_sweep(args, tables):
                     program=Path(args.program).stem)
     base = Path(args.output) if args.output else Path("sweep-report")
     base.parent.mkdir(parents=True, exist_ok=True)
-    base.with_suffix(".csv").write_text(reports_to_csv(reports))
-    base.with_suffix(".json").write_text(reports_to_json(reports))
+    _write_reports(base, reports)
+    return EXIT_OK
+
+
+def _write_reports(base: Path, reports):
+    """Write base.csv and base.json; an emitter error writes neither."""
+    csv_text, json_text = reports_to_csv(reports), reports_to_json(reports)
+    base.with_suffix(".csv").write_text(csv_text)
+    base.with_suffix(".json").write_text(json_text)
     print(f"wrote {base.with_suffix('.csv')} and {base.with_suffix('.json')}",
           file=sys.stderr)
-    return EXIT_OK
 
 
 def _cmd_verify(args, tables):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -57,8 +57,13 @@ class PipelineConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise IRError(f"unknown mode {self.mode!r} (choose from {MODES})")
-        for name in ("area_budget", "latency", "bandwidth"):
-            if getattr(self, name) < 0:
+        for name in ("area_budget", "latency", "bandwidth", "clock"):
+            v = getattr(self, name)
+            # NaN passes every comparison; inf is only an unlimited bandwidth
+            if v != v or (v == float("inf") and name != "bandwidth"):
+                raise IRError(f"{name} must be "
+                              f"{'a number' if v != v else 'finite'}, got {v}")
+            if v < 0 and name != "clock":
                 raise IRError(f"{name} must be non-negative")
         if self.bandwidth == 0:
             raise IRError(BANDWIDTH_ZERO)
@@ -254,12 +259,7 @@ def _report_for(prep: Prepared, cfg: PipelineConfig, sol: PartitionSolution,
     obj = sol.objective
     pct = (lambda x: float(100 * x / obj) if obj > 0 else 0.0)
     merged_sel = set(sol.merged_hw)
-    merges = []
-    for r in prep.merges:
-        merges.append(MergeRecord(r.name, r.parents, r.similarity,
-                                  r.aligned_fraction, r.verified, r.trials,
-                                  r.area, r.parents_area, r.ep,
-                                  selected=r.name in merged_sel))
+    merges = [replace(r, selected=r.name in merged_sel) for r in prep.merges]
     funnel = dict(prep.funnel)
     funnel["selected"] = len(merged_sel)
     return DseReport(

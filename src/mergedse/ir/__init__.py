@@ -14,7 +14,8 @@ from .interp import (
 )
 from .parser import ParseError, parse_module
 from .printer import print_function, print_instr, print_module
-from .validate import ValidationError, validate_module
+from .validate import (ValidationError, check_function, must_assigned_at,
+                       unassigned_uses, validate_module)
 
 __all__ = [
     "OPCODES", "OPCODE_INDEX", "TYPE_TAGS", "TYPE_WIDTH", "TERMINATORS",
@@ -27,5 +28,6 @@ __all__ = [
     "interpret", "run_heap_image",
     "ParseError", "parse_module",
     "print_function", "print_instr", "print_module",
-    "ValidationError", "validate_module",
+    "ValidationError", "check_function", "must_assigned_at",
+    "unassigned_uses", "validate_module",
 ]

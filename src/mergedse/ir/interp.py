@@ -8,7 +8,8 @@ image start at REGION_BASE. The observable heap image is the region area.
 
 Interpretation also collects a Trace: per-function dynamic opcode counts
 (own and whole-call-extent), the dynamic call matrix, per-call-edge data
-footprints in bytes, and the total dynamic instruction count.
+footprints in bytes (profiling only, see below), and the total dynamic
+instruction count.
 
 Execution runs on a `Program`, a module decoded once: each function is
 decoded on first call into straight-line segments. A segment ends at a
@@ -26,13 +27,16 @@ counts once, when a result's trace is first read. Loads and stores use
 precompiled `struct` codecs behind the bounds check. A frame records the
 start addresses of its loads and stores, one set per access width, and
 expands them to bytes only when it returns, for its call edge's footprint.
-`interpret` accepts a Module or a Program; callers that run one module
-many times (differential verification) decode it once.
+`interpret` accepts a Module or a Program. Differential verification runs
+one module many times and compares only values and heaps, so it decodes
+it once as `Program(m, footprints=False)`: loads and stores that record
+no addresses, traces without `edge_bytes`. Profiling records footprints.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add, and_, eq, ge, gt, le, lt, mul, ne, or_, sub, xor
@@ -135,10 +139,11 @@ _BR, _JMP, _CALL, _RET = range(4)
 
 # Loads decode and stores encode exactly what wrap_int keeps: i32/i64 are
 # read signed, ptr unsigned, and an i1 byte keeps its low bit as 0 or -1.
-_LOAD_CODEC = {"i32": struct.Struct("<i"), "i64": struct.Struct("<q"),
-               "ptr": struct.Struct("<Q"), "f64": struct.Struct("<d")}
-_STORE_CODEC = {"i32": struct.Struct("<I"), "i64": struct.Struct("<Q"),
-                "ptr": struct.Struct("<Q"), "f64": struct.Struct("<d")}
+_UNPACK = {"i1": lambda data, addr: (-(data[addr] & 1),),
+           **{ty: struct.Struct(f).unpack_from for ty, f in (
+               ("i32", "<i"), ("i64", "<q"), ("ptr", "<Q"), ("f64", "<d"))}}
+_PACK = {ty: struct.Struct(f).pack_into for ty, f in (
+    ("i1", "<B"), ("i32", "<I"), ("i64", "<Q"), ("ptr", "<Q"), ("f64", "<d"))}
 _STORE_MASK = {"i1": 1, "i32": (1 << 32) - 1, "i64": (1 << 64) - 1,
                "ptr": (1 << 64) - 1}
 
@@ -183,7 +188,7 @@ def _wrapping(op: str, d: int, a: int, b: int, ty: str):
     return h
 
 
-def _handler(ins, d, s: list[int], fname: str):
+def _handler(ins, d, s: list[int], fname: str, footprints: bool):
     """The prebound handler of one non-call, non-terminator instruction:
     `d` is the result slot, `s` the operand slots."""
     op, ty = ins.op, ins.ty
@@ -259,61 +264,64 @@ def _handler(ins, d, s: list[int], fname: str):
 
         def h(r): r[d] = r[a]
         return h
+    t = _TOUCHED[TYPE_WIDTH[ty]] if footprints else None
     if op == "load":
-        return _load(d, s[0], ty)
+        return _load(d, s[0], ty, t)
     if op == "store":
-        return _store(s[0], s[1], ty)
+        return _store(s[0], s[1], ty, t)
     raise AssertionError(f"unhandled opcode {op}")
 
 
-def _load(d: int, a: int, ty: str):
-    w, t = TYPE_WIDTH[ty], _TOUCHED[TYPE_WIDTH[ty]]
-    if ty == "i1":
+def _load(d: int, a: int, ty: str, t: int | None):
+    """Load handler; `t` is the frame slot of the touched-address set of
+    this access width, None when the program records no footprints."""
+    w, unpack = TYPE_WIDTH[ty], _UNPACK[ty]
+    if t is None:
         def h(r):
             addr, data = r[a], r[_HEAP]
-            if addr < NULL_GUARD or addr + 1 > len(data):
-                _oob(addr, 1)
-            r[d] = -(data[addr] & 1)
+            if addr < NULL_GUARD or addr + w > len(data):
+                _oob(addr, w)
+            r[d] = unpack(data, addr)[0]
+    else:
+        def h(r):
+            addr, data = r[a], r[_HEAP]
+            if addr < NULL_GUARD or addr + w > len(data):
+                _oob(addr, w)
+            r[d] = unpack(data, addr)[0]
             r[t].add(addr)
-        return h
-    unpack = _LOAD_CODEC[ty].unpack_from
-
-    def h(r):
-        addr, data = r[a], r[_HEAP]
-        if addr < NULL_GUARD or addr + w > len(data):
-            _oob(addr, w)
-        r[d] = unpack(data, addr)[0]
-        r[t].add(addr)
     return h
 
 
-def _store(v: int, a: int, ty: str):
-    w, t = TYPE_WIDTH[ty], _TOUCHED[TYPE_WIDTH[ty]]
-    if ty == "i1":
+def _store(v: int, a: int, ty: str, t: int | None):
+    """Store handler; `t` as for _load. Integers are masked to their width
+    (an i1 store writes the low bit), f64 values are stored as they are."""
+    w, pack, mask = TYPE_WIDTH[ty], _PACK[ty], _STORE_MASK.get(ty)
+    if mask is None and t is None:
         def h(r):
             addr, data = r[a], r[_HEAP]
-            if addr < NULL_GUARD or addr + 1 > len(data):
-                _oob(addr, 1)
-            data[addr] = r[v] & 1
-            r[t].add(addr)
-        return h
-    pack = _STORE_CODEC[ty].pack_into
-    if ty == "f64":
+            if addr < NULL_GUARD or addr + w > len(data):
+                _oob(addr, w)
+            pack(data, addr, r[v])
+    elif mask is None:
         def h(r):
             addr, data = r[a], r[_HEAP]
             if addr < NULL_GUARD or addr + w > len(data):
                 _oob(addr, w)
             pack(data, addr, r[v])
             r[t].add(addr)
-        return h
-    mask = _STORE_MASK[ty]
-
-    def h(r):
-        addr, data = r[a], r[_HEAP]
-        if addr < NULL_GUARD or addr + w > len(data):
-            _oob(addr, w)
-        pack(data, addr, r[v] & mask)
-        r[t].add(addr)
+    elif t is None:
+        def h(r):
+            addr, data = r[a], r[_HEAP]
+            if addr < NULL_GUARD or addr + w > len(data):
+                _oob(addr, w)
+            pack(data, addr, r[v] & mask)
+    else:
+        def h(r):
+            addr, data = r[a], r[_HEAP]
+            if addr < NULL_GUARD or addr + w > len(data):
+                _oob(addr, w)
+            pack(data, addr, r[v] & mask)
+            r[t].add(addr)
     return h
 
 
@@ -327,7 +335,7 @@ class _Decoded:
     instruction before the end (None for a followed `jmp`), for running a
     prefix when fuel runs out."""
 
-    def __init__(self, f: Function):
+    def __init__(self, f: Function, footprints: bool):
         self.name = f.name
         slots: dict[str, int] = {}
         frame: list = [None] * _RESERVED
@@ -366,16 +374,14 @@ class _Decoded:
                 label, j = instrs[-1].succs[0], 0
                 seen.add(label)
                 instrs += pieces[label][0]
-            body, steps, hist = [], [], {}
-            for ins in instrs:
-                hist[ins.op] = hist.get(ins.op, 0) + 1
+            body, steps, hist = [], [], Counter(ins.op for ins in instrs)
             for ins in instrs[:-1]:
                 h = None
                 if ins.op != "jmp":
-                    self.touches |= ins.op in ("load", "store")
+                    self.touches |= footprints and ins.op in ("load", "store")
                     s = [slot(o) for o in ins.operands]
                     h = _handler(ins, slot(Reg(ins.result)) if ins.result
-                                 is not None else None, s, f.name)
+                                 is not None else None, s, f.name, footprints)
                     body.append(h)
                 steps.append(h)
             last = instrs[-1]
@@ -402,16 +408,20 @@ class _Decoded:
 
 class Program:
     """A module decoded for execution. Functions are decoded on first call;
-    the module's functions must not change while the Program is in use."""
+    the module's functions must not change while the Program is in use.
+    With `footprints=False` loads and stores record no touched addresses and
+    traces leave `edge_bytes` empty; everything else is the same."""
 
-    def __init__(self, m: Module):
+    def __init__(self, m: Module, footprints: bool = True):
         self.module = m
+        self.footprints = footprints
         self._decoded: dict[str, _Decoded] = {}
 
     def function(self, name: str) -> _Decoded:
         fn = self._decoded.get(name)
         if fn is None:
-            fn = self._decoded[name] = _Decoded(self.module.functions[name])
+            fn = self._decoded[name] = _Decoded(self.module.functions[name],
+                                                self.footprints)
         return fn
 
 
@@ -448,17 +458,18 @@ class _Machine:
 
     def call(self, ctx: _Context, args: list):
         """Run one frame; returns its value and the bytes the frame and its
-        callees touched."""
+        callees touched (None when there are none or none are recorded)."""
         fn = ctx.fn
         ctx.visits += 1
         r = fn.frame[:]
         r[_HEAP] = self.heap
-        if fn.touches:
-            r[1], r[2], r[3] = set(), set(), set()   # the _TOUCHED slots
+        reached = None   # bytes this frame and its callees touched
+        if fn.touches:   # the _TOUCHED slots; width 1 collects callees too
+            reached = r[1] = set()
+            r[2], r[3] = set(), set()
         for (s, conv), a in zip(fn.params, args):
             r[s] = conv(a)
         segs, runs = fn.segs, ctx.runs
-        reached: set[int] = set()
         fuel = self.fuel
         i = 0
         while True:
@@ -481,11 +492,12 @@ class _Machine:
                 self.fuel = fuel
                 value, sub_bytes = self.call(sub, [r[s] for s in y])
                 fuel = self.fuel
-                sub.touched += len(sub_bytes)
-                if reached:
-                    reached |= sub_bytes
-                else:
-                    reached = sub_bytes   # the callee's set is ours now
+                if sub_bytes:
+                    sub.touched += len(sub_bytes)
+                    if reached is None:
+                        reached = sub_bytes   # the callee's set is ours now
+                    else:
+                        reached |= sub_bytes
                 if z is not None:
                     r[z] = value
                 i = u
@@ -495,7 +507,6 @@ class _Machine:
         self.fuel = fuel
         # the entry has no call edge to charge its footprint to
         if fn.touches and ctx.parent is not None:
-            reached |= r[_TOUCHED[1]]
             for w in (4, 8):
                 for a in r[_TOUCHED[w]]:
                     reached.update(range(a, a + w))
@@ -521,8 +532,10 @@ class _Machine:
             if ctx.parent is not None:
                 key = (ctx.parent.fn.name, name)
                 tr.calls[key] = tr.calls.get(key, 0) + ctx.visits
-                tr.edge_bytes[key] = (tr.edge_bytes.get(key, 0) + ctx.touched
-                                      + ctx.visits * fn.edge_const)
+                if self.prog.footprints:
+                    tr.edge_bytes[key] = (tr.edge_bytes.get(key, 0)
+                                          + ctx.touched
+                                          + ctx.visits * fn.edge_const)
         return tr
 
 

@@ -118,7 +118,8 @@ def _check_instr_shape(f: Function, ins: Instr, reg_types, m: Module, diags):
                 diags.append(f"{where}: i1 literal must be 0 or 1")
 
 
-def _check_function(f: Function, m: Module, diags: list[str]):
+def check_function(f: Function, m: Module, diags: list[str]):
+    """Append the diagnostics of `f` to `diags`; `m` supplies its callees."""
     where = f"@{f.name}"
     if not f.blocks:
         diags.append(f"{where}: function has no blocks")
@@ -157,60 +158,66 @@ def _check_function(f: Function, m: Module, diags: list[str]):
         return
 
     # reachability + entry has no predecessors
-    preds: dict[str, set[str]] = {lab: set() for lab in labels}
-    seen = set()
-    stack = [f.entry]
+    seen, stack = set(), [f.entry]
     while stack:
         lab = stack.pop()
-        if lab in seen:
-            continue
-        seen.add(lab)
-        for s in f.block(lab).terminator().succs:
-            preds[s].add(lab)
-            stack.append(s)
-    for lab in labels:
         if lab not in seen:
-            diags.append(f"{where}: unreachable block {lab}")
-    if preds[f.entry]:
+            seen.add(lab)
+            stack.extend(f.block(lab).terminator().succs)
+    diags.extend(f"{where}: unreachable block {lab}"
+                 for lab in labels if lab not in seen)
+    if any(f.entry in f.block(lab).terminator().succs for lab in seen):
         diags.append(f"{where}: entry block {f.entry} has predecessors")
     if diags:
         return
 
     # must-assign analysis: every register assigned before use on every path
-    universe = set(reg_types)
+    for label, r in unassigned_uses(f):
+        what = "undefined register" if r not in reg_types else "register"
+        diags.append(f"{where}: {what} %{r} used before assignment "
+                     f"in block {label}")
+
+
+def must_assigned_at(f: Function) -> dict[str, set[str]]:
+    """Registers definitely assigned on every path at each block's entry."""
+    preds: dict[str, list[str]] = {b.label: [] for b in f.blocks}
+    universe = {p for p, _ in f.params}
     gen: dict[str, set[str]] = {}
     for b in f.blocks:
-        g = set()
-        for ins in b.instrs:
-            if ins.result is not None:
-                g.add(ins.result)
-        gen[b.label] = g
-    avail_in = {lab: set(universe) for lab in labels}
-    avail_in[f.entry] = {p for p, _ in f.params}
+        for s in b.terminator().succs:
+            preds[s].append(b.label)
+        gen[b.label] = {ins.result for ins in b.instrs if ins.result is not None}
+        universe |= gen[b.label]
+    avail = {b.label: set(universe) for b in f.blocks}
+    avail[f.entry] = {p for p, _ in f.params}
     changed = True
     while changed:
         changed = False
         for b in f.blocks:
             if b.label == f.entry:
-                inb = avail_in[b.label]
-            else:
-                inb = set(universe)
-                for p in preds[b.label]:
-                    inb &= avail_in[p] | gen[p]
-                if inb != avail_in[b.label]:
-                    avail_in[b.label] = inb
-                    changed = True
+                continue
+            inb = set(universe)
+            for p in preds[b.label]:
+                inb &= avail[p] | gen[p]
+            if inb != avail[b.label]:
+                avail[b.label] = inb
+                changed = True
+    return avail
+
+
+def unassigned_uses(f: Function) -> list[tuple[str, str]]:
+    """(block label, register) of every operand read that some path from the
+    entry reaches before the register is assigned, in program order."""
+    avail = must_assigned_at(f)
+    out = []
     for b in f.blocks:
-        running = set(avail_in[b.label])
+        running = set(avail[b.label])
         for ins in b.instrs:
-            for o in ins.operands:
-                if isinstance(o, Reg) and o.name not in running:
-                    what = ("undefined register" if o.name not in universe
-                            else "register")
-                    diags.append(f"{where}: {what} %{o.name} used before assignment "
-                                 f"in block {b.label}")
+            out += [(b.label, o.name) for o in ins.operands
+                    if isinstance(o, Reg) and o.name not in running]
             if ins.result is not None:
                 running.add(ins.result)
+    return out
 
 
 def validate_module(m: Module, raise_on_error: bool = True) -> list[str]:
@@ -220,7 +227,7 @@ def validate_module(m: Module, raise_on_error: bool = True) -> list[str]:
         diags.append(f"entry function @{m.entry} does not exist")
     for f in m.functions.values():
         local: list[str] = []
-        _check_function(f, m, local)
+        check_function(f, m, local)
         diags.extend(local)
 
     # recursion: the call graph must be a DAG

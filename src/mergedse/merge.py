@@ -19,10 +19,11 @@ import struct
 from dataclasses import dataclass, field
 from math import factorial
 
-from .analysis import must_assigned_at, natural_loops
+from .analysis import natural_loops
 from .ir import (
-    Arena, Block, Function, Instr, InterpError, IRError, Lit, Module, Program,
-    Reg, interpret, operand_slot_types, validate_module, zero_literal,
+    OPCODES, Arena, Block, Function, Instr, InterpError, IRError, Lit, Module,
+    Program, Reg, check_function, interpret, operand_slot_types,
+    unassigned_uses, zero_literal,
 )
 
 log = logging.getLogger("mergedse")
@@ -44,11 +45,8 @@ class MergeRejected(IRError):
 
 
 def default_weights() -> dict[str, float]:
-    w = {}
-    from .ir import OPCODES
-    for op in OPCODES:
-        w[op] = HEAVY_MATCH_WEIGHT if op in HEAVY_OPS else DEFAULT_MATCH_WEIGHT
-    return w
+    return {op: HEAVY_MATCH_WEIGHT if op in HEAVY_OPS else DEFAULT_MATCH_WEIGHT
+            for op in OPCODES}
 
 
 # ---------------------------------------------------------------------------
@@ -615,24 +613,22 @@ def merge_functions(m: Module, name1: str, name2: str,
     # the dataflow considers (but execution never takes) can reach a side's
     # register before that side assigned it; dead zero-initializers at entry
     # make the body assign-before-use clean without changing behavior.
-    needed = _uninitialized_regs(merged)
+    needed = {r for _, r in unassigned_uses(merged)}
     if needed:
         reg_types = merged.register_types()
-        inits = []
-        for r in sorted(needed):
-            ty = reg_types.get(r)
-            if ty is None:
-                continue
-            inits.append(Instr("const", ty, r, (zero_literal(ty),)))
-            stats["glue"] += 1
+        inits = [Instr("const", reg_types[r], r, (zero_literal(reg_types[r]),))
+                 for r in sorted(needed) if r in reg_types]
         merged.blocks[0].instrs[0:0] = inits
+        stats["glue"] += len(inits)
 
     mf = MergedFunction(merged, (name1, name2), param_map, alignment, fsel,
                         parent_instrs=stats["parent"], glue=stats["glue"],
                         mux_selects=stats["mux"], arg_plan=arg_plan)
 
-    diags = validate_module(Module({**m.functions, merged_name: merged},
-                                   m.entry), raise_on_error=False)
+    # only the new body needs checking: its callees are the parents' callees,
+    # so under a fresh name it cannot close a call cycle
+    diags: list[str] = []
+    check_function(merged, m, diags)
     if diags:
         raise MergeRejected("merged body failed validation: " + "; ".join(diags))
     return mf
@@ -642,20 +638,6 @@ def _map_side(o, namer_fn):
     if isinstance(o, Reg):
         return Reg(namer_fn(o.name))
     return o
-
-
-def _uninitialized_regs(f: Function) -> set[str]:
-    avail = must_assigned_at(f)
-    bad: set[str] = set()
-    for b in f.blocks:
-        running = set(avail[b.label])
-        for ins in b.instrs:
-            for o in ins.operands:
-                if isinstance(o, Reg) and o.name not in running:
-                    bad.add(o.name)
-            if ins.result is not None:
-                running.add(ins.result)
-    return bad
 
 
 def best_alignment(m: Module, name1: str, name2: str,
@@ -683,10 +665,6 @@ def best_alignment(m: Module, name1: str, name2: str,
 class TrialPlan:
     scalars: tuple
     regions: tuple[bytes, ...]
-
-    def key(self) -> tuple:
-        """Hashable identity; floats by bit pattern, so -0.0 != 0.0."""
-        return tuple(_canon(s) for s in self.scalars), self.regions
 
 
 def _random_bytes(rng: random.Random, n: int) -> bytes:
@@ -719,6 +697,25 @@ def _plan_trial(params: list[tuple[str, str]], rng: random.Random,
         else:
             scalars.append(round(rng.uniform(-8.0, 8.0), 3))
     return TrialPlan(tuple(scalars), tuple(regions))
+
+
+def _trial_plans(memo: dict, seed: int, trials: int,
+                 params1: list[tuple[str, str]],
+                 params2: list[tuple[str, str]]) -> list[list]:
+    """Both sides' trial plans as (plan, plan id) lists, drawn once per memo
+    and pair of parameter-type signatures: side 2's draws continue side 1's
+    stream. Plans with equal content (floats by bit pattern, so -0.0 and 0.0
+    differ) share an id."""
+    key = (seed, trials) + tuple(tuple(ty for _, ty in ps)
+                                 for ps in (params1, params2))
+    if key not in memo:
+        rng, ids = random.Random(seed), memo.setdefault("plan ids", {})
+        sides = [[_plan_trial(ps, rng) for _ in range(trials)]
+                 for ps in (params1, params2)]
+        memo[key] = [[(p, ids.setdefault((tuple(map(_canon, p.scalars)),
+                                          p.regions), len(ids)))
+                      for p in side] for side in sides]
+    return memo[key]
 
 
 def _materialize(plan: TrialPlan, params: list[tuple[str, str]]):
@@ -767,24 +764,25 @@ def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
     heap images identical; a matching error kind on both sides also counts as
     agreement. Failure is reported with the first counterexample.
 
-    `memo` maps (parent, fuel, trial plan) to the parent's outcome. A caller
-    may share one memo across calls on the same module as long as the module
-    only gains functions under fresh names meanwhile; parent runs found in it
-    are skipped.
+    `memo` holds the trial plans of each pair of parameter-type signatures
+    (with int plan ids) and maps (parent, fuel, plan id) to the parent's
+    outcome. A caller may share one memo across calls on the same module as
+    long as the module only gains functions under fresh names meanwhile;
+    plans and parent runs found in it are reused. Runs record no data
+    footprints: only value and heap are compared.
     """
     mname = merged.function.name
-    mm = m
-    if mname not in m.functions:
-        mm = Module({**m.functions, mname: merged.function}, m.entry)
-    prog = Program(mm)
+    mm = m if mname in m.functions else Module(
+        {**m.functions, mname: merged.function}, m.entry)
+    prog = Program(mm, footprints=False)
     memo = {} if memo is None else memo
-    rng = random.Random(seed)
-    for side, pname in ((1, name1), (2, name2)):
+    plans = _trial_plans(memo, seed, trials, mm.function(name1).params,
+                         mm.function(name2).params)
+    for side, pname, side_plans in zip((1, 2), (name1, name2), plans):
         params = mm.function(pname).params
-        for _ in range(trials):
-            plan = _plan_trial(params, rng)
+        for plan, pid in side_plans:
             arena_m, args_p = _materialize(plan, params)
-            key = (pname, fuel, plan.key())
+            key = (pname, fuel, pid)
             out_p = memo.get(key)
             if out_p is None:
                 arena_p, _ = _materialize(plan, params)

@@ -161,6 +161,51 @@ def test_negative_sweep_grid_exits_2(tmp_path, model_file, capsys):
         assert not out.with_suffix(".json").exists()
 
 
+@pytest.mark.parametrize("cmd, flags", [
+    ("dse", ["--clock", "inf"]),
+    ("dse", ["--budget", "6000", "--clock", "inf"]),
+    ("dse", ["--budget", "6000", "--clock", "nan"]),
+    ("dse", ["--budget", "nan"]),
+    ("dse", ["--budget", "inf"]),
+    ("dse", ["--budget", "6000", "--bandwidth", "nan"]),
+    ("sweep", ["--budgets", "nan"]),
+    ("sweep", ["--bandwidths", "nan"]),
+    ("dse", ["--budget", "6000", "--config", "clock.cfg"]),
+])
+def test_non_finite_values_exit_2(tmp_path, model_file, capsys, monkeypatch,
+                                  cmd, flags):
+    # NaN passes every range check and inf overflowed Fraction(); both must
+    # be refused before any mode is prepared, leaving no report behind
+    from mergedse import dse
+    monkeypatch.setattr(dse, "prepare", None)
+    (tmp_path / "clock.cfg").write_text("clock = inf\n")
+    flags = [str(tmp_path / f) if f.endswith(".cfg") else f for f in flags]
+    out = tmp_path / "report"
+    assert main([cmd, "--model", model_file, *flags, POLY_IR, POLY_HEAP,
+                 "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "must be a number" in err or "must be finite" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "clock.cfg"]
+
+
+def test_emitter_error_leaves_no_half_written_report(tmp_path, model_file,
+                                                     capsys, monkeypatch):
+    import mergedse.cli as cli
+
+    def fail(reports):
+        raise ValueError("cannot emit")
+    monkeypatch.setattr(cli, "reports_to_json", fail)
+    for cmd, flags in (("dse", ["--mode", "FE", "--budget", "6000"]),
+                       ("sweep", ["--modes", "FE", "--budgets", "6000",
+                                  "--latencies", "25", "--bandwidths", "inf"])):
+        out = tmp_path / cmd
+        assert main([cmd, "--model", model_file, *flags,
+                     POLY_IR, POLY_HEAP, "-o", str(out)]) == 2
+        assert "cannot emit" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_train_eval_cycle(tmp_path):
     model = tmp_path / "model.txt"
     data = tmp_path / "data.csv"

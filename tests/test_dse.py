@@ -288,6 +288,30 @@ def test_zero_bandwidth_rejected(corpus, area_model, monkeypatch):
                   modes=["FE"], model=area_model, program=name)
 
 
+def test_non_finite_values_rejected(corpus, area_model, monkeypatch):
+    nan, inf = float("nan"), float("inf")
+    for key, bad, match in [
+            ("area_budget", nan, "area_budget must be a number"),
+            ("area_budget", inf, "area_budget must be finite"),
+            ("latency", nan, "latency must be a number"),
+            ("latency", inf, "latency must be finite"),
+            ("bandwidth", nan, "bandwidth must be a number"),
+            ("bandwidth", -inf, "bandwidth must be non-negative"),
+            ("clock", nan, "clock must be a number"),
+            ("clock", inf, "clock must be finite")]:
+        with pytest.raises(IRError, match=match):
+            PipelineConfig(**{key: bad})
+    assert PipelineConfig(bandwidth=inf).bandwidth == inf  # unlimited
+    name, m, img = _corpus_subset(corpus, ["poly"])[0]
+    monkeypatch.setattr(dse, "prepare", None)
+    grid = dict(budgets=[6000], latencies=[25], bandwidths=[inf])
+    for key, bad in [("budgets", [6000, nan]), ("budgets", [inf]),
+                     ("bandwidths", [nan])]:
+        with pytest.raises(IRError, match="must be"):
+            sweep(m, [img], PipelineConfig(**FAST), **{**grid, key: bad},
+                  modes=["FE"], model=area_model, program=name)
+
+
 def test_solver_status_reaches_report(corpus, area_model, monkeypatch):
     name, m, img = _corpus_subset(corpus, ["poly"])[0]
     cfg = PipelineConfig(mode="FE", area_budget=14400.0, **FAST)

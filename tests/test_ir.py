@@ -1,13 +1,15 @@
+import json
 import struct
 
 import pytest
 
 from mergedse.ir import (
-    Arena, HeapImage, InterpError, IRError, ParseError, ValidationError,
-    interpret, parse_module, print_module, run_heap_image,
+    Arena, HeapImage, InterpError, IRError, ParseError, Program,
+    ValidationError, interpret, parse_module, print_module, run_heap_image,
 )
 
 from conftest import PAIR_SRC
+from test_interp_golden import GOLDEN, _cases
 
 
 def test_parse_identity_function():
@@ -227,3 +229,33 @@ def test_store_visible_in_region_image():
     r = interpret(m, "f", [addr], arena)
     assert r.heap[:4] == b"\xff\xff\xff\xff"
     assert r.heap[4:] == bytes(4)
+
+
+def test_outcome_only_program_matches_the_full_path():
+    # Program(footprints=False), as differential verification runs it, must
+    # give the same value, heap and instruction counts as the profiling path
+    # on every golden case and fuel value (fuel exhaustion included); only
+    # the per-edge byte footprints are left out
+    golden = json.loads(GOLDEN.read_text())
+
+    def run(prog, img, fuel):
+        arena, args = img.instantiate(prog.module.functions[prog.module.entry])
+        try:
+            r = interpret(prog, None, args, arena, fuel=fuel)
+        except InterpError as e:
+            return f"{e.kind}: {e}", None
+        t = r.trace
+        return ((repr(r.value), r.heap, t.total, t.counts, t.hier_counts,
+                 t.calls, t.invocations), t.edge_bytes)
+
+    for case, m, img in _cases():
+        full, lean = Program(m), Program(m, footprints=False)
+        fuels = [10 ** 8] + [f for lo, hi, _ in golden["fuel"][case]
+                             for f in range(lo, hi + 1)]
+        for fuel in fuels:
+            want, edges = run(full, img, fuel)
+            got, no_edges = run(lean, img, fuel)
+            assert got == want, (case, fuel)
+            assert no_edges in (None, {}), (case, fuel)
+            if edges is not None:   # the full path charges every call edge
+                assert sorted(edges) == sorted(want[5]), (case, fuel)

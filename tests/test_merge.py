@@ -1,11 +1,13 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+from mergedse import merge
 from mergedse.analysis import extract_loops, rank_pairs
 from mergedse.ir import (
-    Function, Instr, interpret, parse_module, print_function, print_module,
-    structurally_equal, validate_module,
+    Function, Instr, Lit, interpret, parse_module, print_function,
+    print_module, structurally_equal, validate_module,
 )
 from mergedse.merge import (
     MergeRejected, _compatible, _plan_trial, align, best_alignment,
@@ -411,3 +413,69 @@ def test_shared_verify_memo_still_catches_a_broken_merge(pair_module):
     assert not rep.passed
     assert rep == verify_merge(pair_module, "sel_a", "sel_b", broken,
                                trials=200, seed=9)
+
+
+def _edit_sel_a(m, op, edit):
+    """Replace the first `op` instruction of @sel_a with edit(instr)."""
+    for b in m.functions["sel_a"].blocks:
+        for k, ins in enumerate(b.instrs):
+            if ins.op == op:
+                b.instrs[k] = edit(ins)
+                return
+    raise AssertionError(f"no {op} in @sel_a")
+
+
+def test_merge_rejects_a_merged_body_that_fails_validation(pair_module,
+                                                           monkeypatch):
+    # only the merged body is validated now; it must still be refused when
+    # it reads a register before assigning it, calls an unknown function or
+    # mistypes an operand
+    with monkeypatch.context() as mp:
+        mp.setattr(merge, "unassigned_uses", lambda f: [])  # no initializers
+        with pytest.raises(MergeRejected, match="used before assignment"):
+            merge_functions(pair_module, "sel_a", "sel_b")
+    merge_functions(pair_module, "sel_a", "sel_b")
+
+    m = pair_module.clone()
+    _edit_sel_a(m, "call", lambda ins: replace(ins, callee="nosuch"))
+    with pytest.raises(MergeRejected,
+                       match="call to undefined function @nosuch"):
+        merge_functions(m, "sel_a", "sel_b")
+
+    m = pair_module.clone()
+    _edit_sel_a(m, "add", lambda ins: replace(
+        ins, operands=(ins.operands[0], Lit(1, "i64"))))
+    with pytest.raises(MergeRejected,
+                       match="literal 1 has type i64, expected i32"):
+        merge_functions(m, "sel_a", "sel_b")
+
+
+def test_trial_plans_drawn_once_per_signature_pair(corpus, monkeypatch):
+    m = extract_loops(next(m for name, m, _ in corpus if name == "reduce"))
+    candidates = []
+    for n1, n2, _ in rank_pairs(m, 0.3):
+        try:
+            candidates.append((n1, n2, merge_functions(m, n1, n2)))
+        except MergeRejected:
+            continue
+    draws = []
+    plan_trial = merge._plan_trial
+
+    def counted(params, rng):
+        draws.append(params)
+        return plan_trial(params, rng)
+    monkeypatch.setattr(merge, "_plan_trial", counted)
+
+    def signature(name):
+        return tuple(ty for _, ty in m.functions[name].params)
+
+    trials, shared = 48, {}
+    sigs = {(signature(n1), signature(n2)) for n1, n2, _ in candidates}
+    reports = [verify_merge(m, n1, n2, mf, trials=trials, seed=7, memo=shared)
+               for n1, n2, mf in candidates]
+    assert len(candidates) > len(sigs)
+    assert len(draws) == 2 * trials * len(sigs)
+    # one fresh memo per call gives the same reports
+    assert reports == [verify_merge(m, n1, n2, mf, trials=trials, seed=7)
+                       for n1, n2, mf in candidates]
+    assert len(draws) == 2 * trials * (len(sigs) + len(candidates))
