@@ -13,24 +13,30 @@ instruction count.
 
 Execution runs on a `Program`, a module decoded once: each function is
 decoded on first call into straight-line segments. A segment ends at a
-`call` or at a terminator; an unconditional `jmp` does not end it but
-continues it into the target block, unless that block is already part of
-it. A segment holds one prebound handler per instruction (operands resolved
-to slots of a flat frame list, literals preloaded), its successor segment
-indices and its opcode histogram. Fuel is charged once per segment; a
-segment longer than the remaining fuel runs only the instructions the fuel
-pays for and then raises, so fuel runs out at the same dynamic instruction
-as with per-instruction charging. Frames count segment runs per calling
-context (a function reached through one chain of calls); opcode counts,
-whole-extent counts, the call matrix and the total are folded from those
-counts once, when a result's trace is first read. Loads and stores use
-precompiled `struct` codecs behind the bounds check. A frame records the
-start addresses of its loads and stores, one set per access width, and
-expands them to bytes only when it returns, for its call edge's footprint.
-`interpret` accepts a Module or a Program. Differential verification runs
-one module many times and compares only values and heaps, so it decodes
-it once as `Program(m, footprints=False)`: loads and stores that record
-no addresses, traces without `edge_bytes`. Profiling records footprints.
+`call` or at a terminator; an unconditional `jmp` continues it into the
+target block unless that block is already part of it. Fuel is charged once
+per segment; a segment longer than the remaining fuel runs only the
+instructions the fuel pays for and then raises, so fuel runs out at the
+same dynamic instruction as with per-instruction charging. Frames count
+segment runs per calling context (a function reached through one chain of
+calls); the Trace is folded from those counts when first read. A frame
+records the start addresses of its loads and stores, one set per access
+width, and expands them to bytes on return, for its call edge's footprint.
+
+One table of per-opcode source templates implements every instruction, in
+two tiers. Cold code runs a prebound handler per instruction on a frame
+list; handlers come from one factory per opcode shape, compiled once, so
+decoding runs no `exec`. Once the instructions a function has run in its
+Program reach HOT_MULTIPLE times its static size, the templates are
+compiled into one Python function for it, with registers as locals and
+fuel, segment counts, branches and calls inline. Later calls enter it, and
+a cold frame switches into it at its current segment, so one long call
+tiers up too. Heat gates compiling because it costs about nine decodes;
+compiling eagerly slows the many short runs of verification. No output
+depends on the tier. Names reach generated code only as repr() strings,
+literals only as frame slots. Differential verification runs
+`Program(m, footprints=False)`: no touched addresses, traces without
+`edge_bytes`. Profiling records footprints.
 """
 
 from __future__ import annotations
@@ -38,10 +44,10 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import add, and_, eq, ge, gt, le, lt, mul, ne, or_, sub, xor
+from functools import cache, cached_property
 
-from .core import INT_BITS, TYPE_WIDTH, Function, IRError, Module, Reg, wrap_int
+from .core import (INT_BITS, TYPE_WIDTH, Function, Instr, IRError, Module, Reg,
+                   wrap_int)
 
 NULL_GUARD = 8
 SCRATCH_BASE = 8
@@ -125,7 +131,7 @@ def _coerce_arg(value, ty: str):
 
 
 # ---------------------------------------------------------------------------
-# Decoding: functions to segments of prebound handlers
+# Decoding: opcode templates, cold handlers and hot functions
 # ---------------------------------------------------------------------------
 
 # Frame slots before the registers: the heap bytes, then the touched start
@@ -137,21 +143,10 @@ _RESERVED = 4
 # Segment ends.
 _BR, _JMP, _CALL, _RET = range(4)
 
-# Loads decode and stores encode exactly what wrap_int keeps: i32/i64 are
-# read signed, ptr unsigned, and an i1 byte keeps its low bit as 0 or -1.
-_UNPACK = {"i1": lambda data, addr: (-(data[addr] & 1),),
-           **{ty: struct.Struct(f).unpack_from for ty, f in (
-               ("i32", "<i"), ("i64", "<q"), ("ptr", "<Q"), ("f64", "<d"))}}
-_PACK = {ty: struct.Struct(f).pack_into for ty, f in (
-    ("i1", "<B"), ("i32", "<I"), ("i64", "<Q"), ("ptr", "<Q"), ("f64", "<d"))}
-_STORE_MASK = {"i1": 1, "i32": (1 << 32) - 1, "i64": (1 << 64) - 1,
-               "ptr": (1 << 64) - 1}
-
-_BINOP = {"add": add, "sub": sub, "mul": mul, "and": and_, "or": or_,
-          "xor": xor, "fadd": add, "fsub": sub, "fmul": mul}
-_CMP = {"eq": eq, "ne": ne, "slt": lt, "sgt": gt, "sle": le, "sge": ge,
-        "olt": lt, "ogt": gt, "oeq": eq}
-_INF = float("inf")
+# A function is compiled once the instructions it has run in one Program
+# reach this multiple of its static instruction count (see the module
+# docstring for why it is gated by heat).
+HOT_MULTIPLE = 128
 
 
 def _wrapper(ty: str):
@@ -165,6 +160,44 @@ def _wrapper(ty: str):
 _CONVERT = {"i1": _wrapper("i1"), "i32": _wrapper("i32"),
             "i64": _wrapper("i64"), "f64": float, "ptr": int}
 
+_WRAP = " + {half} & {mask}) - {half}"
+_DIV = ("x, y = {a}, {b}\nif y == 0: raise InterpError("
+        "'div-zero', 'division by zero in @' + {fn})\n"
+        "q = abs(x) // abs(y)\nif (x < 0) != (y < 0): q = -q\n")
+_MEM = "if addr < {guard} or addr + {w} > len({H}): oob(addr, {w})\n"
+
+# Per-opcode source templates, the only implementation of instructions.
+# {d} is the result, {a} {b} {c} the operands, {H} the heap bytes, {t} the
+# touched-address set of the access width and {fn} the function name; the
+# other fields are constants of the instruction's types. Integer results are
+# wrapped like wrap_int: ((v + half) & mask) - half is v's canonical signed
+# representative. Loads decode and stores encode exactly what wrap_int keeps.
+_TEMPLATES = {
+    **{op: "{d} = (({a} %s {b})" % sym + _WRAP for op, sym in (
+        ("add", "+"), ("sub", "-"), ("mul", "*"), ("and", "&"), ("or", "|"),
+        ("xor", "^"))},
+    "shl": "{d} = (({a} << ({b} & {sh}))" + _WRAP,
+    "ashr": "{d} = (({a} >> ({b} & {sh}))" + _WRAP,
+    "sdiv": _DIV + "{d} = (q" + _WRAP,
+    "srem": _DIV + "{d} = (x - q * y" + _WRAP,
+    "fadd": "{d} = {a} + {b}", "fsub": "{d} = {a} - {b}", "fmul": "{d} = {a} * {b}",
+    "fdiv": "if {b} == 0.0: raise InterpError("
+            "'div-zero', 'float division by zero in @' + {fn})\n{d} = {a} / {b}",
+    **dict.fromkeys(("icmp", "fcmp"), "{d} = 1 if {a} {cmp} {b} else 0"),
+    "select": "{d} = {b} if {a} else {c}",
+    "zext": "{d} = {a} & {mask}",
+    "trunc": "{d} = ({a}" + _WRAP,
+    "sitofp": "{d} = float({a})",
+    # v - v is nonzero (nan) exactly when v is nan or ±inf
+    "fptosi": "{d} = 0 if {a} - {a} else (int({a})" + _WRAP,
+    "gep": "{d} = {a} + {b} * {w}",
+    "const": "{d} = {a}",
+    "load": "addr = {a}\n" + _MEM + "{d} = unpack_{ty}({H}, addr)[0]",
+    "store": "addr = {b}\n" + _MEM + "pack_{ty}({H}, addr, {a}{store_mask})",
+}
+_CMP = {"eq": "==", "ne": "!=", "slt": "<", "sgt": ">", "sle": "<=",
+        "sge": ">=", "olt": "<", "ogt": ">", "oeq": "=="}
+
 
 def _oob(addr: int, width: int):
     if addr < NULL_GUARD:
@@ -172,157 +205,121 @@ def _oob(addr: int, width: int):
     raise InterpError("oob", f"out-of-bounds access at {addr}+{width}")
 
 
-def _wrapping(op: str, d: int, a: int, b: int, ty: str):
-    """add/sub/mul/and/or/xor/shl/ashr, wrapped like wrap_int:
-    ((v + half) & mask) - half is v's canonical signed representative."""
-    bits = INT_BITS[ty]
-    half, mask, sh = 1 << (bits - 1), (1 << bits) - 1, bits - 1
-    if op == "shl":
-        def h(r): r[d] = ((r[a] << (r[b] & sh)) + half & mask) - half
-    elif op == "ashr":
-        def h(r): r[d] = ((r[a] >> (r[b] & sh)) + half & mask) - half
-    else:
-        f = _BINOP[op]
-
-        def h(r): r[d] = (f(r[a], r[b]) + half & mask) - half
-    return h
+def _footprint(reached: set, t4: set, t8: set) -> set:
+    """Add the bytes of the 4- and 8-byte accesses starting at t4 and t8."""
+    for w, starts in ((4, t4), (8, t8)):
+        for a in starts:
+            reached.update(range(a, a + w))
+    return reached
 
 
-def _handler(ins, d, s: list[int], fname: str, footprints: bool):
-    """The prebound handler of one non-call, non-terminator instruction:
-    `d` is the result slot, `s` the operand slots."""
-    op, ty = ins.op, ins.ty
-    if op in ("add", "sub", "mul", "and", "or", "xor", "shl", "ashr"):
-        return _wrapping(op, d, s[0], s[1], ty)
-    if op in ("sdiv", "srem"):
-        a, b, want_q = s[0], s[1], op == "sdiv"
-        msg = f"division by zero in @{fname}"
-
-        def h(r):
-            x, y = r[a], r[b]
-            if y == 0:
-                raise InterpError("div-zero", msg)
-            q = abs(x) // abs(y)
-            if (x < 0) != (y < 0):
-                q = -q
-            r[d] = wrap_int(q if want_q else x - q * y, ty)
-        return h
-    if op in ("fadd", "fsub", "fmul"):
-        a, b, f = s[0], s[1], _BINOP[op]
-
-        def h(r): r[d] = f(r[a], r[b])
-        return h
-    if op == "fdiv":
-        a, b, msg = s[0], s[1], f"float division by zero in @{fname}"
-
-        def h(r):
-            y = r[b]
-            if y == 0.0:
-                raise InterpError("div-zero", msg)
-            r[d] = r[a] / y
-        return h
-    if op in ("icmp", "fcmp"):
-        a, b = s
-        cmp = _CMP[ins.pred]
-
-        def h(r): r[d] = 1 if cmp(r[a], r[b]) else 0
-        return h
-    if op == "select":
-        c, a, b = s
-
-        def h(r): r[d] = r[a] if r[c] else r[b]
-        return h
-    if op == "zext":
-        a, mask = s[0], (1 << INT_BITS[ty]) - 1
-
-        def h(r): r[d] = r[a] & mask
-        return h
-    if op == "trunc":
-        a, to = s[0], ins.cast_to
-
-        def h(r): r[d] = wrap_int(r[a], to)
-        return h
-    if op == "sitofp":
-        a = s[0]
-
-        def h(r): r[d] = float(r[a])
-        return h
-    if op == "fptosi":
-        a, to = s[0], ins.cast_to
-
-        def h(r):
-            v = r[a]
-            r[d] = 0 if v != v or v in (_INF, -_INF) else wrap_int(int(v), to)
-        return h
-    if op == "gep":
-        a, b, w = s[0], s[1], TYPE_WIDTH[ty]
-
-        def h(r): r[d] = r[a] + r[b] * w
-        return h
-    if op == "const":
-        a = s[0]
-
-        def h(r): r[d] = r[a]
-        return h
-    t = _TOUCHED[TYPE_WIDTH[ty]] if footprints else None
-    if op == "load":
-        return _load(d, s[0], ty, t)
-    if op == "store":
-        return _store(s[0], s[1], ty, t)
-    raise AssertionError(f"unhandled opcode {op}")
+def _exhaust(fn: "_Decoded", i: int, fuel: int, r: list | dict):
+    """Run the instructions of segment i that `fuel` pays for on frame r,
+    then raise. The hot tier passes its locals(), turned back into a frame."""
+    if type(r) is dict:
+        r = [r[f"r{k}"] for k in range(len(fn.frame))]
+    for h in fn.segs[i][7][:max(fuel, 0)]:
+        if h is not None:
+            h(r)
+    raise InterpError("fuel", f"fuel exhausted in @{fn.name}")
 
 
-def _load(d: int, a: int, ty: str, t: int | None):
-    """Load handler; `t` is the frame slot of the touched-address set of
-    this access width, None when the program records no footprints."""
-    w, unpack = TYPE_WIDTH[ty], _UNPACK[ty]
-    if t is None:
-        def h(r):
-            addr, data = r[a], r[_HEAP]
-            if addr < NULL_GUARD or addr + w > len(data):
-                _oob(addr, w)
-            r[d] = unpack(data, addr)[0]
-    else:
-        def h(r):
-            addr, data = r[a], r[_HEAP]
-            if addr < NULL_GUARD or addr + w > len(data):
-                _oob(addr, w)
-            r[d] = unpack(data, addr)[0]
-            r[t].add(addr)
-    return h
+# The generated code's globals: error paths, argument conversions and the
+# heap codecs.
+_NS = {"InterpError": InterpError, "oob": _oob, "footprint": _footprint,
+       "exhaust": _exhaust,
+       **{f"conv_{ty}": f for ty, f in _CONVERT.items()},
+       "unpack_i1": lambda data, addr: (-(data[addr] & 1),),
+       **{f"unpack_{ty}": struct.Struct(f).unpack_from for ty, f in (
+           ("i32", "<i"), ("i64", "<q"), ("ptr", "<Q"), ("f64", "<d"))},
+       **{f"pack_{ty}": struct.Struct(f).pack_into for ty, f in (
+           ("i1", "<B"), ("i32", "<I"), ("i64", "<Q"), ("ptr", "<Q"),
+           ("f64", "<d"))}}
 
 
-def _store(v: int, a: int, ty: str, t: int | None):
-    """Store handler; `t` as for _load. Integers are masked to their width
-    (an i1 store writes the low bit), f64 values are stored as they are."""
-    w, pack, mask = TYPE_WIDTH[ty], _PACK[ty], _STORE_MASK.get(ty)
-    if mask is None and t is None:
-        def h(r):
-            addr, data = r[a], r[_HEAP]
-            if addr < NULL_GUARD or addr + w > len(data):
-                _oob(addr, w)
-            pack(data, addr, r[v])
-    elif mask is None:
-        def h(r):
-            addr, data = r[a], r[_HEAP]
-            if addr < NULL_GUARD or addr + w > len(data):
-                _oob(addr, w)
-            pack(data, addr, r[v])
-            r[t].add(addr)
-    elif t is None:
-        def h(r):
-            addr, data = r[a], r[_HEAP]
-            if addr < NULL_GUARD or addr + w > len(data):
-                _oob(addr, w)
-            pack(data, addr, r[v] & mask)
-    else:
-        def h(r):
-            addr, data = r[a], r[_HEAP]
-            if addr < NULL_GUARD or addr + w > len(data):
-                _oob(addr, w)
-            pack(data, addr, r[v] & mask)
-            r[t].add(addr)
-    return h
+def _source(ins, touch: bool, **fields: str) -> str:
+    """Source of one non-call, non-terminator instruction from its template;
+    `fields` spell the slots ({d} {a} {b} {c} {H} {t}) and {fn}. A load or
+    store with `touch` records its start address."""
+    ty = ins.ty
+    bits = INT_BITS.get(ty if ins.op == "zext" else ins.cast_to or ty, 64)
+    mask = (1 << bits) - 1
+    return (_TEMPLATES[ins.op] + ("\n{t}.add(addr)" if touch else "")).format(
+        **fields, ty=ty, half=1 << (bits - 1), mask=mask, sh=bits - 1,
+        w=TYPE_WIDTH[ty], guard=NULL_GUARD, cmp=_CMP.get(ins.pred),
+        store_mask="" if ty == "f64" else f" & {mask}")
+
+
+@cache
+def _factory(op: str, ty: str, pred, cast_to, touch: bool):
+    """Cold tier: a factory of prebound handlers `h(r)` on the frame list
+    for one opcode shape, compiled once from the opcode's template."""
+    body = _source(Instr(op, ty, pred=pred, cast_to=cast_to), touch,
+                   d="r[d]", a="r[a]", b="r[b]", c="r[c]", H=f"r[{_HEAP}]",
+                   t=f"r[{_TOUCHED[TYPE_WIDTH[ty]]}]", fn="fn")
+    ns = dict(_NS)
+    exec("def make(d, a=None, b=None, c=None, fn=None):\n def h(r):\n  "
+         + body.replace("\n", "\n  ") + "\n return h", ns)
+    return ns["make"]
+
+
+def _hot_source(fn: "_Decoded") -> str:
+    """Hot tier: the source of one Python function running all of `fn` from
+    segment i with the registers as locals r<slot>. It charges fuel, counts
+    segment runs and makes calls exactly as _cold does."""
+    out = ["def hot(m, ctx, args, r=frame, i=0):",
+           " " + "".join(f"r{k}, " for k in range(len(fn.frame))) + "= r",
+           " if args is not None:",
+           "  ctx.visits += 1",
+           "  r0 = m.heap"]
+
+    def emit(ind: str, text: str):
+        out.extend(ind + line for line in text.split("\n"))
+    if fn.touches:
+        emit("  ", "r1, r2, r3 = set(), set(), set()")
+    for j, ((s, _), (_, ty)) in enumerate(zip(fn.params, fn.source.params)):
+        emit("  ", f"r{s} = conv_{ty}(args[{j}])")
+    emit(" ", "fuel, runs, callees = m.fuel, ctx.runs, ctx.callees\n"
+              "while True:")
+
+    def segment(k: int, ind: str):
+        _, n, end, x, y, z, u, _ = fn.segs[k]
+        code = [s and _source(s[0], fn.touches and s[0].op in ("load", "store"),
+                              d=f"r{s[1]}", H=f"r{_HEAP}", fn=repr(fn.name),
+                              t=f"r{_TOUCHED[TYPE_WIDTH[s[0].ty]]}",
+                              **{f: f"r{o}" for f, o in zip("abc", s[2])})
+                for s in fn.code[k]]
+        emit(ind, f"if fuel < {n}: exhaust(ctx.fn, {k}, fuel, locals())\n"
+                  f"fuel -= {n}\nruns[{k}] += 1")
+        for c in filter(None, code):
+            emit(ind, c)
+        if end == _BR:
+            emit(ind, f"i = {y} if r{x} else {z}")
+        elif end == _JMP:
+            emit(ind, f"i = {x}")
+        elif end == _CALL:
+            emit(ind, f"sub = callees.get({x!r}) or m.context({x!r}, ctx)\n"
+                      "m.fuel = fuel\nv, sb = sub.fn.run(m, sub, ["
+                      + ", ".join(f"r{a}" for a in y) + "])\nfuel = m.fuel\n"
+                      + "if sb:\n sub.touched += len(sb)\n"
+                        " if r1 is None: r1 = sb\n else: r1 |= sb\n"
+                      + (f"r{z} = v\n" if z is not None else "") + f"i = {u}")
+        else:
+            emit(ind, "m.fuel = fuel\nreturn "
+                      + (f"r{x}, " if x is not None else "None, ")
+                      + ("footprint(r1, r2, r3) if ctx.parent else r1"
+                         if fn.touches else "r1"))
+
+    def tree(lo: int, hi: int, ind: str):   # dispatch on i by bisection
+        if hi - lo == 1:
+            return segment(lo, ind)
+        mid = (lo + hi) // 2
+        emit(ind, f"if i < {mid}:")
+        tree(lo, mid, ind + " ")
+        emit(ind, "else:")
+        tree(mid, hi, ind + " ")
+    tree(0, len(fn.segs), "  ")
+    return "\n".join(out)
 
 
 class _Decoded:
@@ -333,10 +330,13 @@ class _Decoded:
     or _RET (value slot or None). `length` counts every instruction the
     segment charges, the ending one included; `steps` holds one entry per
     instruction before the end (None for a followed `jmp`), for running a
-    prefix when fuel runs out."""
+    prefix when fuel runs out. `code` holds, per segment and step, the
+    instruction with its result and operand slots, for the hot tier."""
 
     def __init__(self, f: Function, footprints: bool):
-        self.name = f.name
+        self.name, self.source = f.name, f
+        self.run = _cold   # the tier: run(machine, context, args)
+        self.left = HOT_MULTIPLE * f.size()   # instructions until compiled
         slots: dict[str, int] = {}
         frame: list = [None] * _RESERVED
 
@@ -365,6 +365,7 @@ class _Decoded:
         self.segs: list[tuple] = []
         self.lens: list[int] = []
         self.hists: list[tuple[tuple[str, int], ...]] = []
+        self.code: list[list] = []
         self.touches = False
         for (label, j) in index:
             # a jmp does not end the segment: it continues into the target
@@ -374,16 +375,19 @@ class _Decoded:
                 label, j = instrs[-1].succs[0], 0
                 seen.add(label)
                 instrs += pieces[label][0]
-            body, steps, hist = [], [], Counter(ins.op for ins in instrs)
+            body, steps, code = [], [], []
             for ins in instrs[:-1]:
-                h = None
+                h = c = None
                 if ins.op != "jmp":
-                    self.touches |= footprints and ins.op in ("load", "store")
-                    s = [slot(o) for o in ins.operands]
-                    h = _handler(ins, slot(Reg(ins.result)) if ins.result
-                                 is not None else None, s, f.name, footprints)
+                    touch = footprints and ins.op in ("load", "store")
+                    self.touches |= touch
+                    c = (ins, slot(Reg(ins.result)) if ins.result is not None
+                         else None, [slot(o) for o in ins.operands])
+                    h = _factory(ins.op, ins.ty, ins.pred, ins.cast_to,
+                                 touch)(c[1], *c[2], fn=f.name)
                     body.append(h)
                 steps.append(h)
+                code.append(c)
             last = instrs[-1]
             s = [slot(o) for o in last.operands]
             if last.op == "call":
@@ -398,30 +402,41 @@ class _Decoded:
                 end = (_RET, s[0] if s else None, None, None, None)
             self.segs.append((tuple(body), len(instrs)) + end + (tuple(steps),))
             self.lens.append(len(instrs))
-            self.hists.append(tuple(hist.items()))
+            self.hists.append(tuple(Counter(ins.op for ins in instrs).items()))
+            self.code.append(code)
         self.frame = frame
         # footprint charged to every call edge into this function besides
         # the bytes it touches: its scalar arguments and its return value
         self.edge_const = (sum(TYPE_WIDTH[t] for _, t in f.params if t != "ptr")
                            + (TYPE_WIDTH[f.ret] if f.ret != "void" else 0))
 
+    def compiled(self):
+        """The hot tier's function, generated and compiled on first use."""
+        if self.run is _cold:
+            ns = dict(_NS, frame=self.frame)
+            exec(_hot_source(self), ns)
+            self.run = ns["hot"]
+        return self.run
+
 
 class Program:
-    """A module decoded for execution. Functions are decoded on first call;
-    the module's functions must not change while the Program is in use.
-    With `footprints=False` loads and stores record no touched addresses and
-    traces leave `edge_bytes` empty; everything else is the same."""
+    """A module decoded for execution. Functions are decoded on first call,
+    and again if their Function object in `module` is replaced. Each gathers
+    heat over every run on the Program and turns hot at HOT_MULTIPLE times
+    its size; no output depends on the tier. With `footprints=False` loads
+    and stores record no touched addresses and traces leave `edge_bytes`
+    empty; everything else is the same."""
 
     def __init__(self, m: Module, footprints: bool = True):
         self.module = m
         self.footprints = footprints
-        self._decoded: dict[str, _Decoded] = {}
+        self.decoded: dict[str, _Decoded] = {}
 
     def function(self, name: str) -> _Decoded:
-        fn = self._decoded.get(name)
-        if fn is None:
-            fn = self._decoded[name] = _Decoded(self.module.functions[name],
-                                                self.footprints)
+        f = self.module.functions[name]
+        fn = self.decoded.get(name)
+        if fn is None or fn.source is not f:
+            fn = self.decoded[name] = _Decoded(f, self.footprints)
         return fn
 
 
@@ -456,62 +471,6 @@ class _Machine:
         self.contexts.append(ctx)
         return ctx
 
-    def call(self, ctx: _Context, args: list):
-        """Run one frame; returns its value and the bytes the frame and its
-        callees touched (None when there are none or none are recorded)."""
-        fn = ctx.fn
-        ctx.visits += 1
-        r = fn.frame[:]
-        r[_HEAP] = self.heap
-        reached = None   # bytes this frame and its callees touched
-        if fn.touches:   # the _TOUCHED slots; width 1 collects callees too
-            reached = r[1] = set()
-            r[2], r[3] = set(), set()
-        for (s, conv), a in zip(fn.params, args):
-            r[s] = conv(a)
-        segs, runs = fn.segs, ctx.runs
-        fuel = self.fuel
-        i = 0
-        while True:
-            body, n, end, x, y, z, u, steps = segs[i]
-            if fuel < n:
-                for h in steps[:max(fuel, 0)]:
-                    if h is not None:
-                        h(r)
-                raise InterpError("fuel", f"fuel exhausted in @{fn.name}")
-            fuel -= n
-            runs[i] += 1
-            for h in body:
-                h(r)
-            if end == _BR:
-                i = y if r[x] else z
-            elif end == _JMP:
-                i = x
-            elif end == _CALL:
-                sub = ctx.callees.get(x) or self.context(x, ctx)
-                self.fuel = fuel
-                value, sub_bytes = self.call(sub, [r[s] for s in y])
-                fuel = self.fuel
-                if sub_bytes:
-                    sub.touched += len(sub_bytes)
-                    if reached is None:
-                        reached = sub_bytes   # the callee's set is ours now
-                    else:
-                        reached |= sub_bytes
-                if z is not None:
-                    r[z] = value
-                i = u
-            else:
-                value = r[x] if x is not None else None
-                break
-        self.fuel = fuel
-        # the entry has no call edge to charge its footprint to
-        if fn.touches and ctx.parent is not None:
-            for w in (4, 8):
-                for a in r[_TOUCHED[w]]:
-                    reached.update(range(a, a + w))
-        return value, reached
-
     def trace(self) -> Trace:
         tr = Trace()
         for ctx in self.contexts:
@@ -537,6 +496,61 @@ class _Machine:
                                           + ctx.touched
                                           + ctx.visits * fn.edge_const)
         return tr
+
+
+def _cold(m: _Machine, ctx: _Context, args: list):
+    """Run one frame in the cold tier; returns its value and the bytes the
+    frame and its callees touched (None when there are none or none are
+    recorded). A frame whose function turns hot continues in the hot code."""
+    fn = ctx.fn
+    ctx.visits += 1
+    r = fn.frame[:]
+    r[_HEAP] = m.heap
+    if fn.touches:   # the _TOUCHED slots; width 1 collects callees too
+        r[1], r[2], r[3] = set(), set(), set()
+    for (s, conv), a in zip(fn.params, args):
+        r[s] = conv(a)
+    reached = r[1]   # bytes this frame and its callees touched
+    segs, runs, fuel, left = fn.segs, ctx.runs, m.fuel, fn.left
+    i = 0
+    while True:
+        if left <= 0:
+            fn.left, m.fuel, r[1] = left, fuel, reached
+            return fn.compiled()(m, ctx, None, r, i)
+        body, n, end, x, y, z, u, _ = segs[i]
+        if fuel < n:
+            _exhaust(fn, i, fuel, r)
+        fuel -= n
+        left -= n
+        runs[i] += 1
+        for h in body:
+            h(r)
+        if end == _BR:
+            i = y if r[x] else z
+        elif end == _JMP:
+            i = x
+        elif end == _CALL:
+            sub = ctx.callees.get(x) or m.context(x, ctx)
+            fn.left, m.fuel = left, fuel
+            value, sub_bytes = sub.fn.run(m, sub, [r[s] for s in y])
+            left, fuel = fn.left, m.fuel
+            if sub_bytes:
+                sub.touched += len(sub_bytes)
+                if reached is None:
+                    reached = sub_bytes   # the callee's set is ours now
+                else:
+                    reached |= sub_bytes
+            if z is not None:
+                r[z] = value
+            i = u
+        else:
+            value = r[x] if x is not None else None
+            break
+    fn.left, m.fuel = left, fuel
+    # the entry has no call edge to charge its footprint to
+    if fn.touches and ctx.parent is not None:
+        _footprint(reached, r[2], r[3])
+    return value, reached
 
 
 class ExecResult:
@@ -574,7 +588,8 @@ def interpret(m: Module | Program, entry: str | None = None,
     args = [_coerce_arg(a, ty) for a, (_, ty) in zip(args, f.params)]
     arena = arena or Arena()
     mach = _Machine(prog, arena, fuel)
-    value = mach.call(mach.context(entry, None), args)[0]
+    ctx = mach.context(entry, None)
+    value = ctx.fn.run(mach, ctx, args)[0]
     return ExecResult(value, arena.region_image(), mach)
 
 
@@ -612,6 +627,8 @@ class HeapImage:
                     raise IRError(f"heap image line {lineno}: "
                                   "expected 'region <name> <len> [<hex>]'")
                 name, ln = parts[1], int(parts[2])
+                if ln < 0:
+                    raise IRError(f"heap image line {lineno}: negative region length {ln}")
                 content = bytes.fromhex(parts[3]) if len(parts) == 4 else b""
                 if len(content) > ln:
                     raise IRError(f"heap image line {lineno}: hex longer than region")
@@ -623,8 +640,9 @@ class HeapImage:
                 if len(parts) != 4 or parts[2] != "=":
                     raise IRError(f"heap image line {lineno}: "
                                   "expected 'arg <index> = <value>'")
-                idx = int(parts[1])
-                val = parts[3]
+                idx, val = int(parts[1]), parts[3]
+                if idx in img.args:
+                    raise IRError(f"heap image line {lineno}: duplicate arg {idx}")
                 if val in names:
                     img.args[idx] = val
                 elif val == "true":
@@ -647,6 +665,10 @@ class HeapImage:
         arena = Arena()
         addrs = {name: arena.add_region(name, content)
                  for name, content in self.regions}
+        extra = sorted(i for i in self.args if not 0 <= i < len(f.params))
+        if extra:
+            raise IRError(f"heap image binds arg {extra[0]}, but @{f.name} "
+                          f"has {len(f.params)} parameters")
         args = []
         for i, (p, ty) in enumerate(f.params):
             if i not in self.args:
@@ -661,8 +683,10 @@ class HeapImage:
         return arena, args
 
 
-def run_heap_image(m: Module, image: HeapImage, entry: str | None = None,
+def run_heap_image(m: Module | Program, image: HeapImage,
+                   entry: str | None = None,
                    fuel: int = DEFAULT_FUEL) -> ExecResult:
-    entry = entry or m.entry
-    arena, args = image.instantiate(m.functions[entry])
+    mod = m.module if isinstance(m, Program) else m
+    entry = entry or mod.entry
+    arena, args = image.instantiate(mod.functions[entry])
     return interpret(m, entry, args, arena, fuel)

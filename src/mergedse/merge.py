@@ -765,35 +765,41 @@ def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
     agreement. Failure is reported with the first counterexample.
 
     `memo` holds the trial plans of each pair of parameter-type signatures
-    (with int plan ids) and maps (parent, fuel, plan id) to the parent's
-    outcome. A caller may share one memo across calls on the same module as
-    long as the module only gains functions under fresh names meanwhile;
-    plans and parent runs found in it are reused. Runs record no data
-    footprints: only value and heap are compared.
+    (with int plan ids), maps (parent, fuel, plan id) to the parent's
+    outcome and keeps one Program: each module function is decoded once for
+    all calls sharing the memo and is compiled (the hot tier) once it has
+    run HOT_MULTIPLE times its size there, a cost only long runs repay; the
+    candidate is decoded once per call and dropped. No outcome depends on
+    the tier. Callers may share a memo while the module only gains
+    functions under fresh names. Runs record no footprints: only value and
+    heap are compared.
     """
     mname = merged.function.name
-    mm = m if mname in m.functions else Module(
-        {**m.functions, mname: merged.function}, m.entry)
-    prog = Program(mm, footprints=False)
     memo = {} if memo is None else memo
+    prog = memo.setdefault("program", Program(m, footprints=False))
+    prog.module = mm = m if mname in m.functions else Module(
+        {**m.functions, mname: merged.function}, m.entry)
     plans = _trial_plans(memo, seed, trials, mm.function(name1).params,
                          mm.function(name2).params)
-    for side, pname, side_plans in zip((1, 2), (name1, name2), plans):
-        params = mm.function(pname).params
-        for plan, pid in side_plans:
-            arena_m, args_p = _materialize(plan, params)
-            key = (pname, fuel, pid)
-            out_p = memo.get(key)
-            if out_p is None:
-                arena_p, _ = _materialize(plan, params)
-                out_p = memo[key] = _run(prog, pname, arena_p, args_p, fuel)
-            out_m = _run(prog, mname, arena_m, merged.args_for(side, args_p),
-                         fuel)
-
-            if out_p != out_m:
-                return VerifyReport(
-                    (name1, name2), mname, trials, False,
-                    counterexample=(1 if side == 1 else 0, args_p),
-                    detail=f"parent {out_p[0]} value/heap differs from merged "
-                           f"{out_m[0]}")
+    try:
+        for side, pname, side_plans in zip((1, 2), (name1, name2), plans):
+            params = mm.function(pname).params
+            for plan, pid in side_plans:
+                arena_m, args_p = _materialize(plan, params)
+                key = (pname, fuel, pid)
+                out_p = memo.get(key)
+                if out_p is None:
+                    arena_p, _ = _materialize(plan, params)
+                    out_p = memo[key] = _run(prog, pname, arena_p, args_p, fuel)
+                out_m = _run(prog, mname, arena_m,
+                             merged.args_for(side, args_p), fuel)
+                if out_p != out_m:
+                    return VerifyReport(
+                        (name1, name2), mname, trials, False,
+                        counterexample=(1 if side == 1 else 0, args_p),
+                        detail=f"parent {out_p[0]} value/heap differs from "
+                               f"merged {out_m[0]}")
+    finally:
+        prog.module = m
+        prog.decoded.pop(mname, None)
     return VerifyReport((name1, name2), mname, trials, True)

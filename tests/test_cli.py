@@ -189,6 +189,27 @@ def test_non_finite_values_exit_2(tmp_path, model_file, capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == [tmp_path / "clock.cfg"]
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("region bad -3\n", "line 5: negative region length -3"),
+    ("arg 1 = 17\n", "line 5: duplicate arg 1"),
+    ("arg 2 = 0\n", "binds arg 2, but @main has 2 parameters"),
+    ("arg -1 = 0\n", "binds arg -1, but @main has 2 parameters"),
+])
+def test_hostile_heap_image_exits_2(tmp_path, model_file, capsys, extra,
+                                    message):
+    # a negative length used to read "hex longer than region"; a repeated
+    # arg line silently replaced the first, an unknown index was ignored
+    heap = tmp_path / "bad.heap"
+    heap.write_text(open(POLY_HEAP).read() + extra)
+    out = tmp_path / "dse"
+    assert main(["dse", "--model", model_file, "--budget", "6000", "--mode",
+                 "FE", POLY_IR, str(heap), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.with_suffix(".csv").exists()
+
+
 def test_emitter_error_leaves_no_half_written_report(tmp_path, model_file,
                                                      capsys, monkeypatch):
     import mergedse.cli as cli

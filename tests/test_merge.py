@@ -479,3 +479,39 @@ def test_trial_plans_drawn_once_per_signature_pair(corpus, monkeypatch):
     assert reports == [verify_merge(m, n1, n2, mf, trials=trials, seed=7)
                        for n1, n2, mf in candidates]
     assert len(draws) == 2 * trials * (len(sigs) + len(candidates))
+
+
+def test_verification_decodes_each_function_once_per_memo(corpus, area_model,
+                                                           monkeypatch):
+    # reduce in FLE+Merging: every module function is decoded once for all
+    # of prepare's verify_merge calls (they share one memo); each candidate
+    # once per call, and its decoded code leaves the memo on return
+    from mergedse import dse
+    from mergedse.ir import interp
+    m, img = next((m, img) for name, m, img in corpus if name == "reduce")
+    built, calls = [], []
+    init = interp._Decoded.__init__
+
+    def counted(self, f, footprints):
+        init(self, f, footprints)
+        if not footprints:
+            built.append((f.name, f, calls[-1] if calls else None))
+    monkeypatch.setattr(interp._Decoded, "__init__", counted)
+
+    def checked(work, n1, n2, mf, **kw):
+        calls.append(mf.function.name)
+        rep = verify(work, n1, n2, mf, **kw)
+        assert mf.function.name not in kw["memo"]["program"].decoded
+        return rep
+    verify = dse.verify_merge
+    monkeypatch.setattr(dse, "verify_merge", checked)
+
+    prep = dse.prepare(m, [img], dse.PipelineConfig(mode="FLE+Merging",
+                                                    seed=7), model=area_model)
+    assert len(calls) == prep.funnel["aligned"] > 10
+    assert prep.merge_parents   # accepted merges join the module
+    own = [(name, call) for name, _, call in built if name == call]
+    assert sorted(own) == sorted((c, c) for c in calls)
+    module = [(name, id(f)) for name, f, call in built if name != call]
+    assert len(module) == len(set(module))
+    assert {name for name, _ in module} <= set(prep.module.functions)
