@@ -18,7 +18,7 @@ from .cost import (
     estimate_costs, estimate_profitability, load_model, merged_cost,
     synthetic_dataset, train_mlp,
 )
-from .ir import HeapImage, IRError, Module, Program, Trace, run_heap_image
+from .ir import HeapImage, IRError, Module, Trace, run_heap_image
 from .merge import DEFAULT_SEEDS, MergeRejected, merge_functions, verify_merge
 from .partition import (
     BANDWIDTH_ZERO, PartitionSolution, build_problem, solve,
@@ -136,9 +136,9 @@ def default_model(seed: int = DEFAULT_DATASET_SEED):
 
 
 def _profile(m: Module, images: list[HeapImage], fuel: int = 10 ** 8) -> Trace:
-    prog, trace = Program(m), Trace()   # heat carries over between images
+    trace = Trace()
     for img in images:
-        trace.merge(run_heap_image(prog, img, fuel=fuel).trace)
+        trace.merge(run_heap_image(m, img, fuel=fuel).trace)
     return trace
 
 

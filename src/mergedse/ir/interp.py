@@ -27,16 +27,16 @@ One table of per-opcode source templates implements every instruction, in
 two tiers. Cold code runs a prebound handler per instruction on a frame
 list; handlers come from one factory per opcode shape, compiled once, so
 decoding runs no `exec`. Once the instructions a function has run in its
-Program reach HOT_MULTIPLE times its static size, the templates are
-compiled into one Python function for it, with registers as locals and
-fuel, segment counts, branches and calls inline. Later calls enter it, and
-a cold frame switches into it at its current segment, so one long call
-tiers up too. Heat gates compiling because it costs about nine decodes;
-compiling eagerly slows the many short runs of verification. No output
-depends on the tier. Names reach generated code only as repr() strings,
-literals only as frame slots. Differential verification runs
-`Program(m, footprints=False)`: no touched addresses, traces without
-`edge_bytes`. Profiling records footprints.
+Program, runs that raise included, reach HOT_MULTIPLE times its static
+size, the templates are compiled into one Python function for it, with
+registers as locals and fuel, segment counts, branches and calls inline.
+Later calls enter it, and a cold frame switches into it at its current
+segment, so one long call tiers up too. Heat gates compiling because it
+costs about nine decodes; compiling eagerly slows the many short runs of
+verification. No output depends on the tier. Names reach generated code
+only as repr() strings, literals only as frame slots. Differential
+verification runs `Program(m, footprints=False)`: no touched addresses,
+traces without `edge_bytes`. Profiling records footprints.
 """
 
 from __future__ import annotations
@@ -218,9 +218,8 @@ def _exhaust(fn: "_Decoded", i: int, fuel: int, r: list | dict):
     then raise. The hot tier passes its locals(), turned back into a frame."""
     if type(r) is dict:
         r = [r[f"r{k}"] for k in range(len(fn.frame))]
-    for h in fn.segs[i][7][:max(fuel, 0)]:
-        if h is not None:
-            h(r)
+    for h in filter(None, fn.segs[i][7][:max(fuel, 0)]):
+        h(r)
     raise InterpError("fuel", f"fuel exhausted in @{fn.name}")
 
 
@@ -513,40 +512,43 @@ def _cold(m: _Machine, ctx: _Context, args: list):
     reached = r[1]   # bytes this frame and its callees touched
     segs, runs, fuel, left = fn.segs, ctx.runs, m.fuel, fn.left
     i = 0
-    while True:
-        if left <= 0:
-            fn.left, m.fuel, r[1] = left, fuel, reached
-            return fn.compiled()(m, ctx, None, r, i)
-        body, n, end, x, y, z, u, _ = segs[i]
-        if fuel < n:
-            _exhaust(fn, i, fuel, r)
-        fuel -= n
-        left -= n
-        runs[i] += 1
-        for h in body:
-            h(r)
-        if end == _BR:
-            i = y if r[x] else z
-        elif end == _JMP:
-            i = x
-        elif end == _CALL:
-            sub = ctx.callees.get(x) or m.context(x, ctx)
-            fn.left, m.fuel = left, fuel
-            value, sub_bytes = sub.fn.run(m, sub, [r[s] for s in y])
-            left, fuel = fn.left, m.fuel
-            if sub_bytes:
-                sub.touched += len(sub_bytes)
-                if reached is None:
-                    reached = sub_bytes   # the callee's set is ours now
-                else:
-                    reached |= sub_bytes
-            if z is not None:
-                r[z] = value
-            i = u
-        else:
-            value = r[x] if x is not None else None
-            break
-    fn.left, m.fuel = left, fuel
+    try:
+        while True:
+            if left <= 0:
+                fn.left, m.fuel, r[1] = left, fuel, reached
+                return fn.compiled()(m, ctx, None, r, i)
+            body, n, end, x, y, z, u, _ = segs[i]
+            if fuel < n:
+                _exhaust(fn, i, fuel, r)
+            fuel -= n
+            left -= n
+            runs[i] += 1
+            for h in body:
+                h(r)
+            if end == _BR:
+                i = y if r[x] else z
+            elif end == _JMP:
+                i = x
+            elif end == _CALL:
+                sub = ctx.callees.get(x) or m.context(x, ctx)
+                fn.left, m.fuel = left, fuel
+                value, sub_bytes = sub.fn.run(m, sub, [r[s] for s in y])
+                left, fuel = fn.left, m.fuel
+                if sub_bytes:
+                    sub.touched += len(sub_bytes)
+                    if reached is None:
+                        reached = sub_bytes   # the callee's set is ours now
+                    else:
+                        reached |= sub_bytes
+                if z is not None:
+                    r[z] = value
+                i = u
+            else:
+                value = r[x] if x is not None else None
+                break
+    finally:   # a run that raises keeps its heat too
+        fn.left = left
+    m.fuel = fuel
     # the entry has no call edge to charge its footprint to
     if fn.touches and ctx.parent is not None:
         _footprint(reached, r[2], r[3])
@@ -683,10 +685,8 @@ class HeapImage:
         return arena, args
 
 
-def run_heap_image(m: Module | Program, image: HeapImage,
-                   entry: str | None = None,
+def run_heap_image(m: Module, image: HeapImage, entry: str | None = None,
                    fuel: int = DEFAULT_FUEL) -> ExecResult:
-    mod = m.module if isinstance(m, Program) else m
-    entry = entry or mod.entry
-    arena, args = image.instantiate(mod.functions[entry])
+    entry = entry or m.entry
+    arena, args = image.instantiate(m.functions[entry])
     return interpret(m, entry, args, arena, fuel)

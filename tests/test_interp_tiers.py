@@ -53,9 +53,61 @@ def test_forced_tiers_take_their_tier(monkeypatch):
     for tier, want_hot in (("cold", False), ("hot", True)):
         monkeypatch.setattr(interp, "HOT_MULTIPLE", TIERS[tier])
         prog = Program(m)
-        run_heap_image(prog, img)
+        arena, args = img.instantiate(m.functions[m.entry])
+        interpret(prog, m.entry, args, arena)
         assert {fn.run is not interp._cold
                 for fn in prog.decoded.values()} == {want_hot}
+
+
+RAISE_SRC = """
+func @step(%x: i64, %stop: i64) -> i64 {
+e:
+  %d = sub i64 %stop, %x
+  %q = sdiv i64 1, %d
+  %y = add i64 %x, 1
+  ret i64 %y
+}
+
+func @main(%n: i64, %stop: i64, %p: ptr) -> i64 {
+e:
+  %i = const i64 0
+  jmp head
+head:
+  %c = icmp slt i64 %i, %n
+  br %c, body, done
+body:
+  %i = call i64 @step(%i, %stop)
+  jmp head
+done:
+  %v = load i64, %p
+  ret i64 %v
+}
+"""
+
+
+def test_runs_that_raise_keep_their_heat(monkeypatch):
+    # Heat counts charged segments. @main's are [const jmp icmp br],
+    # [call], [jmp icmp br] and [load ret]; @step is one segment of 4.
+    monkeypatch.setattr(interp, "HOT_MULTIPLE", 10 ** 6)
+    m = parse_module(RAISE_SRC)
+
+    def heat(n, stop, p, raises):
+        prog, arena = Program(m), Arena()
+        buf = arena.add_region("buf", bytes(8))
+        try:
+            interpret(prog, "main", [n, stop, buf if p else 0], arena)
+        except InterpError as e:
+            assert e.kind == raises
+        else:
+            assert raises is None
+        return {name: 10 ** 6 * m.functions[name].size() - fn.left
+                for name, fn in prog.decoded.items()}
+    returned = heat(5, 100, True, None)
+    assert returned == {"main": 4 + 5 * (1 + 3) + 2, "step": 5 * 4}
+    assert heat(5, 100, False, "oob") == returned    # the last load raises
+    # the fourth call raises in @step, after @main charged its call
+    assert heat(5, 3, True, "div-zero") == {"main": 4 + 3 * (1 + 3) + 1,
+                                            "step": 4 * 4}
 
 
 @pytest.mark.parametrize("case", ["ops/FE", "ops/FLE"])
