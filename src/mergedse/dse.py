@@ -65,6 +65,9 @@ class PipelineConfig:
                               f"{'a number' if v != v else 'finite'}, got {v}")
             if v < 0 and name != "clock":
                 raise IRError(f"{name} must be non-negative")
+        for name in ("seeds", "verify_trials"):
+            if getattr(self, name) < 1:
+                raise IRError(f"{name} must be at least 1")
         if self.bandwidth == 0:
             raise IRError(BANDWIDTH_ZERO)
         if self.clock <= 0:

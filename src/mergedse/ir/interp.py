@@ -34,9 +34,12 @@ Later calls enter it, and a cold frame switches into it at its current
 segment, so one long call tiers up too. Heat gates compiling because it
 costs about nine decodes; compiling eagerly slows the many short runs of
 verification. No output depends on the tier. Names reach generated code
-only as repr() strings, literals only as frame slots. Differential
-verification runs `Program(m, footprints=False)`: no touched addresses,
-traces without `edge_bytes`. Profiling records footprints.
+only as repr() strings, literals only as frame slots.
+
+`_Machine.run` is the one run path: `interpret` checks and coerces its
+arguments and runs once on a fresh machine; verification runs all trials of
+a call on one machine, which keeps its calling contexts and sets only heap
+and fuel per run, on `Program(m, footprints=False)` (no footprints).
 """
 
 from __future__ import annotations
@@ -457,18 +460,26 @@ class _Context:
 
 
 class _Machine:
-    def __init__(self, prog: Program, arena: Arena, fuel: int):
+    """Runs entries of one Program, keeping the calling contexts (a root
+    per entry, its callees under it) from run to run."""
+
+    def __init__(self, prog: Program):
         self.prog = prog
-        self.heap = arena.data
-        self.fuel = fuel
+        self.heap, self.fuel = bytearray(), 0
+        self.roots: dict[str, _Context] = {}
         self.contexts: list[_Context] = []
 
     def context(self, fname: str, parent: _Context | None) -> _Context:
         ctx = _Context(self.prog.function(fname), parent)
-        if parent is not None:
-            parent.callees[fname] = ctx
+        (self.roots if parent is None else parent.callees)[fname] = ctx
         self.contexts.append(ctx)
         return ctx
+
+    def run(self, entry: str, args: list, heap: bytearray, fuel: int):
+        """`entry`'s value on well-typed `args` over `heap` with `fuel`."""
+        self.heap, self.fuel = heap, fuel
+        ctx = self.roots.get(entry) or self.context(entry, None)
+        return ctx.fn.run(self, ctx, args)[0]
 
     def trace(self) -> Trace:
         tr = Trace()
@@ -574,9 +585,9 @@ class ExecResult:
 def interpret(m: Module | Program, entry: str | None = None,
               args: list | None = None, arena: Arena | None = None,
               fuel: int = DEFAULT_FUEL) -> ExecResult:
-    """Run `entry` (default: the module entry) on `args` with a fresh or
-    caller-provided arena. Deterministic for fixed (module, args, heap).
-    `m` may be a Module or a Program decoded from one."""
+    """Run `entry` (default: the module entry) on `args`, checked against
+    and coerced to its parameter types, with a fresh or caller-provided
+    arena. `m` may be a Module or a Program decoded from one."""
     prog = m if isinstance(m, Program) else Program(m)
     m = prog.module
     entry = entry or m.entry
@@ -588,10 +599,8 @@ def interpret(m: Module | Program, entry: str | None = None,
         raise InterpError("type", f"@{entry} expects {len(f.params)} arguments, "
                           f"got {len(args)}")
     args = [_coerce_arg(a, ty) for a, (_, ty) in zip(args, f.params)]
-    arena = arena or Arena()
-    mach = _Machine(prog, arena, fuel)
-    ctx = mach.context(entry, None)
-    value = ctx.fn.run(mach, ctx, args)[0]
+    arena, mach = arena or Arena(), _Machine(prog)
+    value = mach.run(entry, args, arena.data, fuel)
     return ExecResult(value, arena.region_image(), mach)
 
 

@@ -13,6 +13,7 @@ of control-flow graphs; the differential verifier enforces it.
 
 from __future__ import annotations
 
+import codecs
 import logging
 import random
 import struct
@@ -20,11 +21,12 @@ from dataclasses import dataclass, field
 from math import factorial
 
 from .analysis import natural_loops
-from .ir import (
-    OPCODES, Arena, Block, Function, Instr, InterpError, IRError, Lit, Module,
-    Program, Reg, check_function, interpret, operand_slot_types,
+from .ir import (  # `interpret` stays bound here: perfbench/spans.py times it
+    OPCODES, REGION_BASE, Arena, Block, Function, Instr, InterpError, IRError,
+    Lit, Module, Program, Reg, check_function, interpret, operand_slot_types,
     unassigned_uses, zero_literal,
 )
+from .ir.interp import _Machine
 
 log = logging.getLogger("mergedse")
 
@@ -646,6 +648,8 @@ def best_alignment(m: Module, name1: str, name2: str,
                    gap: float = DEFAULT_GAP_PENALTY
                    ) -> tuple[Alignment, Linearization, Linearization]:
     """Best-scoring alignment over `seeds` linearization seed combinations."""
+    if seeds < 1:
+        raise IRError(f"seeds must be at least 1, got {seeds}")
     f1, f2 = m.function(name1), m.function(name2)
     rt1, rt2 = f1.register_types(), f2.register_types()
     best = None
@@ -668,16 +672,17 @@ class TrialPlan:
 
 
 def _random_bytes(rng: random.Random, n: int) -> bytes:
-    """n bytes, each drawn as rng.randrange(256) would draw it (9 random
-    bits, redrawn while >= 256), so the stream and the rng state after the
-    call are the same; the direct loop is cheaper than randrange."""
-    bits = rng.getrandbits
-    out = bytearray()
+    """n bytes drawn as rng.randrange(256) draws each: the top 9 bits of a
+    32-bit output, redrawn while >= 256. Outputs come in rounds of as many
+    as bytes are missing, so the stream and the final rng state match."""
+    lanes = int.from_bytes(b"\xff\x01\0\0" * n, "little")   # 9 bits a word
+    out = b""
     while len(out) < n:
-        b = bits(9)
-        if b < 256:
-            out.append(b)
-    return bytes(out)
+        k = n - len(out)   # getrandbits puts the first output lowest
+        top9 = (rng.getrandbits(32 * k) >> 23) & lanes
+        points = codecs.utf_32_le_decode(top9.to_bytes(4 * k, "little"))[0]
+        out += points.encode("latin-1", "ignore")   # drops those >= 256
+    return out
 
 
 def _plan_trial(params: list[tuple[str, str]], rng: random.Random,
@@ -702,41 +707,37 @@ def _plan_trial(params: list[tuple[str, str]], rng: random.Random,
 def _trial_plans(memo: dict, seed: int, trials: int,
                  params1: list[tuple[str, str]],
                  params2: list[tuple[str, str]]) -> list[list]:
-    """Both sides' trial plans as (plan, plan id) lists, drawn once per memo
-    and pair of parameter-type signatures: side 2's draws continue side 1's
-    stream. Plans with equal content (floats by bit pattern, so -0.0 and 0.0
-    differ) share an id."""
+    """Both sides' trials as (plan id, heap template, arguments) lists,
+    drawn once per memo and pair of parameter-type signatures: side 2's
+    draws continue side 1's stream. Plans with equal content (floats by bit
+    pattern, so -0.0 and 0.0 differ) share an id."""
     key = (seed, trials) + tuple(tuple(ty for _, ty in ps)
                                  for ps in (params1, params2))
     if key not in memo:
         rng, ids = random.Random(seed), memo.setdefault("plan ids", {})
-        sides = [[_plan_trial(ps, rng) for _ in range(trials)]
+        sides = [[(_plan_trial(ps, rng), ps) for _ in range(trials)]
                  for ps in (params1, params2)]
-        memo[key] = [[(p, ids.setdefault((tuple(map(_canon, p.scalars)),
-                                          p.regions), len(ids)))
-                      for p in side] for side in sides]
+        memo[key] = [[(ids.setdefault((tuple(map(_canon, p.scalars)),
+                                       p.regions), len(ids)), *_layout(p, ps))
+                      for p, ps in side] for side in sides]
     return memo[key]
 
 
-def _materialize(plan: TrialPlan, params: list[tuple[str, str]]):
-    arena = Arena()
-    args = []
-    ri = 0
-    for (p, ty), s in zip(params, plan.scalars):
-        if ty == "ptr":
-            args.append(arena.add_region(f"rg{ri}", plan.regions[ri]))
-            ri += 1
-        else:
-            args.append(s)
-    return arena, args
+def _layout(plan: TrialPlan, params: list[tuple[str, str]]):
+    """The plan's heap template and arguments (a ptr gets its region's)."""
+    arena, regions = Arena(), iter(plan.regions)
+    args = [arena.add_region(f"rg{k}", next(regions)) if ty == "ptr" else s
+            for k, ((_, ty), s) in enumerate(zip(params, plan.scalars))]
+    return bytes(arena.data), args
 
 
-def _run(prog: Program, fname: str, arena: Arena, args: list, fuel: int):
+def _run(mach: _Machine, fname: str, template: bytes, args: list, fuel: int):
+    heap = bytearray(template)
     try:
-        r = interpret(prog, fname, args, arena, fuel=fuel)
-        return ("ok", _canon(r.value), r.heap)
+        value = mach.run(fname, args, heap, fuel)
     except InterpError as e:
         return ("error:" + e.kind, None, None)
+    return ("ok", _canon(value), bytes(heap[REGION_BASE:]))
 
 
 def _canon(v):
@@ -762,18 +763,22 @@ def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
 
     Values must be bit-equal (f64 compared by bit pattern) and the observable
     heap images identical; a matching error kind on both sides also counts as
-    agreement. Failure is reported with the first counterexample.
+    agreement. The first counterexample is reported; trials < 1 is an IRError.
 
-    `memo` holds the trial plans of each pair of parameter-type signatures
-    (with int plan ids), maps (parent, fuel, plan id) to the parent's
-    outcome and keeps one Program: each module function is decoded once for
-    all calls sharing the memo and is compiled (the hot tier) once it has
-    run HOT_MULTIPLE times its size there, a cost only long runs repay; the
+    The trials of a call run as one batch on one _Machine (the run path of
+    `interpret`, without its argument checks: plans are well-typed), which
+    keeps its calling contexts; each run starts from a copy of its plan's
+    heap template. `memo` holds the trials of each pair of parameter-type
+    signatures (plan id, heap template, arguments), maps (parent, fuel,
+    plan id) to the parent's outcome and keeps one Program: each module
+    function is decoded once for all calls sharing the memo and compiled
+    (the hot tier) once it has run HOT_MULTIPLE times its size there; the
     candidate is decoded once per call and dropped. No outcome depends on
-    the tier. Callers may share a memo while the module only gains
-    functions under fresh names. Runs record no footprints: only value and
-    heap are compared.
+    the tier. Callers may share a memo while the module only gains functions
+    under fresh names. Runs record no footprints: only value and heap count.
     """
+    if trials < 1:
+        raise IRError(f"trials must be at least 1, got {trials}")
     mname = merged.function.name
     memo = {} if memo is None else memo
     prog = memo.setdefault("program", Program(m, footprints=False))
@@ -781,22 +786,20 @@ def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
         {**m.functions, mname: merged.function}, m.entry)
     plans = _trial_plans(memo, seed, trials, mm.function(name1).params,
                          mm.function(name2).params)
+    mach = _Machine(prog)
     try:
         for side, pname, side_plans in zip((1, 2), (name1, name2), plans):
-            params = mm.function(pname).params
-            for plan, pid in side_plans:
-                arena_m, args_p = _materialize(plan, params)
+            for pid, image, args_p in side_plans:
                 key = (pname, fuel, pid)
                 out_p = memo.get(key)
                 if out_p is None:
-                    arena_p, _ = _materialize(plan, params)
-                    out_p = memo[key] = _run(prog, pname, arena_p, args_p, fuel)
-                out_m = _run(prog, mname, arena_m,
+                    out_p = memo[key] = _run(mach, pname, image, args_p, fuel)
+                out_m = _run(mach, mname, image,
                              merged.args_for(side, args_p), fuel)
                 if out_p != out_m:
                     return VerifyReport(
                         (name1, name2), mname, trials, False,
-                        counterexample=(1 if side == 1 else 0, args_p),
+                        counterexample=(1 if side == 1 else 0, list(args_p)),
                         detail=f"parent {out_p[0]} value/heap differs from "
                                f"merged {out_m[0]}")
     finally:

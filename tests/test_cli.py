@@ -210,6 +210,29 @@ def test_hostile_heap_image_exits_2(tmp_path, model_file, capsys, extra,
     assert not out.with_suffix(".csv").exists()
 
 
+REDUCE_IR = str(corpus_dir() / "reduce.ir")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["verify", REDUCE_IR, "--pair", "acc_sum,acc_max", "--trials", "0"],
+     "trials must be at least 1, got 0"),
+    (["verify", REDUCE_IR, "--pair", "acc_sum,acc_max", "--trials", "-3"],
+     "trials must be at least 1, got -3"),
+    (["merge", "--all", "--verify", "--trials", "0", REDUCE_IR],
+     "trials must be at least 1, got 0"),
+    (["merge", "--pair", "acc_sum,acc_max", "--seeds", "0", REDUCE_IR],
+     "seeds must be at least 1, got 0"),
+])
+def test_no_trials_or_seeds_exits_2(tmp_path, args, message):
+    # zero trials printed "verified true"; zero seeds crashed with a
+    # traceback (exit 1)
+    r = run_cli(args + ["-o", str(tmp_path / "out")])
+    assert r.returncode == 2
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
+    assert "verified" not in r.stdout
+    assert not (tmp_path / "out").exists()
+
 def test_emitter_error_leaves_no_half_written_report(tmp_path, model_file,
                                                      capsys, monkeypatch):
     import mergedse.cli as cli

@@ -6,7 +6,7 @@ import pytest
 from mergedse import merge
 from mergedse.analysis import extract_loops, rank_pairs
 from mergedse.ir import (
-    Function, Instr, Lit, interpret, parse_module, print_function,
+    Function, Instr, IRError, Lit, interpret, parse_module, print_function,
     print_module, structurally_equal, validate_module,
 )
 from mergedse.merge import (
@@ -515,3 +515,17 @@ def test_verification_decodes_each_function_once_per_memo(corpus, area_model,
     module = [(name, id(f)) for name, f, call in built if name != call]
     assert len(module) == len(set(module))
     assert {name for name, _ in module} <= set(prep.module.functions)
+
+
+def test_verify_and_align_refuse_no_trials_or_seeds(pair_module):
+    # zero trials used to pass any merge; zero seeds left no alignment
+    mf = merge_functions(pair_module, "sel_a", "sel_b")
+    for trials in (0, -3):
+        with pytest.raises(IRError, match="trials must be at least 1"):
+            verify_merge(pair_module, "sel_a", "sel_b", mf, trials=trials)
+    for seeds in (0, -1):
+        with pytest.raises(IRError, match="seeds must be at least 1"):
+            best_alignment(pair_module, "sel_a", "sel_b", seeds)
+        with pytest.raises(IRError, match="seeds must be at least 1"):
+            merge_functions(pair_module, "sel_a", "sel_b", seeds=seeds)
+    assert verify_merge(pair_module, "sel_a", "sel_b", mf, trials=1).passed
