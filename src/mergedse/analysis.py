@@ -479,11 +479,10 @@ def rank_pair_indices(vectors: np.ndarray,
 
 
 def rank_pairs(m: Module, min_similarity: float = 0.0,
-               min_size: int = TRIVIAL_SIZE,
-               eligible: list[str] | None = None
+               min_size: int = TRIVIAL_SIZE
                ) -> list[tuple[str, str, float]]:
     """All candidate pairs (f_i, f_j, similarity) in descending rank order."""
-    names = sorted(eligible if eligible is not None else m.functions)
+    names = sorted(m.functions)
     if len(names) < 2:
         return []
     vectors = np.stack([fingerprint(m.functions[n]).vector() for n in names])

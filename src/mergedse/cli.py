@@ -23,11 +23,14 @@ from .cost import (
     write_dataset,
 )
 from .dse import (
-    AREA_PRESETS, MODES, PipelineConfig, default_model, partition_point,
-    prepare, reports_to_csv, reports_to_json, run_pipeline, sweep,
+    AREA_PRESETS, MIN_SIMILARITY, MODES, PipelineConfig, default_model,
+    partition_point, prepare, reports_to_csv, reports_to_json, run_pipeline,
+    sweep,
 )
-from .ir import HeapImage, IRError, parse_module, print_module
-from .merge import MergeRejected, merge_functions, verify_merge
+from .ir import OPCODES, HeapImage, IRError, parse_module, print_module
+from .merge import (
+    DEFAULT_SEEDS, DEFAULT_TRIALS, MergeRejected, merge_functions, verify_merge,
+)
 from .partition import check_solution
 
 log = logging.getLogger("mergedse")
@@ -104,6 +107,8 @@ def _apply_config(args, cfgfile: dict):
                     raise IRError(f"config key {key}: {e}")
         elif key.startswith(("sw.", "hw.")):
             side, op = key.split(".", 1)
+            if op not in OPCODES:
+                raise IRError(f"config key {key}: unknown opcode {op!r}")
             table_overrides[side][op] = int(value)
         else:
             raise IRError(f"unknown config key {key!r}")
@@ -140,7 +145,7 @@ def _load_program(args):
 def _load_or_train_model(args):
     if getattr(args, "model", None):
         return load_model(args.model)
-    seed = args.seed if getattr(args, "seed", None) is not None else 7
+    seed = DEFAULT_DATASET_SEED if args.seed is None else args.seed
     log.info("no model path given; using the default MLP for seed %d "
              "(seed 7 loads the bundled file, other seeds train)", seed)
     return default_model(seed)
@@ -202,12 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pair", help="comma-separated pair of function names")
     sp.add_argument("--all", action="store_true",
                     help="merge every ranked pair above the cutoff")
-    sp.add_argument("--min-similarity", type=float, default=0.3)
-    sp.add_argument("--seeds", type=int, default=4,
+    sp.add_argument("--min-similarity", type=float, default=MIN_SIMILARITY,
+                    help="similarity cutoff for --all, in [0, 1]")
+    sp.add_argument("--seeds", type=int, default=DEFAULT_SEEDS,
                     help="linearization seed combinations per pair")
     sp.add_argument("--verify", action="store_true",
                     help="differentially verify each merged function")
-    sp.add_argument("--trials", type=int, default=200)
+    sp.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     sp.add_argument("--csv", default=None,
                     help="write a pair,similarity,aligned,verified CSV here")
     _add_common(sp, budget=False)
@@ -252,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("program")
     sp.add_argument("--pair", required=True,
                     help="comma-separated pair of function names")
-    sp.add_argument("--trials", type=int, default=200)
+    sp.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     _add_common(sp, budget=False)
     return ap
 
@@ -293,6 +299,9 @@ def _cmd_transform(args, tables):
 
 
 def _cmd_merge(args, tables):
+    if not 0 <= args.min_similarity <= 1:   # NaN fails too
+        raise IRError(f"--min-similarity must be in [0, 1], got "
+                      f"{args.min_similarity}")
     m, _ = _load_program(args)
     if not args.pair and not args.all:
         raise UsageError("merge: pass --pair f1,f2 or --all")
@@ -334,13 +343,11 @@ def _cmd_train(args, tables):
     if args.dump_dataset:
         write_dataset(args.dump_dataset, names, X, y)
     split = int(0.8 * len(X))
+    alpha = {} if args.alpha is None else {"alpha": args.alpha}
     if args.model == "mlp":
-        model = train_mlp(X[:split], y[:split],
-                          alpha=args.alpha if args.alpha is not None else 0.0,
-                          seed=seed)
+        model = train_mlp(X[:split], y[:split], seed=seed, **alpha)
     else:
-        model = train_lasso(X[:split], y[:split],
-                            alpha=args.alpha if args.alpha is not None else 0.01)
+        model = train_lasso(X[:split], y[:split], **alpha)
     rep = eval_report(model, X[:split], y[:split], X[split:], y[split:])
     print(f"r2_train {rep.r2_train!r}", file=sys.stderr)
     print(f"r2_test {rep.r2_test!r}", file=sys.stderr)

@@ -155,10 +155,13 @@ def read_dataset(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
         header = fh.readline().strip().split(",")
         if header != ["name"] + list(OPCODES) + ["target_luts"]:
             raise CostError(f"{path}: unexpected dataset header")
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             parts = line.strip().split(",")
-            if not parts or parts == [""]:
+            if parts == [""]:
                 continue
+            if len(parts) != len(header):
+                raise CostError(f"{path}:{lineno}: expected {len(header)} "
+                                f"fields, got {len(parts)}")
             names.append(parts[0])
             rows.append([float(c) for c in parts[1:-1]])
             ys.append(float(parts[-1]))
@@ -200,9 +203,19 @@ class LassoModel:
         return (Xs @ self.weights + self.intercept) * self.ystd + self.ymean
 
 
-def train_lasso(X: np.ndarray, y: np.ndarray, alpha: float = 0.01,
-                tol: float = 1e-8, max_sweeps: int = 10000) -> LassoModel:
-    """L1-penalized least squares fit by cyclic coordinate descent."""
+DEFAULT_ALPHA_LASSO = 0.01
+HIDDEN_LAYERS = 6
+HIDDEN_UNITS = 40
+DEFAULT_EPOCHS = 2000
+BATCH_SIZE = 32
+LEARNING_RATE = 3e-3
+LR_DECAY_EPOCHS = (1000, 1500)
+
+
+def train_lasso(X: np.ndarray, y: np.ndarray,
+                alpha: float = DEFAULT_ALPHA_LASSO) -> LassoModel:
+    """L1-penalized least squares fit by cyclic coordinate descent, until a
+    sweep moves the loss by less than 1e-8 or after 10000 sweeps."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, d = X.shape
@@ -225,7 +238,7 @@ def train_lasso(X: np.ndarray, y: np.ndarray, alpha: float = 0.01,
         return 0.5 * float((resid ** 2).mean()) + alpha * float(np.abs(w).sum())
 
     prev = loss()
-    for _ in range(max_sweeps):
+    for _ in range(10000):
         for j in range(d):
             if z[j] < 1e-15:
                 continue
@@ -238,19 +251,10 @@ def train_lasso(X: np.ndarray, y: np.ndarray, alpha: float = 0.01,
         resid -= nb - b
         b = nb
         cur = loss()
-        if abs(prev - cur) < tol:
+        if abs(prev - cur) < 1e-8:
             break
         prev = cur
     return LassoModel(w, b, alpha, xmean, xstd, ymean, ystd)
-
-
-DEFAULT_HIDDEN_LAYERS = 6
-DEFAULT_HIDDEN_UNITS = 40
-DEFAULT_EPOCHS = 2000
-DEFAULT_BATCH = 32
-DEFAULT_LR = 3e-3
-LR_DECAY_EPOCHS = (1000, 1500)
-DEFAULT_ALPHA_LASSO = 0.01
 
 
 class MLPModel:
@@ -313,10 +317,7 @@ def mlp_loss_and_grads(weights, biases, Xs, ys, alpha=0.0):
 
 
 def train_mlp(X: np.ndarray, y: np.ndarray, alpha: float = 0.0,
-              hidden_layers: int = DEFAULT_HIDDEN_LAYERS,
-              hidden_units: int = DEFAULT_HIDDEN_UNITS,
-              epochs: int = DEFAULT_EPOCHS, batch: int = DEFAULT_BATCH,
-              lr: float = DEFAULT_LR, seed: int = 0) -> MLPModel:
+              epochs: int = DEFAULT_EPOCHS, seed: int = 0) -> MLPModel:
     """Mini-batch gradient descent with backpropagation on squared error,
     using adaptive per-parameter step sizes (Adam); plain fixed-step descent
     generalizes noticeably worse on this depth of network.
@@ -336,7 +337,7 @@ def train_mlp(X: np.ndarray, y: np.ndarray, alpha: float = 0.0,
     ys = (y - ymean) / ystd
 
     rng = np.random.RandomState(seed)
-    dims = [d] + [hidden_units] * hidden_layers + [1]
+    dims = [d] + [HIDDEN_UNITS] * HIDDEN_LAYERS + [1]
     weights = [rng.normal(0.0, np.sqrt(2.0 / dims[i]), (dims[i], dims[i + 1]))
                for i in range(len(dims) - 1)]
     biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
@@ -346,14 +347,14 @@ def train_mlp(X: np.ndarray, y: np.ndarray, alpha: float = 0.0,
     vb = [np.zeros_like(b) for b in biases]
     b1, b2, eps = 0.9, 0.999, 1e-8
 
-    step = lr
+    step = LEARNING_RATE
     t = 0
     for epoch in range(epochs):
         if epoch in LR_DECAY_EPOCHS:
             step *= 0.5
         order = rng.permutation(n)
-        for lo in range(0, n, batch):
-            idx = order[lo:lo + batch]
+        for lo in range(0, n, BATCH_SIZE):
+            idx = order[lo:lo + BATCH_SIZE]
             _, dW, db = mlp_loss_and_grads(weights, biases, Xs[idx], ys[idx],
                                            alpha)
             t += 1

@@ -34,6 +34,9 @@ PRESET_LATENCIES = [25, 500]
 PRESET_BANDWIDTHS = [1e9, 4e9, float("inf")]
 AREA_PRESETS = {"artix-z7007s": 14400.0, "artix-z7012s": 34400.0}
 
+MIN_SIMILARITY = 0.3   # ranked pairs below this are not merge candidates
+MERGE_DEPTH = 2        # merge rounds; a round-2 merge has a merged parent
+
 CSV_HEADER = ("config,budget_luts,latency_cycles,bandwidth_bps,objective_s,"
               "speedup,area_used,comm_pct,n_merged_selected")
 REPORT_SCHEMA = "dse-report/v1"
@@ -46,9 +49,7 @@ class PipelineConfig:
     latency: int = 25
     bandwidth: float = float("inf")
     clock: Fraction = DEFAULT_CLOCK
-    min_similarity: float = 0.3
     seeds: int = DEFAULT_SEEDS
-    merge_depth: int = 2
     verify_trials: int = 48
     seed: int = 7
     sw_table: dict[str, int] | None = None
@@ -138,10 +139,10 @@ def default_model(seed: int = DEFAULT_DATASET_SEED):
     return train_mlp(X[:split], y[:split], seed=seed)
 
 
-def _profile(m: Module, images: list[HeapImage], fuel: int = 10 ** 8) -> Trace:
+def _profile(m: Module, images: list[HeapImage]) -> Trace:
     trace = Trace()
     for img in images:
-        trace.merge(run_heap_image(m, img, fuel=fuel).trace)
+        trace.merge(run_heap_image(m, img).trace)
     return trace
 
 
@@ -183,8 +184,8 @@ def prepare(m: Module, images: list[HeapImage], cfg: PipelineConfig,
         # parent outcomes of verification trials, shared by every candidate:
         # `work` only gains functions under fresh names below
         verify_memo: dict = {}
-        for depth_round in range(1, cfg.merge_depth + 1):
-            pairs = rank_pairs(work, cfg.min_similarity)
+        for depth_round in range(1, MERGE_DEPTH + 1):
+            pairs = rank_pairs(work, MIN_SIMILARITY)
             if depth_round > 1:
                 # only pairs that deepen the merge tree by exactly one level
                 pairs = [pr for pr in pairs

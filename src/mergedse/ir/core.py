@@ -7,7 +7,7 @@ ends in exactly one terminator (br/jmp/ret).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 TYPE_TAGS = ("i1", "i32", "i64", "f64", "ptr")
 
@@ -141,16 +141,13 @@ class Block:
         return self.instrs[-1]
 
 
-PROVENANCES = ("original", "extracted-loop", "merged")
-
-
 @dataclass
 class Function:
     name: str
     params: list[tuple[str, str]]      # (register name, type tag)
     ret: str                           # type tag or "void"
     blocks: list[Block]
-    provenance: str = "original"
+    provenance: str = "original"       # or "extracted-loop" / "merged"
 
     @property
     def entry(self) -> str:
@@ -271,8 +268,8 @@ def structurally_equal(f: Function, g: Function) -> bool:
 __all__ = [
     "TYPE_TAGS", "TYPE_WIDTH", "INT_BITS", "OPCODES", "OPCODE_INDEX",
     "BINOPS_INT", "BINOPS_FLOAT", "CASTS", "TERMINATORS",
-    "ICMP_PREDS", "FCMP_PREDS", "PROVENANCES",
+    "ICMP_PREDS", "FCMP_PREDS",
     "IRError", "Reg", "Lit", "Operand", "Instr", "Block", "Function", "Module",
-    "clone_function", "zero_literal", "wrap_int", "structurally_equal", "replace",
+    "clone_function", "zero_literal", "wrap_int", "structurally_equal",
     "operand_slot_types",
 ]

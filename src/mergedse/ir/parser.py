@@ -383,10 +383,9 @@ def _retype_call_literals(m: Module):
                                     callee=ins.callee)
 
 
-def parse_module(text: str, validate: bool = True) -> Module:
-    """Parse mini-IR source into a Module; validates unless told otherwise."""
+def parse_module(text: str) -> Module:
+    """Parse mini-IR source into a validated Module."""
     m = _Parser(text).module()
     _retype_call_literals(m)
-    if validate:
-        validate_module(m)
+    validate_module(m)
     return m

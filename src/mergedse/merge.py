@@ -57,10 +57,8 @@ def default_weights() -> dict[str, float]:
 
 @dataclass
 class Linearization:
-    func: Function
     order: list[str]
     instrs: list[Instr]
-    block_of: list[str]
     first_pos: dict[str, int]
 
 
@@ -105,14 +103,11 @@ def linearize(f: Function, seed: int = 0) -> Linearization:
     walk(f.entry)
     order = list(reversed(post))
     instrs: list[Instr] = []
-    block_of: list[str] = []
     first_pos: dict[str, int] = {}
     for lab in order:
         first_pos[lab] = len(instrs)
-        for ins in f.block(lab).instrs:
-            instrs.append(ins)
-            block_of.append(lab)
-    return Linearization(f, order, instrs, block_of, first_pos)
+        instrs.extend(f.block(lab).instrs)
+    return Linearization(order, instrs, first_pos)
 
 
 def seed_pairs(n: int):
@@ -273,9 +268,7 @@ def merge_parameters(f1: Function, f2: Function) -> ParamMap:
 class MergedFunction:
     function: Function
     parents: tuple[str, str]
-    param_map: ParamMap
     alignment: Alignment
-    fsel: str
     parent_instrs: int = 0
     glue: int = 0
     mux_selects: int = 0
@@ -314,21 +307,13 @@ class _Namer:
 
 
 def merge_functions(m: Module, name1: str, name2: str,
-                    alignment: Alignment | None = None,
-                    param_map: ParamMap | None = None,
-                    seeds: int = DEFAULT_SEEDS,
-                    weights: dict[str, float] | None = None,
-                    gap: float = DEFAULT_GAP_PENALTY,
-                    merged_name: str | None = None,
-                    min_fraction: float = MIN_ALIGNED_FRACTION,
-                    lins: tuple[Linearization, Linearization] | None = None
-                    ) -> MergedFunction:
-    """Generate the merged function for (name1, name2) in module m.
-
-    When `alignment` is given it must have been computed over `lins`
-    (seed-0 linearizations are assumed if those are omitted). Raises
-    MergeRejected when the pair is filtered: aligned fraction below the
-    cutoff, mismatched return types, or irreducible control flow.
+                    seeds: int = DEFAULT_SEEDS) -> MergedFunction:
+    """Generate the merged function @m.<name1>.<name2> for (name1, name2) in
+    module m, from the best alignment over `seeds` linearization seed
+    combinations (`best_alignment`) and greedy by-type parameter matching
+    (`merge_parameters`). Raises MergeRejected when the pair is filtered:
+    aligned fraction below MIN_ALIGNED_FRACTION, mismatched return types,
+    irreducible control flow, or a merged body that fails validation.
     """
     f1, f2 = m.function(name1), m.function(name2)
     if f1.ret != f2.ret:
@@ -336,20 +321,13 @@ def merge_functions(m: Module, name1: str, name2: str,
     if natural_loops(f1).irreducible or natural_loops(f2).irreducible:
         raise MergeRejected("irreducible control flow")
 
-    if alignment is None:
-        alignment, lin1, lin2 = best_alignment(m, name1, name2, seeds, weights, gap)
-    elif lins is not None:
-        lin1, lin2 = lins
-    else:
-        lin1, lin2 = linearize(f1, 0), linearize(f2, 0)
-    if param_map is None:
-        param_map = merge_parameters(f1, f2)
-    if alignment.aligned_fraction < min_fraction:
+    alignment, lin1, lin2 = best_alignment(m, name1, name2, seeds)
+    param_map = merge_parameters(f1, f2)
+    if alignment.aligned_fraction < MIN_ALIGNED_FRACTION:
         raise MergeRejected(
             f"aligned fraction {alignment.aligned_fraction:.3f} below "
-            f"{min_fraction:.2f}")
+            f"{MIN_ALIGNED_FRACTION:.2f}")
 
-    merged_name = merged_name or f"m.{name1}.{name2}"
     rt1, rt2 = f1.register_types(), f2.register_types()
     namer = _Namer()
 
@@ -608,7 +586,8 @@ def merge_functions(m: Module, name1: str, name2: str,
         blocks.insert(0, Block(elbl, [ein]))
         stats["glue"] += 1
 
-    merged = Function(merged_name, params, f1.ret, blocks, provenance="merged")
+    merged = Function(f"m.{name1}.{name2}", params, f1.ret, blocks,
+                      provenance="merged")
 
     # --- neutral initializers ----------------------------------------------
     # Mux selects read both sides' registers eagerly, and mixed-f_sel paths
@@ -623,7 +602,7 @@ def merge_functions(m: Module, name1: str, name2: str,
         merged.blocks[0].instrs[0:0] = inits
         stats["glue"] += len(inits)
 
-    mf = MergedFunction(merged, (name1, name2), param_map, alignment, fsel,
+    mf = MergedFunction(merged, (name1, name2), alignment,
                         parent_instrs=stats["parent"], glue=stats["glue"],
                         mux_selects=stats["mux"], arg_plan=arg_plan)
 
@@ -643,9 +622,7 @@ def _map_side(o, namer_fn):
 
 
 def best_alignment(m: Module, name1: str, name2: str,
-                   seeds: int = DEFAULT_SEEDS,
-                   weights: dict[str, float] | None = None,
-                   gap: float = DEFAULT_GAP_PENALTY
+                   seeds: int = DEFAULT_SEEDS
                    ) -> tuple[Alignment, Linearization, Linearization]:
     """Best-scoring alignment over `seeds` linearization seed combinations."""
     if seeds < 1:
@@ -655,7 +632,7 @@ def best_alignment(m: Module, name1: str, name2: str,
     best = None
     for s1, s2 in seed_pairs(seeds):
         lin1, lin2 = linearize(f1, s1), linearize(f2, s2)
-        a = align(lin1.instrs, lin2.instrs, weights, gap, rt1, rt2)
+        a = align(lin1.instrs, lin2.instrs, rt1=rt1, rt2=rt2)
         if best is None or a.score > best[0].score:
             best = (a, lin1, lin2)
     return best

@@ -1,9 +1,15 @@
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mergedse.cli as cli
 from mergedse.cli import build_parser, main
+from mergedse.ir import OPCODES
 from mergedse.dse import BUNDLED_MODEL, corpus_dir
 
 POLY_IR = str(corpus_dir() / "poly.ir")
@@ -80,7 +86,7 @@ def test_verify_subcommand():
     assert "verified true" in r.stdout
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     # usage error: unknown subcommand argument combination
     assert main(["analyze", POLY_IR]) == 1
     # input error: malformed config value, message names the field
@@ -98,6 +104,27 @@ def test_exit_codes(tmp_path):
     cfg.write_text("warp_speed = 9\n")
     r = run_cli(["dse", "--config", str(cfg), POLY_IR, POLY_HEAP])
     assert r.returncode == 2
+    # a cycle-table key naming no opcode used to be ignored silently
+    out = tmp_path / "report"
+    for line in ("sw.mull = 50", "hw.nosuch = 3"):
+        cfg.write_text(line + "\n")
+        assert main(["dse", "--config", str(cfg), "--model", str(BUNDLED_MODEL),
+                     "--budget", "6000", "--mode", "FE", POLY_IR, POLY_HEAP,
+                     "-o", str(out)]) == 2
+        assert f"config key {line.split()[0]}: unknown opcode" in (
+            capsys.readouterr().err)
+        assert not out.with_suffix(".csv").exists()
+    # a dataset row of the wrong width used to be broadcast into a score
+    data = tmp_path / "short.csv"
+    data.write_text("name," + ",".join(OPCODES) + ",target_luts\n"
+                    + "".join(f"a{i},{i},{2 * i + 1}\n" for i in range(30)))
+    for args in (["eval", "--model", str(BUNDLED_MODEL), "--test", str(data)],
+                 ["train", "--model", "lasso", "--dataset", str(data),
+                  "-o", str(tmp_path / "m.txt")]):
+        assert main(args) == 2
+        assert f"{data}:2: expected {len(OPCODES) + 2} fields, got 3" in (
+            capsys.readouterr().err)
+    assert not (tmp_path / "m.txt").exists()
 
 
 def _malformed_model(tmp_path, case):
@@ -222,10 +249,16 @@ REDUCE_IR = str(corpus_dir() / "reduce.ir")
      "trials must be at least 1, got 0"),
     (["merge", "--pair", "acc_sum,acc_max", "--seeds", "0", REDUCE_IR],
      "seeds must be at least 1, got 0"),
+    (["merge", "--all", "--min-similarity", "nan", REDUCE_IR],
+     "--min-similarity must be in [0, 1], got nan"),
+    (["merge", "--all", "--min-similarity", "-0.5", REDUCE_IR],
+     "--min-similarity must be in [0, 1], got -0.5"),
+    (["merge", "--all", "--min-similarity", "1.5", REDUCE_IR],
+     "--min-similarity must be in [0, 1], got 1.5"),
 ])
 def test_no_trials_or_seeds_exits_2(tmp_path, args, message):
     # zero trials printed "verified true"; zero seeds crashed with a
-    # traceback (exit 1)
+    # traceback (exit 1); a NaN cutoff merged nothing and exited 0
     r = run_cli(args + ["-o", str(tmp_path / "out")])
     assert r.returncode == 2
     assert message in r.stderr
@@ -307,3 +340,56 @@ def test_partition_subcommand(tmp_path, model_file):
     assert r.returncode == 0, r.stderr
     assert "objective_s" in r.stdout
     assert "optimal true" in r.stdout
+
+
+class _Reached(Exception):
+    """Raised by the stubbed pipeline: the config file was accepted."""
+
+
+def _stub_pipeline(m, images, cfg, *args, **kw):
+    raise _Reached(cfg)
+
+
+_JUNK = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e400", "1e-400", "7",
+                     "FE", "FLE+Merging", "artix-z7007s", "1e9"]),
+    st.integers().map(str), st.floats().map(repr))
+_CONFIG_LINE = st.one_of(
+    st.sampled_from(["latency = 25", "mode = FE", "area_budget = artix-z7007s",
+                     "bandwidth = inf", "clock = 1e-9", "seed = 3",
+                     "sw.mul = 3", "hw.load = 2"]),
+    st.builds("{} = {}".format, st.sampled_from(
+        ["area_budget", "latency", "bandwidth", "clock", "mode", "model",
+         "seed"]), _JUNK),
+    st.builds("{}.{} = {}".format, st.sampled_from(["sw", "hw"]),
+              st.one_of(st.sampled_from(OPCODES), st.text(max_size=8)),
+              _JUNK),
+    st.text(st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters="="), max_size=20))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_CONFIG_LINE, max_size=6))
+def test_config_file_exits_2_or_reaches_pipeline(lines):
+    # known keys with junk values, cycle-table keys with any name and lines
+    # without '=': either the run is refused with exit 2 or the pipeline is
+    # entered with a valid config, never another exit code or a traceback
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)   # relative model paths name nothing
+        for name in ("run_pipeline", "sweep"):
+            mp.setattr(cli, name, _stub_pipeline)
+        mp.setattr(cli, "default_model", lambda seed: None)
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            code = main(["dse", "--config", str(cfg), POLY_IR, POLY_HEAP,
+                         "-o", str(Path(tmp) / "report")])
+        except _Reached as e:
+            # an accepted config carries only opcodes in its cycle tables
+            accepted = e.args[0]
+            assert (set(accepted.sw_table) == set(accepted.hw_table)
+                    == set(OPCODES))
+            return
+        assert code == 2
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["run.cfg"]
