@@ -162,9 +162,12 @@ def read_dataset(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
             if len(parts) != len(header):
                 raise CostError(f"{path}:{lineno}: expected {len(header)} "
                                 f"fields, got {len(parts)}")
+            values = [float(c) for c in parts[1:]]
+            if not np.isfinite(values).all():
+                raise CostError(f"{path}:{lineno}: non-finite value")
             names.append(parts[0])
-            rows.append([float(c) for c in parts[1:-1]])
-            ys.append(float(parts[-1]))
+            rows.append(values[:-1])
+            ys.append(values[-1])
     return names, np.array(rows), np.array(ys)
 
 
@@ -565,7 +568,6 @@ def estimate_profitability(sw1, sw2, hw1, hw2, hw12, total):
 
 @dataclass
 class CostEstimate:
-    name: str
     area: float        # standalone accelerator area (hierarchical features)
     own_area: float    # own-body area, what the area budget sums over
     sw: Fraction       # hierarchical software seconds over the profile
@@ -595,7 +597,6 @@ def estimate_costs(m: Module, trace: Trace, model, cg: CallGraph,
     out = {}
     for n, (area, own_area) in predict_areas(m, model, cg).items():
         out[n] = CostEstimate(
-            name=n,
             area=area,
             own_area=own_area,
             sw=sw_latency(trace, n, sw_table, clock),
@@ -614,6 +615,6 @@ def merged_cost(m: Module, name: str, model, cg: CallGraph,
     m's batch; it runs both parents' profiled work in hardware plus `glue`,
     and has no software time of its own."""
     area, own_area = predict_areas(m, model, cg)[name]
-    return CostEstimate(name, area, own_area, sw=Fraction(0),
+    return CostEstimate(area, own_area, sw=Fraction(0),
                         hw=a.hw + b.hw + glue, own_sw=Fraction(0),
                         own_hw=a.own_hw + b.own_hw + glue)

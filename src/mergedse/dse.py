@@ -19,7 +19,7 @@ from .cost import (
     synthetic_dataset, train_mlp,
 )
 from .ir import HeapImage, IRError, Module, Trace, run_heap_image
-from .merge import DEFAULT_SEEDS, MergeRejected, merge_functions, verify_merge
+from .merge import MergeRejected, merge_functions, verify_merge
 from .partition import (
     BANDWIDTH_ZERO, PartitionSolution, build_problem, solve,
 )
@@ -49,7 +49,6 @@ class PipelineConfig:
     latency: int = 25
     bandwidth: float = float("inf")
     clock: Fraction = DEFAULT_CLOCK
-    seeds: int = DEFAULT_SEEDS
     verify_trials: int = 48
     seed: int = 7
     sw_table: dict[str, int] | None = None
@@ -66,9 +65,13 @@ class PipelineConfig:
                               f"{'a number' if v != v else 'finite'}, got {v}")
             if v < 0 and name != "clock":
                 raise IRError(f"{name} must be non-negative")
-        for name in ("seeds", "verify_trials"):
-            if getattr(self, name) < 1:
-                raise IRError(f"{name} must be at least 1")
+        if self.verify_trials < 1:
+            raise IRError("verify_trials must be at least 1")
+        for side, table in (("sw", self.sw_table), ("hw", self.hw_table)):
+            for op, cycles in (table or {}).items():
+                if cycles < 0:
+                    raise IRError(f"{side}.{op} must be non-negative, "
+                                  f"got {cycles}")
         if self.bandwidth == 0:
             raise IRError(BANDWIDTH_ZERO)
         if self.clock <= 0:
@@ -198,7 +201,7 @@ def prepare(m: Module, images: list[HeapImage], cfg: PipelineConfig,
             for n1, n2, sim in pairs:
                 funnel["ranked"] += 1
                 try:
-                    mf = merge_functions(work, n1, n2, seeds=cfg.seeds)
+                    mf = merge_functions(work, n1, n2)
                 except MergeRejected as e:
                     log.debug("merge %s+%s rejected: %s", n1, n2, e)
                     continue

@@ -13,16 +13,16 @@ of control-flow graphs; the differential verifier enforces it.
 
 from __future__ import annotations
 
-import codecs
 import logging
 import random
 import struct
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 from math import factorial
 
 from .analysis import natural_loops
 from .ir import (  # `interpret` stays bound here: perfbench/spans.py times it
-    OPCODES, REGION_BASE, Arena, Block, Function, Instr, InterpError, IRError,
+    OPCODES, REGION_BASE, Block, Function, Instr, InterpError, IRError,
     Lit, Module, Program, Reg, check_function, interpret, operand_slot_types,
     unassigned_uses, zero_literal,
 )
@@ -183,7 +183,6 @@ def align(s1: list[Instr], s2: list[Instr],
     rt1 = rt1 or {}
     rt2 = rt2 or {}
     n1, n2 = len(s1), len(s2)
-    NEG = float("-inf")
 
     score = [[0.0] * (n2 + 1) for _ in range(n1 + 1)]
     move = [[0] * (n2 + 1) for _ in range(n1 + 1)]  # 1=diag 2=up(gap2) 3=left(gap1)
@@ -208,7 +207,7 @@ def align(s1: list[Instr], s2: list[Instr],
                 d = prow[j - 1] + weights.get(a.op, DEFAULT_MATCH_WEIGHT)
                 if d >= best:
                     best, mv = d, 1
-            row[j] = best if best != NEG else NEG
+            row[j] = best
             mrow[j] = mv
 
     entries: list[AlignEntry] = []
@@ -266,30 +265,27 @@ def merge_parameters(f1: Function, f2: Function) -> ParamMap:
 
 @dataclass
 class MergedFunction:
+    """A merged body with its parents and the alignment it was woven from.
+    `mux_selects` counts its operand muxes (`dse` prices glue by them).
+    `arg_plan` holds, per merged parameter before the trailing f_sel, the
+    index of the parameter of parent 1 and of parent 2 it stands for, None
+    where that parent has none. The parent instructions of the body are
+    one per alignment entry; the rest of `function.size()` is glue."""
     function: Function
     parents: tuple[str, str]
     alignment: Alignment
-    parent_instrs: int = 0
-    glue: int = 0
     mux_selects: int = 0
-    # positional plan for building call arguments: ("m", i1, i2) matched,
-    # ("1", i1, -1) from parent 1 only, ("2", -1, i2) from parent 2 only;
-    # f_sel is always the trailing parameter.
-    arg_plan: list[tuple[str, int, int]] = field(default_factory=list)
+    arg_plan: list[tuple[int | None, int | None]] = field(default_factory=list)
 
     def args_for(self, side: int, parent_args: list) -> list:
         """Merged-call arguments equivalent to calling parent `side` (1 or 2)
-        with `parent_args`; inactive-side parameters get neutral literals."""
-        out = []
-        for (kind, i1, i2), (_, ty) in zip(self.arg_plan, self.function.params):
-            if kind == "m":
-                out.append(parent_args[i1 if side == 1 else i2])
-            elif kind == "1":
-                out.append(parent_args[i1] if side == 1 else zero_literal(ty).value)
-            else:
-                out.append(parent_args[i2] if side == 2 else zero_literal(ty).value)
-        out.append(1 if side == 1 else 0)
-        return out
+        with `parent_args`: each merged parameter takes the argument of the
+        parent parameter it stands for, or a zero of its type when parent
+        `side` has none, and f_sel is 1 for parent 1 and 0 for parent 2."""
+        return [parent_args[ix[side - 1]] if ix[side - 1] is not None
+                else zero_literal(ty).value
+                for ix, (_, ty) in zip(self.arg_plan, self.function.params)
+                ] + [int(side == 1)]
 
 
 class _Namer:
@@ -306,6 +302,36 @@ class _Namer:
         return name
 
 
+@dataclass
+class _Side:
+    """One parent in the weave: its linearized instructions, the merged name
+    of each of its registers (named `prefix` + register on first use) and
+    the other parent's register each one is coalesced with, the weave
+    position of each of its instructions and of each of its block labels."""
+    lin: Linearization
+    prefix: str
+    namer: _Namer
+    rename: dict[str, str] = field(default_factory=dict)
+    partner: dict[str, str] = field(default_factory=dict)
+    pos: list[int] = field(default_factory=list)
+    at: dict[str, int] = field(default_factory=dict)
+
+    def name(self, r: str) -> str:
+        n = self.rename.get(r)
+        if n is None:
+            n = self.rename[r] = self.namer.fresh(self.prefix + r)
+        return n
+
+    def operand(self, o):
+        return Reg(self.name(o.name)) if isinstance(o, Reg) else o
+
+    def next_at(self, w: int) -> int | None:
+        """The first weave position at or after w holding an instruction of
+        this side."""
+        k = bisect_left(self.pos, w)
+        return self.pos[k] if k < len(self.pos) else None
+
+
 def merge_functions(m: Module, name1: str, name2: str,
                     seeds: int = DEFAULT_SEEDS) -> MergedFunction:
     """Generate the merged function @m.<name1>.<name2> for (name1, name2) in
@@ -314,6 +340,11 @@ def merge_functions(m: Module, name1: str, name2: str,
     (`merge_parameters`). Raises MergeRejected when the pair is filtered:
     aligned fraction below MIN_ALIGNED_FRACTION, mismatched return types,
     irreducible control flow, or a merged body that fails validation.
+
+    Both parents go through one code path, each as a `_Side`. Only the
+    tie-breaks favor parent 1: a coalesced pair takes its register's name,
+    aligned operands are typed by its registers, and a pair whose results
+    cannot be coalesced writes its register first.
     """
     f1, f2 = m.function(name1), m.function(name2)
     if f1.ret != f2.ret:
@@ -328,263 +359,159 @@ def merge_functions(m: Module, name1: str, name2: str,
             f"aligned fraction {alignment.aligned_fraction:.3f} below "
             f"{MIN_ALIGNED_FRACTION:.2f}")
 
-    rt1, rt2 = f1.register_types(), f2.register_types()
     namer = _Namer()
+    sides = a, b = _Side(lin1, "a.", namer), _Side(lin2, "b.", namer)
 
-    # --- parameters and rename maps -------------------------------------
-    rename1: dict[str, str] = {}
-    rename2: dict[str, str] = {}
-    partner1: dict[str, str] = {}
-    partner2: dict[str, str] = {}
+    # --- parameters: matched pairs, then each side's unmatched ones -------
     params: list[tuple[str, str]] = []
-    arg_plan: list[tuple[str, int, int]] = []
+    arg_plan: list[tuple[int | None, int | None]] = []
     for i, j in param_map.matched:
-        p1, ty = f1.params[i]
-        p2 = f2.params[j][0]
-        name = namer.fresh(p1)
-        rename1[p1] = name
-        rename2[p2] = name
-        partner1[p1] = p2
-        partner2[p2] = p1
-        params.append((name, ty))
-        arg_plan.append(("m", i, j))
-    for i in param_map.unmatched1:
-        p1, ty = f1.params[i]
-        name = namer.fresh(p1)
-        rename1[p1] = name
-        params.append((name, ty))
-        arg_plan.append(("1", i, -1))
-    for j in param_map.unmatched2:
-        p2, ty = f2.params[j]
-        name = namer.fresh(p2)
-        rename2[p2] = name
-        params.append((name, ty))
-        arg_plan.append(("2", -1, j))
+        (p1, ty), p2 = f1.params[i], f2.params[j][0]
+        a.rename[p1] = b.rename[p2] = namer.fresh(p1)
+        a.partner[p1], b.partner[p2] = p2, p1
+        params.append((a.rename[p1], ty))
+        arg_plan.append((i, j))
+    for k, (f, s, unmatched) in enumerate(((f1, a, param_map.unmatched1),
+                                           (f2, b, param_map.unmatched2))):
+        for i in unmatched:
+            p, ty = f.params[i]
+            s.rename[p] = namer.fresh(p)
+            params.append((s.rename[p], ty))
+            arg_plan.append((i, None) if k == 0 else (None, i))
     fsel = namer.fresh("f_sel")
     params.append((fsel, "i1"))
 
-    def name1_of(r: str) -> str:
-        n = rename1.get(r)
-        if n is None:
-            n = namer.fresh("a." + r)
-            rename1[r] = n
-        return n
-
-    def name2_of(r: str) -> str:
-        n = rename2.get(r)
-        if n is None:
-            n = namer.fresh("b." + r)
-            rename2[r] = n
-        return n
-
     # --- result coalescing for aligned pairs ----------------------------
-    s1, s2 = lin1.instrs, lin2.instrs
+    # a pair's results share one name unless either is already coalesced
+    # with another register or both already have names; those pairs are
+    # emitted with copies
+    entries = alignment.entries
     needs_copy: set[int] = set()
-    for w, e in enumerate(alignment.entries):
+    for w, e in enumerate(entries):
         if e.kind != "aligned":
             continue
-        r1, r2 = s1[e.i1].result, s2[e.i2].result
-        if r1 is None:
+        r1, r2 = lin1.instrs[e.i1].result, lin2.instrs[e.i2].result
+        if r1 is None or (a.partner.get(r1) == r2 and b.partner.get(r2) == r1):
             continue
-        if partner1.get(r1) == r2 and partner2.get(r2) == r1:
-            name2_of_r2 = rename2.get(r2)
-            if name2_of_r2 is None:
-                rename2[r2] = name1_of(r1)
-            continue
-        if r1 not in partner1 and r2 not in partner2:
-            n1, n2 = rename1.get(r1), rename2.get(r2)
-            if n1 is None and n2 is None:
-                rename2[r2] = name1_of(r1)
-            elif n1 is None:
-                rename1[r1] = n2
-            elif n2 is None:
-                rename2[r2] = n1
-            else:
-                needs_copy.add(w)
-                continue
-            partner1[r1] = r2
-            partner2[r2] = r1
-        else:
+        n1, n2 = a.rename.get(r1), b.rename.get(r2)
+        if r1 in a.partner or r2 in b.partner or (n1 and n2):
             needs_copy.add(w)
+            continue
+        a.rename[r1] = b.rename[r2] = n1 or n2 or a.name(r1)
+        a.partner[r1], b.partner[r2] = r2, r1
 
     # --- weave geometry ---------------------------------------------------
-    entries = alignment.entries
     nw = len(entries)
-    pos1: dict[int, int] = {}
-    pos2: dict[int, int] = {}
     for w, e in enumerate(entries):
-        if e.i1 is not None:
-            pos1[e.i1] = w
-        if e.i2 is not None:
-            pos2[e.i2] = w
-    lab1 = {lab: pos1[idx] for lab, idx in lin1.first_pos.items()}
-    lab2 = {lab: pos2[idx] for lab, idx in lin2.first_pos.items()}
+        for s, i in zip(sides, (e.i1, e.i2)):
+            if i is not None:
+                s.pos.append(w)
+    for s in sides:
+        s.at = {lab: s.pos[i] for lab, i in s.lin.first_pos.items()}
 
-    boundaries = {0} | set(lab1.values()) | set(lab2.values())
+    boundaries = {0} | set(a.at.values()) | set(b.at.values())
     for w, e in enumerate(entries):
-        ins = s1[e.i1] if e.i1 is not None else s2[e.i2]
-        if ins.is_terminator() and w + 1 < nw:
-            boundaries.add(w + 1)
-        if w + 1 < nw and entries[w + 1].kind != e.kind:
+        ins = lin1.instrs[e.i1] if e.i1 is not None else lin2.instrs[e.i2]
+        if w + 1 < nw and (ins.is_terminator()
+                           or entries[w + 1].kind != e.kind):
             boundaries.add(w + 1)
 
     block_label = {w: f"m{k}" for k, w in enumerate(sorted(boundaries))}
-    for lbl in block_label.values():
-        namer.used.add(lbl)
+    namer.used.update(block_label.values())
 
-    def next_involving(w: int, side: int) -> int | None:
-        for k in range(w, nw):
-            e = entries[k]
-            if side == 1 and e.i1 is not None:
-                return k
-            if side == 2 and e.i2 is not None:
-                return k
-        return None
+    def target(s: _Side, label: str) -> str:
+        return block_label[s.at[label]]
 
-    def target1(label: str) -> str:
-        return block_label[lab1[label]]
-
-    def target2(label: str) -> str:
-        return block_label[lab2[label]]
+    def branch(t1: str, t2: str) -> Instr:
+        """Go to t1 under f_sel=1 and to t2 under f_sel=0."""
+        if t1 == t2:
+            return Instr("jmp", succs=(t1,))
+        return Instr("br", "i1", None, (Reg(fsel),), succs=(t1, t2))
 
     # --- emission ---------------------------------------------------------
     blocks: list[Block] = []
     cur: list[Instr] = []
-    stats = {"parent": 0, "glue": 0, "mux": 0}
+    mux_selects = 0
     routers: dict[tuple[str, str], str] = {}
     router_blocks: list[Block] = []
-
-    def open_block(label: str):
-        nonlocal cur
-        cur = []
-        blocks.append(Block(label, cur))
-
-    def close_fallthrough(w: int):
-        """Route the open block's fallthrough to weave position w."""
-        n1, n2 = next_involving(w, 1), next_involving(w, 2)
-        assert n1 is not None or n2 is not None, "fallthrough off the weave"
-        if n1 is not None and n2 is not None and n1 != n2:
-            cur.append(Instr("br", "i1", None, (Reg(fsel),),
-                             succs=(block_label[n1], block_label[n2])))
-        else:
-            n = n1 if n1 is not None else n2
-            cur.append(Instr("jmp", succs=(block_label[n],)))
-        stats["glue"] += 1
 
     def router(t1: str, t2: str) -> str:
         """Label reaching t1 under f_sel=1 and t2 under f_sel=0."""
         if t1 == t2:
             return t1
-        key = (t1, t2)
-        lbl = routers.get(key)
+        lbl = routers.get((t1, t2))
         if lbl is None:
-            lbl = namer.fresh(f"r{len(routers)}")
-            routers[key] = lbl
-            router_blocks.append(Block(lbl, [
-                Instr("br", "i1", None, (Reg(fsel),), succs=(t1, t2))]))
-            stats["glue"] += 1
+            lbl = routers[(t1, t2)] = namer.fresh(f"r{len(routers)}")
+            router_blocks.append(Block(lbl, [branch(t1, t2)]))
         return lbl
 
     def emit_mux(slot_ty: str, o1, o2) -> Reg:
+        nonlocal mux_selects
         res = namer.fresh("sel")
         cur.append(Instr("select", slot_ty, res, (Reg(fsel), o1, o2)))
-        stats["glue"] += 1
-        stats["mux"] += 1
+        mux_selects += 1
         return Reg(res)
 
+    rt1 = f1.register_types()
     callee_params = {name: fn.params for name, fn in m.functions.items()}
 
     for w, e in enumerate(entries):
         if w in block_label:
             if blocks and not (cur and cur[-1].is_terminator()):
-                close_fallthrough(w)
-            open_block(block_label[w])
-        if e.kind == "gap2":
-            ins = s1[e.i1]
-            ops = tuple(_map_side(o, name1_of) for o in ins.operands)
-            succs = tuple(target1(t) for t in ins.succs)
-            cur.append(Instr(ins.op, ins.ty,
-                             name1_of(ins.result) if ins.result else None,
-                             ops, succs=succs, callee=ins.callee,
-                             pred=ins.pred, cast_to=ins.cast_to))
-            stats["parent"] += 1
-        elif e.kind == "gap1":
-            ins = s2[e.i2]
-            ops = tuple(_map_side(o, name2_of) for o in ins.operands)
-            succs = tuple(target2(t) for t in ins.succs)
-            cur.append(Instr(ins.op, ins.ty,
-                             name2_of(ins.result) if ins.result else None,
-                             ops, succs=succs, callee=ins.callee,
-                             pred=ins.pred, cast_to=ins.cast_to))
-            stats["parent"] += 1
+                # route the fallthrough to each side's next instruction
+                n1, n2 = a.next_at(w), b.next_at(w)
+                assert n1 is not None or n2 is not None, "fallthrough off the weave"
+                cur.append(branch(block_label[n2 if n1 is None else n1],
+                                  block_label[n1 if n2 is None else n2]))
+            cur = []
+            blocks.append(Block(block_label[w], cur))
+        if e.kind != "aligned":
+            s, i = (a, e.i1) if e.i1 is not None else (b, e.i2)
+            ins = s.lin.instrs[i]
+            ops = tuple(map(s.operand, ins.operands))
+            cur.append(replace(
+                ins, result=s.name(ins.result) if ins.result else None,
+                operands=ops, succs=tuple(target(s, t) for t in ins.succs)))
+            continue
+        x, y = lin1.instrs[e.i1], lin2.instrs[e.i2]
+        slots = operand_slot_types(x, rt1, callee_params.get(x.callee))
+        ops = []
+        for o1, o2, slot_ty in zip(x.operands, y.operands, slots):
+            m1, m2 = a.operand(o1), b.operand(o2)
+            ops.append(m1 if m1 == m2 else emit_mux(slot_ty, m1, m2))
+        if x.op == "br":
+            cur.append(Instr("br", "i1", None, (ops[0],), succs=tuple(
+                router(target(a, t1), target(b, t2))
+                for t1, t2 in zip(x.succs, y.succs))))
+        elif x.op == "jmp":
+            cur.append(branch(target(a, x.succs[0]), target(b, y.succs[0])))
         else:
-            a, b = s1[e.i1], s2[e.i2]
-            slots = operand_slot_types(a, rt1, callee_params.get(a.callee))
-            ops = []
-            for o1, o2, slot_ty in zip(a.operands, b.operands, slots):
-                m1 = _map_side(o1, name1_of)
-                m2 = _map_side(o2, name2_of)
-                ops.append(m1 if m1 == m2 else emit_mux(slot_ty, m1, m2))
-            if a.op == "br":
-                tthen = router(target1(a.succs[0]), target2(b.succs[0]))
-                telse = router(target1(a.succs[1]), target2(b.succs[1]))
-                cur.append(Instr("br", "i1", None, (ops[0],),
-                                 succs=(tthen, telse)))
-            elif a.op == "jmp":
-                t1, t2 = target1(a.succs[0]), target2(b.succs[0])
-                if t1 == t2:
-                    cur.append(Instr("jmp", succs=(t1,)))
-                else:
-                    cur.append(Instr("br", "i1", None, (Reg(fsel),),
-                                     succs=(t1, t2)))
-            else:
-                if a.result is not None and w in needs_copy:
-                    # the pair's results could not be coalesced; route the
-                    # value through selects that leave the inactive side's
-                    # register untouched (it may be shared with live state
-                    # of the other parent)
-                    m1 = name1_of(a.result)
-                    m2 = name2_of(b.result)
-                    rty = a.result_type()
-                    if partner1.get(a.result) is not None:
-                        # m1 is shared with a different side-2 register, so
-                        # even the primary write must be conditional
-                        t = namer.fresh("t")
-                        cur.append(Instr(a.op, a.ty, t, tuple(ops),
-                                         callee=a.callee, pred=a.pred,
-                                         cast_to=a.cast_to))
-                        cur.append(Instr("select", rty, m1,
-                                         (Reg(fsel), Reg(t), Reg(m1))))
-                        cur.append(Instr("select", rty, m2,
-                                         (Reg(fsel), Reg(m2), Reg(t))))
-                        stats["glue"] += 2
-                    else:
-                        cur.append(Instr(a.op, a.ty, m1, tuple(ops),
-                                         callee=a.callee, pred=a.pred,
-                                         cast_to=a.cast_to))
-                        cur.append(Instr("select", rty, m2,
-                                         (Reg(fsel), Reg(m2), Reg(m1))))
-                        stats["glue"] += 1
-                else:
-                    res = name1_of(a.result) if a.result else None
-                    cur.append(Instr(a.op, a.ty, res, tuple(ops),
-                                     callee=a.callee, pred=a.pred,
-                                     cast_to=a.cast_to))
-            stats["parent"] += 1
+            res = a.name(x.result) if x.result else None
+            if w not in needs_copy:
+                cur.append(replace(x, result=res, operands=tuple(ops)))
+                continue
+            # the pair's results could not be coalesced; route the value
+            # through selects that leave the inactive side's register
+            # untouched (it may be shared with live state of the other
+            # parent). When res is shared with a different side-2
+            # register, even the primary write must be conditional.
+            res2, rty = b.name(y.result), x.result_type()
+            out = namer.fresh("t") if x.result in a.partner else res
+            cur.append(replace(x, result=out, operands=tuple(ops)))
+            if out != res:
+                cur.append(Instr("select", rty, res,
+                                 (Reg(fsel), Reg(out), Reg(res))))
+            cur.append(Instr("select", rty, res2,
+                             (Reg(fsel), Reg(res2), Reg(out))))
 
     blocks.extend(router_blocks)
 
     # --- entry block --------------------------------------------------------
-    e1w, e2w = lab1[f1.entry], lab2[f2.entry]
+    e1w, e2w = a.at[f1.entry], b.at[f2.entry]
     if not (e1w == 0 and e2w == 0):
         elbl = namer.fresh("entry")
-        t1, t2 = block_label[e1w], block_label[e2w]
-        if t1 == t2:
-            ein = Instr("jmp", succs=(t1,))
-        else:
-            ein = Instr("br", "i1", None, (Reg(fsel),), succs=(t1, t2))
-        blocks.insert(0, Block(elbl, [ein]))
-        stats["glue"] += 1
+        blocks.insert(0, Block(elbl, [branch(block_label[e1w],
+                                             block_label[e2w])]))
 
     merged = Function(f"m.{name1}.{name2}", params, f1.ret, blocks,
                       provenance="merged")
@@ -597,14 +524,9 @@ def merge_functions(m: Module, name1: str, name2: str,
     needed = {r for _, r in unassigned_uses(merged)}
     if needed:
         reg_types = merged.register_types()
-        inits = [Instr("const", reg_types[r], r, (zero_literal(reg_types[r]),))
-                 for r in sorted(needed) if r in reg_types]
-        merged.blocks[0].instrs[0:0] = inits
-        stats["glue"] += len(inits)
-
-    mf = MergedFunction(merged, (name1, name2), alignment,
-                        parent_instrs=stats["parent"], glue=stats["glue"],
-                        mux_selects=stats["mux"], arg_plan=arg_plan)
+        merged.blocks[0].instrs[0:0] = [
+            Instr("const", reg_types[r], r, (zero_literal(reg_types[r]),))
+            for r in sorted(needed) if r in reg_types]
 
     # only the new body needs checking: its callees are the parents' callees,
     # so under a fresh name it cannot close a call cycle
@@ -612,13 +534,8 @@ def merge_functions(m: Module, name1: str, name2: str,
     check_function(merged, m, diags)
     if diags:
         raise MergeRejected("merged body failed validation: " + "; ".join(diags))
-    return mf
-
-
-def _map_side(o, namer_fn):
-    if isinstance(o, Reg):
-        return Reg(namer_fn(o.name))
-    return o
+    return MergedFunction(merged, (name1, name2), alignment, mux_selects,
+                          arg_plan)
 
 
 def best_alignment(m: Module, name1: str, name2: str,
@@ -642,43 +559,33 @@ def best_alignment(m: Module, name1: str, name2: str,
 # Differential verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrialPlan:
-    scalars: tuple
-    regions: tuple[bytes, ...]
+REGION_SIZE = 64   # bytes of each ptr argument's random region
 
 
-def _random_bytes(rng: random.Random, n: int) -> bytes:
-    """n bytes drawn as rng.randrange(256) draws each: the top 9 bits of a
-    32-bit output, redrawn while >= 256. Outputs come in rounds of as many
-    as bytes are missing, so the stream and the final rng state match."""
-    lanes = int.from_bytes(b"\xff\x01\0\0" * n, "little")   # 9 bits a word
-    out = b""
-    while len(out) < n:
-        k = n - len(out)   # getrandbits puts the first output lowest
-        top9 = (rng.getrandbits(32 * k) >> 23) & lanes
-        points = codecs.utf_32_le_decode(top9.to_bytes(4 * k, "little"))[0]
-        out += points.encode("latin-1", "ignore")   # drops those >= 256
-    return out
-
-
-def _plan_trial(params: list[tuple[str, str]], rng: random.Random,
-                region_size: int = 64) -> TrialPlan:
-    scalars = []
-    regions = []
+def _draw_trial(params: list[tuple[str, str]], rng: random.Random
+                ) -> tuple[bytes, list]:
+    """One trial's heap template and arguments, drawn in parameter order.
+    A ptr gets the address of a fresh REGION_SIZE-byte region, laid out as
+    an Arena lays regions out (one after another from REGION_BASE); each
+    region byte is drawn as randrange(256) draws it, from 9 random bits
+    redrawn while >= 256, so the stream and the final rng state match."""
+    heap, args = bytearray(REGION_BASE), []
     for _, ty in params:
         if ty == "ptr":
-            regions.append(_random_bytes(rng, region_size))
-            scalars.append(None)
+            args.append(len(heap))
+            while len(heap) < args[-1] + REGION_SIZE:
+                byte = rng.getrandbits(9)
+                if byte < 256:
+                    heap.append(byte)
         elif ty == "i1":
-            scalars.append(rng.randrange(2))
+            args.append(rng.randrange(2))
         elif ty == "i64":
-            scalars.append(rng.randrange(0, 9))
+            args.append(rng.randrange(0, 9))
         elif ty == "i32":
-            scalars.append(rng.randrange(-64, 65))
+            args.append(rng.randrange(-64, 65))
         else:
-            scalars.append(round(rng.uniform(-8.0, 8.0), 3))
-    return TrialPlan(tuple(scalars), tuple(regions))
+            args.append(round(rng.uniform(-8.0, 8.0), 3))
+    return bytes(heap), args
 
 
 def _trial_plans(memo: dict, seed: int, trials: int,
@@ -686,26 +593,18 @@ def _trial_plans(memo: dict, seed: int, trials: int,
                  params2: list[tuple[str, str]]) -> list[list]:
     """Both sides' trials as (plan id, heap template, arguments) lists,
     drawn once per memo and pair of parameter-type signatures: side 2's
-    draws continue side 1's stream. Plans with equal content (floats by bit
-    pattern, so -0.0 and 0.0 differ) share an id."""
+    draws continue side 1's stream. Plans with equal arguments (floats by
+    bit pattern, so -0.0 and 0.0 differ) and equal templates share an id."""
     key = (seed, trials) + tuple(tuple(ty for _, ty in ps)
                                  for ps in (params1, params2))
     if key not in memo:
         rng, ids = random.Random(seed), memo.setdefault("plan ids", {})
-        sides = [[(_plan_trial(ps, rng), ps) for _ in range(trials)]
-                 for ps in (params1, params2)]
-        memo[key] = [[(ids.setdefault((tuple(map(_canon, p.scalars)),
-                                       p.regions), len(ids)), *_layout(p, ps))
-                      for p, ps in side] for side in sides]
+        memo[key] = [[(ids.setdefault((tuple(map(_canon, args)), heap),
+                                      len(ids)), heap, args)
+                      for heap, args in (_draw_trial(ps, rng)
+                                         for _ in range(trials))]
+                     for ps in (params1, params2)]
     return memo[key]
-
-
-def _layout(plan: TrialPlan, params: list[tuple[str, str]]):
-    """The plan's heap template and arguments (a ptr gets its region's)."""
-    arena, regions = Arena(), iter(plan.regions)
-    args = [arena.add_region(f"rg{k}", next(regions)) if ty == "ptr" else s
-            for k, ((_, ty), s) in enumerate(zip(params, plan.scalars))]
-    return bytes(arena.data), args
 
 
 def _run(mach: _Machine, fname: str, template: bytes, args: list, fuel: int):

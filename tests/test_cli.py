@@ -114,6 +114,14 @@ def test_exit_codes(tmp_path, capsys):
         assert f"config key {line.split()[0]}: unknown opcode" in (
             capsys.readouterr().err)
         assert not out.with_suffix(".csv").exists()
+    # negative cycle counts used to give a negative software time
+    cfg.write_text("sw.add = -1000\nsw.mul = -1000\n")
+    assert main(["dse", "--config", str(cfg), "--model", str(BUNDLED_MODEL),
+                 "--budget", "6000", "--mode", "FE", POLY_IR, POLY_HEAP,
+                 "-o", str(out)]) == 2
+    assert "sw.add must be non-negative, got -1000" in capsys.readouterr().err
+    assert not out.with_suffix(".csv").exists()
+    assert not out.with_suffix(".json").exists()
     # a dataset row of the wrong width used to be broadcast into a score
     data = tmp_path / "short.csv"
     data.write_text("name," + ",".join(OPCODES) + ",target_luts\n"
@@ -124,6 +132,17 @@ def test_exit_codes(tmp_path, capsys):
         assert main(args) == 2
         assert f"{data}:2: expected {len(OPCODES) + 2} fields, got 3" in (
             capsys.readouterr().err)
+    assert not (tmp_path / "m.txt").exists()
+    # a nan target used to score r2 nan, and training fitted on it
+    data.write_text("name," + ",".join(OPCODES) + ",target_luts\n"
+                    + "".join(f"a{i}," + ",".join(["1"] * len(OPCODES))
+                              + f",{'nan' if i == 3 else 100 + i}\n"
+                              for i in range(30)))
+    for args in (["eval", "--model", str(BUNDLED_MODEL), "--test", str(data)],
+                 ["train", "--model", "lasso", "--dataset", str(data),
+                  "-o", str(tmp_path / "m.txt")]):
+        assert main(args) == 2
+        assert f"{data}:5: non-finite value" in capsys.readouterr().err
     assert not (tmp_path / "m.txt").exists()
 
 
@@ -386,10 +405,13 @@ def test_config_file_exits_2_or_reaches_pipeline(lines):
             code = main(["dse", "--config", str(cfg), POLY_IR, POLY_HEAP,
                          "-o", str(Path(tmp) / "report")])
         except _Reached as e:
-            # an accepted config carries only opcodes in its cycle tables
+            # an accepted config carries only opcodes in its cycle tables,
+            # each with a non-negative cycle count
             accepted = e.args[0]
             assert (set(accepted.sw_table) == set(accepted.hw_table)
                     == set(OPCODES))
+            assert min(accepted.sw_table.values()) >= 0
+            assert min(accepted.hw_table.values()) >= 0
             return
         assert code == 2
         assert sorted(p.name for p in Path(tmp).iterdir()) == ["run.cfg"]

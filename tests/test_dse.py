@@ -313,12 +313,11 @@ def test_non_finite_values_rejected(corpus, area_model, monkeypatch):
 
 
 def test_no_trials_or_seeds_rejected():
-    # zero trials verified every merge vacuously; zero seeds gave no alignment
-    for key in ("verify_trials", "seeds"):
-        for bad in (0, -3):
-            with pytest.raises(IRError, match=f"{key} must be at least 1"):
-                PipelineConfig(**{key: bad})
-    assert PipelineConfig(verify_trials=1, seeds=1).verify_trials == 1
+    # zero trials verified every merge vacuously (zero seeds: test_merge)
+    for bad in (0, -3):
+        with pytest.raises(IRError, match="verify_trials must be at least 1"):
+            PipelineConfig(verify_trials=bad)
+    assert PipelineConfig(verify_trials=1).verify_trials == 1
 
 def test_solver_status_reaches_report(corpus, area_model, monkeypatch):
     name, m, img = _corpus_subset(corpus, ["poly"])[0]

@@ -6,11 +6,11 @@ import pytest
 from mergedse import merge
 from mergedse.analysis import extract_loops, rank_pairs
 from mergedse.ir import (
-    Function, Instr, IRError, Lit, interpret, parse_module, print_function,
+    Arena, Function, Instr, IRError, Lit, interpret, parse_module, print_function,
     print_module, structurally_equal, validate_module,
 )
 from mergedse.merge import (
-    MergeRejected, _compatible, _plan_trial, align, best_alignment,
+    MergeRejected, _compatible, _draw_trial, align, best_alignment,
     default_weights, linearize, merge_functions, merge_parameters, seed_pairs,
     verify_merge,
 )
@@ -205,7 +205,8 @@ def test_self_merge_structure(pair_module):
     mf = merge_functions(m, "sel_a", "twin")
     assert mf.alignment.aligned_fraction == 1.0
     assert mf.mux_selects == 0
-    assert mf.glue == 0
+    # no glue: one merged instruction per alignment entry
+    assert mf.function.size() == len(mf.alignment.entries)
     f = mf.function
     assert f.params[-1][1] == "i1"
     stripped = Function(f.name, f.params[:-1], f.ret, f.blocks, f.provenance)
@@ -287,10 +288,12 @@ def test_instruction_reuse_accounting(pair_module, corpus):
             continue
         size1 = m.functions[n1].size()
         size2 = m.functions[n2].size()
-        assert mf.function.size() == mf.parent_instrs + mf.glue
-        assert mf.parent_instrs <= size1 + size2
+        # one parent instruction per alignment entry, glue on top of them
+        parent_instrs = len(mf.alignment.entries)
+        assert mf.function.size() >= parent_instrs
+        assert parent_instrs <= size1 + size2
         if mf.alignment.aligned_count > 0:
-            assert mf.parent_instrs < size1 + size2
+            assert parent_instrs < size1 + size2
 
 
 def test_verify_detects_corrupted_merge(pair_module):
@@ -340,7 +343,7 @@ def test_corpus_pairs_verify(corpus):
 
 
 def _plan_trial_reference(params, rng, region_size=64):
-    """_plan_trial as first written: randrange(256) per region byte."""
+    """Trial drawing as first written: randrange(256) per region byte."""
     scalars, regions = [], []
     for _, ty in params:
         if ty == "ptr":
@@ -358,7 +361,7 @@ def _plan_trial_reference(params, rng, region_size=64):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2027])
-def test_plan_trial_keeps_the_randrange_stream(seed):
+def test_plan_trial_keeps_the_randrange_stream(seed, monkeypatch):
     param_lists = [
         [],
         [("p", "ptr")],
@@ -368,12 +371,18 @@ def test_plan_trial_keeps_the_randrange_stream(seed):
     ]
     for params in param_lists:
         for size in (1, 64, 300):
+            monkeypatch.setattr(merge, "REGION_SIZE", size)
             new, old = random.Random(seed), random.Random(seed)
             for _ in range(4):
-                plan = _plan_trial(params, new, size)
+                heap, args = _draw_trial(params, new)
                 scalars, regions = _plan_trial_reference(params, old, size)
-                assert list(plan.scalars) == scalars
-                assert list(plan.regions) == regions
+                # the reference plan laid out by a fresh Arena
+                arena, regions = Arena(), iter(regions)
+                want = [arena.add_region(f"r{k}", next(regions))
+                        if ty == "ptr" else s
+                        for k, ((_, ty), s) in enumerate(zip(params, scalars))]
+                assert args == want
+                assert heap == bytes(arena.data)
                 assert new.getstate() == old.getstate()
 
 
@@ -459,12 +468,12 @@ def test_trial_plans_drawn_once_per_signature_pair(corpus, monkeypatch):
         except MergeRejected:
             continue
     draws = []
-    plan_trial = merge._plan_trial
+    draw_trial = merge._draw_trial
 
     def counted(params, rng):
         draws.append(params)
-        return plan_trial(params, rng)
-    monkeypatch.setattr(merge, "_plan_trial", counted)
+        return draw_trial(params, rng)
+    monkeypatch.setattr(merge, "_draw_trial", counted)
 
     def signature(name):
         return tuple(ty for _, ty in m.functions[name].params)

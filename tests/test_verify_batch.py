@@ -29,33 +29,24 @@ def _reference(m, n1, n2, mf, fuel):
     mm = Module({**m.functions, mname: mf.function}, m.entry)
     prog = Program(mm, footprints=False)
     rng = random.Random(SEED)
-    sides = [[merge._plan_trial(mm.functions[n].params, rng)
+    sides = [[merge._draw_trial(mm.functions[n].params, rng)
               for _ in range(TRIALS)] for n in (n1, n2)]
 
-    def materialize(plan, params):
-        arena, regions, args = Arena(), iter(plan.regions), []
-        for k, ((_, ty), s) in enumerate(zip(params, plan.scalars)):
-            args.append(arena.add_region(f"r{k}", next(regions))
-                        if ty == "ptr" else s)
-        return arena, args
-
-    def run(fname, arena, args):
+    def run(fname, template, args):
+        arena = Arena()
+        arena.data[:] = template   # a fresh arena holding the plan's regions
         try:
             r = interpret(prog, fname, args, arena, fuel=fuel)
         except InterpError as e:
             return ("error:" + e.kind, None, None)
         return ("ok", merge._canon(r.value), r.heap)
 
-    initial = [bytes(materialize(plan, mm.functions[n].params)[0].data)
-               for n, plans in zip((n1, n2), sides) for plan in plans]
+    initial = [template for plans in sides for template, _ in plans]
     outcomes = []
     for side, pname, plans in zip((1, 2), (n1, n2), sides):
-        params = mm.functions[pname].params
-        for plan in plans:
-            arena_p, args_p = materialize(plan, params)
-            arena_m, _ = materialize(plan, params)
-            out_p = run(pname, arena_p, args_p)
-            out_m = run(mname, arena_m, mf.args_for(side, args_p))
+        for template, args_p in plans:
+            out_p = run(pname, template, args_p)
+            out_m = run(mname, template, mf.args_for(side, args_p))
             outcomes.append((out_p, out_m))
             if out_p != out_m:
                 return VerifyReport(
