@@ -247,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("program")
     sp.add_argument("inputs", nargs="+", help="heap image files")
     sp.add_argument("--budgets", default=None,
-                    help="comma-separated LUT budgets (default: preset grid)")
+                    help="comma-separated LUT budgets or preset names "
+                         "(default: preset grid)")
     sp.add_argument("--latencies", default=None)
     sp.add_argument("--bandwidths", default=None)
     sp.add_argument("--modes", default=None,
@@ -407,17 +408,19 @@ def _cmd_dse(args, tables):
 
 
 def _split_list(text, conv):
-    return [conv(part) for part in text.split(",")] if text else None
+    # None (no flag) takes the presets; "" is an empty list, which sweep rejects
+    parts = text.split(",") if text else []
+    return None if text is None else [conv(p) for p in parts]
 
 
 def _cmd_sweep(args, tables):
     cfg = _tool_config(args, tables)
-    m, images = _load_program(args)
-    model = _load_or_train_model(args)
-    budgets = _split_list(args.budgets, float)
+    budgets = _split_list(args.budgets, _budget_value)
     latencies = _split_list(args.latencies, int)
     bandwidths = _split_list(args.bandwidths, _parse_bandwidth)
     modes = _split_list(args.modes, str)
+    m, images = _load_program(args)
+    model = _load_or_train_model(args)
     # no budget anywhere means scalability analysis over the preset grids
     if budgets is None and args.budget is not None:
         budgets = [args.budget]

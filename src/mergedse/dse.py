@@ -18,7 +18,7 @@ from .cost import (
     estimate_costs, estimate_profitability, load_model, merged_cost,
     synthetic_dataset, train_mlp,
 )
-from .ir import HeapImage, IRError, Module, Trace, run_heap_image
+from .ir import HeapImage, IRError, Module, Program, Trace, run_heap_image
 from .merge import MergeRejected, merge_functions, verify_merge
 from .partition import (
     BANDWIDTH_ZERO, PartitionSolution, build_problem, solve,
@@ -118,7 +118,8 @@ class DseReport:
 
 @dataclass
 class Prepared:
-    """Mode-level pipeline state shared by every sweep point."""
+    """Mode-level pipeline state shared by every sweep point. Its trace holds
+    footprints (`edge_bytes`) only when a finite bandwidth reads them."""
     module: Module
     trace: Trace
     costs: dict[str, CostEstimate]
@@ -142,10 +143,10 @@ def default_model(seed: int = DEFAULT_DATASET_SEED):
     return train_mlp(X[:split], y[:split], seed=seed)
 
 
-def _profile(m: Module, images: list[HeapImage]) -> Trace:
+def _profile(m: Module, images: list[HeapImage], footprints: bool) -> Trace:
     trace = Trace()
     for img in images:
-        trace.merge(run_heap_image(m, img).trace)
+        trace.merge(run_heap_image(Program(m, footprints), img).trace)
     return trace
 
 
@@ -166,9 +167,10 @@ def _covered_invocations(name: str, parents, trace) -> int:
 
 def prepare(m: Module, images: list[HeapImage], cfg: PipelineConfig,
             model=None) -> Prepared:
-    """Run the mode's transform + profile + merge + cost stages once."""
+    """Run the mode's transform + profile + merge + cost stages once.
+    Footprints are profiled only when a finite `cfg.bandwidth` reads them."""
     work = extract_loops(m) if cfg.mode.startswith("FLE") else m.clone()
-    trace = _profile(work, images)
+    trace = _profile(work, images, cfg.bandwidth != float("inf"))
     if model is None:
         model = default_model(cfg.seed)
 
@@ -298,7 +300,8 @@ def sweep(m: Module, images: list[HeapImage], cfg: PipelineConfig,
           bandwidths: list[float] | None = None,
           modes: list[str] | None = None,
           model=None, program: str = "program") -> list[DseReport]:
-    """Cartesian product over (mode, budget, latency, bandwidth)."""
+    """Cartesian product over (mode, budget, latency, bandwidth). Footprints
+    are profiled if a bandwidth is finite: only a finite one reads them."""
     for lst in (budgets, latencies, bandwidths, modes):
         if lst is not None and not lst:
             raise IRError("sweep parameter lists must be non-empty")
@@ -315,7 +318,10 @@ def sweep(m: Module, images: list[HeapImage], cfg: PipelineConfig,
 
     out: list[DseReport] = []
     for mode in modes:
-        mcfg = PipelineConfig(**{**cfg.__dict__, "mode": mode})
+        # min(bandwidths) is finite if any bandwidth is, so prepare records
+        # footprints exactly when some point reads them
+        mcfg = PipelineConfig(**{**cfg.__dict__, "mode": mode,
+                                 "bandwidth": min(bandwidths)})
         prep = prepare(m, images, mcfg, model)
         for b in budgets:
             for l in latencies:
@@ -330,15 +336,12 @@ def sweep(m: Module, images: list[HeapImage], cfg: PipelineConfig,
 # Report emission
 # ---------------------------------------------------------------------------
 
-def _fmt_bw(bw: float) -> str:
-    return "inf" if bw == float("inf") else repr(float(bw))
-
-
 def reports_to_csv(reports: list[DseReport]) -> str:
     lines = [CSV_HEADER]
     for r in reports:
         lines.append(",".join([
-            r.mode, repr(float(r.budget)), str(r.latency), _fmt_bw(r.bandwidth),
+            r.mode, repr(float(r.budget)), str(r.latency),
+            repr(float(r.bandwidth)),   # repr(inf) is "inf"
             repr(float(r.objective)), repr(r.speedup), repr(float(r.area_used)),
             repr(r.comm_pct), str(r.n_merged_selected)]))
     return "\n".join(lines) + "\n"

@@ -8,7 +8,7 @@ image start at REGION_BASE. The observable heap image is the region area.
 
 Interpretation also collects a Trace: per-function dynamic opcode counts
 (own and whole-call-extent), the dynamic call matrix, per-call-edge data
-footprints in bytes (profiling only, see below), and the total dynamic
+footprints in bytes (if recorded, see below), and the total dynamic
 instruction count.
 
 Execution runs on a `Program`, a module decoded once: each function is
@@ -39,7 +39,8 @@ only as repr() strings, literals only as frame slots.
 `_Machine.run` is the one run path: `interpret` checks and coerces its
 arguments and runs once on a fresh machine; verification runs all trials of
 a call on one machine, which keeps its calling contexts and sets only heap
-and fuel per run, on `Program(m, footprints=False)` (no footprints).
+and fuel per run. Footprints are recorded only when a finite bandwidth reads
+them: never in verification, in profiling only for one (`dse.prepare`).
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class Trace:
     counts: dict[str, dict[str, int]] = field(default_factory=dict)
     hier_counts: dict[str, dict[str, int]] = field(default_factory=dict)
     calls: dict[tuple[str, str], int] = field(default_factory=dict)
-    edge_bytes: dict[tuple[str, str], int] = field(default_factory=dict)
+    # None when the run recorded no footprints (see Program)
+    edge_bytes: dict[tuple[str, str], int] | None = field(default_factory=dict)
     invocations: dict[str, int] = field(default_factory=dict)
     total: int = 0
 
@@ -90,7 +92,10 @@ class Trace:
         for fn, ops in other.hier_counts.items():
             _add_counts(self.hier_counts.setdefault(fn, {}), ops)
         _add_counts(self.calls, other.calls)
-        _add_counts(self.edge_bytes, other.edge_bytes)
+        if self.edge_bytes is None or other.edge_bytes is None:
+            self.edge_bytes = None   # a sum with an unrecorded part
+        else:
+            _add_counts(self.edge_bytes, other.edge_bytes)
         _add_counts(self.invocations, other.invocations)
         self.total += other.total
         return self
@@ -425,9 +430,10 @@ class Program:
     """A module decoded for execution. Functions are decoded on first call,
     and again if their Function object in `module` is replaced. Each gathers
     heat over every run on the Program and turns hot at HOT_MULTIPLE times
-    its size; no output depends on the tier. With `footprints=False` loads
-    and stores record no touched addresses and traces leave `edge_bytes`
-    empty; everything else is the same."""
+    its size; no output depends on the tier. Footprints are for a finite
+    bandwidth only: with `footprints=False` loads and stores record no
+    touched addresses and traces mark `edge_bytes` as not recorded (None);
+    everything else is the same."""
 
     def __init__(self, m: Module, footprints: bool = True):
         self.module = m
@@ -482,7 +488,7 @@ class _Machine:
         return ctx.fn.run(self, ctx, args)[0]
 
     def trace(self) -> Trace:
-        tr = Trace()
+        tr = Trace(edge_bytes={} if self.prog.footprints else None)
         for ctx in self.contexts:
             fn, name = ctx.fn, ctx.fn.name
             own: dict[str, int] = {}
@@ -694,8 +700,11 @@ class HeapImage:
         return arena, args
 
 
-def run_heap_image(m: Module, image: HeapImage, entry: str | None = None,
+def run_heap_image(m: Module | Program, image: HeapImage,
+                   entry: str | None = None,
                    fuel: int = DEFAULT_FUEL) -> ExecResult:
-    entry = entry or m.entry
-    arena, args = image.instantiate(m.functions[entry])
+    """`interpret` (Module or Program) on the arena and args `image` binds."""
+    mod = m.module if isinstance(m, Program) else m
+    entry = entry or mod.entry
+    arena, args = image.instantiate(mod.functions[entry])
     return interpret(m, entry, args, arena, fuel)

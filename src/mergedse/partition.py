@@ -139,8 +139,11 @@ def build_problem(m, costs, trace, merge_parents: dict[str, tuple[str, str]],
     hw = {n: as_fraction(costs[n].own_hw) for n in names}
     area = {n: float(costs[n].own_area) for n in names}
     calls = dict(trace.calls) if trace is not None else {}
-    bytes_ = ({k: as_fraction(v) for k, v in trace.edge_bytes.items()}
-              if trace is not None else {})
+    edge_bytes = trace.edge_bytes if trace is not None else {}
+    if edge_bytes is None and as_fraction(bandwidth) != INF_BANDWIDTH:
+        raise PartitionError(f"bandwidth {bandwidth} prices data footprints, "
+                             "and the trace recorded none")
+    bytes_ = {k: as_fraction(v) for k, v in (edge_bytes or {}).items()}
     return PartitionProblem(
         names=names, sw=sw, hw=hw, area=area,
         callees={n: set(cg.callees(n)) for n in names},

@@ -144,6 +144,28 @@ def test_exit_codes(tmp_path, capsys):
         assert main(args) == 2
         assert f"{data}:5: non-finite value" in capsys.readouterr().err
     assert not (tmp_path / "m.txt").exists()
+    # an empty sweep list used to fall back to the preset grid (or, for
+    # --modes, to all four modes)
+    sweep_cmd = ["sweep", "--model", str(BUNDLED_MODEL), POLY_IR, POLY_HEAP,
+             "-o", str(out)]
+    for lists in (["--budgets", "", "--latencies", "", "--bandwidths", "",
+                   "--modes", "FE"],
+                  ["--budgets", "", "--modes", "FE"],
+                  ["--latencies", "", "--modes", "FE"],
+                  ["--bandwidths", "", "--modes", "FE"],
+                  ["--budgets", "6000", "--latencies", "25",
+                   "--bandwidths", "inf", "--modes", ""]):
+        assert main(sweep_cmd + lists) == 2
+        assert "sweep parameter lists must be non-empty" in (
+            capsys.readouterr().err)
+        assert not out.with_suffix(".csv").exists()
+    # --budgets takes the preset names --budget takes
+    assert main(sweep_cmd + ["--budgets", "artix-z7007s,6000",
+                             "--latencies", "25", "--bandwidths", "inf",
+                             "--modes", "FE"]) == 0
+    rows = out.with_suffix(".csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["14400.0", "6000.0"]
+    assert main(sweep_cmd + ["--budgets", "artix-nosuch", "--modes", "FE"]) == 2
 
 
 def _malformed_model(tmp_path, case):

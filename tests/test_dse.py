@@ -354,3 +354,89 @@ def test_pipeline_config_validation():
         PipelineConfig(mode="FE+Magic")
     with pytest.raises(Exception, match="non-negative"):
         PipelineConfig(area_budget=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# Footprints are profiled only when a finite bandwidth reads them
+# ---------------------------------------------------------------------------
+
+def test_infinite_bandwidth_reports_equal_profiling_with_footprints(
+        corpus, area_model, monkeypatch):
+    # every corpus program and mode at infinite bandwidth, as `mergedse dse`
+    # runs them: CSV and JSON equal a run whose profiles record footprints
+    def reports():
+        return [run_pipeline(m, [img], PipelineConfig(mode=mode),
+                             model=area_model, program=name)
+                for name, m, img in corpus for mode in MODES]
+    lean = reports()
+    asked, program = [], dse.Program
+
+    def forced(m, footprints):
+        asked.append(footprints)
+        return program(m, True)
+    monkeypatch.setattr(dse, "Program", forced)
+    full = reports()
+    assert len(asked) == len(corpus) * len(MODES) and not any(asked)
+    assert reports_to_csv(lean) == reports_to_csv(full)
+    assert reports_to_json(lean) == reports_to_json(full)
+
+
+def test_sweep_with_a_finite_bandwidth_keeps_footprints(corpus, area_model,
+                                                        monkeypatch):
+    # one finite bandwidth in the list: each mode's profile records
+    # footprints, and every row equals its own run_pipeline call
+    name, m, img = _corpus_subset(corpus, ["histo"])[0]
+    cfg = PipelineConfig(**FAST)
+    preps, real = [], dse.prepare
+
+    def kept(*args, **kw):
+        preps.append(real(*args, **kw))
+        return preps[-1]
+    monkeypatch.setattr(dse, "prepare", kept)
+    reports = sweep(m, [img], cfg, budgets=[2000, 20000], latencies=[25],
+                    bandwidths=[float("inf"), 1e9],
+                    modes=["FE", "FLE+Merging"], model=area_model,
+                    program=name)
+    assert len(preps) == 2
+    assert all(any(p.trace.edge_bytes.values()) for p in preps)
+    singles = [run_pipeline(m, [img], PipelineConfig(**{
+        **cfg.__dict__, "mode": r.mode, "area_budget": r.budget,
+        "latency": r.latency, "bandwidth": r.bandwidth}),
+        model=area_model, program=name) for r in reports]
+    assert ([report_to_dict(r) for r in reports]
+            == [report_to_dict(r) for r in singles])
+    # the bytes are priced: a finite bandwidth costs more somewhere
+    pairs = list(zip(reports[::2], reports[1::2]))
+    assert all(r.bandwidth == float("inf") and s.bandwidth == 1e9
+               for r, s in pairs)
+    assert any(s.objective > r.objective for r, s in pairs)
+
+
+def test_prepare_at_infinite_bandwidth_records_no_footprints(
+        corpus, area_model, monkeypatch):
+    from mergedse.ir import interp
+    from mergedse.partition import PartitionError
+    decoded, init = [], interp._Decoded.__init__
+
+    def spy(self, f, footprints):
+        init(self, f, footprints)
+        decoded.append(self)
+    monkeypatch.setattr(interp._Decoded, "__init__", spy)
+    name, m, img = _corpus_subset(corpus, ["histo"])[0]
+    preps = {}
+    for bw in (float("inf"), 1e9):
+        decoded.clear()
+        cfg = PipelineConfig(mode="FLE+Merging", bandwidth=bw, **FAST)
+        preps[bw] = prepare(m, [img], cfg, model=area_model)
+        # a decoded load or store records its address only if `touches`
+        assert any(fn.touches for fn in decoded) == (bw != float("inf"))
+    assert preps[float("inf")].trace.edge_bytes is None
+    assert any(preps[1e9].trace.edge_bytes.values())
+    # unrecorded bytes are never priced as zero
+    cfg = PipelineConfig(mode="FLE+Merging", **FAST)
+    with pytest.raises(PartitionError, match="footprints"):
+        partition_point(preps[float("inf")], cfg, 2000.0, 25, 1e9)
+    sol, _ = partition_point(preps[float("inf")], cfg, 2000.0, 25,
+                             float("inf"))
+    assert sol.objective == partition_point(preps[1e9], cfg, 2000.0, 25,
+                                            float("inf"))[0].objective

@@ -5,7 +5,8 @@ import pytest
 
 from mergedse.ir import (
     Arena, HeapImage, InterpError, IRError, ParseError, Program,
-    ValidationError, interpret, parse_module, print_module, run_heap_image,
+    Trace, ValidationError, interpret, parse_module, print_module,
+    run_heap_image,
 )
 
 from conftest import PAIR_SRC
@@ -259,3 +260,18 @@ def test_outcome_only_program_matches_the_full_path():
             assert no_edges in (None, {}), (case, fuel)
             if edges is not None:   # the full path charges every call edge
                 assert sorted(edges) == sorted(want[5]), (case, fuel)
+
+
+def test_trace_merge_keeps_unrecorded_footprints_unrecorded():
+    # a profile without footprints marks edge_bytes None, and a sum with
+    # such a part is unrecorded too, never a smaller count
+    recorded, lean = Trace(edge_bytes={("f", "g"): 8}), Trace(edge_bytes=None)
+    twice = Trace().merge(recorded).merge(recorded)
+    assert twice.edge_bytes == {("f", "g"): 16}
+    assert Trace().merge(recorded).merge(lean).edge_bytes is None
+    assert Trace().merge(lean).merge(recorded).edge_bytes is None
+    m = parse_module(PAIR_SRC)
+    assert interpret(Program(m, footprints=False), "sel_a",
+                     [2, 3, 1]).trace.edge_bytes is None
+    assert interpret(m, "sel_a", [2, 3, 1]).trace.edge_bytes == {
+        ("sel_a", "helper"): 12}

@@ -494,22 +494,29 @@ def test_verification_decodes_each_function_once_per_memo(corpus, area_model,
                                                            monkeypatch):
     # reduce in FLE+Merging: every module function is decoded once for all
     # of prepare's verify_merge calls (they share one memo); each candidate
-    # once per call, and its decoded code leaves the memo on return
+    # once per call, and its decoded code leaves the memo on return. Only
+    # decodes made inside a verify_merge call count: profiling at infinite
+    # bandwidth decodes without footprints too
     from mergedse import dse
     from mergedse.ir import interp
     m, img = next((m, img) for name, m, img in corpus if name == "reduce")
-    built, calls = [], []
+    built, calls, verifying = [], [], []
     init = interp._Decoded.__init__
 
     def counted(self, f, footprints):
         init(self, f, footprints)
-        if not footprints:
-            built.append((f.name, f, calls[-1] if calls else None))
+        if verifying:
+            assert not footprints
+            built.append((f.name, f, calls[-1]))
     monkeypatch.setattr(interp._Decoded, "__init__", counted)
 
     def checked(work, n1, n2, mf, **kw):
         calls.append(mf.function.name)
-        rep = verify(work, n1, n2, mf, **kw)
+        verifying.append(True)
+        try:
+            rep = verify(work, n1, n2, mf, **kw)
+        finally:
+            verifying.pop()
         assert mf.function.name not in kw["memo"]["program"].decoded
         return rep
     verify = dse.verify_merge
