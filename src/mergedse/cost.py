@@ -438,7 +438,8 @@ def save_model(model, path: str):
 
 def load_model(path: str):
     """Read a file written by `save_model`. A missing field or layer, a bad
-    number, or layer shapes that do not chain raise CostError naming it."""
+    or non-finite number, an xstd entry that is not positive, or layer shapes
+    that do not chain raise CostError naming it."""
     try:
         with open(path) as fh:
             lines = [ln.rstrip("\n") for ln in fh]
@@ -457,7 +458,11 @@ def _model_from_lines(lines: list[str]):
     def vec(text, n):
         v = np.array([float(x) for x in text.split()])
         need(v.size == n, f"expected {n} values, got {v.size}")
+        need(np.isfinite(v).all(), f"non-finite value in {text[:30]!r}")
         return v
+
+    def num(text):
+        return float(vec(text, 1)[0])
 
     fields = {}
     i = 1
@@ -470,18 +475,19 @@ def _model_from_lines(lines: list[str]):
     missing = [k for k in ("kind", "alpha", "features", "xmean", "xstd",
                            "yscale") if k not in fields]
     need(not missing, "missing " + ", ".join(missing))
-    kind, alpha, d = fields["kind"], float(fields["alpha"]), int(fields["features"])
+    kind, alpha, d = fields["kind"], num(fields["alpha"]), int(fields["features"])
     xmean, xstd = vec(fields["xmean"], d), vec(fields["xstd"], d)
+    need((xstd > 0).all(), "xstd entries must be positive")
     ymean, ystd = (float(v) for v in vec(fields["yscale"], 2))
     rest = lines[i:]
     if kind == "lasso":
         kv = dict(ln.split(" ", 1) for ln in rest if ln)
         need("weights" in kv and "intercept" in kv, "missing weights or intercept")
-        return LassoModel(vec(kv["weights"], d), float(kv["intercept"]), alpha,
+        return LassoModel(vec(kv["weights"], d), num(kv["intercept"]), alpha,
                           xmean, xstd, ymean, ystd)
     need(kind == "mlp", f"unknown model kind {kind!r}")
     need(rest and rest[0].startswith("layers "), "missing layers")
-    nlayers = int(rest[0].split()[1])
+    nlayers = int(rest[0].split(" ", 1)[1])
     need(len(rest) >= 1 + 3 * nlayers, f"truncated: {nlayers} layers announced")
     weights, biases = [], []
     rows = d

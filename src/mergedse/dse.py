@@ -317,12 +317,15 @@ def sweep(m: Module, images: list[HeapImage], cfg: PipelineConfig,
         model = default_model(cfg.seed)
 
     out: list[DseReport] = []
+    preps: dict[str, Prepared] = {}   # a repeated mode is prepared once
     for mode in modes:
         # min(bandwidths) is finite if any bandwidth is, so prepare records
         # footprints exactly when some point reads them
         mcfg = PipelineConfig(**{**cfg.__dict__, "mode": mode,
                                  "bandwidth": min(bandwidths)})
-        prep = prepare(m, images, mcfg, model)
+        if mode not in preps:
+            preps[mode] = prepare(m, images, mcfg, model)
+        prep = preps[mode]
         for b in budgets:
             for l in latencies:
                 for bw in bandwidths:

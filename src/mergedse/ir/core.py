@@ -31,6 +31,23 @@ OPCODES = BINOPS_INT + BINOPS_FLOAT + ("icmp", "fcmp", "select") + CASTS + (
 
 OPCODE_INDEX = {op: i for i, op in enumerate(OPCODES)}
 
+# Operand slots of every opcode but call and ret, whose operands follow the
+# callee's parameters and the function's return type. "T" is the
+# instruction's type, "idx" gep's index (an i32 or i64), anything else a
+# fixed type. This is the only listing of operand slots: the parser, the
+# printer, the validator and merged codegen all read it.
+SLOTS = {
+    **dict.fromkeys(BINOPS_INT + BINOPS_FLOAT + ("icmp", "fcmp"), ("T", "T")),
+    "select": ("i1", "T", "T"),
+    **dict.fromkeys(CASTS + ("const",), ("T",)),
+    "load": ("ptr",), "store": ("T", "ptr"), "gep": ("ptr", "idx"),
+    "br": ("i1",), "jmp": (),
+}
+
+# Function provenance -> the keyword after the return type in the text form
+# ("original" has none).
+PROVENANCE_WORDS = {"merged": "merged", "extracted-loop": "extracted_loop"}
+
 
 class IRError(Exception):
     """Base class for all mini-IR errors."""
@@ -84,18 +101,8 @@ class Instr:
 
     def arity(self) -> int | None:
         """Required operand count, or None when it depends on context (call/ret)."""
-        op = self.op
-        if op in BINOPS_INT or op in BINOPS_FLOAT or op in ("icmp", "fcmp"):
-            return 2
-        if op == "select":
-            return 3
-        if op in CASTS or op == "load" or op == "const" or op == "br":
-            return 1
-        if op == "store" or op == "gep":
-            return 2
-        if op == "jmp":
-            return 0
-        return None
+        slots = SLOTS.get(self.op)
+        return None if slots is None else len(slots)
 
 
 def operand_slot_types(ins: Instr, reg_types: dict[str, str],
@@ -106,30 +113,18 @@ def operand_slot_types(ins: Instr, reg_types: dict[str, str],
     `callee_params` is required for call instructions. The gep index slot takes
     the type the operand actually has (i32 or i64 are both accepted).
     """
-    op, ty = ins.op, ins.ty
-    if op in BINOPS_INT or op in BINOPS_FLOAT or op in ("icmp", "fcmp"):
-        return (ty, ty)
-    if op == "select":
-        return ("i1", ty, ty)
-    if op in CASTS:
-        return (ty,)
-    if op == "load":
-        return ("ptr",)
-    if op == "store":
-        return (ty, "ptr")
-    if op == "gep":
-        idx = ins.operands[1]
-        idx_ty = idx.ty if isinstance(idx, Lit) else reg_types.get(idx.name, "i64")
-        return ("ptr", idx_ty)
-    if op == "const":
-        return (ty,)
-    if op == "call":
+    if ins.op == "call":
         return tuple(t for _, t in (callee_params or []))
-    if op == "br":
-        return ("i1",)
-    if op == "ret":
-        return (ty,) if ins.operands else ()
-    return ()
+    if ins.op == "ret":
+        return (ins.ty,) if ins.operands else ()
+
+    def actual(slot, o):
+        if slot == "T":
+            return ins.ty
+        if slot != "idx":
+            return slot
+        return o.ty if isinstance(o, Lit) else reg_types.get(o.name, "i64")
+    return tuple(map(actual, SLOTS.get(ins.op, ()), ins.operands))
 
 
 @dataclass
@@ -271,5 +266,5 @@ __all__ = [
     "ICMP_PREDS", "FCMP_PREDS",
     "IRError", "Reg", "Lit", "Operand", "Instr", "Block", "Function", "Module",
     "clone_function", "zero_literal", "wrap_int", "structurally_equal",
-    "operand_slot_types",
+    "operand_slot_types", "SLOTS", "PROVENANCE_WORDS",
 ]

@@ -60,6 +60,9 @@ REGION_BASE = SCRATCH_BASE + SCRATCH_SIZE
 
 DEFAULT_FUEL = 10 ** 8
 
+# The most bytes the regions of one heap image may hold together (16 MiB).
+MAX_HEAP_BYTES = 1 << 24
+
 
 class InterpError(IRError):
     def __init__(self, kind: str, message: str):
@@ -131,11 +134,9 @@ def _coerce_arg(value, ty: str):
         if not isinstance(value, (int, float)):
             raise InterpError("type", f"argument {value!r} is not a float")
         return float(value)
-    if ty == "ptr":
-        return int(value)
     if not isinstance(value, int):
         raise InterpError("type", f"argument {value!r} is not an integer")
-    return wrap_int(int(value), ty)
+    return int(value) if ty == "ptr" else wrap_int(value, ty)
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +625,7 @@ class HeapImage:
         arg <index> = <literal | region-name>
 
     Hex shorter than the declared length is zero-padded; comments start
-    with ';'.
+    with ';'. The regions of one image hold at most MAX_HEAP_BYTES in all.
     """
 
     regions: list[tuple[str, bytes]] = field(default_factory=list)
@@ -634,48 +635,52 @@ class HeapImage:
     def parse(cls, text: str) -> "HeapImage":
         img = cls()
         names = set()
+        room = MAX_HEAP_BYTES
         for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split(";", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "region":
-                if len(parts) not in (3, 4):
-                    raise IRError(f"heap image line {lineno}: "
-                                  "expected 'region <name> <len> [<hex>]'")
-                name, ln = parts[1], int(parts[2])
-                if ln < 0:
-                    raise IRError(f"heap image line {lineno}: negative region length {ln}")
-                content = bytes.fromhex(parts[3]) if len(parts) == 4 else b""
-                if len(content) > ln:
-                    raise IRError(f"heap image line {lineno}: hex longer than region")
-                if name in names:
-                    raise IRError(f"heap image line {lineno}: duplicate region {name}")
-                names.add(name)
-                img.regions.append((name, content + bytes(ln - len(content))))
-            elif parts[0] == "arg":
-                if len(parts) != 4 or parts[2] != "=":
-                    raise IRError(f"heap image line {lineno}: "
-                                  "expected 'arg <index> = <value>'")
-                idx, val = int(parts[1]), parts[3]
-                if idx in img.args:
-                    raise IRError(f"heap image line {lineno}: duplicate arg {idx}")
-                if val in names:
-                    img.args[idx] = val
-                elif val == "true":
-                    img.args[idx] = 1
-                elif val == "false":
-                    img.args[idx] = 0
-                elif val == "null":
-                    img.args[idx] = 0
-                else:
-                    try:
-                        img.args[idx] = int(val)
-                    except ValueError:
-                        img.args[idx] = float(val)
-            else:
-                raise IRError(f"heap image line {lineno}: unknown directive {parts[0]!r}")
+            try:
+                room -= img._directive(raw.split(";", 1)[0].split(), names, room)
+            except ValueError as e:   # a bad number, hex string or directive
+                raise IRError(f"heap image line {lineno}: {e}") from None
         return img
+
+    def _directive(self, parts: list[str], names: set, room: int) -> int:
+        """Apply one line's directive, allocating at most `room` bytes;
+        return the bytes it allocated."""
+        if not parts:
+            return 0
+        if parts[0] == "region":
+            if len(parts) not in (3, 4):
+                raise ValueError("expected 'region <name> <len> [<hex>]'")
+            name, ln = parts[1], int(parts[2])
+            if ln < 0:
+                raise ValueError(f"negative region length {ln}")
+            if ln > room:
+                raise ValueError(f"regions exceed {MAX_HEAP_BYTES} bytes")
+            content = bytes.fromhex(parts[3]) if len(parts) == 4 else b""
+            if len(content) > ln:
+                raise ValueError("hex longer than region")
+            if name in names:
+                raise ValueError(f"duplicate region {name}")
+            names.add(name)
+            self.regions.append((name, content + bytes(ln - len(content))))
+            return ln
+        if parts[0] != "arg":
+            raise ValueError(f"unknown directive {parts[0]!r}")
+        if len(parts) != 4 or parts[2] != "=":
+            raise ValueError("expected 'arg <index> = <value>'")
+        idx, val = int(parts[1]), parts[3]
+        if idx in self.args:
+            raise ValueError(f"duplicate arg {idx}")
+        if val in names:
+            self.args[idx] = val
+        elif val in ("true", "false", "null"):
+            self.args[idx] = int(val == "true")
+        else:
+            try:
+                self.args[idx] = int(val)
+            except ValueError:
+                self.args[idx] = float(val)
+        return 0
 
     def instantiate(self, f: Function) -> tuple[Arena, list]:
         """Build an arena and the bound argument list for function `f`."""

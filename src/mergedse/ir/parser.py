@@ -3,10 +3,23 @@
 Grammar sketch (comments start with ';' and run to end of line):
 
     module   := function*
-    function := "func" "@" name "(" [param ("," param)*] ")" "->" rettype "{" block+ "}"
+    function := "func" "@" name "(" [param ("," param)*] ")" "->" rettype
+                [provenance] "{" block+ "}"
     param    := "%" name ":" type
     block    := label ":" instr+
     type     := "i1" | "i32" | "i64" | "f64" | "ptr"
+    instr    := ["%" name "="] opcode [pred] [type] [","] slots [labels] ["to" type]
+              | ["%" name "="] "call" (type | "void") "@" name "(" [operand ("," operand)*] ")"
+              | "ret" [[type] operand]
+
+`SLOTS` (core.py) gives the operand slots of every opcode but call and ret,
+and slots and labels are comma-separated. Only load has the comma before
+its slots, only casts the "to" type, and only br and jmp have labels (and
+no type). In a non-void function `ret` takes one operand, optionally after
+its type. A literal fits a slot as `_Parser.literal` says; call arguments
+are typed by the callee's parameters once every function is known. The
+validator owns every other rule: predicates, types, and which opcodes
+write a register.
 
 Instruction forms:
 
@@ -29,12 +42,13 @@ Instruction forms:
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 from .core import (
-    BINOPS_FLOAT, BINOPS_INT, FCMP_PREDS, ICMP_PREDS, TYPE_TAGS,
-    Block, Function, Instr, IRError, Lit, Module, Reg, wrap_int,
+    CASTS, PROVENANCE_WORDS, SLOTS, TYPE_TAGS, Block, Function, Instr, IRError,
+    Lit, Module, Reg, wrap_int,
 )
-from .validate import CAST_PAIRS, validate_module
+from .validate import validate_module
 
 
 class ParseError(IRError):
@@ -45,44 +59,36 @@ class ParseError(IRError):
         self.col = col
 
 
+# One match per token: the blanks and comments before it, then the token.
+# `bad` and `eof` leave no text unmatched, so the greedy prefix is never
+# given back (a trailing blank may add a second eof token, which nothing
+# reads).
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>;[^\n]*)
-  | (?P<float>-?\d+\.\d*(?:[eE][+-]?\d+)?|-?\d+[eE][+-]?\d+)
-  | (?P<int>-?\d+)
-  | (?P<reg>%[A-Za-z0-9_.]+)
-  | (?P<gname>@[A-Za-z_][A-Za-z0-9_.]*)
-  | (?P<word>[A-Za-z_][A-Za-z0-9_.]*)
-  | (?P<punct>->|[(){}:,=])
+    (?:[ \t\r\n]|;[^\n]*)*
+    (?:(?P<float>-?\d+\.\d*(?:[eE][+-]?\d+)?|-?\d+[eE][+-]?\d+)
+     | (?P<int>-?\d+)
+     | (?P<reg>%[A-Za-z0-9_.]+)
+     | (?P<gname>@[A-Za-z_][A-Za-z0-9_.]*)
+     | (?P<word>[A-Za-z_][A-Za-z0-9_.]*)
+     | (?P<punct>->|[(){}:,=])
+     | (?P<bad>.)
+     | (?P<eof>\Z))
 """, re.VERBOSE)
 
+# br and jmp are written without a type and end in successor labels:
+# opcode -> (the instruction's type, number of labels)
+_BRANCHES = {"br": ("i1", 2), "jmp": (None, 1)}
 
-def _tokenize(text: str):
-    tokens = []
-    pos, line, col = 0, 1, 1
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, value, line, col))
-        nl = value.count("\n")
-        if nl:
-            line += nl
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(("eof", "", line, col))
-    return tokens
+# The type of a literal token before it meets a slot (a call argument).
+_OWN_TYPE = {"int": "i64", "float": "f64", "true": "i1", "false": "i1",
+             "null": "ptr"}
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.text = text
+        self.toks = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+                     for m in _TOKEN_RE.finditer(text)]
         self.i = 0
 
     def peek(self):
@@ -93,19 +99,23 @@ class _Parser:
         self.i += 1
         return t
 
-    def error(self, message):
-        _, value, line, col = self.peek()
+    def error(self, message, tok=None):
+        kind, value, pos = tok or self.peek()
+        line = self.text.count("\n", 0, pos) + 1
+        col = pos - self.text.rfind("\n", 0, pos)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", line, col)
         got = repr(value) if value else "end of input"
         raise ParseError(f"{message}, got {got}", line, col)
 
     def expect(self, kind, value=None):
-        k, v, _, _ = self.peek()
+        k, v, _ = self.peek()
         if k != kind or (value is not None and v != value):
             self.error(f"expected {value or kind}")
         return self.next()
 
     def accept(self, kind, value=None):
-        k, v, _, _ = self.peek()
+        k, v, _ = self.peek()
         if k == kind and (value is None or v == value):
             return self.next()
         return None
@@ -122,7 +132,9 @@ class _Parser:
         if not funcs:
             self.error("expected at least one function")
         entry = "main" if "main" in funcs else next(iter(funcs))
-        return Module(funcs, entry)
+        m = Module(funcs, entry)
+        self.type_call_literals(m)
+        return m
 
     def function(self) -> Function:
         self.expect("word", "func")
@@ -142,11 +154,8 @@ class _Parser:
             ret = "void"
         else:
             ret = self.type_tag()
-        provenance = "original"
-        if self.accept("word", "merged"):
-            provenance = "merged"
-        elif self.accept("word", "extracted_loop"):
-            provenance = "extracted-loop"
+        provenance = next((p for p, word in PROVENANCE_WORDS.items()
+                           if self.accept("word", word)), "original")
         self.expect("punct", "{")
         blocks = []
         while not self.accept("punct", "}"):
@@ -154,7 +163,7 @@ class _Parser:
         return Function(name, params, ret, blocks, provenance)
 
     def type_tag(self) -> str:
-        k, v, _, _ = self.peek()
+        k, v, _ = self.peek()
         if k == "word" and v in TYPE_TAGS:
             return self.next()[1]
         self.error("expected a type (i1/i32/i64/f64/ptr)")
@@ -165,227 +174,105 @@ class _Parser:
         instrs = []
         while True:
             instrs.append(self.instr(ret))
-            k, v, _, _ = self.peek()
+            k, v, _ = self.peek()
             # a new label or '}' closes the block; the validator checks that a
             # terminator is actually present (and unique, and last)
             if v == "}" or (k == "word" and self.toks[self.i + 1][1] == ":"):
                 return Block(label, instrs)
 
-    def operand(self, ty: str) -> Reg | Lit:
-        k, v, line, col = self.peek()
-        if k == "reg":
-            self.next()
-            return Reg(v[1:])
-        if k == "int":
-            self.next()
-            if ty == "f64":
-                return Lit(float(v), ty)
-            if ty == "ptr":
-                return Lit(int(v), ty)
-            if ty not in ("i1", "i32", "i64"):
-                raise ParseError(f"integer literal for non-integer type {ty}", line, col)
-            return Lit(wrap_int(int(v), ty), ty)
-        if k == "float":
-            self.next()
-            if ty != "f64":
-                raise ParseError(f"float literal for type {ty}", line, col)
-            return Lit(float(v), ty)
-        if k == "word" and v in ("true", "false"):
-            self.next()
-            if ty != "i1":
-                raise ParseError(f"boolean literal for type {ty}", line, col)
-            return Lit(1 if v == "true" else 0, ty)
-        if k == "word" and v == "null":
-            self.next()
-            if ty != "ptr":
-                raise ParseError(f"null literal for type {ty}", line, col)
-            return Lit(0, ty)
-        self.error("expected an operand")
+    def literal(self, tok, ty: str | None) -> Lit:
+        """The literal token `tok` denotes in a slot of type `ty`. Integers
+        fit every slot, wrapping to integer widths; floats fit only f64,
+        true/false only i1 and null only ptr. An "idx" slot (gep's index)
+        takes integers as i64; `ty` None means the token's own type."""
+        kind, text, _ = tok
+        want = ty or _OWN_TYPE.get(text) or _OWN_TYPE.get(kind)
+        if kind == "int" and want != "f64":
+            try:
+                value = int(text)
+            except ValueError:   # more digits than int() converts
+                self.error("integer literal too long", tok)
+            if want == "ptr":
+                return Lit(value, want)
+            want = "i64" if want == "idx" else want
+            return Lit(wrap_int(value, want), want)
+        if kind in ("int", "float") and want == "f64":
+            return Lit(float(text), want)
+        if text in ("true", "false", "null") and _OWN_TYPE[text] == want:
+            return Lit(int(text == "true"), want)
+        what = {None: "an operand", "idx": "a register or an integer"}
+        self.error("expected " + what.get(ty, f"an operand of type {ty}"), tok)
+
+    def operand(self, ty: str | None):
+        """A register, or a literal for a slot of type `ty`. A call argument
+        (`ty` None) keeps a literal's token until its callee is known."""
+        tok = self.next()
+        if tok[0] == "reg":
+            return Reg(tok[1][1:])
+        lit = self.literal(tok, ty)
+        return tok if ty is None else lit
 
     def instr(self, ret: str) -> Instr:
-        k, v, line, col = self.peek()
-
-        if k == "word" and v == "br":
-            self.next()
-            cond = self.operand("i1")
-            self.expect("punct", ",")
-            t = self.expect("word")[1]
-            self.expect("punct", ",")
-            f = self.expect("word")[1]
-            return Instr("br", "i1", None, (cond,), succs=(t, f))
-        if k == "word" and v == "jmp":
-            self.next()
-            t = self.expect("word")[1]
-            return Instr("jmp", None, None, (), succs=(t,))
-        if k == "word" and v == "ret":
-            self.next()
-            if ret == "void":
-                return Instr("ret", None, None, ())
-            # canonical form carries the return type: `ret i32 %r`
-            nk, nv, nl, nc = self.peek()
-            if nk == "word" and nv in TYPE_TAGS:
-                if nv != ret:
-                    raise ParseError(f"ret type {nv} does not match function type {ret}", nl, nc)
-                self.next()
-            val = self.operand(ret)
-            return Instr("ret", ret, None, (val,))
-        if k == "word" and v == "store":
-            self.next()
-            ty = self.type_tag()
-            val = self.operand(ty)
-            self.expect("punct", ",")
-            ptr = self.operand("ptr")
-            return Instr("store", ty, None, (val, ptr))
-        if k == "word" and v == "call":
-            self.next()
-            return self.call(None)
-        if k == "reg":
+        result = None
+        if self.peek()[0] == "reg":
             result = self.next()[1][1:]
             self.expect("punct", "=")
-            return self.rhs(result)
-        self.error("expected an instruction")
-
-    def call(self, result: str | None) -> Instr:
-        if self.accept("word", "void"):
-            ty = "void"
-        else:
-            ty = self.type_tag()
-        callee = self.expect("gname")[1][1:]
-        self.expect("punct", "(")
-        args = []
-        if not self.accept("punct", ")"):
-            while True:
-                args.append(self.raw_operand())
-                if self.accept("punct", ")"):
-                    break
-                self.expect("punct", ",")
-        res = result if ty != "void" else None
-        if result is not None and ty == "void":
-            self.error("void call cannot produce a result")
-        return Instr("call", ty, res, tuple(args), callee=callee)
-
-    def raw_operand(self) -> Reg | Lit:
-        """Call argument: type checked later against the callee signature."""
-        k, v, line, col = self.peek()
-        if k == "reg":
-            self.next()
-            return Reg(v[1:])
-        if k == "int":
-            self.next()
-            return Lit(int(v), "i64")       # width refined by the validator
-        if k == "float":
-            self.next()
-            return Lit(float(v), "f64")
-        if k == "word" and v in ("true", "false"):
-            self.next()
-            return Lit(1 if v == "true" else 0, "i1")
-        if k == "word" and v == "null":
-            self.next()
-            return Lit(0, "ptr")
-        self.error("expected a call argument")
-
-    def rhs(self, result: str) -> Instr:
-        k, v, line, col = self.peek()
-        if k != "word":
-            self.error("expected an opcode")
-        op = v
-
-        if op in BINOPS_INT or op in BINOPS_FLOAT:
-            self.next()
-            ty = self.type_tag()
-            a = self.operand(ty)
-            self.expect("punct", ",")
-            b = self.operand(ty)
-            return Instr(op, ty, result, (a, b))
-        if op in ("icmp", "fcmp"):
-            self.next()
-            preds = ICMP_PREDS if op == "icmp" else FCMP_PREDS
-            pk, pv, pl, pc = self.peek()
-            if pk != "word" or pv not in preds:
-                self.error(f"expected a {op} predicate ({'/'.join(preds)})")
-            self.next()
-            ty = self.type_tag()
-            a = self.operand(ty)
-            self.expect("punct", ",")
-            b = self.operand(ty)
-            return Instr(op, ty, result, (a, b), pred=pv)
-        if op == "select":
-            self.next()
-            ty = self.type_tag()
-            c = self.operand("i1")
-            self.expect("punct", ",")
-            a = self.operand(ty)
-            self.expect("punct", ",")
-            b = self.operand(ty)
-            return Instr("select", ty, result, (c, a, b))
-        if op in CAST_PAIRS:
-            self.next()
-            src = self.type_tag()
-            val = self.operand(src)
-            self.expect("word", "to")
-            dst = self.type_tag()
-            if (src, dst) not in CAST_PAIRS[op]:
-                raise ParseError(f"invalid cast {op} {src} to {dst}", line, col)
-            return Instr(op, src, result, (val,), cast_to=dst)
-        if op == "load":
-            self.next()
-            ty = self.type_tag()
-            self.expect("punct", ",")
-            ptr = self.operand("ptr")
-            return Instr("load", ty, result, (ptr,))
-        if op == "gep":
-            self.next()
-            ty = self.type_tag()
-            base = self.operand("ptr")
-            self.expect("punct", ",")
-            idx = self.raw_operand()
-            if isinstance(idx, Lit):
-                idx = Lit(int(idx.value), "i64")
-            return Instr("gep", ty, result, (base, idx))
-        if op == "const":
-            self.next()
-            ty = self.type_tag()
-            val = self.operand(ty)
-            if not isinstance(val, Lit):
-                self.error("const takes a literal")
-            return Instr("const", ty, result, (val,))
+        k, op, _ = self.peek()
+        if k != "word" or op not in SLOTS and op not in ("call", "ret"):
+            self.error("expected an instruction")
+        self.next()
         if op == "call":
-            self.next()
-            return self.call(result)
-        self.error(f"unknown opcode {op!r}")
+            ty = "void" if self.accept("word", "void") else self.type_tag()
+            callee = self.expect("gname")[1][1:]
+            self.expect("punct", "(")
+            args = []
+            while not self.accept("punct", ")"):
+                if args:
+                    self.expect("punct", ",")
+                args.append(self.operand(None))
+            return Instr("call", ty, result, tuple(args), callee=callee)
+        if op == "ret":
+            if ret == "void":
+                return Instr("ret", None, result)
+            ty = self.type_tag() if self.peek()[1] in TYPE_TAGS else ret
+            return Instr("ret", ty, result, (self.operand(ty),))
+        pred = self.expect("word")[1] if op in ("icmp", "fcmp") else None
+        ty, nlabels = _BRANCHES.get(op) or (self.type_tag(), 0)
+        if op == "load":
+            self.expect("punct", ",")
+        slots = SLOTS[op]
+        items = []
+        for n, slot in enumerate(slots + ("label",) * nlabels):
+            if n:
+                self.expect("punct", ",")
+            items.append(self.expect("word")[1] if slot == "label" else
+                         self.operand(ty if slot == "T" else slot))
+        cast_to = None
+        if op in CASTS:
+            self.expect("word", "to")
+            cast_to = self.type_tag()
+        return Instr(op, ty, result, tuple(items[:len(slots)]),
+                     tuple(items[len(slots):]), pred=pred, cast_to=cast_to)
 
-
-def _retype_call_literals(m: Module):
-    """Give call-argument literals the type of the matching callee parameter.
-
-    Bare literals in call argument lists are parsed width-agnostically; once
-    the whole module is known they are coerced to the callee's declared types.
-    """
-    for f in m.functions.values():
-        for b in f.blocks:
-            for i, ins in enumerate(b.instrs):
-                if ins.op != "call" or ins.callee not in m.functions:
-                    continue
-                params = m.functions[ins.callee].params
-                if len(params) != len(ins.operands):
-                    continue  # validator reports the arity mismatch
-                ops = []
-                for o, (_, ty) in zip(ins.operands, params):
-                    if isinstance(o, Lit) and o.ty != ty:
-                        if ty == "f64" and isinstance(o.value, (int, float)):
-                            o = Lit(float(o.value), ty)
-                        elif ty in ("i1", "i32", "i64") and isinstance(o.value, int):
-                            o = Lit(wrap_int(o.value, ty), ty)
-                        elif ty == "ptr" and isinstance(o.value, int):
-                            o = Lit(int(o.value), ty)
-                    ops.append(o)
-                b.instrs[i] = Instr("call", ins.ty, ins.result, tuple(ops),
-                                    callee=ins.callee)
+    def type_call_literals(self, m: Module):
+        """Type each call-argument literal by its callee's parameter; one the
+        validator rejects (unknown callee, wrong arity) keeps its own type."""
+        for f in m.functions.values():
+            for b in f.blocks:
+                for i, ins in enumerate(b.instrs):
+                    if ins.op != "call":
+                        continue
+                    callee = m.functions.get(ins.callee)
+                    tys = [t for _, t in callee.params] if callee else []
+                    if len(tys) != len(ins.operands):
+                        tys = [None] * len(ins.operands)
+                    b.instrs[i] = replace(ins, operands=tuple(
+                        o if isinstance(o, Reg) else self.literal(o, ty)
+                        for o, ty in zip(ins.operands, tys)))
 
 
 def parse_module(text: str) -> Module:
     """Parse mini-IR source into a validated Module."""
     m = _Parser(text).module()
-    _retype_call_literals(m)
     validate_module(m)
     return m

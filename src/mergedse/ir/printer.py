@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .core import BINOPS_FLOAT, BINOPS_INT, CASTS, Function, Instr, Lit, Module, Reg
+from .core import PROVENANCE_WORDS, Function, Instr, Lit, Module, Reg
 
 
 def _lit(o: Lit) -> str:
@@ -10,8 +10,8 @@ def _lit(o: Lit) -> str:
         return "true" if o.value else "false"
     if o.ty == "ptr":
         return "null" if o.value == 0 else str(o.value)
-    if o.ty == "f64":
-        return repr(float(o.value))
+    if o.ty == "f64":   # an infinity is written as a float that overflows
+        return repr(float(o.value)).replace("inf", "1e999")
     return str(o.value)
 
 
@@ -20,42 +20,26 @@ def _op(o) -> str:
 
 
 def print_instr(ins: Instr) -> str:
-    op = ins.op
+    """`[%r =] op [pred] [type][,] operands [labels] [to type]`, the path the
+    parser reads; br and jmp carry no type, and call its own argument list."""
     lhs = f"%{ins.result} = " if ins.result is not None else ""
-    if op in BINOPS_INT or op in BINOPS_FLOAT:
-        return f"{lhs}{op} {ins.ty} {_op(ins.operands[0])}, {_op(ins.operands[1])}"
-    if op in ("icmp", "fcmp"):
-        return (f"{lhs}{op} {ins.pred} {ins.ty} "
-                f"{_op(ins.operands[0])}, {_op(ins.operands[1])}")
-    if op == "select":
-        a, b, c = ins.operands
-        return f"{lhs}select {ins.ty} {_op(a)}, {_op(b)}, {_op(c)}"
-    if op in CASTS:
-        return f"{lhs}{op} {ins.ty} {_op(ins.operands[0])} to {ins.cast_to}"
-    if op == "load":
-        return f"{lhs}load {ins.ty}, {_op(ins.operands[0])}"
-    if op == "store":
-        return f"store {ins.ty} {_op(ins.operands[0])}, {_op(ins.operands[1])}"
-    if op == "gep":
-        return f"{lhs}gep {ins.ty} {_op(ins.operands[0])}, {_op(ins.operands[1])}"
-    if op == "const":
-        return f"{lhs}const {ins.ty} {_op(ins.operands[0])}"
-    if op == "call":
-        args = ", ".join(_op(o) for o in ins.operands)
+    if ins.op == "call":
+        args = ", ".join(map(_op, ins.operands))
         return f"{lhs}call {ins.ty} @{ins.callee}({args})"
-    if op == "br":
-        return f"br {_op(ins.operands[0])}, {ins.succs[0]}, {ins.succs[1]}"
-    if op == "jmp":
-        return f"jmp {ins.succs[0]}"
-    if op == "ret":
-        return f"ret {ins.ty} {_op(ins.operands[0])}" if ins.operands else "ret"
-    raise AssertionError(f"unprintable opcode {op!r}")
+    text = " ".join(filter(None, (ins.op, ins.pred,
+                                  None if ins.succs else ins.ty)))
+    items = ", ".join([*map(_op, ins.operands), *ins.succs])
+    if items:
+        text += (", " if ins.op == "load" else " ") + items
+    if ins.cast_to is not None:
+        text += f" to {ins.cast_to}"
+    return lhs + text
 
 
 def print_function(f: Function) -> str:
     params = ", ".join(f"%{p}: {t}" for p, t in f.params)
-    tag = {"merged": " merged", "extracted-loop": " extracted_loop"}.get(
-        f.provenance, "")
+    word = PROVENANCE_WORDS.get(f.provenance)
+    tag = f" {word}" if word else ""
     lines = [f"func @{f.name}({params}) -> {f.ret}{tag} {{"]
     for b in f.blocks:
         lines.append(f"{b.label}:")

@@ -98,20 +98,16 @@ def _check_instr_shape(f: Function, ins: Instr, reg_types, m: Module, diags):
             return
 
     slots = operand_slot_types(ins, reg_types, callee_params)
+    if ins.op == "gep" and slots[1] not in ("i32", "i64"):
+        diags.append(f"{where}: gep index must be i32 or i64, got {slots[1]}")
     for o, want in zip(ins.operands, slots):
         if isinstance(o, Reg):
             have = reg_types.get(o.name)
             if have is None:
                 continue  # reported by the must-assign pass
-            if ins.op == "gep" and o is ins.operands[1]:
-                if have not in ("i32", "i64"):
-                    diags.append(f"{where}: gep index must be i32 or i64, got {have}")
-                continue
             if have != want:
                 diags.append(f"{where}: operand %{o.name} has type {have}, expected {want}")
         else:
-            if ins.op == "gep" and o is ins.operands[1]:
-                continue
             if o.ty != want:
                 diags.append(f"{where}: literal {o.value!r} has type {o.ty}, expected {want}")
             if o.ty == "i1" and o.value not in (0, 1):

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import tempfile
@@ -276,6 +277,51 @@ def test_hostile_heap_image_exits_2(tmp_path, model_file, capsys, extra,
     assert message in err
     assert "Traceback" not in err
     assert not out.with_suffix(".csv").exists()
+
+
+@pytest.mark.parametrize("heap, message", [
+    ("region buf 99999999999999999999\narg 0 = buf\n",
+     "line 1: regions exceed 16777216 bytes"),
+    ("region buf 16777217\narg 0 = buf\n",
+     "line 1: regions exceed 16777216 bytes"),
+    ("arg 0 = 1e999\n", "argument inf is not an integer"),
+    ("arg 0 = 1.5\n", "argument 1.5 is not an integer"),
+])
+def test_heap_image_numbers_exit_2(tmp_path, model_file, capsys, heap,
+                                   message):
+    # a huge region length overflowed bytes() and 1e999 overflowed int()
+    # (exit 1); 1.5 bound to a ptr parameter silently became address 1
+    path = tmp_path / "bad.heap"
+    path.write_text(heap + "arg 1 = 16\n")
+    out = tmp_path / "dse"
+    assert main(["dse", "--model", model_file, "--budget", "6000", "--mode",
+                 "FE", POLY_IR, str(path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.heap"]
+
+
+@pytest.mark.parametrize("pattern, repl, message", [
+    (r"xstd \S+", "xstd nan", "non-finite value"),
+    (r"(layer 29 \d+\n)\S+", r"\1inf", "non-finite value"),
+    (r"xstd \S+", "xstd 0", "xstd entries must be positive"),
+    (r"xstd \S+", "xstd -1.5", "xstd entries must be positive"),
+])
+def test_non_finite_model_exits_2(tmp_path, capsys, pattern, repl, message):
+    # a NaN weight used to pass the budget check: partition exited 0 with
+    # every function in hardware
+    path = tmp_path / "bad.txt"
+    path.write_text(re.sub(pattern, repl, BUNDLED_MODEL.read_text(), count=1))
+    assert main(["partition", "--model", str(path), "--budget", "6000",
+                 "--mode", "FE", POLY_IR, POLY_HEAP]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: {message}" in err
+    assert "Traceback" not in err
+    out = tmp_path / "dse"
+    assert main(["dse", "--model", str(path), "--budget", "6000", "--mode",
+                 "FE", POLY_IR, POLY_HEAP, "-o", str(out)]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt"]
 
 
 REDUCE_IR = str(corpus_dir() / "reduce.ir")

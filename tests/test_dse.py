@@ -349,6 +349,28 @@ def test_sweep_rejects_empty_lists(corpus, area_model):
         sweep(m, [img], PipelineConfig(**FAST), budgets=[], model=area_model)
 
 
+def test_sweep_prepares_each_distinct_mode_once(corpus, area_model,
+                                                monkeypatch):
+    # a repeated mode was prepared again (2 calls for 4 rows); it still
+    # gives one row per grid point, with the bytes of a single preparation
+    name, m, img = _corpus_subset(corpus, ["poly"])[0]
+    cfg = PipelineConfig(**FAST)
+    modes, real = [], dse.prepare
+
+    def counted(m, images, cfg, model):
+        modes.append(cfg.mode)
+        return real(m, images, cfg, model)
+    monkeypatch.setattr(dse, "prepare", counted)
+    grid = dict(latencies=[25], bandwidths=[float("inf")], model=area_model,
+                program=name)
+    twice = sweep(m, [img], cfg, budgets=[6000, 6000], modes=["FE", "FE"],
+                  **grid)
+    assert modes == ["FE"]
+    once = sweep(m, [img], cfg, budgets=[6000], modes=["FE"], **grid)
+    assert reports_to_csv(twice) == reports_to_csv(once * 4)
+    assert reports_to_json(twice) == reports_to_json(once * 4)
+
+
 def test_pipeline_config_validation():
     with pytest.raises(Exception, match="unknown mode"):
         PipelineConfig(mode="FE+Magic")

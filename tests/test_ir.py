@@ -209,12 +209,25 @@ def test_heap_image_errors():
         HeapImage.parse("region a 1\nregion a 1")
     with pytest.raises(IRError, match="unknown directive"):
         HeapImage.parse("blob a 1")
+    with pytest.raises(IRError, match="line 1: invalid literal for int"):
+        HeapImage.parse("region a b")
+    with pytest.raises(IRError, match="line 2: non-hexadecimal"):
+        HeapImage.parse("region a 1\nregion b 1 zz")
     m = parse_module("func @g(%k: i32, %j: i32) -> i32 { bb0: ret i32 %k }")
     with pytest.raises(IRError, match="missing arg"):
         HeapImage.parse("arg 0 = 5").instantiate(m.functions["g"])
     with pytest.raises(IRError, match="non-ptr"):
         HeapImage.parse("region b 4\narg 0 = b\narg 1 = 2").instantiate(
             m.functions["g"])
+
+
+def test_heap_image_regions_are_bounded_in_all(monkeypatch):
+    # the limit holds for the sum, and is checked before a region is built
+    from mergedse.ir import interp
+    monkeypatch.setattr(interp, "MAX_HEAP_BYTES", 64)
+    assert len(HeapImage.parse("region a 40\nregion b 24").regions) == 2
+    with pytest.raises(IRError, match="line 2: regions exceed 64 bytes"):
+        HeapImage.parse("region a 40\nregion b 25")
 
 
 def test_store_visible_in_region_image():

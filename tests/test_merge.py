@@ -317,6 +317,18 @@ def test_merged_functions_validate_in_module(pair_module):
     assert validate_module(m, raise_on_error=False) == []
 
 
+def test_merged_const_of_a_mux_prints_and_parses_back(corpus):
+    # aligned consts with different literals become `const i32 %mux`, which
+    # the parser used to refuse ("const takes a literal"), so a module
+    # written by `mergedse merge` could not be read back
+    m = next(m for name, m, _ in corpus if name == "checksum").clone()
+    mf = merge_functions(m, "fold_a", "fold_b")
+    assert any(i.op == "const" and not isinstance(i.operands[0], Lit)
+               for i in mf.function.instructions())
+    m.functions[mf.function.name] = mf.function
+    assert parse_module(print_module(m)) == m
+
+
 def test_depth_two_remerge(pair_module):
     m = pair_module.clone()
     mf1 = merge_functions(m, "sel_a", "sel_b")
