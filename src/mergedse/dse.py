@@ -316,22 +316,24 @@ def sweep(m: Module, images: list[HeapImage], cfg: PipelineConfig,
     if model is None:
         model = default_model(cfg.seed)
 
+    # a repeated mode is prepared once and a repeated grid point solved once
     out: list[DseReport] = []
-    preps: dict[str, Prepared] = {}   # a repeated mode is prepared once
-    for mode in modes:
-        # min(bandwidths) is finite if any bandwidth is, so prepare records
-        # footprints exactly when some point reads them
-        mcfg = PipelineConfig(**{**cfg.__dict__, "mode": mode,
-                                 "bandwidth": min(bandwidths)})
+    preps: dict[str, tuple[Prepared, PipelineConfig]] = {}
+    points: dict[tuple, DseReport] = {}
+    for key in product(modes, budgets, latencies, bandwidths):
+        mode, b, l, bw = key
         if mode not in preps:
-            preps[mode] = prepare(m, images, mcfg, model)
-        prep = preps[mode]
-        for b in budgets:
-            for l in latencies:
-                for bw in bandwidths:
-                    sol, problem = partition_point(prep, mcfg, b, l, bw)
-                    out.append(_report_for(prep, mcfg, sol, problem, program,
-                                           b, l, bw))
+            # min(bandwidths) is finite if any bandwidth is, so prepare
+            # records footprints exactly when some point reads them
+            mcfg = PipelineConfig(**{**cfg.__dict__, "mode": mode,
+                                     "bandwidth": min(bandwidths)})
+            preps[mode] = prepare(m, images, mcfg, model), mcfg
+        if key not in points:
+            prep, mcfg = preps[mode]
+            sol, problem = partition_point(prep, mcfg, b, l, bw)
+            points[key] = _report_for(prep, mcfg, sol, problem, program,
+                                      b, l, bw)
+        out.append(points[key])
     return out
 
 

@@ -29,12 +29,13 @@ list; handlers come from one factory per opcode shape, compiled once, so
 decoding runs no `exec`. Once the instructions a function has run in its
 Program, runs that raise included, reach HOT_MULTIPLE times its static
 size, the templates are compiled into one Python function for it, with
-registers as locals and fuel, segment counts, branches and calls inline.
-Later calls enter it, and a cold frame switches into it at its current
-segment, so one long call tiers up too. Heat gates compiling because it
-costs about nine decodes; compiling eagerly slows the many short runs of
-verification. No output depends on the tier. Names reach generated code
-only as repr() strings, literals only as frame slots.
+registers as locals and fuel, segment counts, branches and calls inline;
+one fuel comparison per segment, against the longest segment's length,
+guards the exact check. Later calls enter it, and a cold frame switches
+into it at its current segment, so one long call tiers up too. Heat gates
+compiling because it costs about six decodes; compiling eagerly slows the
+many short runs of verification. No output depends on the tier. Names
+reach generated code only as repr() strings, literals only as frame slots.
 
 `_Machine.run` is the one run path: `interpret` checks and coerces its
 arguments and runs once on a fresh machine; verification runs all trials of
@@ -273,8 +274,8 @@ def _factory(op: str, ty: str, pred, cast_to, touch: bool):
 
 def _hot_source(fn: "_Decoded") -> str:
     """Hot tier: the source of one Python function running all of `fn` from
-    segment i with the registers as locals r<slot>. It charges fuel, counts
-    segment runs and makes calls exactly as _cold does."""
+    segment i with registers as locals r<slot>, charging fuel (one guard at
+    the loop head), counting segment runs and calling as _cold does."""
     out = ["def hot(m, ctx, args, r=frame, i=0):",
            " " + "".join(f"r{k}, " for k in range(len(fn.frame))) + "= r",
            " if args is not None:",
@@ -288,7 +289,8 @@ def _hot_source(fn: "_Decoded") -> str:
     for j, ((s, _), (_, ty)) in enumerate(zip(fn.params, fn.source.params)):
         emit("  ", f"r{s} = conv_{ty}(args[{j}])")
     emit(" ", "fuel, runs, callees = m.fuel, ctx.runs, ctx.callees\n"
-              "while True:")
+              f"while True:\n if fuel < {max(fn.lens)}:\n  if fuel < "
+              f"{tuple(fn.lens)}[i]: exhaust(ctx.fn, i, fuel, locals())")
 
     def segment(k: int, ind: str):
         _, n, end, x, y, z, u, _ = fn.segs[k]
@@ -297,8 +299,7 @@ def _hot_source(fn: "_Decoded") -> str:
                               t=f"r{_TOUCHED[TYPE_WIDTH[s[0].ty]]}",
                               **{f: f"r{o}" for f, o in zip("abc", s[2])})
                 for s in fn.code[k]]
-        emit(ind, f"if fuel < {n}: exhaust(ctx.fn, {k}, fuel, locals())\n"
-                  f"fuel -= {n}\nruns[{k}] += 1")
+        emit(ind, f"fuel -= {n}\nruns[{k}] += 1")
         for c in filter(None, code):
             emit(ind, c)
         if end == _BR:

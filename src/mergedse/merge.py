@@ -566,17 +566,14 @@ def _draw_trial(params: list[tuple[str, str]], rng: random.Random
                 ) -> tuple[bytes, list]:
     """One trial's heap template and arguments, drawn in parameter order.
     A ptr gets the address of a fresh REGION_SIZE-byte region, laid out as
-    an Arena lays regions out (one after another from REGION_BASE); each
-    region byte is drawn as randrange(256) draws it, from 9 random bits
-    redrawn while >= 256, so the stream and the final rng state match."""
+    an Arena lays regions out (one after another from REGION_BASE), filled
+    by one rng.randbytes call: uniform bytes, as randrange(256) per byte
+    would give, from one draw."""
     heap, args = bytearray(REGION_BASE), []
     for _, ty in params:
         if ty == "ptr":
             args.append(len(heap))
-            while len(heap) < args[-1] + REGION_SIZE:
-                byte = rng.getrandbits(9)
-                if byte < 256:
-                    heap.append(byte)
+            heap += rng.randbytes(REGION_SIZE)
         elif ty == "i1":
             args.append(rng.randrange(2))
         elif ty == "i64":

@@ -1,10 +1,24 @@
+import os
 import time
+from pathlib import Path
 
 import pytest
 
 from mergedse.cost import synthetic_dataset, train_mlp
 from mergedse.dse import corpus_programs, default_model
 from mergedse.ir import HeapImage, parse_module
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def src_env() -> dict:
+    """This environment with src first on PYTHONPATH, for subprocesses that
+    run the package (pytest's own `pythonpath` setting reaches only the
+    pytest process)."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+
 
 # The two conditional selectors with a helper tail call, used across suites.
 PAIR_SRC = """

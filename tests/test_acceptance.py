@@ -26,6 +26,7 @@ from mergedse.merge import (
 )
 from mergedse.partition import check_solution, solve, solve_bruteforce
 
+from conftest import src_env
 from test_partition import rand_problem
 
 
@@ -291,7 +292,7 @@ def test_criterion_10_determinism(corpus, model_file, tmp_path):
                 [sys.executable, "-m", "mergedse.cli", "dse",
                  "--model", model_file, "--seed", "7", "--budget", "6000",
                  str(irp), str(hp), "-o", str(out)],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=src_env())
             assert r.returncode == 0, r.stderr
             outs.append((out.with_suffix(".csv").read_bytes(),
                          out.with_suffix(".json").read_bytes()))

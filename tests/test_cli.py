@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import src_env
 import mergedse.cli as cli
 from mergedse.cli import build_parser, main
 from mergedse.ir import OPCODES
@@ -19,7 +20,7 @@ POLY_HEAP = str(corpus_dir() / "poly.heap")
 
 def run_cli(args, **kw):
     return subprocess.run([sys.executable, "-m", "mergedse.cli"] + args,
-                          capture_output=True, text=True, **kw)
+                          capture_output=True, text=True, env=src_env(), **kw)
 
 
 def test_help_lists_documented_flags():

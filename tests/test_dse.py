@@ -351,21 +351,28 @@ def test_sweep_rejects_empty_lists(corpus, area_model):
 
 def test_sweep_prepares_each_distinct_mode_once(corpus, area_model,
                                                 monkeypatch):
-    # a repeated mode was prepared again (2 calls for 4 rows); it still
-    # gives one row per grid point, with the bytes of a single preparation
+    # a repeated mode was prepared again (2 calls for 4 rows) and a
+    # repeated grid point solved again (4 solves); it still gives one row
+    # per grid point, with the bytes of a single preparation and solve
     name, m, img = _corpus_subset(corpus, ["poly"])[0]
     cfg = PipelineConfig(**FAST)
-    modes, real = [], dse.prepare
+    modes, solved, real, real_solve = [], [], dse.prepare, dse.solve
 
     def counted(m, images, cfg, model):
         modes.append(cfg.mode)
         return real(m, images, cfg, model)
+
+    def counted_solve(problem):
+        solved.append(problem.area_budget)
+        return real_solve(problem)
     monkeypatch.setattr(dse, "prepare", counted)
+    monkeypatch.setattr(dse, "solve", counted_solve)
     grid = dict(latencies=[25], bandwidths=[float("inf")], model=area_model,
                 program=name)
     twice = sweep(m, [img], cfg, budgets=[6000, 6000], modes=["FE", "FE"],
                   **grid)
     assert modes == ["FE"]
+    assert solved == [6000]
     once = sweep(m, [img], cfg, budgets=[6000], modes=["FE"], **grid)
     assert reports_to_csv(twice) == reports_to_csv(once * 4)
     assert reports_to_json(twice) == reports_to_json(once * 4)

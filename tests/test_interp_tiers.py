@@ -17,11 +17,11 @@ import struct
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import test_interp_golden as golden_tests
+from conftest import SRC
 from mergedse.ir import (
     Arena, Block, Function, HeapImage, Instr, InterpError, Module,
     Program, Reg, interp, interpret, parse_module, run_heap_image, wrap_int,
@@ -150,6 +150,77 @@ def test_switch_at_every_segment_matches_golden(golden, monkeypatch, case):
                 assert golden_tests._outcome(lambda: run_heap_image(
                     m, img, fuel=fuel)) == fuel_outcomes[fuel], (name, t, fuel)
     assert ran <= switched
+
+
+# Segments: [e + head] of 9 (the jmp continues into head), the unreached
+# [head] alone of 2, [body + head] of 6 and [done] of 2.
+GUARD_SRC = """
+func @main(%p: ptr, %n: i32) -> i32 {
+e:
+  %i = const i32 0
+  %s = const i32 0
+  %q = gep i32 %p, 1
+  %t = load i32, %p
+  %s = add i32 %s, %t
+  %k = mul i32 %n, 3
+  jmp head
+head:
+  %c = icmp slt i32 %i, %n
+  br %c, body, done
+body:
+  %i = add i32 %i, 1
+  %s = add i32 %s, %i
+  store i32 %s, %q
+  jmp head
+done:
+  store i32 %s, %q
+  ret i32 %s
+}
+"""
+
+
+def test_fuel_guard_takes_its_slow_path_and_continues(monkeypatch):
+    # The hot tier compares fuel once per segment against the longest
+    # segment (9); below that it checks the entered segment's own length.
+    m = parse_module(GUARD_SRC)
+
+    def run(tier, fuel):
+        monkeypatch.setattr(interp, "HOT_MULTIPLE", TIERS[tier])
+        prog, arena = Program(m), Arena()
+        p = arena.add_region("r", bytes([5, 0, 0, 0, 0, 0, 0, 0]))
+        try:
+            out = interpret(prog, "main", [p, 2], arena, fuel=fuel).value
+        except InterpError as e:
+            out = f"{e.kind}: {e}"
+        assert {fn.run is not interp._cold
+                for fn in prog.decoded.values()} == {tier == "hot"}
+        return out, arena.region_image()
+
+    assert Program(m).function("main").lens == [9, 2, 6, 2]
+    total = 9 + 2 * 6 + 2
+    outcomes = {f: run("hot", f) for f in range(total + 2)}
+    assert outcomes == {f: run("cold", f) for f in range(total + 2)}
+    exhausted = "fuel: fuel exhausted in @main"
+    # total enters the second [body] with 8 and [done] with exactly 2:
+    # both below 9, neither below its own length, so the run returns
+    assert outcomes[total] == (8, bytes([5, 0, 0, 0, 8, 0, 0, 0]))
+    # one less enters [done] with 1: its store runs, then fuel runs out
+    assert outcomes[total - 1] == (exhausted, bytes([5, 0, 0, 0, 8, 0, 0, 0]))
+    # 17 enters the second [body] with 2: its two adds run, not its store
+    assert outcomes[17] == (exhausted, bytes([5, 0, 0, 0, 6, 0, 0, 0]))
+
+
+def test_hot_sources_have_one_fuel_check(corpus):
+    from mergedse.analysis import extract_loops
+    checked = 0
+    for _, m, _ in corpus:
+        for mm in (m, extract_loops(m)):
+            prog = Program(mm)
+            for f in mm.functions:
+                src = interp._hot_source(prog.function(f))
+                assert src.count("exhaust(") == 1, f
+                checked += 1
+    assert checked > 50
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +440,9 @@ for name, irp, _ in corpus_programs():
 
 
 def test_generated_source_is_independent_of_the_hash_seed():
-    src = str(Path(__file__).resolve().parents[1] / "src")
     outs = [subprocess.run([sys.executable, "-c", _DUMP], capture_output=True,
                            text=True, check=True,
-                           env={"PYTHONPATH": src, "PYTHONHASHSEED": seed}
+                           env={"PYTHONPATH": SRC, "PYTHONHASHSEED": seed}
                            ).stdout for seed in ("1", "2024")]
     assert outs[0] == outs[1]
     assert len(outs[0].splitlines()) > 150

@@ -355,11 +355,11 @@ def test_corpus_pairs_verify(corpus):
 
 
 def _plan_trial_reference(params, rng, region_size=64):
-    """Trial drawing as first written: randrange(256) per region byte."""
+    """Trial drawing, regions apart: one randbytes call per region."""
     scalars, regions = [], []
     for _, ty in params:
         if ty == "ptr":
-            regions.append(bytes(rng.randrange(256) for _ in range(region_size)))
+            regions.append(rng.randbytes(region_size))
             scalars.append(None)
         elif ty == "i1":
             scalars.append(rng.randrange(2))
@@ -373,7 +373,8 @@ def _plan_trial_reference(params, rng, region_size=64):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2027])
-def test_plan_trial_keeps_the_randrange_stream(seed, monkeypatch):
+def test_plan_trial_draws_each_region_with_one_randbytes_call(seed,
+                                                              monkeypatch):
     param_lists = [
         [],
         [("p", "ptr")],
