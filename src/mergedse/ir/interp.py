@@ -36,6 +36,10 @@ into it at its current segment, so one long call tiers up too. Heat gates
 compiling because it costs about six decodes; compiling eagerly slows the
 many short runs of verification. No output depends on the tier. Names
 reach generated code only as repr() strings, literals only as frame slots.
+In both tiers an integer result is wrapped only when it overflows its type,
+fuel passes through calls as an argument and a return value, frame entry
+converts only i1 arguments (the others are canonical already) and a frame
+reads the heap's length once.
 
 `_Machine.run` is the one run path: `interpret` checks and coerces its
 arguments and runs once on a fresh machine; verification runs all trials of
@@ -144,11 +148,12 @@ def _coerce_arg(value, ty: str):
 # Decoding: opcode templates, cold handlers and hot functions
 # ---------------------------------------------------------------------------
 
-# Frame slots before the registers: the heap bytes, then the touched start
-# addresses of this frame's loads and stores, one set per access width.
+# Frame slots before the registers: the heap bytes, the start addresses this
+# frame's loads and stores touched (a set per access width), the heap length.
 _HEAP = 0
 _TOUCHED = {1: 1, 4: 2, 8: 3}
-_RESERVED = 4
+_HLEN = 4
+_RESERVED = 5
 
 # Segment ends.
 _BR, _JMP, _CALL, _RET = range(4)
@@ -159,47 +164,36 @@ _BR, _JMP, _CALL, _RET = range(4)
 HOT_MULTIPLE = 128
 
 
-def _wrapper(ty: str):
-    bits = INT_BITS[ty]
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
-    return lambda v: ((v + half) & mask) - half
-
-
-# Argument conversion on frame entry, as _coerce_arg does for well-typed
-# values (interpret checks the entry arguments' types first).
-_CONVERT = {"i1": _wrapper("i1"), "i32": _wrapper("i32"),
-            "i64": _wrapper("i64"), "f64": float, "ptr": int}
-
-_WRAP = " + {half} & {mask}) - {half}"
+_WRAP = "\nif {d} > {top} or {d} < -{half}: {d} = ({d} + {half} & {mask}) - {half}"
 _DIV = ("x, y = {a}, {b}\nif y == 0: raise InterpError("
         "'div-zero', 'division by zero in @' + {fn})\n"
         "q = abs(x) // abs(y)\nif (x < 0) != (y < 0): q = -q\n")
-_MEM = "if addr < {guard} or addr + {w} > len({H}): oob(addr, {w})\n"
+_MEM = "if addr < {guard} or addr + {w} > {n}: oob(addr, {w})\n"
 
 # Per-opcode source templates, the only implementation of instructions.
-# {d} is the result, {a} {b} {c} the operands, {H} the heap bytes, {t} the
-# touched-address set of the access width and {fn} the function name; the
-# other fields are constants of the instruction's types. Integer results are
-# wrapped like wrap_int: ((v + half) & mask) - half is v's canonical signed
-# representative. Loads decode and stores encode exactly what wrap_int keeps.
+# {d} is the result, {a} {b} {c} the operands, {H} the heap bytes and {n} its
+# length, {t} the touched-address set of the access width and {fn} the
+# function name; the other fields are constants of the instruction's types.
+# Integer results are wrapped like wrap_int, but only outside [-half, top],
+# where wrap_int is the identity. Loads and stores keep what wrap_int keeps.
 _TEMPLATES = {
-    **{op: "{d} = (({a} %s {b})" % sym + _WRAP for op, sym in (
+    **{op: "{d} = {a} %s {b}" % sym + _WRAP for op, sym in (
         ("add", "+"), ("sub", "-"), ("mul", "*"), ("and", "&"), ("or", "|"),
         ("xor", "^"))},
-    "shl": "{d} = (({a} << ({b} & {sh}))" + _WRAP,
-    "ashr": "{d} = (({a} >> ({b} & {sh}))" + _WRAP,
-    "sdiv": _DIV + "{d} = (q" + _WRAP,
-    "srem": _DIV + "{d} = (x - q * y" + _WRAP,
+    "shl": "{d} = {a} << ({b} & {sh})" + _WRAP,
+    "ashr": "{d} = {a} >> ({b} & {sh})" + _WRAP,
+    "sdiv": _DIV + "{d} = q" + _WRAP,
+    "srem": _DIV + "{d} = x - q * y" + _WRAP,
     "fadd": "{d} = {a} + {b}", "fsub": "{d} = {a} - {b}", "fmul": "{d} = {a} * {b}",
     "fdiv": "if {b} == 0.0: raise InterpError("
             "'div-zero', 'float division by zero in @' + {fn})\n{d} = {a} / {b}",
     **dict.fromkeys(("icmp", "fcmp"), "{d} = 1 if {a} {cmp} {b} else 0"),
     "select": "{d} = {b} if {a} else {c}",
     "zext": "{d} = {a} & {mask}",
-    "trunc": "{d} = ({a}" + _WRAP,
+    "trunc": "{d} = {a}" + _WRAP,
     "sitofp": "{d} = float({a})",
     # v - v is nonzero (nan) exactly when v is nan or ±inf
-    "fptosi": "{d} = 0 if {a} - {a} else (int({a})" + _WRAP,
+    "fptosi": "{d} = 0 if {a} - {a} else int({a})" + _WRAP,
     "gep": "{d} = {a} + {b} * {w}",
     "const": "{d} = {a}",
     "load": "addr = {a}\n" + _MEM + "{d} = unpack_{ty}({H}, addr)[0]",
@@ -233,11 +227,9 @@ def _exhaust(fn: "_Decoded", i: int, fuel: int, r: list | dict):
     raise InterpError("fuel", f"fuel exhausted in @{fn.name}")
 
 
-# The generated code's globals: error paths, argument conversions and the
-# heap codecs.
+# The generated code's globals: error paths and the heap codecs.
 _NS = {"InterpError": InterpError, "oob": _oob, "footprint": _footprint,
        "exhaust": _exhaust,
-       **{f"conv_{ty}": f for ty, f in _CONVERT.items()},
        "unpack_i1": lambda data, addr: (-(data[addr] & 1),),
        **{f"unpack_{ty}": struct.Struct(f).unpack_from for ty, f in (
            ("i32", "<i"), ("i64", "<q"), ("ptr", "<Q"), ("f64", "<d"))},
@@ -248,14 +240,14 @@ _NS = {"InterpError": InterpError, "oob": _oob, "footprint": _footprint,
 
 def _source(ins, touch: bool, **fields: str) -> str:
     """Source of one non-call, non-terminator instruction from its template;
-    `fields` spell the slots ({d} {a} {b} {c} {H} {t}) and {fn}. A load or
-    store with `touch` records its start address."""
+    `fields` spell the slots ({d} {a} {b} {c} {H} {n} {t}) and {fn}. A load
+    or store with `touch` records its start address."""
     ty = ins.ty
     bits = INT_BITS.get(ty if ins.op == "zext" else ins.cast_to or ty, 64)
     mask = (1 << bits) - 1
     return (_TEMPLATES[ins.op] + ("\n{t}.add(addr)" if touch else "")).format(
-        **fields, ty=ty, half=1 << (bits - 1), mask=mask, sh=bits - 1,
-        w=TYPE_WIDTH[ty], guard=NULL_GUARD, cmp=_CMP.get(ins.pred),
+        **fields, ty=ty, half=1 << (bits - 1), top=mask >> 1, mask=mask,
+        sh=bits - 1, w=TYPE_WIDTH[ty], guard=NULL_GUARD, cmp=_CMP.get(ins.pred),
         store_mask="" if ty == "f64" else f" & {mask}")
 
 
@@ -264,8 +256,9 @@ def _factory(op: str, ty: str, pred, cast_to, touch: bool):
     """Cold tier: a factory of prebound handlers `h(r)` on the frame list
     for one opcode shape, compiled once from the opcode's template."""
     body = _source(Instr(op, ty, pred=pred, cast_to=cast_to), touch,
-                   d="r[d]", a="r[a]", b="r[b]", c="r[c]", H=f"r[{_HEAP}]",
-                   t=f"r[{_TOUCHED[TYPE_WIDTH[ty]]}]", fn="fn")
+                   d="v", a="r[a]", b="r[b]", c="r[c]", H=f"r[{_HEAP}]",
+                   n=f"r[{_HLEN}]", t=f"r[{_TOUCHED[TYPE_WIDTH[ty]]}]",
+                   fn="fn") + ("" if op == "store" else "\nr[d] = v")
     ns = dict(_NS)
     exec("def make(d, a=None, b=None, c=None, fn=None):\n def h(r):\n  "
          + body.replace("\n", "\n  ") + "\n return h", ns)
@@ -276,27 +269,26 @@ def _hot_source(fn: "_Decoded") -> str:
     """Hot tier: the source of one Python function running all of `fn` from
     segment i with registers as locals r<slot>, charging fuel (one guard at
     the loop head), counting segment runs and calling as _cold does."""
-    out = ["def hot(m, ctx, args, r=frame, i=0):",
+    out = ["def hot(m, ctx, args, fuel, r=frame, i=0):",
            " " + "".join(f"r{k}, " for k in range(len(fn.frame))) + "= r",
            " if args is not None:",
-           "  ctx.visits += 1",
-           "  r0 = m.heap"]
+           "  ctx.visits += 1", f"  r{_HEAP} = m.heap", f"  r{_HLEN} = len(r{_HEAP})"]
 
     def emit(ind: str, text: str):
         out.extend(ind + line for line in text.split("\n"))
     if fn.touches:
         emit("  ", "r1, r2, r3 = set(), set(), set()")
-    for j, ((s, _), (_, ty)) in enumerate(zip(fn.params, fn.source.params)):
-        emit("  ", f"r{s} = conv_{ty}(args[{j}])")
-    emit(" ", "fuel, runs, callees = m.fuel, ctx.runs, ctx.callees\n"
+    emit("  ", "(" + "".join(f"r{s}, " for s in fn.params) + ") = args"
+         + "".join(f"\nr{s} = -(r{s} & 1)" for s in fn.bools))
+    emit(" ", "runs, callees = ctx.runs, ctx.callees\n"
               f"while True:\n if fuel < {max(fn.lens)}:\n  if fuel < "
               f"{tuple(fn.lens)}[i]: exhaust(ctx.fn, i, fuel, locals())")
 
     def segment(k: int, ind: str):
         _, n, end, x, y, z, u, _ = fn.segs[k]
         code = [s and _source(s[0], fn.touches and s[0].op in ("load", "store"),
-                              d=f"r{s[1]}", H=f"r{_HEAP}", fn=repr(fn.name),
-                              t=f"r{_TOUCHED[TYPE_WIDTH[s[0].ty]]}",
+                              d=f"r{s[1]}", H=f"r{_HEAP}", n=f"r{_HLEN}",
+                              fn=repr(fn.name), t=f"r{_TOUCHED[TYPE_WIDTH[s[0].ty]]}",
                               **{f: f"r{o}" for f, o in zip("abc", s[2])})
                 for s in fn.code[k]]
         emit(ind, f"fuel -= {n}\nruns[{k}] += 1")
@@ -308,16 +300,16 @@ def _hot_source(fn: "_Decoded") -> str:
             emit(ind, f"i = {x}")
         elif end == _CALL:
             emit(ind, f"sub = callees.get({x!r}) or m.context({x!r}, ctx)\n"
-                      "m.fuel = fuel\nv, sb = sub.fn.run(m, sub, ["
-                      + ", ".join(f"r{a}" for a in y) + "])\nfuel = m.fuel\n"
-                      + "if sb:\n sub.touched += len(sb)\n"
-                        " if r1 is None: r1 = sb\n else: r1 |= sb\n"
-                      + (f"r{z} = v\n" if z is not None else "") + f"i = {u}")
+                      f"{'_' if z is None else f'r{z}'}, sb, fuel = sub.fn.run("
+                      "m, sub, [" + ", ".join(f"r{a}" for a in y) + "], fuel)\n"
+                      + ("if sb:\n sub.touched += len(sb)\n if r1 is None: "
+                         "r1 = sb\n else: r1 |= sb\n" if fn.footprints else "")
+                      + f"i = {u}")
         else:
-            emit(ind, "m.fuel = fuel\nreturn "
+            emit(ind, "return "
                       + (f"r{x}, " if x is not None else "None, ")
                       + ("footprint(r1, r2, r3) if ctx.parent else r1"
-                         if fn.touches else "r1"))
+                         if fn.touches else "r1") + ", fuel")
 
     def tree(lo: int, hi: int, ind: str):   # dispatch on i by bisection
         if hi - lo == 1:
@@ -343,8 +335,8 @@ class _Decoded:
     instruction with its result and operand slots, for the hot tier."""
 
     def __init__(self, f: Function, footprints: bool):
-        self.name, self.source = f.name, f
-        self.run = _cold   # the tier: run(machine, context, args)
+        self.name, self.source, self.footprints = f.name, f, footprints
+        self.run = _cold   # the tier: run(machine, context, args, fuel)
         self.left = HOT_MULTIPLE * f.size()   # instructions until compiled
         slots: dict[str, int] = {}
         frame: list = [None] * _RESERVED
@@ -358,7 +350,10 @@ class _Decoded:
             frame.append(o.value)
             return len(frame) - 1
 
-        self.params = [(slot(Reg(p)), _CONVERT[ty]) for p, ty in f.params]
+        self.params = [slot(Reg(p)) for p, _ in f.params]
+        # frame entry converts i1 arguments: slots whose last parameter is i1
+        self.bools = [s for s, t in dict(zip(self.params, (
+            t for _, t in f.params))).items() if t == "i1"]
         # every block split after each call: (label, piece) -> segment index
         pieces: dict[str, list[list]] = {}
         for b in f.blocks:
@@ -473,7 +468,7 @@ class _Machine:
 
     def __init__(self, prog: Program):
         self.prog = prog
-        self.heap, self.fuel = bytearray(), 0
+        self.heap = bytearray()
         self.roots: dict[str, _Context] = {}
         self.contexts: list[_Context] = []
 
@@ -485,9 +480,9 @@ class _Machine:
 
     def run(self, entry: str, args: list, heap: bytearray, fuel: int):
         """`entry`'s value on well-typed `args` over `heap` with `fuel`."""
-        self.heap, self.fuel = heap, fuel
+        self.heap = heap
         ctx = self.roots.get(entry) or self.context(entry, None)
-        return ctx.fn.run(self, ctx, args)[0]
+        return ctx.fn.run(self, ctx, args, fuel)[0]
 
     def trace(self) -> Trace:
         tr = Trace(edge_bytes={} if self.prog.footprints else None)
@@ -516,26 +511,28 @@ class _Machine:
         return tr
 
 
-def _cold(m: _Machine, ctx: _Context, args: list):
-    """Run one frame in the cold tier; returns its value and the bytes the
-    frame and its callees touched (None when there are none or none are
-    recorded). A frame whose function turns hot continues in the hot code."""
+def _cold(m: _Machine, ctx: _Context, args: list, fuel: int):
+    """Run one frame in the cold tier; returns its value, the bytes the frame
+    and its callees touched (None when there are none or none are recorded)
+    and the fuel left. A frame whose function turns hot goes on in hot code."""
     fn = ctx.fn
     ctx.visits += 1
     r = fn.frame[:]
-    r[_HEAP] = m.heap
+    r[_HEAP], r[_HLEN] = m.heap, len(m.heap)
     if fn.touches:   # the _TOUCHED slots; width 1 collects callees too
         r[1], r[2], r[3] = set(), set(), set()
-    for (s, conv), a in zip(fn.params, args):
-        r[s] = conv(a)
+    for s, a in zip(fn.params, args):
+        r[s] = a
+    for s in fn.bools:
+        r[s] = -(r[s] & 1)
     reached = r[1]   # bytes this frame and its callees touched
-    segs, runs, fuel, left = fn.segs, ctx.runs, m.fuel, fn.left
+    segs, runs, left = fn.segs, ctx.runs, fn.left
     i = 0
     try:
         while True:
             if left <= 0:
-                fn.left, m.fuel, r[1] = left, fuel, reached
-                return fn.compiled()(m, ctx, None, r, i)
+                fn.left, r[1] = left, reached
+                return fn.compiled()(m, ctx, None, fuel, r, i)
             body, n, end, x, y, z, u, _ = segs[i]
             if fuel < n:
                 _exhaust(fn, i, fuel, r)
@@ -550,9 +547,9 @@ def _cold(m: _Machine, ctx: _Context, args: list):
                 i = x
             elif end == _CALL:
                 sub = ctx.callees.get(x) or m.context(x, ctx)
-                fn.left, m.fuel = left, fuel
-                value, sub_bytes = sub.fn.run(m, sub, [r[s] for s in y])
-                left, fuel = fn.left, m.fuel
+                fn.left = left
+                value, sub_bytes, fuel = sub.fn.run(m, sub, [r[s] for s in y], fuel)
+                left = fn.left
                 if sub_bytes:
                     sub.touched += len(sub_bytes)
                     if reached is None:
@@ -567,11 +564,10 @@ def _cold(m: _Machine, ctx: _Context, args: list):
                 break
     finally:   # a run that raises keeps its heat too
         fn.left = left
-    m.fuel = fuel
     # the entry has no call edge to charge its footprint to
     if fn.touches and ctx.parent is not None:
         _footprint(reached, r[2], r[3])
-    return value, reached
+    return value, reached, fuel
 
 
 class ExecResult:

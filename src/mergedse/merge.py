@@ -636,7 +636,8 @@ def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
 
     Values must be bit-equal (f64 compared by bit pattern) and the observable
     heap images identical; a matching error kind on both sides also counts as
-    agreement. The first counterexample is reported; trials < 1 is an IRError.
+    agreement, unless no parent trial of a side returns. The first
+    counterexample is reported; trials < 1 is an IRError.
 
     The trials of a call run as one batch on one _Machine (the run path of
     `interpret`, without its argument checks: plans are well-typed), which
@@ -675,6 +676,9 @@ def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
                         counterexample=(1 if side == 1 else 0, list(args_p)),
                         detail=f"parent {out_p[0]} value/heap differs from "
                                f"merged {out_m[0]}")
+            if all(memo[pname, fuel, pid][0] != "ok" for pid, _, _ in side_plans):
+                return VerifyReport((name1, name2), mname, trials, False,
+                                    detail=f"side {side} (@{pname}) never returns")
     finally:
         prog.module = m
         prog.decoded.pop(mname, None)

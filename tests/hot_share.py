@@ -6,7 +6,8 @@ every calling context is kept, and when a function switches to the hot
 tier the segment runs its cold-created contexts have made so far are
 counted as cold. Everything a context runs after that, and everything in
 contexts created hot, is hot. Instructions are counted as the fuel charges
-them, errored runs included. Usage:
+them, errored runs included; `compiled` counts the functions that switched
+to the hot tier. Usage:
 
     PYTHONPATH=src python tests/hot_share.py [--seed 7] [WORKLOAD ...]
 """
@@ -30,6 +31,7 @@ class Watch:
         self.contexts = []           # every context, with its function
         self.cold_open = {}          # id(fn) -> contexts created cold
         self.cold = 0                # instructions run cold so far
+        self.compiled = 0            # functions switched to the hot tier
 
     @staticmethod
     def instrs(ctx) -> int:
@@ -49,6 +51,7 @@ class Watch:
 
         def watched_compiled(fn):
             if fn.run is interp._cold:
+                watch.compiled += 1
                 for ctx in watch.cold_open.pop(id(fn), []):
                     watch.cold += watch.instrs(ctx)
             return compiled(fn)
@@ -84,7 +87,7 @@ def main(argv=None) -> int:
                 call(model)
         total, hot = watch.shares()
         print(f"{name:15s} instructions {total:10d}  hot {hot:10d}  "
-              f"share {hot / total:.3f}")
+              f"share {hot / total:.3f}  compiled {watch.compiled:5d}")
     return 0
 
 

@@ -2,10 +2,12 @@
 
 Every golden case runs with the tier forced cold, forced hot from the first
 segment, and (on the all-opcode module) with the switch from cold to hot at
-every segment index; boundary operands of every opcode give the same values
-in both tiers as a wrap_int-based reference; the generated code is the same
-under any hash seed and no IR name can change it. The tier is forced by
-patching the module constant HOT_MULTIPLE.
+every segment index; boundary operands of every opcode, and random wide
+operands of every wrapping opcode, give the same values in both tiers as a
+wrap_int-based reference; call arguments of every type pass through `call`
+alike in both tiers, with only i1 arguments converted; the generated code is
+the same under any hash seed and no IR name can change it. The tier is
+forced by patching the module constant HOT_MULTIPLE.
 """
 
 from __future__ import annotations
@@ -13,12 +15,15 @@ from __future__ import annotations
 import ast
 import json
 import math
+import re
 import struct
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import test_interp_golden as golden_tests
 from conftest import SRC
@@ -26,6 +31,7 @@ from mergedse.ir import (
     Arena, Block, Function, HeapImage, Instr, InterpError, Module,
     Program, Reg, interp, interpret, parse_module, run_heap_image, wrap_int,
 )
+from mergedse.ir.core import INT_BITS
 import test_ir
 from test_interp_golden import GOLDEN, OPS_HEAP, OPS_SRC, _cases, _summary
 
@@ -128,9 +134,9 @@ def test_switch_at_every_segment_matches_golden(golden, monkeypatch, case):
     def spy(fn):
         hot = compiled(fn)
 
-        def enter(mach, ctx, args, r, i):
+        def enter(mach, ctx, args, fuel, r, i):
             switched.add((fn.name, i))
-            return hot(mach, ctx, args, r, i)
+            return hot(mach, ctx, args, fuel, r, i)
         return enter
     monkeypatch.setattr(interp._Decoded, "compiled", spy)
 
@@ -416,6 +422,175 @@ e:
                 assert value == v % 2 ** 64
             else:
                 assert value == wrap_int(v, ty)
+
+
+def _tier_programs(m: Module) -> dict[str, Program]:
+    """A Program per forced tier, with every function decoded (and so its
+    tier fixed) while HOT_MULTIPLE is patched."""
+    progs = {}
+    for tier, multiple in TIERS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(interp, "HOT_MULTIPLE", multiple)
+            progs[tier] = prog = Program(m)
+            for name in m.functions:
+                prog.function(name)
+    return progs
+
+
+# Integer results are wrapped only when they overflow: every opcode that
+# wraps, on each integer type it is defined on, against wrap_int.
+WRAP_CASES = [
+    *[(f"%r = {op} {ty} %a, %b", ty, (ty, ty),
+       lambda a, b, f=f, ty=ty: wrap_int(f(a, b), ty))
+      for ty in ("i32", "i64") for op, f in INT_REF.items()
+      if op not in ("sdiv", "srem")],
+    *[(f"%r = {op} {ty} %a, %b", ty, (ty, ty),
+       lambda a, b, f=INT_REF[op], ty=ty:
+       "div-zero" if b == 0 else wrap_int(f(a, b), ty))
+      for ty in ("i32", "i64") for op in ("sdiv", "srem")],
+    *[(f"%r = {op} {ty} %a, %b", ty, (ty, ty),
+       lambda a, b, f=f, ty=ty: wrap_int(f(a, b % INT_BITS[ty]), ty))
+      for ty in ("i32", "i64")
+      for op, f in (("shl", int.__lshift__), ("ashr", int.__rshift__))],
+    *[(f"%r = {op} i1 %a, %b", "i1", ("i1", "i1"),
+       lambda a, b, f=INT_REF[op]: wrap_int(f(a, b), "i1"))
+      for op in ("and", "or", "xor")],
+    *[(f"%r = trunc {src} %a to {to}", to, (src,),
+       lambda a, to=to: wrap_int(a, to))
+      for src, to in (("i64", "i32"), ("i64", "i1"), ("i32", "i1"))],
+    *[(f"%r = fptosi f64 %a to {to}", to, ("f64",),
+       lambda a, to=to: _fptosi(a, to)) for to in ("i32", "i64")],
+]
+
+@pytest.fixture(scope="module")
+def wrap_programs():
+    m = parse_module("".join(
+        f"func @w{k}({', '.join(f'%{n}: {t}' for n, t in zip('ab', ptys))})"
+        f" -> {rty} {{\ne:\n  {line}\n  ret {rty} %r\n}}\n"
+        for k, (line, rty, ptys, _) in enumerate(WRAP_CASES)))
+    return _tier_programs(m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_random_wide_operands_wrap_like_wrap_int_in_both_tiers(wrap_programs,
+                                                               data):
+    k = data.draw(st.integers(0, len(WRAP_CASES) - 1))
+    line, _, ptys, ref = WRAP_CASES[k]
+    args = [data.draw(st.floats(-2.0 ** 70, 2.0 ** 70) if t == "f64"
+                      else st.integers(-2 ** 70, 2 ** 70)) for t in ptys]
+    want = _try(lambda: ref(*[interp._coerce_arg(a, t)
+                              for a, t in zip(args, ptys)]))
+    for tier, prog in wrap_programs.items():
+        assert _try(lambda: interpret(prog, f"w{k}", args).value) == want, (
+            line, args, tier)
+    assert wrap_programs["hot"].function(f"w{k}").run is not interp._cold
+    assert wrap_programs["cold"].function(f"w{k}").run is interp._cold
+
+
+# Each parameter type passed through `call`: the callee returns its
+# argument or compares two of them. An icmp result or a literal true (1)
+# passed as an i1 argument arrives as -1, since frame entry converts i1
+# arguments as wrap_int does (the dual i1 true; arguments of the other types
+# are canonical and pass unconverted).
+CALL_SRC = "".join(f"""
+func @id_{ty}(%x: {ty}) -> {ty} {{
+e:
+  ret {ty} %x
+}}
+
+func @pass_{ty}(%x: {ty}) -> {ty} {{
+e:
+  %v = call {ty} @id_{ty}(%x)
+  ret {ty} %v
+}}
+""" for ty in ("i1", "i32", "i64", "f64", "ptr")) + "".join(f"""
+func @eq_{ty}(%x: {ty}, %y: {ty}) -> i1 {{
+e:
+  %c = {cmp} {ty} %x, %y
+  ret i1 %c
+}}
+
+func @pass_eq_{ty}(%x: {ty}, %y: {ty}) -> i1 {{
+e:
+  %c = call i1 @eq_{ty}(%x, %y)
+  ret i1 %c
+}}
+""" for ty, cmp in (("i1", "icmp eq"), ("i32", "icmp eq"), ("i64", "icmp eq"),
+                    ("f64", "fcmp oeq"))) + """
+func @is_true(%x: i1) -> i1 {
+e:
+  %c = icmp eq i1 %x, true
+  ret i1 %c
+}
+
+func @less(%a: i32, %b: i32) -> i1 {
+e:
+  %c = icmp slt i32 %a, %b
+  ret i1 %c
+}
+
+func @pass_less(%a: i32, %b: i32) -> i1 {
+e:
+  %c = icmp slt i32 %a, %b
+  %v = call i1 @id_i1(%c)
+  ret i1 %v
+}
+
+func @less_is_true(%a: i32, %b: i32) -> i1 {
+e:
+  %c = icmp slt i32 %a, %b
+  %v = call i1 @is_true(%c)
+  ret i1 %v
+}
+
+func @pass_true() -> i1 {
+e:
+  %v = call i1 @id_i1(true)
+  ret i1 %v
+}
+
+func @mixed(%p: ptr, %b: i1, %x: i32, %f: f64, %c: i1, %y: i64) -> i1 {
+e:
+  %v = call i1 @eq_i1(%b, %c)
+  ret i1 %v
+}
+"""
+
+
+def test_call_arguments_agree_across_tiers_and_convert_only_i1():
+    m = parse_module(CALL_SRC)
+    progs = _tier_programs(m)
+    vals = {"i1": _ints("i1"), "i32": _ints("i32"), "i64": _ints("i64"),
+            "f64": F64, "ptr": PTRS}
+
+    def run(name, args):
+        outs = {tier: _bits(interpret(prog, name, list(args)).value)
+                for tier, prog in progs.items()}
+        assert len(set(outs.values())) == 1, (name, args, outs)
+        return outs.pop("hot")
+    for ty, vs in vals.items():
+        canon = [interp._coerce_arg(v, ty) for v in vs]
+        for v, c in zip(vs, canon):
+            assert run(f"pass_{ty}", [v]) == _bits(c), (ty, v)
+        if ty != "ptr":
+            for x, cx in zip(vs, canon):
+                for y, cy in zip(vs, canon):
+                    assert run(f"pass_eq_{ty}", [x, y]) == int(cx == cy)
+    # the caller's icmp result is 1; passed as an i1 it arrives as -1, so
+    # it no longer equals the literal true
+    assert [run("less", [1, 2]), run("less", [2, 1])] == [1, 0]
+    assert [run("pass_less", [1, 2]), run("pass_less", [2, 1])] == [-1, 0]
+    assert run("less_is_true", [1, 2]) == 0
+    assert run("pass_true", []) == -1
+    assert run("mixed", [8, 1, 5, 2.5, -1, 7]) == 1
+    # frame entry converts exactly the i1 parameters
+    for name in ("mixed", "pass_i32", "pass_f64", "pass_ptr", "pass_i1"):
+        fn = progs["hot"].function(name)
+        want = sum(ty == "i1" for _, ty in m.functions[name].params)
+        assert len(fn.bools) == want
+        assert len(re.findall(r"r(\d+) = -\(r\1 & 1\)",
+                              interp._hot_source(fn))) == want
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,36 @@ def test_verify_detects_corrupted_merge(pair_module):
     assert rep.counterexample is not None
 
 
+ERROR_ONLY_SRC = """
+func @good(%a: i32, %b: i32) -> i32 {
+e:
+  %s = add i32 %a, %b
+  %t = mul i32 %s, %b
+  ret i32 %t
+}
+
+func @bad(%a: i32, %b: i32) -> i32 {
+e:
+  %z = sub i32 %a, %a
+  %s = add i32 %a, %b
+  %t = sdiv i32 %s, %z
+  ret i32 %t
+}
+"""
+
+
+def test_verify_rejects_a_side_whose_trials_never_return():
+    # @bad divides by zero on every input, and so does the merged body on
+    # its side: every trial agrees, but that side checked nothing
+    m = parse_module(ERROR_ONLY_SRC)
+    for n1, n2, side in (("good", "bad", 2), ("bad", "good", 1)):
+        mf = merge_functions(m, n1, n2)
+        rep = verify_merge(m, n1, n2, mf, trials=48, seed=3)
+        assert not rep.passed
+        assert rep.counterexample is None
+        assert rep.detail == f"side {side} (@bad) never returns"
+
+
 def test_merged_functions_validate_in_module(pair_module):
     mf = merge_functions(pair_module, "sel_a", "sel_b")
     m = pair_module.clone()

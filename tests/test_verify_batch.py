@@ -54,6 +54,11 @@ def _reference(m, n1, n2, mf, fuel):
                     counterexample=(1 if side == 1 else 0, args_p),
                     detail=f"parent {out_p[0]} value/heap differs from "
                            f"merged {out_m[0]}"), outcomes, initial
+        # a side whose parent never returns checked nothing of the body
+        if all(out_p[0] != "ok" for out_p, _ in outcomes[-len(plans):]):
+            return VerifyReport((n1, n2), mname, TRIALS, False,
+                                detail=f"side {side} (@{pname}) never returns"
+                                ), outcomes, initial
     return VerifyReport((n1, n2), mname, TRIALS, True), outcomes, initial
 
 
