@@ -14,7 +14,11 @@ TYPE_TAGS = ("i1", "i32", "i64", "f64", "ptr")
 # Byte widths used by load/store/gep and by the data-footprint accounting.
 TYPE_WIDTH = {"i1": 1, "i32": 4, "i64": 8, "f64": 8, "ptr": 8}
 
-INT_BITS = {"i1": 1, "i32": 32, "i64": 64}
+# The lowest and highest integer a register of each integer type holds: i1
+# holds 0 (false) and 1 (true), i32 and i64 their signed ranges. wrap_int,
+# the interpreter's wrapping and the validator all read this one rule.
+INT_RANGE = {"i1": (0, 1), "i32": (-1 << 31, (1 << 31) - 1),
+             "i64": (-1 << 63, (1 << 63) - 1)}
 
 BINOPS_INT = ("add", "sub", "mul", "sdiv", "srem", "and", "or", "xor", "shl", "ashr")
 BINOPS_FLOAT = ("fadd", "fsub", "fmul", "fdiv")
@@ -212,12 +216,9 @@ def zero_literal(ty: str) -> Lit:
 
 
 def wrap_int(value: int, ty: str) -> int:
-    """Canonical signed representative of `value` modulo the type's width."""
-    bits = INT_BITS[ty]
-    value &= (1 << bits) - 1
-    if value >= 1 << (bits - 1):
-        value -= 1 << bits
-    return value
+    """The integer in INT_RANGE[ty] congruent to `value` modulo its size."""
+    lo, hi = INT_RANGE[ty]
+    return (value - lo & hi - lo) + lo
 
 
 def _alpha_text(f: Function) -> str:
@@ -261,7 +262,7 @@ def structurally_equal(f: Function, g: Function) -> bool:
 
 
 __all__ = [
-    "TYPE_TAGS", "TYPE_WIDTH", "INT_BITS", "OPCODES", "OPCODE_INDEX",
+    "TYPE_TAGS", "TYPE_WIDTH", "INT_RANGE", "OPCODES", "OPCODE_INDEX",
     "BINOPS_INT", "BINOPS_FLOAT", "CASTS", "TERMINATORS",
     "ICMP_PREDS", "FCMP_PREDS",
     "IRError", "Reg", "Lit", "Operand", "Instr", "Block", "Function", "Module",

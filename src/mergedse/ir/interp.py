@@ -36,10 +36,10 @@ into it at its current segment, so one long call tiers up too. Heat gates
 compiling because it costs about six decodes; compiling eagerly slows the
 many short runs of verification. No output depends on the tier. Names
 reach generated code only as repr() strings, literals only as frame slots.
-In both tiers an integer result is wrapped only when it overflows its type,
-fuel passes through calls as an argument and a return value, frame entry
-converts only i1 arguments (the others are canonical already) and a frame
-reads the heap's length once.
+In both tiers an integer result is wrapped only when it leaves the range
+its type holds (`INT_RANGE`; an i1 holds 0 or 1), fuel passes through calls
+as an argument and a return value, frame entry converts no argument (every
+producer yields a value in range) and a frame reads the heap's length once.
 
 `_Machine.run` is the one run path: `interpret` checks and coerces its
 arguments and runs once on a fresh machine; verification runs all trials of
@@ -55,8 +55,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
-from .core import (INT_BITS, TYPE_WIDTH, Function, Instr, IRError, Module, Reg,
-                   wrap_int)
+from .core import (INT_RANGE, TYPE_WIDTH, Function, Instr, IRError, Module,
+                   Reg, wrap_int)
 
 NULL_GUARD = 8
 SCRATCH_BASE = 8
@@ -175,7 +175,8 @@ _MEM = "if addr < {guard} or addr + {w} > {n}: oob(addr, {w})\n"
 # length, {t} the touched-address set of the access width and {fn} the
 # function name; the other fields are constants of the instruction's types.
 # Integer results are wrapped like wrap_int, but only outside [-half, top],
-# where wrap_int is the identity. Loads and stores keep what wrap_int keeps.
+# the range the type holds (0 and 1 for i1), where wrap_int is the identity.
+# Loads and stores keep what wrap_int keeps.
 _TEMPLATES = {
     **{op: "{d} = {a} %s {b}" % sym + _WRAP for op, sym in (
         ("add", "+"), ("sub", "-"), ("mul", "*"), ("and", "&"), ("or", "|"),
@@ -230,7 +231,7 @@ def _exhaust(fn: "_Decoded", i: int, fuel: int, r: list | dict):
 # The generated code's globals: error paths and the heap codecs.
 _NS = {"InterpError": InterpError, "oob": _oob, "footprint": _footprint,
        "exhaust": _exhaust,
-       "unpack_i1": lambda data, addr: (-(data[addr] & 1),),
+       "unpack_i1": lambda data, addr: (data[addr] & 1,),
        **{f"unpack_{ty}": struct.Struct(f).unpack_from for ty, f in (
            ("i32", "<i"), ("i64", "<q"), ("ptr", "<Q"), ("f64", "<d"))},
        **{f"pack_{ty}": struct.Struct(f).pack_into for ty, f in (
@@ -243,11 +244,12 @@ def _source(ins, touch: bool, **fields: str) -> str:
     `fields` spell the slots ({d} {a} {b} {c} {H} {n} {t}) and {fn}. A load
     or store with `touch` records its start address."""
     ty = ins.ty
-    bits = INT_BITS.get(ty if ins.op == "zext" else ins.cast_to or ty, 64)
-    mask = (1 << bits) - 1
+    lo, top = INT_RANGE.get(ty if ins.op == "zext" else ins.cast_to or ty,
+                            (0, (1 << 64) - 1))
+    mask = top - lo
     return (_TEMPLATES[ins.op] + ("\n{t}.add(addr)" if touch else "")).format(
-        **fields, ty=ty, half=1 << (bits - 1), top=mask >> 1, mask=mask,
-        sh=bits - 1, w=TYPE_WIDTH[ty], guard=NULL_GUARD, cmp=_CMP.get(ins.pred),
+        **fields, ty=ty, half=-lo, top=top, mask=mask, sh=mask.bit_length() - 1,
+        w=TYPE_WIDTH[ty], guard=NULL_GUARD, cmp=_CMP.get(ins.pred),
         store_mask="" if ty == "f64" else f" & {mask}")
 
 
@@ -278,8 +280,7 @@ def _hot_source(fn: "_Decoded") -> str:
         out.extend(ind + line for line in text.split("\n"))
     if fn.touches:
         emit("  ", "r1, r2, r3 = set(), set(), set()")
-    emit("  ", "(" + "".join(f"r{s}, " for s in fn.params) + ") = args"
-         + "".join(f"\nr{s} = -(r{s} & 1)" for s in fn.bools))
+    emit("  ", "(" + "".join(f"r{s}, " for s in fn.params) + ") = args")
     emit(" ", "runs, callees = ctx.runs, ctx.callees\n"
               f"while True:\n if fuel < {max(fn.lens)}:\n  if fuel < "
               f"{tuple(fn.lens)}[i]: exhaust(ctx.fn, i, fuel, locals())")
@@ -351,9 +352,6 @@ class _Decoded:
             return len(frame) - 1
 
         self.params = [slot(Reg(p)) for p, _ in f.params]
-        # frame entry converts i1 arguments: slots whose last parameter is i1
-        self.bools = [s for s, t in dict(zip(self.params, (
-            t for _, t in f.params))).items() if t == "i1"]
         # every block split after each call: (label, piece) -> segment index
         pieces: dict[str, list[list]] = {}
         for b in f.blocks:
@@ -523,8 +521,6 @@ def _cold(m: _Machine, ctx: _Context, args: list, fuel: int):
         r[1], r[2], r[3] = set(), set(), set()
     for s, a in zip(fn.params, args):
         r[s] = a
-    for s in fn.bools:
-        r[s] = -(r[s] & 1)
     reached = r[1]   # bytes this frame and its callees touched
     segs, runs, left = fn.segs, ctx.runs, fn.left
     i = 0

@@ -52,11 +52,13 @@ from .validate import validate_module
 
 
 class ParseError(IRError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
+    """`message` about the token at offset `pos` of `text`, by line and column."""
+
+    def __init__(self, message: str, text: str, pos: int):
+        self.line = text.count("\n", 0, pos) + 1
+        self.col = pos - text.rfind("\n", 0, pos)
+        super().__init__(f"{self.line}:{self.col}: {message}")
         self.message = message
-        self.line = line
-        self.col = col
 
 
 # One match per token: the blanks and comments before it, then the token.
@@ -101,12 +103,10 @@ class _Parser:
 
     def error(self, message, tok=None):
         kind, value, pos = tok or self.peek()
-        line = self.text.count("\n", 0, pos) + 1
-        col = pos - self.text.rfind("\n", 0, pos)
         if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", line, col)
+            raise ParseError(f"unexpected character {value!r}", self.text, pos)
         got = repr(value) if value else "end of input"
-        raise ParseError(f"{message}, got {got}", line, col)
+        raise ParseError(f"{message}, got {got}", self.text, pos)
 
     def expect(self, kind, value=None):
         k, v, _ = self.peek()
@@ -125,9 +125,10 @@ class _Parser:
     def module(self) -> Module:
         funcs: dict[str, Function] = {}
         while self.peek()[0] != "eof":
+            at = self.toks[self.i + 1][2]   # where the @name after "func" is
             f = self.function()
             if f.name in funcs:
-                self.error(f"duplicate function @{f.name}")
+                raise ParseError(f"duplicate function @{f.name}", self.text, at)
             funcs[f.name] = f
         if not funcs:
             self.error("expected at least one function")
@@ -182,7 +183,7 @@ class _Parser:
 
     def literal(self, tok, ty: str | None) -> Lit:
         """The literal token `tok` denotes in a slot of type `ty`. Integers
-        fit every slot, wrapping to integer widths; floats fit only f64,
+        fit every slot, wrapping into INT_RANGE; floats fit only f64,
         true/false only i1 and null only ptr. An "idx" slot (gep's index)
         takes integers as i64; `ty` None means the token's own type."""
         kind, text, _ = tok

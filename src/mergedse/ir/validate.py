@@ -15,8 +15,8 @@ Checks are deliberately strict so that every transformation in the toolkit
 from __future__ import annotations
 
 from .core import (
-    BINOPS_FLOAT, BINOPS_INT, CASTS, FCMP_PREDS, ICMP_PREDS, OPCODES,
-    Function, Instr, IRError, Module, Reg, operand_slot_types,
+    BINOPS_FLOAT, BINOPS_INT, CASTS, FCMP_PREDS, ICMP_PREDS, INT_RANGE, OPCODES,
+    Function, Instr, IRError, Module, Reg, operand_slot_types, wrap_int,
 )
 
 CAST_PAIRS = {
@@ -110,13 +110,16 @@ def _check_instr_shape(f: Function, ins: Instr, reg_types, m: Module, diags):
         else:
             if o.ty != want:
                 diags.append(f"{where}: literal {o.value!r} has type {o.ty}, expected {want}")
-            if o.ty == "i1" and o.value not in (0, 1):
-                diags.append(f"{where}: i1 literal must be 0 or 1")
+            if o.ty in INT_RANGE and o.value != wrap_int(o.value, o.ty):
+                diags.append(f"{where}: {o.ty} literal {o.value} out of range")
 
 
 def check_function(f: Function, m: Module, diags: list[str]):
     """Append the diagnostics of `f` to `diags`; `m` supplies its callees."""
     where = f"@{f.name}"
+    names = [p for p, _ in f.params]
+    diags.extend(f"{where}: duplicate parameter %{p}"
+                 for i, p in enumerate(names) if p in names[:i])
     if not f.blocks:
         diags.append(f"{where}: function has no blocks")
         return
@@ -216,8 +219,8 @@ def unassigned_uses(f: Function) -> list[tuple[str, str]]:
     return out
 
 
-def validate_module(m: Module, raise_on_error: bool = True) -> list[str]:
-    """Validate a module. Returns diagnostics; raises ValidationError by default."""
+def validate_module(m: Module) -> None:
+    """Validate a module; raise ValidationError listing every diagnostic."""
     diags: list[str] = []
     if m.entry not in m.functions:
         diags.append(f"entry function @{m.entry} does not exist")
@@ -251,6 +254,5 @@ def validate_module(m: Module, raise_on_error: bool = True) -> list[str]:
             if color.get(name, 0) == 0 and not dfs(name, []):
                 break
 
-    if diags and raise_on_error:
+    if diags:
         raise ValidationError(diags)
-    return diags

@@ -102,6 +102,11 @@ def test_exit_codes(tmp_path, capsys):
     bad_ir.write_text("func @f( -> i32 { bb0: ret i32 1 }")
     r = run_cli(["analyze", "--callgraph", str(bad_ir)])
     assert r.returncode == 2
+    # a repeated parameter name used to drop the first argument silently
+    bad_ir.write_text("func @f(%x: i1, %x: i32) -> i32 {\n"
+                      "e:\n  %y = add i32 %x, 1\n  ret i32 %y\n}\n")
+    assert main(["analyze", "--callgraph", str(bad_ir)]) == 2
+    assert "@f: duplicate parameter %x" in capsys.readouterr().err
     # unknown config key
     cfg.write_text("warp_speed = 9\n")
     r = run_cli(["dse", "--config", str(cfg), POLY_IR, POLY_HEAP])

@@ -1,7 +1,8 @@
 """Mutation fuzzing of the three input parsers: mini-IR text, heap images and
 model files. Each test takes a bundled input, inserts, deletes or duplicates
-tokens, and checks that the parser either returns or raises its own error
-(IRError / CostError), and that the CLI reading the input exits 0 or 2.
+tokens (in IR text also a whole `%name: ty` parameter), and checks that the
+parser either returns or raises its own error (IRError / CostError), and
+that the CLI reading the input exits 0 or 2.
 """
 
 from __future__ import annotations
@@ -39,15 +40,26 @@ def _line_tokens(text: str) -> list[str]:
     return re.findall(r"[^\s]+|\n", text)
 
 
+MUTATIONS = ("insert", "delete", "duplicate")
+# IR text may also get a parameter `%name : ty` repeated in its list
+IR_MUTATIONS = MUTATIONS + ("duplicate-param",)
+
+
 @st.composite
-def _mutated(draw, tokens: list[str]) -> str:
+def _mutated(draw, tokens: list[str], ops=MUTATIONS) -> str:
     toks = list(tokens)
     vocab = sorted(set(toks)) + EXTREMES
     for _ in range(draw(st.integers(1, 4))):
-        op = draw(st.sampled_from(["insert", "delete", "duplicate"]))
+        op = draw(st.sampled_from(ops))
         i = draw(st.integers(0, len(toks)))
         if op == "insert":
             toks.insert(i, draw(st.sampled_from(vocab)))
+        elif op == "duplicate-param":
+            params = [j for j in range(len(toks) - 2)
+                      if toks[j][0] == "%" and toks[j + 1] == ":"]
+            if params:
+                j = draw(st.sampled_from(params))
+                toks[j:j] = toks[j:j + 3] + [","]
         elif toks and op == "delete":
             del toks[min(i, len(toks) - 1)]
         elif toks:
@@ -63,11 +75,13 @@ MODEL_TOKENS = _line_tokens(BUNDLED_MODEL.read_text())
 
 # inputs the parsers once crashed on or took: an overflowing gep index, an
 # infinite f64 literal (printed as "-inf", which did not parse back), an
-# integer with more digits than int() converts (ValueError), a model with
+# integer with more digits than int() converts (ValueError), a repeated
+# parameter name (the first argument was dropped), a model with
 # a NaN or a zero scale and one whose layer count is missing
 GEP_1E999 = "func @main(%p: ptr) -> ptr { e: %q = gep i32 %p, 1e999 ret ptr %q }"
 F64_INF = "func @main(%x: f64) -> f64 { e: %y = fadd f64 %x, -1e999 ret f64 %y }"
 LONG_INT = "func @main() -> i32 { e: ret i32 " + "9" * 5000 + " }"
+DUP_PARAM = "func @main(%x: i1, %x: i32) -> i32 { e: %y = add i32 %x, 1 ret i32 %y }"
 BAD_MODELS = [re.sub(pattern, repl, BUNDLED_MODEL.read_text(), count=1)
               for pattern, repl in ((r"xstd \S+", "xstd nan"),
                                     (r"xstd \S+", "xstd 0"),
@@ -78,20 +92,25 @@ BAD_MODELS = [re.sub(pattern, repl, BUNDLED_MODEL.read_text(), count=1)
 @example(GEP_1E999)
 @example(F64_INF)
 @example(LONG_INT)
+@example(DUP_PARAM)
 @given(st.sampled_from(sorted(IR_TOKENS)).flatmap(
-    lambda name: _mutated(IR_TOKENS[name])))
+    lambda name: _mutated(IR_TOKENS[name], IR_MUTATIONS)))
 def test_mutated_ir_parses_or_raises_irerror(text):
     try:
         m = parse_module(text)
     except IRError:
         return
-    # an accepted module prints to text that parses back to itself
+    # an accepted module names each parameter once and prints to text that
+    # parses back to itself
+    for f in m.functions.values():
+        assert len({p for p, _ in f.params}) == len(f.params), f.name
     assert parse_module(print_module(m)) == m
 
 
 @settings(max_examples=30, deadline=None)
 @example(GEP_1E999)
-@given(_mutated(IR_TOKENS["poly"]))
+@example(DUP_PARAM)
+@given(_mutated(IR_TOKENS["poly"], IR_MUTATIONS))
 def test_mutated_ir_exits_0_or_2(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p.ir"

@@ -5,7 +5,8 @@ segment, and (on the all-opcode module) with the switch from cold to hot at
 every segment index; boundary operands of every opcode, and random wide
 operands of every wrapping opcode, give the same values in both tiers as a
 wrap_int-based reference; call arguments of every type pass through `call`
-alike in both tiers, with only i1 arguments converted; the generated code is
+alike in both tiers, unconverted; an i1 from every producer is 0 or 1 in
+both tiers, through calls and against `true`; the generated code is
 the same under any hash seed and no IR name can change it. The tier is
 forced by patching the module constant HOT_MULTIPLE.
 """
@@ -15,10 +16,10 @@ from __future__ import annotations
 import ast
 import json
 import math
-import re
 import struct
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,6 @@ from mergedse.ir import (
     Arena, Block, Function, HeapImage, Instr, InterpError, Module,
     Program, Reg, interp, interpret, parse_module, run_heap_image, wrap_int,
 )
-from mergedse.ir.core import INT_BITS
 import test_ir
 from test_interp_golden import GOLDEN, OPS_HEAP, OPS_SRC, _cases, _summary
 
@@ -391,7 +391,7 @@ def test_boundary_operands_agree_across_tiers_and_reference(boundary,
 
 def test_loads_and_stores_round_trip_boundary_values(monkeypatch):
     # a store masks integers to their width; the load reads i32/i64
-    # signed, ptr unsigned and an i1 byte as 0 or -1
+    # signed, ptr unsigned and an i1 byte as its low bit
     for ty, vals in (("i1", _ints("i1")), ("i32", _ints("i32")),
                      ("i64", _ints("i64")), ("ptr", PTRS + [-1]),
                      ("f64", F64)):
@@ -449,8 +449,8 @@ WRAP_CASES = [
        "div-zero" if b == 0 else wrap_int(f(a, b), ty))
       for ty in ("i32", "i64") for op in ("sdiv", "srem")],
     *[(f"%r = {op} {ty} %a, %b", ty, (ty, ty),
-       lambda a, b, f=f, ty=ty: wrap_int(f(a, b % INT_BITS[ty]), ty))
-      for ty in ("i32", "i64")
+       lambda a, b, f=f, ty=ty, bits=bits: wrap_int(f(a, b % bits), ty))
+      for ty, bits in (("i32", 32), ("i64", 64))
       for op, f in (("shl", int.__lshift__), ("ashr", int.__rshift__))],
     *[(f"%r = {op} i1 %a, %b", "i1", ("i1", "i1"),
        lambda a, b, f=INT_REF[op]: wrap_int(f(a, b), "i1"))
@@ -489,10 +489,9 @@ def test_random_wide_operands_wrap_like_wrap_int_in_both_tiers(wrap_programs,
 
 
 # Each parameter type passed through `call`: the callee returns its
-# argument or compares two of them. An icmp result or a literal true (1)
-# passed as an i1 argument arrives as -1, since frame entry converts i1
-# arguments as wrap_int does (the dual i1 true; arguments of the other types
-# are canonical and pass unconverted).
+# argument or compares two of them. Every value is in its type's range
+# already, so no frame converts an argument: an icmp result or a literal
+# true passed as an i1 arrives as 1.
 CALL_SRC = "".join(f"""
 func @id_{ty}(%x: {ty}) -> {ty} {{
 e:
@@ -558,7 +557,7 @@ e:
 """
 
 
-def test_call_arguments_agree_across_tiers_and_convert_only_i1():
+def test_call_arguments_agree_across_tiers_unconverted():
     m = parse_module(CALL_SRC)
     progs = _tier_programs(m)
     vals = {"i1": _ints("i1"), "i32": _ints("i32"), "i64": _ints("i64"),
@@ -577,21 +576,173 @@ def test_call_arguments_agree_across_tiers_and_convert_only_i1():
             for x, cx in zip(vs, canon):
                 for y, cy in zip(vs, canon):
                     assert run(f"pass_eq_{ty}", [x, y]) == int(cx == cy)
-    # the caller's icmp result is 1; passed as an i1 it arrives as -1, so
-    # it no longer equals the literal true
+    # the caller's icmp result is 1, and so is the argument it passes
     assert [run("less", [1, 2]), run("less", [2, 1])] == [1, 0]
-    assert [run("pass_less", [1, 2]), run("pass_less", [2, 1])] == [-1, 0]
-    assert run("less_is_true", [1, 2]) == 0
-    assert run("pass_true", []) == -1
+    assert [run("pass_less", [1, 2]), run("pass_less", [2, 1])] == [1, 0]
+    assert run("less_is_true", [1, 2]) == 1
+    assert run("pass_true", []) == 1
     assert run("mixed", [8, 1, 5, 2.5, -1, 7]) == 1
-    # frame entry converts exactly the i1 parameters
+    # the hot source converts no argument: a parameter's local is stored
+    # only by the frame unpack and the argument unpack (none of these
+    # functions assigns a parameter)
     for name in ("mixed", "pass_i32", "pass_f64", "pass_ptr", "pass_i1"):
         fn = progs["hot"].function(name)
-        want = sum(ty == "i1" for _, ty in m.functions[name].params)
-        assert len(fn.bools) == want
-        assert len(re.findall(r"r(\d+) = -\(r\1 & 1\)",
-                              interp._hot_source(fn))) == want
+        stores = Counter(n.id for n in ast.walk(ast.parse(
+            interp._hot_source(fn))) if isinstance(n, ast.Name)
+            and isinstance(n.ctx, ast.Store))
+        assert [stores[f"r{s}"] for s in fn.params] == [2] * len(fn.params)
 
+
+# An i1 holds 0 or 1 whatever produced it. @check(%c) gives 1 if %c equals
+# `true`, 2 if it equals itself after an identity call and 4 if a callee
+# finds the copy equal to `true`: 5 * bit + 2 for an i1 holding `bit`.
+CHECK_SRC = """
+func @id(%x: i1) -> i1 {
+e:
+  ret i1 %x
+}
+
+func @is_true(%x: i1) -> i1 {
+e:
+  %t = icmp eq i1 %x, true
+  ret i1 %t
+}
+
+func @check(%c: i1) -> i32 {
+e:
+  %w = icmp eq i1 %c, true
+  %u = call i1 @id(%c)
+  %s = icmp eq i1 %c, %u
+  %t = call i1 @is_true(%u)
+  %r = zext i1 %w to i32
+  %y = zext i1 %s to i32
+  %y = shl i32 %y, 1
+  %r = or i32 %r, %y
+  %y = zext i1 %t to i32
+  %y = shl i32 %y, 2
+  %r = or i32 %r, %y
+  ret i32 %r
+}
+"""
+
+
+def _signed(a: int, bits: int) -> int:
+    return (a + 2 ** (bits - 1)) % 2 ** bits - 2 ** (bits - 1)
+
+
+_LOW = {"i1": lambda a: a % 2, "i32": lambda a: _signed(a, 32),
+        "i64": lambda a: _signed(a, 64)}
+
+# (parameters, line computing %c or None, the @check argument, reference on
+# the raw arguments); a ptr parameter is a one-byte region holding its
+# argument
+I1_CASES = [
+    *[((("a", ty), ("b", ty)), f"%c = icmp {p} {ty} %a, %b", "%c",
+       lambda a, b, p=p, ty=ty: int(getattr(_LOW[ty](a), CMP_REF[p])(_LOW[ty](b))))
+      for ty in ("i1", "i32", "i64")
+      for p in ("eq", "ne", "slt", "sgt", "sle", "sge")],
+    *[((("a", "f64"), ("b", "f64")), f"%c = fcmp {p} f64 %a, %b", "%c",
+       lambda a, b, p=p: int(getattr(a, CMP_REF[p])(b)))
+      for p in ("olt", "ogt", "oeq")],
+    *[((), f"%c = const i1 {lit}", arg, lambda v=v: v)
+      for lit, v in (("true", 1), ("false", 0), ("1", 1), ("-1", 1))
+      for arg in ("%c", lit)],
+    ((("p", "ptr"),), "%c = load i1, %p", "%c", lambda byte: byte % 2),
+    *[((("a", ty),), f"%c = trunc {ty} %a to i1", "%c", lambda a: a % 2)
+      for ty in ("i32", "i64")],
+    *[((("a", "i1"), ("b", "i1")), f"%c = {op} i1 %a, %b", "%c",
+       lambda a, b, f=INT_REF[op]: f(a % 2, b % 2)) for op in ("and", "or", "xor")],
+    ((("c", "i1"),), None, "%c", lambda c: c % 2),
+]
+
+
+@pytest.fixture(scope="module")
+def i1_programs():
+    funcs = []
+    for k, (params, line, arg, _) in enumerate(I1_CASES):
+        sig = ", ".join(f"%{n}: {t}" for n, t in params)
+        names = ", ".join(f"%{n}" for n, _ in params)
+        body = f"  {line}\n" if line else ""
+        funcs.append(f"""
+func @p{k}({sig}) -> i1 {{
+e:
+{body}  ret i1 %c
+}}
+
+func @q{k}({sig}) -> i32 {{
+e:
+{body}  %v = call i32 @check({arg})
+  %c = call i1 @p{k}({names})
+  %w = call i32 @check(%c)
+  %w = shl i32 %w, 4
+  %v = or i32 %v, %w
+  ret i32 %v
+}}
+""")
+    return _tier_programs(parse_module(CHECK_SRC + "".join(funcs)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_every_i1_producer_gives_0_or_1_in_both_tiers(i1_programs, data):
+    # @p<k> returns the i1 its producer gives; @q<k> checks it where it is
+    # made and again after it is returned from @p<k>
+    k = data.draw(st.integers(0, len(I1_CASES) - 1))
+    params, line, _, ref = I1_CASES[k]
+    args = [data.draw(st.floats() if t == "f64" else st.integers(0, 255)
+                      if t == "ptr" else st.integers(-2 ** 70, 2 ** 70))
+            for _, t in params]
+    bit = ref(*args)
+    for tier, prog in i1_programs.items():
+        for name, want in ((f"p{k}", bit), (f"q{k}", (5 * bit + 2) * 17)):
+            arena = Arena()
+            run_args = [arena.add_region("r", bytes([a])) if t == "ptr" else a
+                        for a, (_, t) in zip(args, params)]
+            got = interpret(prog, name, run_args, arena).value
+            assert got == want, (line, args, tier, name)
+    assert i1_programs["hot"].function(f"q{k}").run is not interp._cold
+    assert i1_programs["cold"].function(f"q{k}").run is interp._cold
+
+
+# Three inputs on which an i1 true once had two values (1 from icmp and the
+# literal, -1 from a load or through a call): each gives its 1-bit answer.
+PROBES = [
+    ("""
+func @g(%x: i1) -> i1 {
+e:
+  ret i1 %x
+}
+
+func @main(%a: i32, %b: i32) -> i1 {
+e:
+  %t = icmp slt i32 %a, %b
+  %u = call i1 @g(%t)
+  %s = icmp eq i1 %t, %u
+  ret i1 %s
+}
+""", "arg 0 = 1\narg 1 = 2\n", 1),
+    ("""
+func @main(%p: ptr) -> i1 {
+e:
+  %b = load i1, %p
+  %s = icmp eq i1 %b, true
+  ret i1 %s
+}
+""", "region b 1 01\narg 0 = b\n", 1),
+    ("""
+func @main() -> i32 {
+e:
+  %r = select i32 1, 3, 4
+  ret i32 %r
+}
+""", "", 3),
+]
+
+
+@pytest.mark.parametrize("src, heap, want", PROBES)
+def test_probe_modules_give_their_one_bit_answers(src, heap, want):
+    for tier, prog in _tier_programs(parse_module(src)).items():
+        assert run_heap_image(prog, HeapImage.parse(heap)).value == want, tier
 
 # ---------------------------------------------------------------------------
 # Generated code

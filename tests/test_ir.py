@@ -4,9 +4,9 @@ import struct
 import pytest
 
 from mergedse.ir import (
-    Arena, HeapImage, InterpError, IRError, ParseError, Program,
-    Trace, ValidationError, interpret, parse_module, print_module,
-    run_heap_image,
+    Arena, Block, Function, HeapImage, Instr, InterpError, IRError, Lit,
+    Module, ParseError, Program, Trace, ValidationError, interpret,
+    parse_module, print_module, run_heap_image, validate_module,
 )
 
 from conftest import PAIR_SRC
@@ -64,6 +64,36 @@ def test_syntax_error_has_position():
         parse_module("func @f( -> i32 { bb0: ret i32 1 }")
     assert exc.value.line == 1
     assert "expected" in str(exc.value)
+
+
+def test_duplicate_function_points_at_its_name():
+    src = "func @f() -> i32 { e: ret i32 1 }\nfunc @f() -> i32 { e: ret i32 2 }\n"
+    with pytest.raises(ParseError) as exc:
+        parse_module(src)
+    assert (exc.value.line, exc.value.col) == (2, 6)
+    assert str(exc.value) == "2:6: duplicate function @f"
+
+
+def test_duplicate_parameter_rejected():
+    # both would name one register, so the first argument would be dropped
+    with pytest.raises(ValidationError) as exc:
+        parse_module("func @f(%x: i1, %x: i32) -> i32 {\n"
+                     "e:\n  %y = add i32 %x, 1\n  ret i32 %y\n}")
+    assert exc.value.diagnostics == ["@f: duplicate parameter %x"]
+
+
+@pytest.mark.parametrize("value, ty", [
+    (2, "i1"), (-1, "i1"), (2 ** 31, "i32"), (-2 ** 31 - 1, "i32"),
+    (2 ** 63, "i64"),
+])
+def test_integer_literal_outside_its_type_rejected(value, ty):
+    # the parser wraps integer literals, so only built IR can hold these
+    f = Function("f", [], ty, [Block("e", [Instr("ret", ty, None,
+                                                 (Lit(value, ty),))])])
+    with pytest.raises(ValidationError) as exc:
+        validate_module(Module({"f": f}, "f"))
+    assert exc.value.diagnostics == [
+        f"@f: {ty} literal {value} out of range"]
 
 
 def test_roundtrip_is_fixed_point(pair_module, corpus):
