@@ -27,7 +27,6 @@ class CallGraph:
     direct: dict[str, set[str]]
     transitive: dict[str, set[str]]   # C_i: direct and indirect callees
     topo_order: list[str]             # callees before callers
-    call_sites: dict[tuple[str, str], int]  # static call-site multiplicity
 
     def callees(self, name: str) -> set[str]:
         return self.transitive[name]
@@ -35,13 +34,10 @@ class CallGraph:
 
 def build_call_graph(m: Module) -> CallGraph:
     direct: dict[str, set[str]] = {name: set() for name in m.functions}
-    sites: dict[tuple[str, str], int] = {}
     for name, f in m.functions.items():
         for ins in f.instructions():
             if ins.op == "call":
                 direct[name].add(ins.callee)
-                key = (name, ins.callee)
-                sites[key] = sites.get(key, 0) + 1
 
     # Kahn topological sort, callees first; validation guarantees a DAG but
     # report defensively in case a hand-built module slipped through.
@@ -69,7 +65,7 @@ def build_call_graph(m: Module) -> CallGraph:
         for c in direct[name]:
             tc |= transitive[c]
         transitive[name] = tc
-    return CallGraph(direct, transitive, topo, sites)
+    return CallGraph(direct, transitive, topo)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import logging
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .analysis import CallGraph, fingerprint
-from .ir import IRError, Module, OPCODES, OPCODE_INDEX, Trace
+from .ir import IRError, Function, Module, OPCODES, OPCODE_INDEX, Trace
 
 log = logging.getLogger("mergedse")
 
@@ -27,21 +28,28 @@ class CostError(IRError):
 # Feature extraction
 # ---------------------------------------------------------------------------
 
-def own_features(m: Module, fname: str) -> np.ndarray:
-    return fingerprint(m.function(fname)).vector().astype(np.float64)
+def own_features(f: Function) -> np.ndarray:
+    return fingerprint(f).vector().astype(np.float64)
 
 
-def hierarchical_features(m: Module, cg: CallGraph) -> dict[str, np.ndarray]:
-    """Every function's static opcode counts plus each callee's hierarchical
-    counts times its static call-site multiplicity, in one pass over the call
-    DAG (callees first)."""
-    rows: dict[str, np.ndarray] = {}
-    for name in cg.topo_order:
-        v = own_features(m, name)
-        for callee in sorted(cg.direct[name]):
-            v = v + cg.call_sites[(name, callee)] * rows[callee]
-        rows[name] = v
-    return rows
+def feature_rows(f: Function, rows: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(hierarchical, own) feature rows of f, where rows holds its callees':
+    the own row plus each callee's hierarchical row times its static
+    call-site count, summed in sorted callee order."""
+    own = v = own_features(f)
+    sites = Counter(i.callee for i in f.instructions() if i.op == "call")
+    for callee in sorted(sites):
+        v = v + sites[callee] * rows[callee][0]
+    return v, own
+
+
+def module_rows(m: Module, cg: CallGraph) -> dict:
+    """`feature_rows` of every function of m, in module order: the batch
+    `estimate_costs` prices. A merge joins it last, as nothing calls it."""
+    rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for name in cg.topo_order:  # callees first
+        rows[name] = feature_rows(m.functions[name], rows)
+    return {n: rows[n] for n in m.functions}
 
 
 # ---------------------------------------------------------------------------
@@ -582,29 +590,23 @@ class CostEstimate:
     own_hw: Fraction   # own-instruction accelerated seconds
 
 
-def predict_areas(m: Module, model, cg: CallGraph
-                  ) -> dict[str, tuple[float, float]]:
-    """(standalone area, own-body area) of every function of m, in LUTs,
-    predicted as one batch in module order: the MLP's last bits depend on
-    the batch shape, so an area is reproducible only within its module."""
-    names = list(m.functions)
-    hier = hierarchical_features(m, cg)
-    area_h = np.maximum(model.predict(np.stack([hier[n] for n in names])), 1.0)
-    area_o = np.maximum(
-        model.predict(np.stack([own_features(m, n) for n in names])), 1.0)
-    return {n: (float(area_h[i]), float(area_o[i]))
-            for i, n in enumerate(names)}
+def _predict(model, batch) -> np.ndarray:
+    return np.maximum(model.predict(np.stack(batch)), 1.0)
 
 
-def estimate_costs(m: Module, trace: Trace, model, cg: CallGraph,
+def estimate_costs(rows: dict, trace: Trace, model,
                    sw_table: dict[str, int] | None = None,
                    hw_table: dict[str, int] | None = None,
                    clock: Fraction = DEFAULT_CLOCK) -> dict[str, CostEstimate]:
+    """Costs of every function of `module_rows` rows, whose areas are one
+    batch: the MLP's last bits depend on the batch shape."""
+    hier, own = zip(*rows.values())
+    area_h, area_o = _predict(model, hier), _predict(model, own)
     out = {}
-    for n, (area, own_area) in predict_areas(m, model, cg).items():
+    for i, n in enumerate(rows):
         out[n] = CostEstimate(
-            area=area,
-            own_area=own_area,
+            area=float(area_h[i]),
+            own_area=float(area_o[i]),
             sw=sw_latency(trace, n, sw_table, clock),
             hw=hw_latency(trace, n, hw_table, clock),
             own_sw=sw_latency(trace, n, sw_table, clock, hierarchical=False),
@@ -613,14 +615,15 @@ def estimate_costs(m: Module, trace: Trace, model, cg: CallGraph,
     return out
 
 
-def merged_cost(m: Module, name: str, model, cg: CallGraph,
+def merged_cost(rows: dict, f: Function, model,
                 a: CostEstimate, b: CostEstimate, glue: Fraction
                 ) -> CostEstimate:
-    """Cost of the merged accelerator `name` of parents a and b, where m is
-    the module holding it (last) and cg its call graph. Its areas come from
-    m's batch; it runs both parents' profiled work in hardware plus `glue`,
-    and has no software time of its own."""
-    area, own_area = predict_areas(m, model, cg)[name]
-    return CostEstimate(area, own_area, sw=Fraction(0),
+    """Cost of the merged accelerator f of parents a and b, where rows are
+    those of the module f would join last. Its areas are the last rows of
+    that module's batch; it runs both parents' profiled work in hardware
+    plus `glue`, and has no software time of its own."""
+    hier, own = zip(*rows.values(), feature_rows(f, rows))
+    area, own_area = _predict(model, hier)[-1], _predict(model, own)[-1]
+    return CostEstimate(float(area), float(own_area), sw=Fraction(0),
                         hw=a.hw + b.hw + glue, own_sw=Fraction(0),
                         own_hw=a.own_hw + b.own_hw + glue)

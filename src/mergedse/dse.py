@@ -15,8 +15,8 @@ from pathlib import Path
 from .analysis import build_call_graph, extract_loops, rank_pairs
 from .cost import (
     DEFAULT_CLOCK, DEFAULT_DATASET_SEED, DEFAULT_HW_CYCLES, CostEstimate,
-    estimate_costs, estimate_profitability, load_model, merged_cost,
-    synthetic_dataset, train_mlp,
+    estimate_costs, estimate_profitability, feature_rows, load_model,
+    merged_cost, module_rows, synthetic_dataset, train_mlp,
 )
 from .ir import HeapImage, IRError, Module, Program, Trace, run_heap_image
 from .merge import MergeRejected, merge_functions, verify_merge
@@ -179,8 +179,8 @@ def prepare(m: Module, images: list[HeapImage], cfg: PipelineConfig,
     funnel = {"ranked": 0, "aligned": 0, "verified": 0, "area_win": 0,
               "ep_positive": 0, "selected": 0}
 
-    cg = build_call_graph(work)
-    costs = estimate_costs(work, trace, model, cg, cfg.sw_table, cfg.hw_table,
+    rows = module_rows(work, build_call_graph(work))
+    costs = estimate_costs(rows, trace, model, cfg.sw_table, cfg.hw_table,
                            cfg.clock)
     baseline = sum((costs[n].own_sw for n in work.functions), Fraction(0))
 
@@ -220,9 +220,8 @@ def prepare(m: Module, images: list[HeapImage], cfg: PipelineConfig,
                        + _covered_invocations(n2, merge_parents, trace))
                 glue = ((mf.mux_selects * hw_sel + 1) * inv) * cfg.clock
                 name = mf.function.name
-                view = Module({**work.functions, name: mf.function}, work.entry)
-                est = merged_cost(view, name, model, build_call_graph(view),
-                                  costs[n1], costs[n2], glue)
+                est = merged_cost(rows, mf.function, model, costs[n1],
+                                  costs[n2], glue)
                 parents_area = costs[n1].area + costs[n2].area
                 record = MergeRecord(name, (n1, n2), sim,
                                      mf.alignment.aligned_fraction,
@@ -240,8 +239,9 @@ def prepare(m: Module, images: list[HeapImage], cfg: PipelineConfig,
                     continue
                 funnel["ep_positive"] += 1
 
-                # accepted: extend the working module and the cost table
+                # accepted: extend the working module, its rows and costs
                 work.functions[name] = mf.function
+                rows[name] = feature_rows(mf.function, rows)
                 merge_parents[name] = (n1, n2)
                 costs[name] = est
                 added += 1

@@ -105,6 +105,8 @@ class _Parser:
         kind, value, pos = tok or self.peek()
         if kind == "bad":
             raise ParseError(f"unexpected character {value!r}", self.text, pos)
+        if len(value) > 40:  # echo at most 40 characters of a token
+            value = value[:40] + "…"
         got = repr(value) if value else "end of input"
         raise ParseError(f"{message}, got {got}", self.text, pos)
 

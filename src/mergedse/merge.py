@@ -541,14 +541,21 @@ def merge_functions(m: Module, name1: str, name2: str,
 def best_alignment(m: Module, name1: str, name2: str,
                    seeds: int = DEFAULT_SEEDS
                    ) -> tuple[Alignment, Linearization, Linearization]:
-    """Best-scoring alignment over `seeds` linearization seed combinations."""
+    """Best-scoring alignment over `seeds` linearization seed combinations.
+    Equal block layouts score equally, so each distinct pair aligns once."""
     if seeds < 1:
         raise IRError(f"seeds must be at least 1, got {seeds}")
     f1, f2 = m.function(name1), m.function(name2)
     rt1, rt2 = f1.register_types(), f2.register_types()
+    pairs = seed_pairs(seeds)
+    lins1 = {s: linearize(f1, s) for s in {s1 for s1, _ in pairs}}
+    lins2 = {s: linearize(f2, s) for s in {s2 for _, s2 in pairs}}
+    layouts: dict = {}  # (order1, order2) -> first seed pair's linearizations
+    for s1, s2 in pairs:
+        layouts.setdefault((tuple(lins1[s1].order), tuple(lins2[s2].order)),
+                           (lins1[s1], lins2[s2]))
     best = None
-    for s1, s2 in seed_pairs(seeds):
-        lin1, lin2 = linearize(f1, s1), linearize(f2, s2)
+    for lin1, lin2 in layouts.values():
         a = align(lin1.instrs, lin2.instrs, rt1=rt1, rt2=rt2)
         if best is None or a.score > best[0].score:
             best = (a, lin1, lin2)

@@ -300,6 +300,7 @@ def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution
     (then name), trying hardware, software, then neither. Every root group
     (a root and its merged descendants) keeps selected, undecided and
     hardware-selected counts and a count of hardware callers of its root,
+    and every merged function a blocked count of its groups with a selection,
     updated on assignment and undone on backtrack. A decision checks only
     the groups that contain the function and, for hardware, the groups of its
     root callees, so every leaf reached is feasible. The bound adds, for each
@@ -344,9 +345,8 @@ def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution
                (_HW, _SW, _NONE) if p.descend[x] else (_HW, _SW) for x in names]
     group_root = [index[r] for r in roots]
     group_merged = [[(index[d], hw[index[d]] // len(groups_of[index[d]]),
-                      area[index[d]] / len(groups_of[index[d]]),
-                      groups_of[index[d]]) for d in sorted(p.descend[r])]
-                    for r in roots]
+                      area[index[d]] / len(groups_of[index[d]]))
+                     for d in sorted(p.descend[r])] for r in roots]
     limit = p.area_budget + 1e-9
 
     st = [-1] * n             # -1 undecided, else _HW/_SW/_NONE
@@ -354,6 +354,7 @@ def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution
     undecided = [1 + len(p.descend[r]) for r in roots]
     hw_selected = [0] * len(roots)
     hw_callers = [0] * len(roots)
+    blocked = [0] * n         # merged function -> groups with a selection
     best: int | None = None
     best_state: list[int] | None = None
     nodes = 0
@@ -368,6 +369,9 @@ def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution
             if c != _NONE:
                 selected[g] += 1
                 hw_selected[g] += c == _HW
+                if selected[g] == 1:
+                    for d, _, _ in group_merged[g]:
+                        blocked[d] += 1
             if selected[g] > 1 or not undecided[g] and (
                     not selected[g] or hw_callers[g] and not hw_selected[g]):
                 ok = False
@@ -385,6 +389,9 @@ def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution
             if c != _NONE:
                 selected[g] -= 1
                 hw_selected[g] -= c == _HW
+                if selected[g] == 0:
+                    for d, _, _ in group_merged[g]:
+                        blocked[d] -= 1
         if c == _HW:
             for g in root_callee_groups[k]:
                 hw_callers[g] -= 1
@@ -397,8 +404,8 @@ def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution
             if selected[g]:
                 continue
             opts = [(0.0, sw[r]), (area[r], hw[r])] if st[r] == -1 else []
-            for k, c, a, gs in group_merged[g]:
-                if st[k] == -1 and not any(selected[h] for h in gs):
+            for k, c, a in group_merged[g]:
+                if st[k] == -1 and not blocked[k]:
                     opts.append((a, c))
             if not opts:
                 return None

@@ -88,6 +88,16 @@ def test_verify_subcommand():
     assert "verified true" in r.stdout
 
 
+def test_long_token_is_cut_in_parse_errors(tmp_path, capsys):
+    # a 5,000-digit literal used to be echoed whole, a 5,046-byte message
+    bad_ir = tmp_path / "long.ir"
+    bad_ir.write_text("func @main() -> i32 { e: ret i32 " + "9" * 5000 + " }\n")
+    assert main(["analyze", "--callgraph", str(bad_ir)]) == 2
+    err = capsys.readouterr().err
+    assert "integer literal too long, got '" + "9" * 40 + "…'" in err
+    assert len(err.encode()) < 200
+
+
 def test_exit_codes(tmp_path, capsys):
     # usage error: unknown subcommand argument combination
     assert main(["analyze", POLY_IR]) == 1

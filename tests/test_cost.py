@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from mergedse.analysis import build_call_graph
 from mergedse.cost import (
     CostError, DEFAULT_SW_CYCLES, _standardize, estimate_costs,
-    estimate_profitability, evaluate_model, hierarchical_features, hw_latency,
-    load_model, mean_relative_error, mlp_loss_and_grads, own_features,
+    estimate_profitability, evaluate_model, hw_latency, load_model,
+    mean_relative_error, mlp_loss_and_grads, module_rows, own_features,
     r_squared, read_dataset, save_model, sw_latency, synthetic_dataset,
     synthetic_hls_oracle, train_lasso, train_mlp, write_dataset,
 )
@@ -32,7 +32,7 @@ def test_leaf_feature_counts():
       ret i32 %e
     }
     """)
-    v = own_features(m, "f")
+    v = own_features(m.function("f"))
     assert v[OPCODE_INDEX["add"]] == 3
     assert v[OPCODE_INDEX["mul"]] == 1
     assert v[OPCODE_INDEX["ret"]] == 1
@@ -41,9 +41,9 @@ def test_leaf_feature_counts():
 
 def test_hierarchical_adds_callee_counts(pair_module):
     cg = build_call_graph(pair_module)
-    own = own_features(pair_module, "sel_a")
-    hier = hierarchical_features(pair_module, cg)["sel_a"]
-    helper = own_features(pair_module, "helper")
+    own = own_features(pair_module.function("sel_a"))
+    hier = module_rows(pair_module, cg)["sel_a"][0]
+    helper = own_features(pair_module.function("helper"))
     assert np.array_equal(hier, own + helper)
     assert (hier >= own).all()
 
@@ -66,21 +66,24 @@ def test_two_call_sites_double_the_callee():
     }
     """)
     cg = build_call_graph(m)
-    hier = hierarchical_features(m, cg)["top"]
-    assert np.array_equal(hier, own_features(m, "top") + 2 * own_features(m, "leaf"))
+    hier = module_rows(m, cg)["top"][0]
+    assert np.array_equal(hier, own_features(m.function("top"))
+                          + 2 * own_features(m.function("leaf")))
 
 
 def test_hierarchy_matches_independent_recomputation(corpus):
     for name, m, _ in corpus:
         cg = build_call_graph(m)
-        rows = hierarchical_features(m, cg)
-        assert set(rows) == set(m.functions)
-        for fname in m.functions:
-            expected = own_features(m, fname).astype(float)
+        rows = module_rows(m, cg)
+        assert list(rows) == list(m.functions)
+        for fname, f in m.functions.items():
+            own = own_features(f)
+            assert np.array_equal(rows[fname][1], own)
+            calls = [ins.callee for ins in f.instructions() if ins.op == "call"]
+            expected = own.astype(float)
             for callee in sorted(cg.direct[fname]):
-                expected = expected + (cg.call_sites[(fname, callee)]
-                                       * rows[callee])
-            assert np.array_equal(rows[fname], expected)
+                expected = expected + calls.count(callee) * rows[callee][0]
+            assert np.array_equal(rows[fname][0], expected)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +327,7 @@ def test_estimate_costs_sw_zero_iff_unexecuted(corpus, area_model):
     name, m, img = corpus[0]
     trace = run_heap_image(m, img).trace
     cg = build_call_graph(m)
-    costs = estimate_costs(m, trace, area_model, cg)
+    costs = estimate_costs(module_rows(m, cg), trace, area_model)
     for fname, ce in costs.items():
         executed = trace.invocations.get(fname, 0) > 0
         assert (ce.sw == 0) == (not executed)

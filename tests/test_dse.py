@@ -7,7 +7,7 @@ import pytest
 from mergedse.analysis import build_call_graph
 from mergedse.cost import (
     DEFAULT_HW_CYCLES, DEFAULT_SW_CYCLES, estimate_costs, load_model,
-    save_model, synthetic_dataset, train_mlp,
+    module_rows, save_model, synthetic_dataset, train_mlp,
 )
 from mergedse import dse
 from mergedse.dse import (
@@ -57,6 +57,8 @@ def test_candidate_areas_match_probe_module_costing(corpus, area_model,
                                                     monkeypatch, mode):
     # Reference: the former candidate costing, which deep-cloned the module,
     # added the candidate and ran estimate_costs over that probe module.
+    # prepare prices a candidate from its own two rows instead, and must keep
+    # every bit of that, on every corpus program.
     verified = []
 
     def spy(work, n1, n2, mf, **kw):
@@ -68,15 +70,15 @@ def test_candidate_areas_match_probe_module_costing(corpus, area_model,
 
     monkeypatch.setattr(dse, "verify_merge", spy)
     accepted = 0
-    for name, m, img in _corpus_subset(corpus, ["blur", "checksum", "reduce"]):
+    for name, m, img in corpus:
         verified.clear()
         prep = prepare(m, [img], PipelineConfig(mode=mode), area_model)
         assert len(verified) == len(prep.merges) > 0
         for (work, f), record in zip(verified, prep.merges):
             probe = work.clone()
             probe.functions[f.name] = f
-            old = estimate_costs(probe, prep.trace, area_model,
-                                 build_call_graph(probe))[f.name]
+            old = estimate_costs(module_rows(probe, build_call_graph(probe)),
+                                 prep.trace, area_model)[f.name]
             assert record.name == f.name
             assert record.area.hex() == old.area.hex(), (name, f.name)
             if f.name in prep.merge_parents:

@@ -95,6 +95,51 @@ def test_seed_pairs_cover_grid():
     assert len(seed_pairs(9)) == 9
 
 
+def _plain_best_alignment(m, name1, name2, seeds):
+    """Every seed pair linearized and aligned afresh; the reference."""
+    f1, f2 = m.function(name1), m.function(name2)
+    rt1, rt2 = f1.register_types(), f2.register_types()
+    best = None
+    for s1, s2 in seed_pairs(seeds):
+        lin1, lin2 = linearize(f1, s1), linearize(f2, s2)
+        a = align(lin1.instrs, lin2.instrs, rt1=rt1, rt2=rt2)
+        if best is None or a.score > best[0].score:
+            best = (a, lin1, lin2)
+    return best
+
+
+def test_best_alignment_aligns_each_layout_pair_once(pair_module, corpus,
+                                                     monkeypatch):
+    cases = [(pair_module, "sel_a", "sel_b")]
+    for name, m, _ in corpus:
+        if name in ("decode", "reduce"):
+            cases += [(m, n1, n2) for n1, n2, _ in rank_pairs(m)]
+    calls = []
+
+    def counting_align(s1, s2, **kw):
+        calls.append(None)
+        return align(s1, s2, **kw)
+
+    monkeypatch.setattr(merge, "align", counting_align)
+    saved = 0
+    for m, n1, n2 in cases:
+        f1, f2 = m.function(n1), m.function(n2)
+        for seeds in range(1, 10):
+            want = _plain_best_alignment(m, n1, n2, seeds)
+            calls.clear()
+            got = best_alignment(m, n1, n2, seeds)
+            layouts = {(tuple(linearize(f1, s1).order),
+                        tuple(linearize(f2, s2).order))
+                       for s1, s2 in seed_pairs(seeds)}
+            assert len(calls) == len(layouts), (n1, n2, seeds)
+            saved += seeds - len(layouts)
+            assert got[0].entries == want[0].entries, (n1, n2, seeds)
+            assert got[0].score == want[0].score
+            assert got[1].order == want[1].order
+            assert got[2].order == want[2].order
+    assert saved > 0
+
+
 # ---------------------------------------------------------------------------
 # Alignment
 # ---------------------------------------------------------------------------

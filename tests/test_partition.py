@@ -165,6 +165,22 @@ def test_solve_matches_golden_assignments():
         assert s.objective == solve_bruteforce(p).objective, g
 
 
+NODES = Path(__file__).parent / "data" / "solve_nodes.json"
+
+
+def test_solver_node_counts_unchanged():
+    # Recorded from the solver whose bound rescanned a merged function's
+    # groups at every node instead of reading its blocked count: the count
+    # may change the cost of a node, never the search. The total is over
+    # the 300 instances of test_solver_matches_bruteforce_randomized.
+    pinned = json.loads(NODES.read_text())
+    assert [[g, s, solve(golden_problem(g, s)).nodes]
+            for g, s in GOLDEN_CASES] == pinned["golden"]
+    rng = random.Random(2024)
+    assert (sum(solve(rand_problem(rng)).nodes for _ in range(300))
+            == pinned["rand_2024_300_total"])
+
+
 def test_budget_zero_forces_software():
     rng = random.Random(0)
     p = make_problem(6, [("m0", "f0", "f1")], rng, budget_frac=0.0)
@@ -356,10 +372,10 @@ def test_build_problem_descend_and_roots(pair_module, area_model):
     mf = merge_functions(m, "sel_a", "sel_b")
     m.functions[mf.function.name] = mf.function
     cg = build_call_graph(m)
-    from mergedse.cost import estimate_costs
+    from mergedse.cost import estimate_costs, module_rows
     from mergedse.ir import interpret
     trace = interpret(pair_module, "sel_a", [2, 3, 1]).trace
-    costs = estimate_costs(m, trace, area_model, cg)
+    costs = estimate_costs(module_rows(m, cg), trace, area_model)
     child = mf.function.name
     p = build_problem(m, costs, trace, {child: ("sel_a", "sel_b")},
                       area_budget=1000.0)
