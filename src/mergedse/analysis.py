@@ -131,20 +131,26 @@ def natural_loops(f: Function) -> LoopForest:
     # irreducible control flow: removing back edges must leave a DAG
     remaining = {lab: [s for s in succs[lab] if (lab, s) not in back_edges]
                  for lab in labels}
+    # depth-first with an explicit stack: 1 = on the path, 2 = done
     state: dict[str, int] = {}
-
-    def acyclic(lab: str) -> bool:
-        state[lab] = 1
-        for s in remaining[lab]:
-            st = state.get(s, 0)
-            if st == 1 or (st == 0 and not acyclic(s)):
-                return False
-        state[lab] = 2
-        return True
-
-    for lab in labels:
-        if state.get(lab, 0) == 0 and not acyclic(lab):
-            return LoopForest([], irreducible=True)
+    for root in labels:
+        if root in state:
+            continue
+        state[root] = 1
+        path = [(root, iter(remaining[root]))]
+        while path:
+            lab, succs = path[-1]
+            for s in succs:
+                st = state.get(s, 0)
+                if st == 1:
+                    return LoopForest([], irreducible=True)
+                if st == 0:
+                    state[s] = 1
+                    path.append((s, iter(remaining[s])))
+                    break
+            else:
+                state[lab] = 2
+                path.pop()
 
     # loop body: header plus all nodes reaching the back edge tail without
     # passing through the header; loops sharing a header are unioned

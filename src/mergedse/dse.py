@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -89,7 +89,6 @@ class MergeRecord:
     area: float            # merged standalone area (hierarchical features)
     parents_area: float    # sum of the parents' standalone areas
     ep: float
-    selected: bool = False
 
 
 @dataclass
@@ -110,6 +109,8 @@ class DseReport:
     hw_pct: float
     comm_pct: float
     funnel: dict[str, int]
+    # the mode's records, one list shared by its reports; a record is
+    # selected at this point when its name is in merged_hw
     merges: list[MergeRecord] = field(default_factory=list)
     n_merged_selected: int = 0
     optimal: bool = True       # solver status; not emitted under dse-report/v1
@@ -267,20 +268,19 @@ def _report_for(prep: Prepared, cfg: PipelineConfig, sol: PartitionSolution,
     comm = sol.objective - sw_time - hw_time
     obj = sol.objective
     pct = (lambda x: float(100 * x / obj) if obj > 0 else 0.0)
-    merged_sel = set(sol.merged_hw)
-    merges = [replace(r, selected=r.name in merged_sel) for r in prep.merges]
+    merged_hw = sol.merged_hw
     funnel = dict(prep.funnel)
-    funnel["selected"] = len(merged_sel)
+    funnel["selected"] = len(merged_hw)
     return DseReport(
         program=program, mode=cfg.mode, budget=budget, latency=latency,
         bandwidth=float(bandwidth),
         objective=obj, baseline=prep.baseline,
         speedup=float(prep.baseline / obj) if obj > 0 else 1.0,
         software=sol.software, hardware=sol.hardware,
-        merged_hw=sol.merged_hw,
+        merged_hw=merged_hw,
         area_used=sum(problem.area[n] for n, v in sol.hwv.items() if v),
         sw_pct=pct(sw_time), hw_pct=pct(hw_time), comm_pct=pct(comm),
-        funnel=funnel, merges=merges, n_merged_selected=len(merged_sel),
+        funnel=funnel, merges=prep.merges, n_merged_selected=len(merged_hw),
         optimal=sol.optimal, solver_nodes=sol.nodes)
 
 
@@ -353,6 +353,7 @@ def reports_to_csv(reports: list[DseReport]) -> str:
 
 
 def report_to_dict(r: DseReport) -> dict:
+    selected = set(r.merged_hw)
     return {
         "program": r.program,
         "mode": r.mode,
@@ -376,7 +377,7 @@ def report_to_dict(r: DseReport) -> dict:
             "verified": mr.verified, "trials": mr.trials,
             "area": mr.area, "parents_area": mr.parents_area,
             "ep": None if mr.ep != mr.ep else mr.ep,
-            "selected": mr.selected,
+            "selected": mr.name in selected,
         } for mr in r.merges],
     }
 

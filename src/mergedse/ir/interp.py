@@ -14,10 +14,13 @@ instruction count.
 Execution runs on a `Program`, a module decoded once: each function is
 decoded on first call into straight-line segments. A segment ends at a
 `call` or at a terminator; an unconditional `jmp` continues it into the
-target block unless that block is already part of it. Fuel is charged once
-per segment; a segment longer than the remaining fuel runs only the
-instructions the fuel pays for and then raises, so fuel runs out at the
-same dynamic instruction as with per-instruction charging. Frames count
+target block unless that block is already part of it. Only what control
+can enter starts a segment: the entry, branch targets, call continuations
+and the targets of segment-ending jmps. Fuel is charged once per segment;
+a segment longer than the remaining fuel runs only the instructions the
+fuel pays for and then raises, so fuel runs out at the same dynamic
+instruction as with per-instruction charging. An InterpError records the
+fuel left where it was raised. Frames count
 segment runs per calling context (a function reached through one chain of
 calls); the Trace is folded from those counts when first read. A frame
 records the start addresses of its loads and stores, one set per access
@@ -70,9 +73,14 @@ MAX_HEAP_BYTES = 1 << 24
 
 
 class InterpError(IRError):
+    """A run's error. `fuel` is the fuel left where it was raised: after the
+    charge of the segment that raised it, and 0 when that segment could not
+    be paid in full. It is None for errors raised outside a frame."""
+
     def __init__(self, kind: str, message: str):
         super().__init__(message)
         self.kind = kind
+        self.fuel: int | None = None
 
 
 @dataclass
@@ -220,12 +228,17 @@ def _footprint(reached: set, t4: set, t8: set) -> set:
 
 def _exhaust(fn: "_Decoded", i: int, fuel: int, r: list | dict):
     """Run the instructions of segment i that `fuel` pays for on frame r,
-    then raise. The hot tier passes its locals(), turned back into a frame."""
+    then raise. The hot tier passes its locals(), turned back into a frame.
+    The segment spends all the fuel left, so what it raises leaves none."""
     if type(r) is dict:
         r = [r[f"r{k}"] for k in range(len(fn.frame))]
-    for h in filter(None, fn.segs[i][7][:max(fuel, 0)]):
-        h(r)
-    raise InterpError("fuel", f"fuel exhausted in @{fn.name}")
+    try:
+        for h in filter(None, fn.segs[i][7][:max(fuel, 0)]):
+            h(r)
+        raise InterpError("fuel", f"fuel exhausted in @{fn.name}")
+    except InterpError as e:
+        e.fuel = 0
+        raise
 
 
 # The generated code's globals: error paths and the heap codecs.
@@ -270,7 +283,8 @@ def _factory(op: str, ty: str, pred, cast_to, touch: bool):
 def _hot_source(fn: "_Decoded") -> str:
     """Hot tier: the source of one Python function running all of `fn` from
     segment i with registers as locals r<slot>, charging fuel (one guard at
-    the loop head), counting segment runs and calling as _cold does."""
+    the loop head), counting segment runs, calling and recording the fuel
+    left in an InterpError as _cold does."""
     out = ["def hot(m, ctx, args, fuel, r=frame, i=0):",
            " " + "".join(f"r{k}, " for k in range(len(fn.frame))) + "= r",
            " if args is not None:",
@@ -281,8 +295,8 @@ def _hot_source(fn: "_Decoded") -> str:
     if fn.touches:
         emit("  ", "r1, r2, r3 = set(), set(), set()")
     emit("  ", "(" + "".join(f"r{s}, " for s in fn.params) + ") = args")
-    emit(" ", "runs, callees = ctx.runs, ctx.callees\n"
-              f"while True:\n if fuel < {max(fn.lens)}:\n  if fuel < "
+    emit(" ", "runs, callees = ctx.runs, ctx.callees\ntry:\n"
+              f" while True:\n  if fuel < {max(fn.lens)}:\n   if fuel < "
               f"{tuple(fn.lens)}[i]: exhaust(ctx.fn, i, fuel, locals())")
 
     def segment(k: int, ind: str):
@@ -320,7 +334,9 @@ def _hot_source(fn: "_Decoded") -> str:
         tree(lo, mid, ind + " ")
         emit(ind, "else:")
         tree(mid, hi, ind + " ")
-    tree(0, len(fn.segs), "  ")
+    tree(0, len(fn.segs), "   ")
+    emit(" ", "except InterpError as e:\n if e.fuel is None: e.fuel = fuel\n"
+              " raise")
     return "\n".join(out)
 
 
@@ -352,7 +368,7 @@ class _Decoded:
             return len(frame) - 1
 
         self.params = [slot(Reg(p)) for p, _ in f.params]
-        # every block split after each call: (label, piece) -> segment index
+        # every block split after each call into pieces
         pieces: dict[str, list[list]] = {}
         for b in f.blocks:
             pieces[b.label] = cur = [[]]
@@ -361,22 +377,37 @@ class _Decoded:
                 if ins.op == "call":
                     cur.append([])
             cur[-1].append(b.instrs[-1])
-        index = {key: k for k, key in enumerate(
-            (label, j) for label, ps in pieces.items() for j in range(len(ps)))}
+        # a jmp does not end a segment: it continues into the target block
+        # unless that block is already part of it. Only the pieces something
+        # can enter start a segment: the entry piece, branch targets, call
+        # continuations and the targets of segment-ending jmps
+        spans: dict[tuple[str, int], tuple[list, str, int]] = {}
+        stack = [(f.entry, 0)]
+        while stack:
+            key = stack.pop()
+            if key in spans:
+                continue
+            (label, j), seen = key, {key[0]}
+            instrs = list(pieces[label][j])
+            while instrs[-1].op == "jmp" and instrs[-1].succs[0] not in seen:
+                label, j = instrs[-1].succs[0], 0
+                seen.add(label)
+                instrs += pieces[label][0]
+            spans[key] = instrs, label, j
+            last = instrs[-1]
+            stack.extend([(label, j + 1)] if last.op == "call" else
+                         [(t, 0) for t in last.succs])
+        index = {key: k for k, key in enumerate(   # in block order
+            (label, j) for label, ps in pieces.items() for j in range(len(ps))
+            if (label, j) in spans)}
 
         self.segs: list[tuple] = []
         self.lens: list[int] = []
         self.hists: list[tuple[tuple[str, int], ...]] = []
         self.code: list[list] = []
         self.touches = False
-        for (label, j) in index:
-            # a jmp does not end the segment: it continues into the target
-            # block unless that block is already part of it
-            instrs, seen = list(pieces[label][j]), {label}
-            while instrs[-1].op == "jmp" and instrs[-1].succs[0] not in seen:
-                label, j = instrs[-1].succs[0], 0
-                seen.add(label)
-                instrs += pieces[label][0]
+        for key in index:
+            instrs, label, j = spans[key]
             body, steps, code = [], [], []
             for ins in instrs[:-1]:
                 h = c = None
@@ -477,10 +508,12 @@ class _Machine:
         return ctx
 
     def run(self, entry: str, args: list, heap: bytearray, fuel: int):
-        """`entry`'s value on well-typed `args` over `heap` with `fuel`."""
+        """`entry`'s value on well-typed `args` over `heap` with `fuel`, and
+        the fuel left."""
         self.heap = heap
         ctx = self.roots.get(entry) or self.context(entry, None)
-        return ctx.fn.run(self, ctx, args, fuel)[0]
+        value, _, left = ctx.fn.run(self, ctx, args, fuel)
+        return value, left
 
     def trace(self) -> Trace:
         tr = Trace(edge_bytes={} if self.prog.footprints else None)
@@ -558,6 +591,10 @@ def _cold(m: _Machine, ctx: _Context, args: list, fuel: int):
             else:
                 value = r[x] if x is not None else None
                 break
+    except InterpError as e:   # the innermost frame records its fuel
+        if e.fuel is None:
+            e.fuel = fuel
+        raise
     finally:   # a run that raises keeps its heat too
         fn.left = left
     # the entry has no call edge to charge its footprint to
@@ -600,7 +637,7 @@ def interpret(m: Module | Program, entry: str | None = None,
                           f"got {len(args)}")
     args = [_coerce_arg(a, ty) for a, (_, ty) in zip(args, f.params)]
     arena, mach = arena or Arena(), _Machine(prog)
-    value = mach.run(entry, args, arena.data, fuel)
+    value, _ = mach.run(entry, args, arena.data, fuel)
     return ExecResult(value, arena.region_image(), mach)
 
 

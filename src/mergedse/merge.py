@@ -1,6 +1,6 @@
 """Function merging: linearization, weighted sequence alignment, parameter
-merging, merged-body code generation with f_sel multiplexing, and random-input
-differential verification.
+merging, merged-body code generation with f_sel multiplexing, and
+verification by weave walk and random-input differential trials.
 
 The merged function interleaves both parents' linearized instruction streams.
 Aligned instruction pairs are emitted once, with `select f_sel, ...` muxes on
@@ -8,7 +8,17 @@ any operands that differ; unaligned runs become blocks only one selector value
 can reach. Under f_sel=1 control flow threads exactly through the first
 parent's instructions (gap blocks of the other side are branched around), and
 symmetrically for f_sel=0, so equivalence holds by construction for any pair
-of control-flow graphs; the differential verifier enforces it.
+of control-flow graphs.
+
+Verification checks it per side. The weave walk proves a side: with f_sel
+fixed, the merged body must run exactly the parent's instructions in order,
+on the same values, with only glue between them: `select %f_sel`, `br
+%f_sel`, `jmp` and the zero initializers at the entry. It returns K, the
+most merged instructions run per parent instruction. A proved side whose
+parent trials each ran out of fuel or charged F fuel with
+K·F + 2·size(merged) <= fuel agrees on every trial without running the
+merged body; every other side falls back to running its merged trials
+against the parent's.
 """
 
 from __future__ import annotations
@@ -270,12 +280,18 @@ class MergedFunction:
     `arg_plan` holds, per merged parameter before the trailing f_sel, the
     index of the parameter of parent 1 and of parent 2 it stands for, None
     where that parent has none. The parent instructions of the body are
-    one per alignment entry; the rest of `function.size()` is glue."""
+    one per alignment entry; the rest of `function.size()` is glue.
+    `renames` maps each parent's registers to the merged registers standing
+    for them, and `inits` counts the zero initializers that open the first
+    block (`weave_walk` reads both)."""
     function: Function
     parents: tuple[str, str]
     alignment: Alignment
     mux_selects: int = 0
     arg_plan: list[tuple[int | None, int | None]] = field(default_factory=list)
+    renames: tuple[dict[str, str], dict[str, str]] = field(
+        default_factory=lambda: ({}, {}))
+    inits: int = 0
 
     def args_for(self, side: int, parent_args: list) -> list:
         """Merged-call arguments equivalent to calling parent `side` (1 or 2)
@@ -522,11 +538,12 @@ def merge_functions(m: Module, name1: str, name2: str,
     # register before that side assigned it; dead zero-initializers at entry
     # make the body assign-before-use clean without changing behavior.
     needed = {r for _, r in unassigned_uses(merged)}
+    inits: list[Instr] = []
     if needed:
         reg_types = merged.register_types()
-        merged.blocks[0].instrs[0:0] = [
-            Instr("const", reg_types[r], r, (zero_literal(reg_types[r]),))
-            for r in sorted(needed) if r in reg_types]
+        inits = [Instr("const", reg_types[r], r, (zero_literal(reg_types[r]),))
+                 for r in sorted(needed) if r in reg_types]
+        merged.blocks[0].instrs[0:0] = inits
 
     # only the new body needs checking: its callees are the parents' callees,
     # so under a fresh name it cannot close a call cycle
@@ -535,7 +552,7 @@ def merge_functions(m: Module, name1: str, name2: str,
     if diags:
         raise MergeRejected("merged body failed validation: " + "; ".join(diags))
     return MergedFunction(merged, (name1, name2), alignment, mux_selects,
-                          arg_plan)
+                          arg_plan, (a.rename, b.rename), len(inits))
 
 
 def best_alignment(m: Module, name1: str, name2: str,
@@ -560,6 +577,161 @@ def best_alignment(m: Module, name1: str, name2: str,
         if best is None or a.score > best[0].score:
             best = (a, lin1, lin2)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Weave walk: one f_sel side proved equal to its parent
+# ---------------------------------------------------------------------------
+
+class _Unproved(Exception):
+    """The weave walk cannot prove the side; carries the reason."""
+
+
+def weave_walk(merged: MergedFunction, side: int, parent: Function
+               ) -> tuple[int | None, str]:
+    """Prove that the merged body with f_sel fixed to side's value (1 for
+    side 1, 0 for side 2) computes what `parent` computes, in translation
+    validation's way: by walking both, not by running them.
+
+    The walk starts at both entries and goes through the parent block by
+    block. Each parent instruction must meet the next merged instruction
+    that is not glue, equal in opcode, type, predicate, cast, callee,
+    result presence, successor count and the value of every operand; a
+    parent jmp must meet a glue jmp or f_sel branch. Glue is `select
+    %f_sel` (a copy, under a fixed f_sel), `br %f_sel` and `jmp` (both
+    followed) and the `inits` zero constants that open the first block.
+    Values are tracked exactly: a merged register holds the value a parent
+    register took at one of its assignments, a literal, or nothing known.
+    Where a parent br or jmp enters a block, the side's rename must hold:
+    each parent register the block's walk assigned, and each one whose
+    merged register it overwrote, is in the merged register `renames` names
+    for it (parents read no register before assigning it, which the walk
+    checks, so an unassigned one may hold anything). Each (merged block,
+    parent block) pair is walked once, with an explicit worklist.
+
+    Returns (K, "") where K is the largest number of merged instructions
+    walked per parent instruction (the first one's entry glue apart, which
+    is at most size(merged)), or (None, reason).
+    """
+    try:
+        return _walk(merged, side, parent), ""
+    except _Unproved as e:
+        return None, str(e)
+
+
+def _walk(merged: MergedFunction, side: int, parent: Function) -> int:
+    f = merged.function
+    fsel, rename = f.params[-1][0], merged.renames[side - 1]
+    inv: dict[str, str] = {}
+    for r, mr in rename.items():
+        if inv.setdefault(mr, r) != r:
+            raise _Unproved(f"%{inv[mr]} and %{r} share %{mr}")
+    if fsel in inv:
+        raise _Unproved("a parent register is renamed to f_sel")
+    if unassigned_uses(parent):
+        raise _Unproved("the parent reads a register before assigning it")
+    placed = {ix[side - 1]: p for p, ix in zip(f.params, merged.arg_plan)
+              if ix[side - 1] is not None}
+    if (len(merged.arg_plan) != len(f.params) - 1
+            or len(placed) != len(parent.params)
+            or any(placed.get(i) != (rename.get(p), ty)
+                   for i, (p, ty) in enumerate(parent.params))):
+        raise _Unproved("the parameters do not line up")
+
+    blocks = {b.label: b.instrs for b in f.blocks}
+    pblocks = {b.label: b.instrs for b in parent.blocks}
+    params, size, fsel_reg = {p for p, _ in parent.params}, f.size(), Reg(fsel)
+    fsel_value = ("l", "i1", int(side == 1))
+    start = (f.entry, parent.entry)
+    seen, work, k = {start}, [start], 1
+    holds: dict[str, tuple | None] = {}   # merged register -> its value
+    gen: dict[str, int] = {}   # parent register -> assignments in this walk
+
+    def value(o) -> tuple | None:   # of a merged operand
+        if type(o) is Lit:
+            return ("l", o.ty, _canon(o.value))
+        if o.name in holds:
+            return holds[o.name]
+        if o.name == fsel:
+            return fsel_value
+        x = inv.get(o.name)
+        return None if x is None else ("r", x, 0)
+
+    def pvalue(o) -> tuple:   # of a parent operand
+        if type(o) is Lit:
+            return ("l", o.ty, _canon(o.value))
+        return ("r", o.name, gen.get(o.name, 0))
+
+    def enter(mlab: str, plab: str):
+        if mlab not in blocks or plab not in pblocks or plab == parent.entry:
+            raise _Unproved(f"a branch to {mlab} / {plab}")
+        for m, v in holds.items():
+            x = inv.get(m)
+            # at the entry block an unassigned non-parameter may hold anything
+            if x is not None and v != ("r", x, gen.get(x, 0)) and not (
+                    at_entry and x not in gen and x not in params):
+                raise _Unproved(f"%{m} does not hold %{x} entering {plab}")
+        for x in gen:
+            if rename.get(x) not in holds:
+                raise _Unproved(f"%{x} is not renamed entering {plab}")
+        if (mlab, plab) not in seen:
+            seen.add((mlab, plab))
+            work.append((mlab, plab))
+
+    while work:
+        mlab, plab = work.pop()
+        at_entry = (mlab, plab) == start
+        holds.clear()
+        gen.clear()
+        instrs, pc, glue = blocks[mlab], 0, 0
+        if at_entry:
+            for q in instrs[:merged.inits]:
+                if q.op != "const" or type(q.operands[0]) is not Lit \
+                        or q.result == fsel:
+                    raise _Unproved("an entry initializer is not a constant")
+                holds[q.result] = value(q.operands[0])
+            pc = glue = merged.inits
+        for i, p in enumerate(pblocks[plab]):
+            while True:
+                if pc == len(instrs) or glue == size:
+                    raise _Unproved(f"glue does not reach {p.op} in {plab}")
+                q, pc, glue = instrs[pc], pc + 1, glue + 1
+                if q.op == "select" and q.operands[0] == fsel_reg:
+                    if q.result == fsel:
+                        raise _Unproved("glue assigns f_sel")
+                    holds[q.result] = value(q.operands[1 if side == 1 else 2])
+                    continue
+                if q.op == "jmp" or q.op == "br" and q.operands[0] == fsel_reg:
+                    target = q.succs[0 if q.op == "jmp" or side == 1 else 1]
+                    if p.op == "jmp":
+                        break
+                    if target not in blocks:
+                        raise _Unproved(f"a branch to {target}")
+                    instrs, pc = blocks[target], 0
+                    continue
+                if (p.op == "jmp" or (q.op, q.ty, q.pred, q.cast_to, q.callee)
+                        != (p.op, p.ty, p.pred, p.cast_to, p.callee)
+                        or (q.result is None) != (p.result is None)
+                        or q.result == fsel
+                        or len(q.operands) != len(p.operands)
+                        or len(q.succs) != len(p.succs)
+                        or any(value(a) != pvalue(b)
+                               for a, b in zip(q.operands, p.operands))):
+                    raise _Unproved(f"{p.op} in {plab} meets merged {q.op} "
+                                    f"in the merged walk from {mlab}")
+                break
+            if i or not at_entry:
+                k = max(k, glue)
+            glue = 0
+            if p.op == "jmp":
+                enter(target, p.succs[0])
+            elif p.op == "br":
+                for mt, pt in zip(q.succs, p.succs):
+                    enter(mt, pt)
+            elif p.result is not None:
+                gen[p.result] = n = gen.get(p.result, 0) + 1
+                holds[q.result] = ("r", p.result, n)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -612,12 +784,14 @@ def _trial_plans(memo: dict, seed: int, trials: int,
 
 
 def _run(mach: _Machine, fname: str, template: bytes, args: list, fuel: int):
+    """One run's outcome and the fuel it charged (all of it when an error
+    does not say what it left)."""
     heap = bytearray(template)
     try:
-        value = mach.run(fname, args, heap, fuel)
+        value, left = mach.run(fname, args, heap, fuel)
     except InterpError as e:
-        return ("error:" + e.kind, None, None)
-    return ("ok", _canon(value), bytes(heap[REGION_BASE:]))
+        return ("error:" + e.kind, None, None), fuel - (e.fuel or 0)
+    return ("ok", _canon(value), bytes(heap[REGION_BASE:])), fuel - left
 
 
 def _canon(v):
@@ -634,6 +808,8 @@ class VerifyReport:
     passed: bool
     counterexample: tuple[int, list] | None = None   # (f_sel, parent args)
     detail: str = ""
+    # per side: the weave walk proved it and no merged trial of it ran
+    proved: tuple[bool, bool] = field(default=(False, False), compare=False)
 
 
 def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
@@ -646,17 +822,27 @@ def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
     agreement, unless no parent trial of a side returns. The first
     counterexample is reported; trials < 1 is an IRError.
 
+    Every parent trial runs. A side `weave_walk` proves with K agrees on
+    every trial whose parent ended in `error:fuel` or charged F fuel with
+    K·F + 2·size(merged) <= fuel: the merged run executes the parent's
+    instructions with at most K merged instructions for each (the entry's
+    glue apart, at most size(merged)), and the callees' instructions alike,
+    so it neither runs out of fuel sooner nor, on a parent that does, later.
+    Its merged trials are skipped when every parent trial is such a trial;
+    otherwise, and on a side the walk does not prove, they all run.
+
     The trials of a call run as one batch on one _Machine (the run path of
     `interpret`, without its argument checks: plans are well-typed), which
     keeps its calling contexts; each run starts from a copy of its plan's
     heap template. `memo` holds the trials of each pair of parameter-type
     signatures (plan id, heap template, arguments), maps (parent, fuel,
-    plan id) to the parent's outcome and keeps one Program: each module
-    function is decoded once for all calls sharing the memo and compiled
-    (the hot tier) once it has run HOT_MULTIPLE times its size there; the
-    candidate is decoded once per call and dropped. No outcome depends on
-    the tier. Callers may share a memo while the module only gains functions
-    under fresh names. Runs record no footprints: only value and heap count.
+    plan id) to the parent's outcome and charged fuel and keeps one Program:
+    each module function is decoded once for all calls sharing the memo and
+    compiled (the hot tier) once it has run HOT_MULTIPLE times its size
+    there; the candidate is decoded at most once per call, not at all when
+    both sides are proved, and dropped. No outcome depends on the tier.
+    Callers may share a memo while the module only gains functions under
+    fresh names. Runs record no footprints: only value and heap count.
     """
     if trials < 1:
         raise IRError(f"trials must be at least 1, got {trials}")
@@ -668,25 +854,45 @@ def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
     plans = _trial_plans(memo, seed, trials, mm.function(name1).params,
                          mm.function(name2).params)
     mach = _Machine(prog)
+    size = merged.function.size()
+    proved, notes = [False, False], []
+
+    def parent_run(pname: str, pid: int, image: bytes, args: list):
+        key = (pname, fuel, pid)
+        if key not in memo:
+            memo[key] = _run(mach, pname, image, args, fuel)
+        return memo[key]
+
+    def report(passed: bool, **kw) -> VerifyReport:
+        return VerifyReport((name1, name2), mname, trials, passed,
+                            proved=tuple(proved), **kw)
     try:
         for side, pname, side_plans in zip((1, 2), (name1, name2), plans):
-            for pid, image, args_p in side_plans:
-                key = (pname, fuel, pid)
-                out_p = memo.get(key)
-                if out_p is None:
-                    out_p = memo[key] = _run(mach, pname, image, args_p, fuel)
+            k, why = weave_walk(merged, side, mm.function(pname))
+            if k is not None:
+                charged = max((c for (status, _, _), c in (
+                    parent_run(pname, *plan) for plan in side_plans)
+                    if status != "error:fuel"), default=0)
+                proved[side - 1] = k * charged + 2 * size <= fuel
+                why = (f"proved, K={k}" if proved[side - 1] else
+                       f"K={k}, but a parent trial charged {charged} fuel")
+            notes.append(f"side {side} {why}")
+            for pid, image, args_p in [] if proved[side - 1] else side_plans:
+                out_p = parent_run(pname, pid, image, args_p)[0]
                 out_m = _run(mach, mname, image,
-                             merged.args_for(side, args_p), fuel)
+                             merged.args_for(side, args_p), fuel)[0]
                 if out_p != out_m:
-                    return VerifyReport(
-                        (name1, name2), mname, trials, False,
-                        counterexample=(1 if side == 1 else 0, list(args_p)),
+                    return report(
+                        False, counterexample=(1 if side == 1 else 0,
+                                               list(args_p)),
                         detail=f"parent {out_p[0]} value/heap differs from "
                                f"merged {out_m[0]}")
-            if all(memo[pname, fuel, pid][0] != "ok" for pid, _, _ in side_plans):
-                return VerifyReport((name1, name2), mname, trials, False,
-                                    detail=f"side {side} (@{pname}) never returns")
+            if all(memo[pname, fuel, pid][0][0] != "ok"
+                   for pid, _, _ in side_plans):
+                return report(False, detail=f"side {side} (@{pname}) never "
+                                            "returns")
     finally:
         prog.module = m
         prog.decoded.pop(mname, None)
-    return VerifyReport((name1, name2), mname, trials, True)
+        log.debug("verify %s: %s", mname, "; ".join(notes))
+    return report(True)

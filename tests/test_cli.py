@@ -437,6 +437,34 @@ def test_dse_without_budget_sweeps_presets(tmp_path, model_file):
     assert len(lines) == 1 + len(PRESET_BUDGETS)
 
 
+def _chain_ir(blocks: int) -> str:
+    """A straight-line function of `blocks` blocks, each an add and a jmp."""
+    lines = ["func @main(%p: ptr, %n: i32) -> i32 {", "b0:",
+             "  %x = add i32 %n, 1", "  jmp b1"]
+    for i in range(1, blocks - 1):
+        lines += [f"b{i}:", "  %x = add i32 %x, 1", f"  jmp b{i + 1}"]
+    return "\n".join(lines + [f"b{blocks - 1}:", "  ret i32 %x", "}"]) + "\n"
+
+
+def test_many_blocks_do_not_exhaust_the_python_stack(tmp_path, model_file):
+    # 1,200 blocks used to end in a RecursionError (exit 1) in the loop
+    # finder's acyclicity check, in dse and in transform --extract-loops
+    program, heap = tmp_path / "chain.ir", tmp_path / "chain.heap"
+    program.write_text(_chain_ir(1500))
+    heap.write_text("region buf 16\narg 0 = buf\narg 1 = 3\n")
+    for mode in ("FLE", "FLE+Merging"):
+        out = tmp_path / mode
+        r = run_cli(["dse", "--model", model_file, "--mode", mode,
+                     "--budget", "artix-z7007s", str(program), str(heap),
+                     "-o", str(out)])
+        assert r.returncode == 0, r.stderr
+        assert out.with_suffix(".csv").read_text().count("\n") == 2
+    out = tmp_path / "t.ir"
+    r = run_cli(["transform", "--extract-loops", str(program), "-o", str(out)])
+    assert r.returncode == 0, r.stderr
+    assert out.read_text().count("jmp b") == 1499
+
+
 def test_partition_subcommand(tmp_path, model_file):
     r = run_cli(["partition", "--model", model_file, "--budget", "8000",
                  POLY_IR, POLY_HEAP])

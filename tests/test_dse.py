@@ -161,12 +161,29 @@ def test_selected_merges_carry_passing_verification(corpus, area_model):
     name, m, img = _corpus_subset(corpus, ["blur"])[0]
     cfg = PipelineConfig(mode="FLE+Merging", area_budget=3000.0, **FAST)
     r = run_pipeline(m, [img], cfg, model=area_model, program=name)
-    selected = [mr for mr in r.merges if mr.selected]
+    selected = [mr for mr in r.merges if mr.name in r.merged_hw]
     assert r.n_merged_selected == len(r.merged_hw) == len(selected)
     for mr in selected:
         assert mr.verified and mr.trials >= 1
         assert mr.area < mr.parents_area
         assert mr.ep > 0
+
+
+def test_sweep_points_share_one_merge_record_list(corpus, area_model):
+    # the mode's records are not copied per point; "selected" is read from
+    # each point's merged_hw when the report is emitted
+    name, m, img = _corpus_subset(corpus, ["reduce"])[0]
+    cfg = PipelineConfig(mode="FLE+Merging", **FAST)
+    reports = sweep(m, [img], cfg, budgets=[1000, 6000], latencies=[25],
+                    bandwidths=[float("inf")], modes=["FLE+Merging"],
+                    model=area_model, program=name)
+    assert reports[0].merges is reports[1].merges
+    assert reports[0].merged_hw != reports[1].merged_hw
+    for r in reports:
+        d = report_to_dict(r)
+        assert [mr["selected"] for mr in d["merges"]] == [
+            mr.name in r.merged_hw for mr in r.merges]
+        assert list(d["merges"][0])[-1] == "selected"
 
 
 def test_merging_dominance_spot(corpus, area_model):

@@ -116,6 +116,38 @@ def test_runs_that_raise_keep_their_heat(monkeypatch):
                                             "step": 4 * 4}
 
 
+@pytest.mark.parametrize("tier", TIERS)
+def test_errors_record_the_fuel_left_where_they_were_raised(monkeypatch,
+                                                            tier):
+    # Charged segments as above; a run of 5 steps charges 4 + 5 * 8 + 2.
+    monkeypatch.setattr(interp, "HOT_MULTIPLE", TIERS[tier])
+    m = parse_module(RAISE_SRC)
+
+    def run(stop, p, fuel):
+        prog, arena = Program(m), Arena()
+        buf = arena.add_region("buf", bytes(8))
+        try:
+            return interp._Machine(prog).run(
+                "main", [5, stop, buf if p else 0], arena.data, fuel)
+        except InterpError as e:
+            assert {fn.run is not interp._cold
+                    for fn in prog.decoded.values()} == {tier == "hot"}
+            return e.kind, e.fuel
+    assert run(100, True, 1000) == (0, 1000 - 46)   # value and fuel left
+    assert run(100, False, 1000) == ("oob", 1000 - 46)   # the last load
+    # raised in the callee, on the fourth call: @main charged its call and
+    # @step its segment
+    assert run(3, True, 1000) == ("div-zero", 1000 - (4 + 3 * 8 + 1 + 4))
+    # fuel that cannot pay a segment in full leaves none, whether it runs
+    # out or the paid prefix raises first (@step's sdiv is its second)
+    assert run(100, True, 45) == ("fuel", 0)
+    assert run(3, True, 4 + 3 * 8 + 1 + 2) == ("div-zero", 0)
+    assert run(3, True, 4 + 3 * 8 + 1 + 1) == ("fuel", 0)
+    with pytest.raises(InterpError) as raised:   # not in a frame: no fuel
+        interpret(m, "main", [1, 2])
+    assert raised.value.kind == "type" and raised.value.fuel is None
+
+
 @pytest.mark.parametrize("case", ["ops/FE", "ops/FLE"])
 def test_switch_at_every_segment_matches_golden(golden, monkeypatch, case):
     # For each function f and each count T of instructions f runs cold, a
@@ -158,8 +190,9 @@ def test_switch_at_every_segment_matches_golden(golden, monkeypatch, case):
     assert ran <= switched
 
 
-# Segments: [e + head] of 9 (the jmp continues into head), the unreached
-# [head] alone of 2, [body + head] of 6 and [done] of 2.
+# Segments: [e + head] of 9 (the jmp continues into head), [body + head] of
+# 6 and [done] of 2. [head] alone is entered only by followed jmps, so it
+# gets no segment.
 GUARD_SRC = """
 func @main(%p: ptr, %n: i32) -> i32 {
 e:
@@ -202,7 +235,7 @@ def test_fuel_guard_takes_its_slow_path_and_continues(monkeypatch):
                 for fn in prog.decoded.values()} == {tier == "hot"}
         return out, arena.region_image()
 
-    assert Program(m).function("main").lens == [9, 2, 6, 2]
+    assert Program(m).function("main").lens == [9, 6, 2]
     total = 9 + 2 * 6 + 2
     outcomes = {f: run("hot", f) for f in range(total + 2)}
     assert outcomes == {f: run("cold", f) for f in range(total + 2)}

@@ -1,3 +1,4 @@
+import re
 import random
 from dataclasses import replace
 
@@ -512,6 +513,43 @@ def test_shared_verify_memo_still_catches_a_broken_merge(pair_module):
                                trials=200, seed=9)
 
 
+def test_walk_proves_sides_and_logs_why_a_side_runs_trials(pair_module,
+                                                          caplog):
+    mf = merge_functions(pair_module, "sel_a", "sel_b")
+    for side, name in ((1, "sel_a"), (2, "sel_b")):
+        k, why = merge.weave_walk(mf, side, pair_module.function(name))
+        assert k is not None and 1 <= k <= mf.function.size() and why == ""
+    with caplog.at_level("DEBUG", logger="mergedse"):
+        rep = verify_merge(pair_module, "sel_a", "sel_b", mf, trials=48)
+    assert rep.passed and rep.proved == (True, True)
+    assert re.fullmatch(r"verify m\.sel_a\.sel_b: side 1 proved, K=\d+; "
+                        r"side 2 proved, K=\d+", caplog.records[-1].message)
+    # the proof needs K·F + 2·size(merged) <= fuel for every parent trial
+    # that does not run out of fuel: K is 3, size(merged) 13, and at 40
+    # fuel @sel_a's trials charge up to 7, @sel_b's up to 4
+    caplog.clear()
+    with caplog.at_level("DEBUG", logger="mergedse"):
+        rep = verify_merge(pair_module, "sel_a", "sel_b", mf, trials=48,
+                           fuel=40)
+    assert rep.passed and rep.proved == (False, True)
+    assert "but a parent trial charged" in caplog.records[-1].message
+    # a swapped mux is not proved on either side; the trials catch it
+    broken = merge_functions(pair_module, "sel_a", "sel_b")
+    for b in broken.function.blocks:
+        for k, ins in enumerate(b.instrs):
+            if ins.op == "select" and ins.result.startswith("sel"):
+                c, x, y = ins.operands
+                b.instrs[k] = Instr("select", ins.ty, ins.result, (c, y, x))
+    for side, name in ((1, "sel_a"), (2, "sel_b")):
+        k, why = merge.weave_walk(broken, side, pair_module.function(name))
+        assert k is None and "meets merged" in why
+    caplog.clear()
+    with caplog.at_level("DEBUG", logger="mergedse"):
+        rep = verify_merge(pair_module, "sel_a", "sel_b", broken, trials=48)
+    assert not rep.passed and rep.proved == (False, False)
+    assert "side 1 ret in bb3 meets merged ret" in caplog.records[-1].message
+
+
 def _edit_sel_a(m, op, edit):
     """Replace the first `op` instruction of @sel_a with edit(instr)."""
     for b in m.functions["sel_a"].blocks:
@@ -582,7 +620,8 @@ def test_verification_decodes_each_function_once_per_memo(corpus, area_model,
                                                            monkeypatch):
     # reduce in FLE+Merging: every module function is decoded once for all
     # of prepare's verify_merge calls (they share one memo); each candidate
-    # once per call, and its decoded code leaves the memo on return. Only
+    # at most once per call, not at all when the weave walk proves both of
+    # its sides, and its decoded code leaves the memo on return. Only
     # decodes made inside a verify_merge call count: profiling at infinite
     # bandwidth decodes without footprints too
     from mergedse import dse
@@ -595,30 +634,40 @@ def test_verification_decodes_each_function_once_per_memo(corpus, area_model,
         init(self, f, footprints)
         if verifying:
             assert not footprints
-            built.append((f.name, f, calls[-1]))
+            built.append((f.name, f, calls[-1][0]))
     monkeypatch.setattr(interp._Decoded, "__init__", counted)
 
     def checked(work, n1, n2, mf, **kw):
-        calls.append(mf.function.name)
+        calls.append([mf.function.name, None])
         verifying.append(True)
         try:
             rep = verify(work, n1, n2, mf, **kw)
         finally:
             verifying.pop()
         assert mf.function.name not in kw["memo"]["program"].decoded
+        calls[-1][1] = rep.proved
         return rep
     verify = dse.verify_merge
     monkeypatch.setattr(dse, "verify_merge", checked)
 
-    prep = dse.prepare(m, [img], dse.PipelineConfig(mode="FLE+Merging",
-                                                    seed=7), model=area_model)
-    assert len(calls) == prep.funnel["aligned"] > 10
-    assert prep.merge_parents   # accepted merges join the module
-    own = [(name, call) for name, _, call in built if name == call]
-    assert sorted(own) == sorted((c, c) for c in calls)
-    module = [(name, id(f)) for name, f, call in built if name != call]
-    assert len(module) == len(set(module))
-    assert {name for name, _ in module} <= set(prep.module.functions)
+    for walk in (True, False):   # off: every merged trial runs
+        built.clear()
+        calls.clear()
+        with monkeypatch.context() as mp:
+            if not walk:
+                mp.setattr(merge, "weave_walk",
+                           lambda mf, side, parent: (None, "disabled"))
+            prep = dse.prepare(m, [img], dse.PipelineConfig(
+                mode="FLE+Merging", seed=7), model=area_model)
+        assert len(calls) == prep.funnel["aligned"] > 10
+        assert prep.merge_parents   # accepted merges join the module
+        own = [(name, call) for name, _, call in built if name == call]
+        assert sorted(own) == sorted((c, c) for c, proved in calls
+                                     if proved != (True, True))
+        assert all(proved == (True, True) for _, proved in calls) == walk
+        module = [(name, id(f)) for name, f, call in built if name != call]
+        assert len(module) == len(set(module))
+        assert {name for name, _ in module} <= set(prep.module.functions)
 
 
 def test_verify_and_align_refuse_no_trials_or_seeds(pair_module):

@@ -3,8 +3,9 @@
 `verify_merge` runs all trials of a call on one interpreter machine and
 starts each run from a copy of its plan's heap template. The reference
 below is verification as it ran before: per trial, a fresh Arena laid out
-from the plan and one call of the public `interpret`. Both must give the
-same outcome on every trial and the same report.
+from the plan and one call of the public `interpret`. With the weave walk
+disabled, so that every merged trial runs, both must give the same outcome
+on every trial and the same report; with it, the same report.
 """
 
 import random
@@ -14,8 +15,9 @@ import pytest
 
 from mergedse import merge
 from mergedse.analysis import extract_loops, rank_pairs
-from mergedse.ir import (Arena, Instr, InterpError, Module, Program,
-                         clone_function, interpret)
+from mergedse.ir import (Arena, Instr, InterpError, Lit, Module, Program,
+                         Reg, check_function, clone_function, interpret)
+from mergedse.ir.interp import _Machine
 from mergedse.merge import (MergeRejected, VerifyReport, merge_functions,
                             verify_merge)
 
@@ -74,7 +76,7 @@ class _Batched:
         def spy(mach, fname, image, args, fuel):
             out = run(mach, fname, image, args, fuel)
             if fname == self.mname:
-                self.merged_runs.append(out)
+                self.merged_runs.append(out[0])
             return out
         monkeypatch.setattr(merge, "_run", spy)
 
@@ -86,9 +88,14 @@ class _Batched:
                     for n in (n1, n2))
         trials = [(pname, t) for pname, side in
                   zip((n1, n2), self.memo[(SEED, TRIALS) + sig]) for t in side]
-        outcomes = [(self.memo[(pname, fuel, pid)], out_m) for (pname, (
+        outcomes = [(self.memo[(pname, fuel, pid)][0], out_m) for (pname, (
             pid, _, _)), out_m in zip(trials, self.merged_runs)]
         return rep, outcomes, [image for _, (_, image, _) in trials]
+
+
+def _prove_nothing(mf, side, parent):
+    """A weave walk that proves no side: every merged trial runs."""
+    return None, "disabled"
 
 
 def _candidates(m):
@@ -128,31 +135,177 @@ def _check(batched, m, n1, n2, mf, fuel):
 @pytest.mark.parametrize("mode", ["FE", "FLE"])
 def test_batched_trials_match_per_trial_interpret(corpus, monkeypatch, mode):
     batched = _Batched(monkeypatch)
-    results = []
-    for name, m, _ in corpus:
-        work = extract_loops(m) if mode == "FLE" else m.clone()
+    walk = merge.weave_walk
+    monkeypatch.setattr(merge, "weave_walk", _prove_nothing)
+    programs = [(name, extract_loops(m) if mode == "FLE" else m.clone())
+                for name, m, _ in corpus]
+    reference = {}   # (program, candidate, fuel) -> the reference's report
+    for name, work in programs:
         # one shared memo per program, as prepare shares one; a low fuel
         # ends some runs mid-way, so fuel must be set afresh per run
         batched.memo = {}
         for n1, n2, mf in _candidates(work):
             for fuel in (10 ** 6, 40):
-                results.append(_check(batched, work, n1, n2, mf, fuel).passed)
+                rep = _check(batched, work, n1, n2, mf, fuel)
+                assert rep.proved == (False, False)
+                reference[name, mf.function.name, fuel] = rep
+    results = [rep.passed for rep in reference.values()]
     assert results.count(True) > 50 and False in results
     # a corrupted body under a candidate's name, verified on the same memo
     # after the good body: nothing of the good one may carry over
     caught = 0
-    for name, m, _ in corpus:
-        work = extract_loops(m) if mode == "FLE" else m.clone()
+    for name, work in programs:
         batched.memo = {}
         for n1, n2, mf in _candidates(work):
             broken = _corrupted(mf)
             if broken is None:
                 continue
             assert _check(batched, work, n1, n2, mf, 10 ** 6).passed
-            caught += not _check(batched, work, n1, n2, broken,
-                                 10 ** 6).passed
+            rep = _check(batched, work, n1, n2, broken, 10 ** 6)
+            reference[name, "broken", mf.function.name] = rep
+            caught += not rep.passed
     assert caught > 0
     # every template still holds the bytes it was laid out with
     assert len(batched.templates) > 100
     for image, laid_out in batched.templates.values():
         assert bytes(image) == laid_out
+
+    # the walk proves sides, and the reports stay the reference's
+    monkeypatch.setattr(merge, "weave_walk", walk)
+    proved = 0
+    for name, work in programs:
+        memo = {}
+        for n1, n2, mf in _candidates(work):
+            for fuel in (10 ** 6, 40):
+                rep = verify_merge(work, n1, n2, mf, trials=TRIALS, seed=SEED,
+                                   fuel=fuel, memo=memo)
+                assert rep == reference[name, mf.function.name, fuel]
+                proved += sum(rep.proved)
+            broken = _corrupted(mf)
+            if broken is not None:
+                rep = verify_merge(work, n1, n2, broken, trials=TRIALS,
+                                   seed=SEED, memo=memo)
+                assert rep == reference[name, "broken", mf.function.name]
+    assert proved > len(reference) / 2
+
+
+# ---------------------------------------------------------------------------
+# Mutants: the weave walk proves no side whose trials fail
+# ---------------------------------------------------------------------------
+
+SWAP_OP = {"add": "sub", "sub": "add", "mul": "add", "and": "or", "or": "xor",
+           "xor": "and", "shl": "ashr", "ashr": "shl", "fadd": "fsub",
+           "fsub": "fadd", "fmul": "fadd", "sdiv": "srem", "srem": "sdiv"}
+
+
+def _mutant(mf, rng):
+    """mf with one seeded edit of its body: two operands swapped, a register
+    operand replaced by another register of its type, a literal changed,
+    branch successors swapped or a binary opcode changed; None when the
+    drawn edit does not apply."""
+    f = clone_function(mf.function)
+    types = f.register_types()
+    sites = [(b, k) for b in f.blocks for k in range(len(b.instrs))]
+    b, k = rng.choice(sites)
+    ins = b.instrs[k]
+    ops = list(ins.operands)
+    kind = rng.choice(["swap", "register", "literal", "successors", "opcode"])
+    if kind == "swap" and len(ops) >= 2:
+        i, j = rng.sample(range(len(ops)), 2)
+        ops[i], ops[j] = ops[j], ops[i]
+    elif kind == "register" and any(isinstance(o, Reg) for o in ops):
+        i = rng.choice([i for i, o in enumerate(ops) if isinstance(o, Reg)])
+        same = sorted(r for r, ty in types.items()
+                      if ty == types.get(ops[i].name) and r != ops[i].name)
+        if not same:
+            return None
+        ops[i] = Reg(rng.choice(same))
+    elif kind == "literal" and any(isinstance(o, Lit) for o in ops):
+        i = rng.choice([i for i, o in enumerate(ops) if isinstance(o, Lit)])
+        lit = ops[i]
+        value = (1 - lit.value if lit.ty == "i1" else lit.value + 0.5
+                 if lit.ty == "f64" else lit.value + rng.choice([-1, 1, 7]))
+        ops[i] = Lit(value, lit.ty)
+    elif kind == "successors" and ins.op == "br" and len(set(ins.succs)) == 2:
+        b.instrs[k] = replace(ins, succs=ins.succs[::-1])
+        return replace(mf, function=f)
+    elif kind == "opcode" and ins.op in SWAP_OP:
+        b.instrs[k] = replace(ins, op=SWAP_OP[ins.op])
+        return replace(mf, function=f)
+    else:
+        return None
+    b.instrs[k] = replace(ins, operands=tuple(ops))
+    return replace(mf, function=f)
+
+
+def _side_agrees(m, mf, side, pname, fuel):
+    """Every trial of `side` gives the parent's outcome on the merged body."""
+    mname = mf.function.name
+    mm = Module({**m.functions, mname: mf.function}, m.entry)
+    params = [mm.function(n).params for n in mf.parents]
+    plans = merge._trial_plans({}, SEED, TRIALS, *params)[side - 1]
+    mach = _Machine(Program(mm, footprints=False))
+    return all(merge._run(mach, pname, image, args, fuel)[0]
+               == merge._run(mach, mname, image, mf.args_for(side, args),
+                             fuel)[0]
+               for _, image, args in plans)
+
+
+def test_walk_proves_no_mutant_side_whose_trials_fail(corpus, monkeypatch):
+    # a mutant may keep a side correct (an edit on the other side's code),
+    # and then the walk may prove it; a side it proves must pass all of its
+    # trials, and the report must be the one the trials alone give
+    rng, fuel = random.Random(2027), 10 ** 4
+    valid = rejected = proved = 0
+    for name, m, _ in corpus:
+        for work in (m.clone(), extract_loops(m)):
+            for n1, n2, mf in _candidates(work):
+                for _ in range(16):
+                    mutant = _mutant(mf, rng)
+                    if mutant is None or check_function(mutant.function, work,
+                                                        diags := []) or diags:
+                        continue
+                    valid += 1
+                    rep = verify_merge(work, n1, n2, mutant, trials=TRIALS,
+                                       seed=SEED, fuel=fuel)
+                    rejected += not rep.passed
+                    for side, pname in ((1, n1), (2, n2)):
+                        if rep.proved[side - 1]:
+                            proved += 1
+                            assert _side_agrees(work, mutant, side, pname,
+                                                fuel), (name, n1, n2, side)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(merge, "weave_walk", _prove_nothing)
+                        assert rep == verify_merge(work, n1, n2, mutant,
+                                                   trials=TRIALS, seed=SEED,
+                                                   fuel=fuel)
+    assert valid > 400 and rejected > valid / 2 and proved > 50
+
+
+@pytest.mark.parametrize("mode", ["FE+Merging", "FLE+Merging"])
+def test_every_aligned_corpus_candidate_passes_its_trials(corpus, area_model,
+                                                          monkeypatch, mode):
+    # the evidence for merged codegen: with the walk off, prepare runs every
+    # merged trial of every aligned candidate, and all pass; with it on,
+    # the reports, records and funnel are the same
+    from mergedse import dse
+    reports = []
+    verify = dse.verify_merge
+
+    def spy(*args, **kw):
+        reports.append(verify(*args, **kw))
+        return reports[-1]
+    monkeypatch.setattr(dse, "verify_merge", spy)
+
+    def run():
+        reports.clear()
+        preps = [dse.prepare(m, [img], dse.PipelineConfig(mode=mode),
+                             area_model) for _, m, img in corpus]
+        return [(p.funnel, repr(p.merges)) for p in preps], list(reports)
+    walked, walked_reports = run()
+    monkeypatch.setattr(merge, "weave_walk", _prove_nothing)
+    tried, tried_reports = run()
+    assert len(tried_reports) == sum(f["aligned"] for f, _ in tried) > 60
+    assert all(r.passed and r.proved == (False, False) for r in tried_reports)
+    assert walked_reports == tried_reports and walked == tried
+    assert all(r.proved == (True, True) for r in walked_reports)
