@@ -82,26 +82,65 @@ def _cfg(f: Function):
     return labels, succs, preds
 
 
-def dominators(f: Function) -> dict[str, set[str]]:
-    """dom[b] = labels that dominate b (including b itself)."""
-    labels, succs, preds = _cfg(f)
-    universe = set(labels)
-    dom = {lab: set(universe) for lab in labels}
-    dom[f.entry] = {f.entry}
+def _back_edges(entry: str, succs: dict[str, list[str]],
+                preds: dict[str, list[str]]) -> set[tuple[str, str]] | None:
+    """The edges u -> v whose target dominates their source, or None when
+    the CFG is irreducible (removing those edges leaves a cycle).
+
+    A depth-first search from the entry ranks the blocks in postorder, and
+    the iterative algorithm over reverse postorder (Cooper, Harvey &
+    Kennedy, "A Simple, Fast Dominance Algorithm", 2001) gives each its
+    immediate dominator. An edge u -> v retreats when v is on the search
+    path at u, so rank[v] >= rank[u]. Every back edge retreats, and the CFG
+    is reducible iff every retreating edge is a back edge. v dominates u iff
+    u's dominator-tree path reaches v; the walk stays inside the loop's body.
+    Only blocks reachable from the entry are seen (validation rejects the
+    others)."""
+    post: list[str] = []            # entry last
+    seen = {entry}
+    path = [(entry, iter(succs[entry]))]
+    while path:
+        lab, it = path[-1]
+        for s in it:
+            if s not in seen:
+                seen.add(s)
+                path.append((s, iter(succs[s])))
+                break
+        else:
+            post.append(lab)
+            path.pop()
+    rank = {lab: k for k, lab in enumerate(post)}
+    idom = {entry: entry}
     changed = True
     while changed:
         changed = False
-        for lab in labels:
-            if lab == f.entry:
-                continue
-            new = set(universe)
-            for p in preds[lab]:
-                new &= dom[p]
-            new.add(lab)
-            if new != dom[lab]:
-                dom[lab] = new
+        for lab in reversed(post[:-1]):
+            new = None
+            for a in preds[lab]:
+                if a not in idom:
+                    continue
+                b = new if new is not None else a
+                while a != b:
+                    while rank[a] < rank[b]:
+                        a = idom[a]
+                    while rank[b] < rank[a]:
+                        b = idom[b]
+                new = a
+            if idom.get(lab) != new:
+                idom[lab] = new
                 changed = True
-    return dom
+
+    back: set[tuple[str, str]] = set()
+    for u in post:
+        for v in succs[u]:
+            if rank[v] >= rank[u]:
+                w = u
+                while rank[w] < rank[v]:
+                    w = idom[w]
+                if w != v:
+                    return None
+                back.add((u, v))
+    return back
 
 
 @dataclass
@@ -124,33 +163,9 @@ class LoopForest:
 def natural_loops(f: Function) -> LoopForest:
     """Find natural loops via back edges to dominators; flags irreducible CFGs."""
     labels, succs, preds = _cfg(f)
-    dom = dominators(f)
-
-    back_edges = [(u, v) for u in labels for v in succs[u] if v in dom[u]]
-
-    # irreducible control flow: removing back edges must leave a DAG
-    remaining = {lab: [s for s in succs[lab] if (lab, s) not in back_edges]
-                 for lab in labels}
-    # depth-first with an explicit stack: 1 = on the path, 2 = done
-    state: dict[str, int] = {}
-    for root in labels:
-        if root in state:
-            continue
-        state[root] = 1
-        path = [(root, iter(remaining[root]))]
-        while path:
-            lab, succs = path[-1]
-            for s in succs:
-                st = state.get(s, 0)
-                if st == 1:
-                    return LoopForest([], irreducible=True)
-                if st == 0:
-                    state[s] = 1
-                    path.append((s, iter(remaining[s])))
-                    break
-            else:
-                state[lab] = 2
-                path.pop()
+    back_edges = _back_edges(f.entry, succs, preds)
+    if back_edges is None:
+        return LoopForest([], irreducible=True)
 
     # loop body: header plus all nodes reaching the back edge tail without
     # passing through the header; loops sharing a header are unioned
@@ -244,8 +259,7 @@ def _extract_one(f: Function, loop: Loop, new_name: str,
     """Split `loop` out of `f`; returns (rewritten f, loop function) or None."""
     live_in, _ = liveness(f)
     order = _reg_order(f)
-    body_labels = [b.label for b in f.blocks if b.label in loop.blocks]
-    body_blocks = [f.block(lab) for lab in body_labels]
+    body_blocks = [b for b in f.blocks if b.label in loop.blocks]
 
     refd: set[str] = set()
     assigned: set[str] = set()

@@ -381,6 +381,7 @@ def _cmd_partition(args, tables):
         raise AssertionError(f"solver returned infeasible solution: {bad}")
     lines = [f"objective_s {float(sol.objective)!r}",
              f"optimal {str(sol.optimal).lower()}",
+             f"solver_nodes {sol.nodes}",
              "software " + ",".join(sol.software),
              "hardware " + ",".join(sol.hardware),
              "merged_hw " + ",".join(sol.merged_hw)]

@@ -157,15 +157,16 @@ def check_function(f: Function, m: Module, diags: list[str]):
         return
 
     # reachability + entry has no predecessors
+    succs = {b.label: b.terminator().succs for b in f.blocks}
     seen, stack = set(), [f.entry]
     while stack:
         lab = stack.pop()
         if lab not in seen:
             seen.add(lab)
-            stack.extend(f.block(lab).terminator().succs)
+            stack.extend(succs[lab])
     diags.extend(f"{where}: unreachable block {lab}"
                  for lab in labels if lab not in seen)
-    if any(f.entry in f.block(lab).terminator().succs for lab in seen):
+    if any(f.entry in succs[lab] for lab in seen):
         diags.append(f"{where}: entry block {f.entry} has predecessors")
     if diags:
         return

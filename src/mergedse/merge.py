@@ -160,21 +160,18 @@ class Alignment:
         return 2.0 * self.aligned_count / (self.len1 + self.len2)
 
 
-def _compatible(a: Instr, b: Instr, rt1: dict[str, str], rt2: dict[str, str]) -> bool:
-    if (a.op != b.op or a.ty != b.ty or a.cast_to != b.cast_to
-            or a.pred != b.pred):
-        return False
-    if a.op == "call" and a.callee != b.callee:
-        return False
-    if a.op == "gep":
-        # the merged gep is emitted once, so index widths must agree;
-        # unknown register widths (no type context) never match
-        ia, ib = a.operands[1], b.operands[1]
-        ta = ia.ty if isinstance(ia, Lit) else rt1.get(ia.name, "?1")
-        tb = ib.ty if isinstance(ib, Lit) else rt2.get(ib.name, "?2")
-        if ta != tb:
-            return False
-    return True
+def _align_key(ins: Instr, types: dict[str, str], unknown: str) -> tuple:
+    """What two instructions must share to align: opcode, type, cast and
+    predicate, the callee of a call, and the index width of a gep, since the
+    merged gep is emitted once. An index register of unknown width (no type
+    context) takes `unknown`, a mark of its own side, so it never matches."""
+    key = (ins.op, ins.ty, ins.cast_to, ins.pred)
+    if ins.op == "call":
+        return key + (ins.callee,)
+    if ins.op == "gep":
+        ix = ins.operands[1]
+        return key + (ix.ty if isinstance(ix, Lit) else types.get(ix.name, unknown),)
+    return key
 
 
 def align(s1: list[Instr], s2: list[Instr],
@@ -202,19 +199,21 @@ def align(s1: list[Instr], s2: list[Instr],
     for j in range(1, n2 + 1):
         score[0][j] = -gap * j
         move[0][j] = 3
+    keys2 = [_align_key(b, rt2, "?2") for b in s2]
     for i in range(1, n1 + 1):
         a = s1[i - 1]
+        key = _align_key(a, rt1, "?1")
+        weight = weights.get(a.op, DEFAULT_MATCH_WEIGHT)
         row, prow = score[i], score[i - 1]
         mrow = move[i]
         for j in range(1, n2 + 1):
-            b = s2[j - 1]
             best = prow[j] - gap
             mv = 2
             left = row[j - 1] - gap
             if left > best:
                 best, mv = left, 3
-            if _compatible(a, b, rt1, rt2):
-                d = prow[j - 1] + weights.get(a.op, DEFAULT_MATCH_WEIGHT)
+            if key == keys2[j - 1]:
+                d = prow[j - 1] + weight
                 if d >= best:
                     best, mv = d, 1
             row[j] = best

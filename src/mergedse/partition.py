@@ -16,9 +16,10 @@ under an area budget and an interconnect model:
 
 Costs are exact rationals, so the branch-and-bound optimum can be compared
 for equality against the brute-force oracle. `solve` scales them once to
-integers over a common denominator, checks only the root groups a decision
-touches, and bounds each uncovered group by its cheapest cover; it returns
-the same first optimal assignment as a plain enumeration would.
+integers over a common denominator, keeps a node's state in bit sets, and
+bounds each uncovered group by its cheapest cover, looked up by the group's
+open options; it returns the same first optimal assignment as a plain
+enumeration would.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate
+from operator import or_
 
 from .ir import IRError
 
@@ -297,24 +301,34 @@ def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution
     """Exact depth-first branch-and-bound.
 
     Functions are decided by descending software-minus-hardware savings
-    (then name), trying hardware, software, then neither. Every root group
-    (a root and its merged descendants) keeps selected, undecided and
-    hardware-selected counts and a count of hardware callers of its root,
-    and every merged function a blocked count of its groups with a selection,
-    updated on assignment and undone on backtrack. A decision checks only
-    the groups that contain the function and, for hardware, the groups of its
-    root callees, so every leaf reached is feasible. The bound adds, for each
-    uncovered group, its cheapest cover: the root in software or hardware, or
-    an undecided merged member at 1/k of its cost and area when it covers k
-    groups, none of them covered yet. It is the greedy LP relaxation of that
-    multiple-choice knapsack (Sinha & Zoltners, 1979) over each group's lower
-    convex hull, with the straddling step granted in full; interconnect costs
-    are nonnegative and ignored. Costs are integers over one common
-    denominator, times the lcm of the k, so each 1/k share is exact.
-    Infeasible subtrees hold no leaf, the bound never exceeds a subtree's
-    optimum, and the incumbent only changes on strict improvement, so the
-    result is the first optimal leaf in decision order, the same assignment a
-    plain enumeration returns even among exactly tied costs.
+    (then name), trying hardware, software, then neither. A node's state is
+    a handful of bit sets, passed down and never undone: over root groups (a
+    root and its merged descendants), those with a selection, with a
+    hardware selection and with a hardware caller of their root; over
+    functions, the merged ones blocked by a selection in one of their
+    groups. A decision may select into no group that already has a
+    selection, and a group must be covered, in hardware if it has a
+    hardware caller, once its last member in decision order is decided, so
+    every leaf reached is feasible. The bound adds, for each uncovered
+    group, its cheapest cover: the root in software or hardware, or an
+    undecided, unblocked merged member at 1/k of its cost and area when it
+    covers k groups. It is the greedy LP relaxation of that multiple-choice
+    knapsack (Sinha & Zoltners, 1979) over each group's lower convex hull,
+    with the straddling step granted in full; interconnect costs are
+    nonnegative and ignored. Costs are integers over one common denominator,
+    times the lcm of the k, so each 1/k share is exact.
+
+    A group's hull depends only on which of its options are open: its
+    open-option bits, the undecided root and unblocked merged members. One
+    table per solve maps those bits to the hull, built on first sight;
+    another maps a node's open-option bits and covered groups to the summed
+    cheapest covers and the sorted hull steps of its uncovered groups. A
+    node's bound is then one lookup and the greedy, the same number the
+    hull built at that node would give. Infeasible subtrees hold no leaf,
+    the bound never exceeds a subtree's optimum, and the incumbent only
+    changes on strict improvement, so the result is the first optimal leaf
+    in decision order, the same assignment a plain enumeration returns even
+    among exactly tied costs.
     """
     names = sorted(p.names, key=lambda x: (-(p.sw[x] - p.hw[x]), x))
     index = {x: k for k, x in enumerate(names)}
@@ -339,94 +353,98 @@ def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution
             c = int(c * scale)
             callers[index[j]].append((index[i], c))
             callees[index[i]].append((index[j], c))
-    root_callee_groups = [[roots.index(j) for j in sorted(p.callees.get(x, ()))
-                           if j in p.roots] for x in names]
     choices = [(_HW, _NONE) if x in p.merged else
                (_HW, _SW, _NONE) if p.descend[x] else (_HW, _SW) for x in names]
-    group_root = [index[r] for r in roots]
-    group_merged = [[(index[d], hw[index[d]] // len(groups_of[index[d]]),
-                      area[index[d]] / len(groups_of[index[d]]))
-                     for d in sorted(p.descend[r])] for r in roots]
+    # A function's cover options: a root in software or hardware, a merged
+    # function at its 1/k share of cost and area, the same in each group
+    options = [[(area[k] / len(groups_of[k]), hw[k] // len(groups_of[k]))]
+               if names[k] in p.merged else [(0.0, sw[k]), (area[k], hw[k])]
+               for k in range(n)]
     limit = p.area_budget + 1e-9
 
+    # Bit sets: a group's members, a function's groups, the merged members
+    # a function's selection blocks, the groups of its root callees, and the
+    # groups whose last member it is (closes) or at or before it (closed)
+    group_bits = [sum(1 << index[x] for x in [r, *p.descend[r]]) for r in roots]
+    merged_bits = sum(1 << index[x] for x in p.merged)
+    in_groups = [sum(1 << g for g in gs) for gs in groups_of]
+    blocks = [reduce(or_, (group_bits[g] for g in gs)) & merged_bits
+              for gs in groups_of]
+    callee_groups = [sum(1 << roots.index(j) for j in p.callees.get(x, ())
+                         if j in p.roots) for x in names]
+    closes = [0] * n
+    for g, bits in enumerate(group_bits):
+        closes[bits.bit_length() - 1] |= 1 << g
+    closed = list(accumulate(closes, or_))
+    undecided = [((1 << n) - 1) >> k << k for k in range(n)]
+    n_groups = len(roots)
+
     st = [-1] * n             # -1 undecided, else _HW/_SW/_NONE
-    selected = [0] * len(roots)
-    undecided = [1 + len(p.descend[r]) for r in roots]
-    hw_selected = [0] * len(roots)
-    hw_callers = [0] * len(roots)
-    blocked = [0] * n         # merged function -> groups with a selection
+    hulls: dict[int, tuple | None] = {}   # a group's open-option bits
+    covers: dict[int, tuple | None] = {}  # open-option bits, covered groups
     best: int | None = None
     best_state: list[int] | None = None
     nodes = 0
     hit_limit = False
 
-    def assign(k: int, c: int) -> bool:
-        """Decide function k; False when a touched group became infeasible."""
-        st[k] = c
-        ok = True
-        for g in groups_of[k]:
-            undecided[g] -= 1
-            if c != _NONE:
-                selected[g] += 1
-                hw_selected[g] += c == _HW
-                if selected[g] == 1:
-                    for d, _, _ in group_merged[g]:
-                        blocked[d] += 1
-            if selected[g] > 1 or not undecided[g] and (
-                    not selected[g] or hw_callers[g] and not hw_selected[g]):
-                ok = False
-        if c == _HW:
-            for g in root_callee_groups[k]:
-                hw_callers[g] += 1
-                if not hw_selected[g] and not undecided[g]:
-                    ok = False
-        return ok
-
-    def unassign(k: int, c: int):
-        st[k] = -1
-        for g in groups_of[k]:
-            undecided[g] += 1
-            if c != _NONE:
-                selected[g] -= 1
-                hw_selected[g] -= c == _HW
-                if selected[g] == 0:
-                    for d, _, _ in group_merged[g]:
-                        blocked[d] -= 1
-        if c == _HW:
-            for g in root_callee_groups[k]:
-                hw_callers[g] -= 1
-
-    def lower_bound(committed: int, used_area: float) -> int | None:
-        """Admissible bound on every leaf below; None when none is feasible."""
-        room = limit - used_area
-        steps = []
-        for g, r in enumerate(group_root):
-            if selected[g]:
+    def hull_of(state: int) -> tuple | None:
+        """Cheapest cover (cost, area) and lower-hull steps (ratio, area,
+        gain) of a group whose open options are the functions in state."""
+        opts = [o for k in range(n) if state >> k & 1 for o in options[k]]
+        if not opts:
+            return None
+        opts.sort()
+        hull = [opts[0]]
+        for a2, c2 in opts[1:]:
+            if c2 >= hull[-1][1]:
                 continue
-            opts = [(0.0, sw[r]), (area[r], hw[r])] if st[r] == -1 else []
-            for k, c, a in group_merged[g]:
-                if st[k] == -1 and not blocked[k]:
-                    opts.append((a, c))
-            if not opts:
+            while len(hull) > 1:
+                (a0, c0), (a1, c1) = hull[-2], hull[-1]
+                if (c1 - c0) * (a2 - a0) < (c2 - c0) * (a1 - a0):
+                    break
+                hull.pop()
+            hull.append((a2, c2))
+        return hull[0][1], hull[0][0], [
+            ((c1 - c2) / (a2 - a1), a2 - a1, c1 - c2)
+            for (a1, c1), (a2, c2) in zip(hull, hull[1:])]
+
+    def cover(free: int, sel: int) -> tuple | None:
+        """Summed cheapest cover cost, the nonzero cover areas in group
+        order, and the hull steps sorted for the greedy, of the groups not
+        in sel; None when one of them has no open option."""
+        cost, areas, steps = 0, [], []
+        for g, bits in enumerate(group_bits):
+            if sel >> g & 1:
+                continue
+            state = free & bits
+            if state not in hulls:
+                hulls[state] = hull_of(state)
+            h = hulls[state]
+            if h is None:
                 return None
-            opts.sort()
-            hull = [opts[0]]
-            for a2, c2 in opts[1:]:
-                if c2 >= hull[-1][1]:
-                    continue
-                while len(hull) > 1:
-                    (a0, c0), (a1, c1) = hull[-2], hull[-1]
-                    if (c1 - c0) * (a2 - a0) < (c2 - c0) * (a1 - a0):
-                        break
-                    hull.pop()
-                hull.append((a2, c2))
-            committed += hull[0][1]
-            room -= hull[0][0]
-            for (a1, c1), (a2, c2) in zip(hull, hull[1:]):
-                steps.append(((c1 - c2) / (a2 - a1), a2 - a1, c1 - c2))
+            cost += h[0]
+            if h[1]:
+                areas.append(h[1])
+            steps += h[2]
+        steps.sort(reverse=True)
+        return cost, areas, steps
+
+    def lower_bound(committed: int, used_area: float, free: int,
+                    sel: int) -> int | None:
+        """Admissible bound on every leaf below; None when none is feasible."""
+        key = free << n_groups | sel
+        if key not in covers:
+            covers[key] = cover(free, sel)
+        c = covers[key]
+        if c is None:
+            return None
+        cost, areas, steps = c
+        committed += cost
+        room = limit - used_area
+        for a in areas:   # x - 0.0 == x, so zero areas are left out
+            room -= a
         if room < 0:
             return None
-        steps.sort(reverse=True)
         for _, da, gain in steps:
             if da <= room:
                 committed -= gain
@@ -437,7 +455,10 @@ def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution
                 break
         return committed
 
-    def dfs(depth: int, used_area: float, committed: int):
+    def dfs(depth: int, used_area: float, committed: int, sel: int, hws: int,
+            hwc: int, blocked: int):
+        """sel, hws, hwc: groups with a selection, a hardware selection and
+        a hardware caller; blocked: merged functions in a group in sel."""
         nonlocal best, best_state, nodes, hit_limit
         if nodes >= node_limit:
             hit_limit = True
@@ -448,26 +469,40 @@ def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution
         if depth == n:
             best, best_state = committed, list(st)
             return
-        bound = lower_bound(committed, used_area)
+        bound = lower_bound(committed, used_area, undecided[depth] & ~blocked,
+                            sel)
         if bound is None or best is not None and bound >= best:
             return
+        mine = in_groups[depth]
         for c in choices[depth]:
-            ua = used_area + area[depth] if c == _HW else used_area
-            if ua > limit:
+            ua, s, h, w, b = used_area, sel, hws, hwc, blocked
+            if c != _NONE:
+                if sel & mine:
+                    continue
+                s, b = sel | mine, blocked | blocks[depth]
+            if c == _HW:
+                ua += area[depth]
+                if ua > limit:
+                    continue
+                h, w = hws | mine, hwc | callee_groups[depth]
+            # a group must be covered once its last member is decided, and
+            # in hardware while it has a hardware caller; hws only grows, so
+            # the closed groups that passed before still pass
+            if closes[depth] & ~s or closed[depth] & w & ~h:
                 continue
-            if assign(depth, c):
-                if c == _HW:
-                    d = hw[depth] + sum(e for i, e in callers[depth]
-                                        if st[i] == _SW)
-                elif c == _SW:
-                    d = sw[depth] + sum(e for j, e in callees[depth]
-                                        if st[j] == _HW)
-                else:
-                    d = 0
-                dfs(depth + 1, ua, committed + d)
-            unassign(depth, c)
+            st[depth] = c
+            if c == _HW:
+                d = hw[depth] + sum(e for i, e in callers[depth]
+                                    if st[i] == _SW)
+            elif c == _SW:
+                d = sw[depth] + sum(e for j, e in callees[depth]
+                                    if st[j] == _HW)
+            else:
+                d = 0
+            dfs(depth + 1, ua, committed + d, s, h, w, b)
+        st[depth] = -1
 
-    dfs(0, 0.0, 0)
+    dfs(0, 0.0, 0, 0, 0, 0, 0)
     if best_state is None:
         raise PartitionError("infeasible instance (no software fallback?)")
     hwv = {name: 1 for k, name in enumerate(names) if best_state[k] == _HW}

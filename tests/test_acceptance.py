@@ -21,7 +21,7 @@ import struct
 
 from mergedse.ir import Arena, InterpError, Instr, interpret
 from mergedse.merge import (
-    MergeRejected, _compatible, align, default_weights, merge_functions,
+    MergeRejected, _align_key, align, default_weights, merge_functions,
     verify_merge,
 )
 from mergedse.partition import check_solution, solve, solve_bruteforce
@@ -70,7 +70,8 @@ def test_criterion_02_alignment_optimality():
                 return 0.0
             best = float("-inf")
             if (i < len(s1) and j < len(s2)
-                    and _compatible(s1[i], s2[j], {}, {})):
+                    and _align_key(s1[i], {}, "?1")
+                    == _align_key(s2[j], {}, "?2")):
                 best = rec(i + 1, j + 1) + w[s1[i].op]
             if i < len(s1):
                 best = max(best, rec(i + 1, j) - gap)

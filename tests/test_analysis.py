@@ -1,11 +1,13 @@
 import random
 import struct
+from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mergedse import analysis
 from mergedse.analysis import (
     TRIVIAL_SIZE, build_call_graph, extract_loops, fingerprint, natural_loops,
     rank_pairs, similarity_matrix,
@@ -127,6 +129,73 @@ def test_irreducible_flagged():
     """)
     forest = natural_loops(m.functions["ir"])
     assert forest.irreducible
+
+
+def _set_back_edges(entry, succs, preds):
+    """The reference for `analysis._back_edges`, by the set-based definition
+    of dominators: every block starts dominated by all labels, then keeps
+    the intersection over its predecessors, plus itself, until nothing
+    changes. The CFG is irreducible when the other edges hold a cycle."""
+    universe = set(succs)
+    dom = {lab: set(universe) for lab in succs}
+    dom[entry] = {entry}
+    changed = True
+    while changed:
+        changed = False
+        for lab in succs:
+            if lab == entry:
+                continue
+            new = set(universe)
+            for p in preds[lab]:
+                new &= dom[p]
+            new.add(lab)
+            if new != dom[lab]:
+                dom[lab] = new
+                changed = True
+    back = {(u, v) for u in succs for v in succs[u] if v in dom[u]}
+    try:
+        TopologicalSorter({u: [v for v in succs[u] if (u, v) not in back]
+                           for u in succs}).prepare()
+    except CycleError:
+        return None
+    return back
+
+
+def _forest(f):
+    forest = natural_loops(f)
+    return forest.irreducible, [
+        (l.header, sorted(l.blocks), l.depth, l.parent and l.parent.header)
+        for l in forest.loops]
+
+
+def _random_cfg(rng, n):
+    """A function of n blocks chained b0 -> b1 -> ..., each with a random
+    second successor among b1..b{n-1} (backward, forward or itself), so every
+    block is reachable and the entry has no predecessors."""
+    lines = ["func @g(%c: i1) -> i32 {"]
+    for i in range(n):
+        nxt = [f"b{i + 1}"] if i + 1 < n else []
+        if rng.random() < 0.6 and n > 1:
+            other = f"b{rng.randrange(1, n)}"
+            if other not in nxt:
+                nxt.append(other)
+        lines.append(f"b{i}:")
+        lines.append(f"  br %c, {nxt[0]}, {nxt[1]}" if len(nxt) == 2 else
+                     f"  jmp {nxt[0]}" if nxt else "  ret i32 0")
+    return parse_module("\n".join(lines + ["}"])).functions["g"]
+
+
+def test_natural_loops_match_set_based_dominators(corpus, monkeypatch):
+    fns = [f for _, m, _ in corpus for mod in (m, extract_loops(m))
+           for f in mod.functions.values()]
+    rng = random.Random(11)
+    fns += [_random_cfg(rng, rng.randrange(1, 25)) for _ in range(400)]
+    fast = [_forest(f) for f in fns]
+    assert any(irr for irr, _ in fast)
+    assert any(not irr and any(depth > 1 for *_, depth, _ in loops)
+               for irr, loops in fast)
+    monkeypatch.setattr(analysis, "_back_edges", _set_back_edges)
+    assert [_forest(f) for f in fns] == fast
 
 
 def test_extract_loop_free_module_unchanged(pair_module):

@@ -13,6 +13,7 @@ import mergedse.cli as cli
 from mergedse.cli import build_parser, main
 from mergedse.ir import OPCODES
 from mergedse.dse import BUNDLED_MODEL, corpus_dir
+from mergedse.partition import solve
 
 POLY_IR = str(corpus_dir() / "poly.ir")
 POLY_HEAP = str(corpus_dir() / "poly.heap")
@@ -465,12 +466,26 @@ def test_many_blocks_do_not_exhaust_the_python_stack(tmp_path, model_file):
     assert out.read_text().count("jmp b") == 1499
 
 
-def test_partition_subcommand(tmp_path, model_file):
-    r = run_cli(["partition", "--model", model_file, "--budget", "8000",
-                 POLY_IR, POLY_HEAP])
+def test_partition_subcommand(tmp_path, model_file, capsys, monkeypatch):
+    argv = ["partition", "--model", model_file, "--budget", "8000",
+            POLY_IR, POLY_HEAP]
+    r = run_cli(argv)
     assert r.returncode == 0, r.stderr
-    assert "objective_s" in r.stdout
-    assert "optimal true" in r.stdout
+    lines = r.stdout.splitlines()
+    assert lines[0].startswith("objective_s ")
+    assert lines[1] == "optimal true"
+    nodes = int(re.fullmatch(r"solver_nodes (\d+)", lines[2]).group(1))
+    # the search the line reports is the one solve makes on the instance
+    problems, real = [], cli.partition_point
+
+    def keep(*a, **kw):
+        sol, problem = real(*a, **kw)
+        problems.append(problem)
+        return sol, problem
+    monkeypatch.setattr(cli, "partition_point", keep)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == r.stdout
+    assert nodes > 0 and solve(problems[0]).nodes == nodes
 
 
 class _Reached(Exception):

@@ -11,7 +11,7 @@ from mergedse.ir import (
     print_module, structurally_equal, validate_module,
 )
 from mergedse.merge import (
-    MergeRejected, _compatible, _draw_trial, align, best_alignment,
+    MergeRejected, _align_key, _draw_trial, align, best_alignment,
     default_weights, linearize, merge_functions, merge_parameters, seed_pairs,
     verify_merge,
 )
@@ -27,7 +27,8 @@ def brute_force_align_score(s1, s2, weights, gap):
         if i == len(s1) and j == len(s2):
             return 0.0
         best = float("-inf")
-        if i < len(s1) and j < len(s2) and _compatible(s1[i], s2[j], {}, {}):
+        if (i < len(s1) and j < len(s2)
+                and _align_key(s1[i], {}, "?1") == _align_key(s2[j], {}, "?2")):
             best = rec(i + 1, j + 1) + weights[s1[i].op]
         if i < len(s1):
             best = max(best, rec(i + 1, j) - gap)

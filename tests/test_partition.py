@@ -181,6 +181,30 @@ def test_solver_node_counts_unchanged():
             == pinned["rand_2024_300_total"])
 
 
+def test_node_limit_outcomes_unchanged():
+    # The only path on which the search stops early. Recorded from the
+    # solver that rebuilt every group's hull at each node: with a limit of
+    # k nodes, either no leaf was reached (PartitionError) or the best leaf
+    # found so far is returned, marked not optimal when the limit was hit.
+    pinned = json.loads(NODES.read_text())["wide_node_limit"]
+    got = []
+    for seed in [s for g, s in GOLDEN_CASES if g == "wide"]:
+        for k in (1, 5, 25):
+            try:
+                s = solve(golden_problem("wide", seed), node_limit=k)
+            except PartitionError:
+                got.append([seed, k, None])
+                continue
+            got.append([seed, k, {
+                "optimal": s.optimal, "nodes": s.nodes,
+                "hwv": sorted(n for n, v in s.hwv.items() if v),
+                "swv": sorted(n for n, v in s.swv.items() if v),
+                "objective": [s.objective.numerator, s.objective.denominator]}])
+    assert got == pinned
+    assert any(o is None for _, _, o in got)
+    assert any(o and not o["optimal"] for _, _, o in got)
+
+
 def test_budget_zero_forces_software():
     rng = random.Random(0)
     p = make_problem(6, [("m0", "f0", "f1")], rng, budget_frac=0.0)
