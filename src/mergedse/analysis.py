@@ -5,6 +5,7 @@ extraction, and opcode fingerprints with pairwise similarity ranking.
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,27 @@ def _cfg(f: Function):
     return labels, succs, preds
 
 
+def postorder(entry: str, succs_of: Callable[[str], Iterable[str]]
+              ) -> list[str]:
+    """The blocks reachable from `entry` in depth-first postorder, found
+    with an explicit stack. `succs_of(label)` gives a block's successors in
+    visit order; it is called when the search first reaches the block."""
+    post: list[str] = []
+    seen = {entry}
+    path = [(entry, iter(succs_of(entry)))]
+    while path:
+        lab, it = path[-1]
+        for s in it:
+            if s not in seen:
+                seen.add(s)
+                path.append((s, iter(succs_of(s))))
+                break
+        else:
+            post.append(lab)
+            path.pop()
+    return post
+
+
 def _back_edges(entry: str, succs: dict[str, list[str]],
                 preds: dict[str, list[str]]) -> set[tuple[str, str]] | None:
     """The edges u -> v whose target dominates their source, or None when
@@ -96,19 +118,7 @@ def _back_edges(entry: str, succs: dict[str, list[str]],
     u's dominator-tree path reaches v; the walk stays inside the loop's body.
     Only blocks reachable from the entry are seen (validation rejects the
     others)."""
-    post: list[str] = []            # entry last
-    seen = {entry}
-    path = [(entry, iter(succs[entry]))]
-    while path:
-        lab, it = path[-1]
-        for s in it:
-            if s not in seen:
-                seen.add(s)
-                path.append((s, iter(succs[s])))
-                break
-        else:
-            post.append(lab)
-            path.pop()
+    post = postorder(entry, succs.__getitem__)
     rank = {lab: k for k, lab in enumerate(post)}
     idom = {entry: entry}
     changed = True

@@ -152,12 +152,6 @@ class Function:
     def entry(self) -> str:
         return self.blocks[0].label
 
-    def block(self, label: str) -> Block:
-        for b in self.blocks:
-            if b.label == label:
-                return b
-        raise KeyError(label)
-
     def size(self) -> int:
         """Static instruction count."""
         return sum(len(b.instrs) for b in self.blocks)
@@ -165,9 +159,6 @@ class Function:
     def instructions(self):
         for b in self.blocks:
             yield from b.instrs
-
-    def successors(self, label: str) -> tuple[str, ...]:
-        return self.block(label).terminator().succs
 
     def register_types(self) -> dict[str, str]:
         """Map every register in the function to its (unique) type tag.

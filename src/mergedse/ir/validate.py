@@ -14,6 +14,8 @@ Checks are deliberately strict so that every transformation in the toolkit
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .core import (
     BINOPS_FLOAT, BINOPS_INT, CASTS, FCMP_PREDS, ICMP_PREDS, INT_RANGE, OPCODES,
     Function, Instr, IRError, Module, Reg, operand_slot_types, wrap_int,
@@ -232,28 +234,35 @@ def validate_module(m: Module) -> None:
 
     # recursion: the call graph must be a DAG
     if not diags:
-        color: dict[str, int] = {}
-
-        def dfs(name: str, trail: list[str]) -> bool:
-            color[name] = 1
-            for ins in m.functions[name].instructions():
-                if ins.op != "call":
-                    continue
-                c = ins.callee
-                if c not in m.functions:
-                    continue
-                if color.get(c) == 1:
-                    diags.append("recursive call cycle: " +
-                                 " -> ".join(trail + [name, c]))
-                    return False
-                if color.get(c, 0) == 0 and not dfs(c, trail + [name]):
-                    return False
-            color[name] = 2
-            return True
-
-        for name in m.functions:
-            if color.get(name, 0) == 0 and not dfs(name, []):
-                break
+        cycle = _call_cycle(m)
+        if cycle:
+            diags.append("recursive call cycle: " + " -> ".join(cycle))
 
     if diags:
         raise ValidationError(diags)
+
+
+def _call_cycle(m: Module) -> list[str] | None:
+    """The path of a depth-first search (roots in module order, callees in
+    instruction order, an explicit stack) to its first repeated function."""
+    def callees(name: str) -> Iterator[str]:
+        return (ins.callee for ins in m.functions[name].instructions()
+                if ins.op == "call" and ins.callee in m.functions)
+    color: dict[str, int] = {}   # 1 on the search path, 2 done
+    for root in m.functions:
+        if root in color:
+            continue
+        color[root], path, stack = 1, [root], [callees(root)]
+        while stack:
+            for c in stack[-1]:
+                if color.get(c) == 1:
+                    return path + [c]
+                if c not in color:
+                    color[c] = 1
+                    path.append(c)
+                    stack.append(callees(c))
+                    break
+            else:
+                stack.pop()
+                color[path.pop()] = 2
+    return None

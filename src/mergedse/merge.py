@@ -18,7 +18,8 @@ most merged instructions run per parent instruction. A proved side whose
 parent trials each ran out of fuel or charged F fuel with
 K·F + 2·size(merged) <= fuel agrees on every trial without running the
 merged body; every other side falls back to running its merged trials
-against the parent's.
+against the parent's. A side's trials are drawn for its parent's
+parameter types alone and run once for every merge of that parent.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from math import factorial
+from typing import NamedTuple
 
-from .analysis import natural_loops
+from .analysis import natural_loops, postorder
 from .ir import (  # `interpret` stays bound here: perfbench/spans.py times it
     OPCODES, REGION_BASE, Block, Function, Instr, InterpError, IRError,
     Lit, Module, Program, Reg, check_function, interpret, operand_slot_types,
@@ -88,35 +90,26 @@ def linearize(f: Function, seed: int = 0) -> Linearization:
 
     Block instructions stay contiguous and in order; the successor visit
     order at each branch is drawn from the seed, so different seeds explore
-    different topological layouts. Seed 0 reproduces source order.
+    different topological layouts. Seed 0 reproduces source order. A block
+    draws its successor order when the depth-first search first reaches it.
     """
-    state = seed
-    visited: set[str] = set()
-    post: list[str] = []
+    state, blocks = seed, {b.label: b for b in f.blocks}
 
-    def walk(label: str):
+    def succs_of(label: str) -> list[str]:
         nonlocal state
-        visited.add(label)
-        succs = []
-        for s in f.successors(label):
-            if s not in succs:
-                succs.append(s)
+        succs = list(dict.fromkeys(blocks[label].terminator().succs))
         if len(succs) > 1:
             nperm = factorial(len(succs))
             succs = _perm_at(succs, state % nperm)
             state //= nperm
-        for s in reversed(succs):
-            if s not in visited:
-                walk(s)
-        post.append(label)
+        return succs[::-1]
 
-    walk(f.entry)
-    order = list(reversed(post))
+    order = postorder(f.entry, succs_of)[::-1]
     instrs: list[Instr] = []
     first_pos: dict[str, int] = {}
     for lab in order:
         first_pos[lab] = len(instrs)
-        instrs.extend(f.block(lab).instrs)
+        instrs.extend(blocks[lab].instrs)
     return Linearization(order, instrs, first_pos)
 
 
@@ -137,8 +130,7 @@ def seed_pairs(n: int):
 # Needleman-Wunsch alignment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlignEntry:
+class AlignEntry(NamedTuple):
     kind: str            # "aligned" | "gap1" | "gap2"
     i1: int | None = None  # index in sequence 1 (aligned / gap2)
     i2: int | None = None  # index in sequence 2 (aligned / gap1)
@@ -182,11 +174,11 @@ def align(s1: list[Instr], s2: list[Instr],
     """Global alignment maximizing match weights minus gap penalties.
 
     Only compatible instructions (equal opcode/type/callee/predicate) may
-    align; incompatible pairs are effectively scored minus infinity.
+    align; incompatible pairs are effectively scored minus infinity. Without
+    `weights`, a match scores as `default_weights()` gives.
     """
     if not s1 or not s2:
         raise IRError("cannot align empty sequences")
-    weights = weights or default_weights()
     rt1 = rt1 or {}
     rt2 = rt2 or {}
     n1, n2 = len(s1), len(s2)
@@ -203,7 +195,9 @@ def align(s1: list[Instr], s2: list[Instr],
     for i in range(1, n1 + 1):
         a = s1[i - 1]
         key = _align_key(a, rt1, "?1")
-        weight = weights.get(a.op, DEFAULT_MATCH_WEIGHT)
+        weight = (weights.get(a.op, DEFAULT_MATCH_WEIGHT) if weights else
+                  HEAVY_MATCH_WEIGHT if a.op in HEAVY_OPS else
+                  DEFAULT_MATCH_WEIGHT)
         row, prow = score[i], score[i - 1]
         mrow = move[i]
         for j in range(1, n2 + 1):
@@ -227,10 +221,10 @@ def align(s1: list[Instr], s2: list[Instr],
             entries.append(AlignEntry("aligned", i - 1, j - 1))
             i, j = i - 1, j - 1
         elif mv == 2:
-            entries.append(AlignEntry("gap2", i1=i - 1))
+            entries.append(AlignEntry("gap2", i - 1))
             i -= 1
         else:
-            entries.append(AlignEntry("gap1", i2=j - 1))
+            entries.append(AlignEntry("gap1", None, j - 1))
             j -= 1
     entries.reverse()
     return Alignment(entries, score[n1][n2], n1, n2)
@@ -764,21 +758,15 @@ def _draw_trial(params: list[tuple[str, str]], rng: random.Random
 
 
 def _trial_plans(memo: dict, seed: int, trials: int,
-                 params1: list[tuple[str, str]],
-                 params2: list[tuple[str, str]]) -> list[list]:
-    """Both sides' trials as (plan id, heap template, arguments) lists,
-    drawn once per memo and pair of parameter-type signatures: side 2's
-    draws continue side 1's stream. Plans with equal arguments (floats by
-    bit pattern, so -0.0 and 0.0 differ) and equal templates share an id."""
-    key = (seed, trials) + tuple(tuple(ty for _, ty in ps)
-                                 for ps in (params1, params2))
+                 params: list[tuple[str, str]]) -> list[tuple[bytes, list]]:
+    """The (heap template, arguments) of `trials` trials of a function with
+    these parameter types, drawn from random.Random(seed) once per memo and
+    signature: a function's trials depend on its own signature only, so
+    every merge of a parent checks it on the same inputs."""
+    key = (seed, trials, tuple(ty for _, ty in params))
     if key not in memo:
-        rng, ids = random.Random(seed), memo.setdefault("plan ids", {})
-        memo[key] = [[(ids.setdefault((tuple(map(_canon, args)), heap),
-                                      len(ids)), heap, args)
-                      for heap, args in (_draw_trial(ps, rng)
-                                         for _ in range(trials))]
-                     for ps in (params1, params2)]
+        rng = random.Random(seed)
+        memo[key] = [_draw_trial(params, rng) for _ in range(trials)]
     return memo[key]
 
 
@@ -821,27 +809,30 @@ def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
     agreement, unless no parent trial of a side returns. The first
     counterexample is reported; trials < 1 is an IRError.
 
-    Every parent trial runs. A side `weave_walk` proves with K agrees on
-    every trial whose parent ended in `error:fuel` or charged F fuel with
-    K·F + 2·size(merged) <= fuel: the merged run executes the parent's
-    instructions with at most K merged instructions for each (the entry's
-    glue apart, at most size(merged)), and the callees' instructions alike,
-    so it neither runs out of fuel sooner nor, on a parent that does, later.
-    Its merged trials are skipped when every parent trial is such a trial;
-    otherwise, and on a side the walk does not prove, they all run.
+    Each parent's trials run once per memo, which maps (parent, fuel,
+    seed, trials) to their outcomes, whether any returned, and the most
+    fuel charged by one that did not run out. A side `weave_walk` proves
+    with K agrees on every trial whose parent ended in `error:fuel` or
+    charged F fuel with K·F + 2·size(merged) <= fuel: the merged run
+    executes the parent's instructions with at most K merged instructions
+    for each (the entry's glue apart, at most size(merged)), and the
+    callees' instructions alike, so it neither runs out of fuel sooner nor,
+    on a parent that does, later. When every parent trial is such a trial,
+    the side costs its walk and one memo read; otherwise, and on a side the
+    walk does not prove, its merged trials all run and are compared with
+    the stored parent outcomes.
 
     The trials of a call run as one batch on one _Machine (the run path of
     `interpret`, without its argument checks: plans are well-typed), which
     keeps its calling contexts; each run starts from a copy of its plan's
-    heap template. `memo` holds the trials of each pair of parameter-type
-    signatures (plan id, heap template, arguments), maps (parent, fuel,
-    plan id) to the parent's outcome and charged fuel and keeps one Program:
-    each module function is decoded once for all calls sharing the memo and
-    compiled (the hot tier) once it has run HOT_MULTIPLE times its size
-    there; the candidate is decoded at most once per call, not at all when
-    both sides are proved, and dropped. No outcome depends on the tier.
-    Callers may share a memo while the module only gains functions under
-    fresh names. Runs record no footprints: only value and heap count.
+    heap template. `memo` also holds each signature's trials
+    (`_trial_plans`) and one Program: each module function is decoded once
+    for all calls sharing the memo and compiled (the hot tier) once it has
+    run HOT_MULTIPLE times its size there; the candidate is decoded at most
+    once per call, not at all when both sides are proved, and dropped. No
+    outcome depends on the tier. Callers may share a memo while the module
+    only gains functions under fresh names. Runs record no footprints: only
+    value and heap count.
     """
     if trials < 1:
         raise IRError(f"trials must be at least 1, got {trials}")
@@ -850,44 +841,43 @@ def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
     prog = memo.setdefault("program", Program(m, footprints=False))
     prog.module = mm = m if mname in m.functions else Module(
         {**m.functions, mname: merged.function}, m.entry)
-    plans = _trial_plans(memo, seed, trials, mm.function(name1).params,
-                         mm.function(name2).params)
     mach = _Machine(prog)
     size = merged.function.size()
     proved, notes = [False, False], []
-
-    def parent_run(pname: str, pid: int, image: bytes, args: list):
-        key = (pname, fuel, pid)
-        if key not in memo:
-            memo[key] = _run(mach, pname, image, args, fuel)
-        return memo[key]
 
     def report(passed: bool, **kw) -> VerifyReport:
         return VerifyReport((name1, name2), mname, trials, passed,
                             proved=tuple(proved), **kw)
     try:
-        for side, pname, side_plans in zip((1, 2), (name1, name2), plans):
-            k, why = weave_walk(merged, side, mm.function(pname))
+        for side, pname in ((1, name1), (2, name2)):
+            parent = mm.function(pname)
+            plans = _trial_plans(memo, seed, trials, parent.params)
+            key, ran = (pname, fuel, seed, trials), "from memo"
+            if key not in memo:
+                runs = [_run(mach, pname, image, args, fuel)
+                        for image, args in plans]
+                memo[key] = ([out for out, _ in runs],
+                             any(out[0] == "ok" for out, _ in runs),
+                             max((c for out, c in runs
+                                  if out[0] != "error:fuel"), default=0))
+                ran = "run now"
+            outs_p, returns, charged = memo[key]
+            k, why = weave_walk(merged, side, parent)
             if k is not None:
-                charged = max((c for (status, _, _), c in (
-                    parent_run(pname, *plan) for plan in side_plans)
-                    if status != "error:fuel"), default=0)
                 proved[side - 1] = k * charged + 2 * size <= fuel
                 why = (f"proved, K={k}" if proved[side - 1] else
                        f"K={k}, but a parent trial charged {charged} fuel")
-            notes.append(f"side {side} {why}")
-            for pid, image, args_p in [] if proved[side - 1] else side_plans:
-                out_p = parent_run(pname, pid, image, args_p)[0]
+            notes.append(f"side {side} {why}, parent trials {ran}")
+            for (image, args_p), out_p in zip(
+                    [] if proved[side - 1] else plans, outs_p):
                 out_m = _run(mach, mname, image,
                              merged.args_for(side, args_p), fuel)[0]
                 if out_p != out_m:
                     return report(
-                        False, counterexample=(1 if side == 1 else 0,
-                                               list(args_p)),
+                        False, counterexample=(int(side == 1), list(args_p)),
                         detail=f"parent {out_p[0]} value/heap differs from "
                                f"merged {out_m[0]}")
-            if all(memo[pname, fuel, pid][0][0] != "ok"
-                   for pid, _, _ in side_plans):
+            if not returns:
                 return report(False, detail=f"side {side} (@{pname}) never "
                                             "returns")
     finally:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import src_env
+from test_ir import call_chain_ir
 import mergedse.cli as cli
 from mergedse.cli import build_parser, main
 from mergedse.ir import OPCODES
@@ -464,6 +465,15 @@ def test_many_blocks_do_not_exhaust_the_python_stack(tmp_path, model_file):
     r = run_cli(["transform", "--extract-loops", str(program), "-o", str(out)])
     assert r.returncode == 0, r.stderr
     assert out.read_text().count("jmp b") == 1499
+
+
+def test_a_deep_call_chain_does_not_exhaust_the_python_stack(tmp_path):
+    # a 1,500-deep call chain used to end in a RecursionError (exit 1) in
+    # the validator's call-cycle search, so no command could read it
+    program = tmp_path / "chain.ir"
+    program.write_text(call_chain_ir(5000))
+    r = run_cli(["analyze", "--loops", str(program)])
+    assert r.returncode == 0, r.stderr
 
 
 def test_partition_subcommand(tmp_path, model_file, capsys, monkeypatch):

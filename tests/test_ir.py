@@ -59,6 +59,48 @@ def test_recursion_rejected():
         parse_module(src)
 
 
+def call_chain_ir(n: int, back: int | None = None) -> str:
+    """@f0 calls @f1, which calls @f2, ... down to @f{n-1}; with `back`,
+    @f{n-1} calls @f{back} instead of returning its argument."""
+    funcs = []
+    for i in range(n):
+        callee = i + 1 if i + 1 < n else back
+        body = ("  ret i32 %x" if callee is None else
+                f"  %r = call i32 @f{callee}(%x)\n  ret i32 %r")
+        funcs.append(f"func @f{i}(%x: i32) -> i32 {{\nbb0:\n{body}\n}}\n")
+    return "\n".join(funcs)
+
+
+def _cycle(src):
+    with pytest.raises(ValidationError) as e:
+        parse_module(src)
+    return e.value.diagnostics
+
+
+def test_call_cycle_diagnostic_names_the_search_path():
+    assert _cycle("""
+    func @a(%x: i32) -> i32 { bb0: %r = call i32 @b(%x)\n ret i32 %r }
+    func @b(%x: i32) -> i32 { bb0: %r = call i32 @a(%x)\n ret i32 %r }
+    """) == ["recursive call cycle: a -> b -> a"]
+    # the path starts at the first function in module order; callees are
+    # searched in instruction order, and finished ones are not searched again
+    assert _cycle("""
+    func @r(%x: i32) -> i32 { bb0: %u = call i32 @d(%x)
+      %v = call i32 @a(%u)\n ret i32 %v }
+    func @d(%x: i32) -> i32 { bb0: ret i32 %x }
+    func @a(%x: i32) -> i32 { bb0: %u = call i32 @d(%x)
+      %r = call i32 @a(%u)\n ret i32 %r }
+    """) == ["recursive call cycle: r -> a -> a"]
+    deep = _cycle(call_chain_ir(5000, back=2500))
+    assert deep == ["recursive call cycle: " + " -> ".join(
+        [f"f{i}" for i in range(5000)] + ["f2500"])]
+
+
+def test_a_5000_deep_call_chain_parses():
+    m = parse_module(call_chain_ir(5000))
+    assert len(m.functions) == 5000 and m.entry == "f0"
+
+
 def test_syntax_error_has_position():
     with pytest.raises(ParseError) as exc:
         parse_module("func @f( -> i32 { bb0: ret i32 1 }")

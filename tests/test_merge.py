@@ -1,6 +1,8 @@
 import re
 import random
+import sys
 from dataclasses import replace
+from math import factorial
 
 import pytest
 
@@ -84,11 +86,73 @@ def test_linearize_block_contiguity(pair_module):
         assert lin.order[-1] == "bb3"
         assert sorted(lin.order) == sorted(b.label for b in f.blocks)
         # instructions of each block stay contiguous and in order
-        pos = 0
+        pos, blocks = 0, {b.label: b for b in f.blocks}
         for lab in lin.order:
-            for ins in f.block(lab).instrs:
+            for ins in blocks[lab].instrs:
                 assert lin.instrs[pos] == ins
                 pos += 1
+
+
+def _linearize_order_oracle(f, seed):
+    """Block order of the recursive walk `linearize` used to make."""
+    state, visited, post = seed, set(), []
+    blocks = {b.label: b for b in f.blocks}
+
+    def walk(label):
+        nonlocal state
+        visited.add(label)
+        succs = []
+        for s in blocks[label].terminator().succs:
+            if s not in succs:
+                succs.append(s)
+        if len(succs) > 1:
+            nperm = factorial(len(succs))
+            succs = merge._perm_at(succs, state % nperm)
+            state //= nperm
+        for s in reversed(succs):
+            if s not in visited:
+                walk(s)
+        post.append(label)
+
+    walk(f.entry)
+    return post[::-1]
+
+
+def _diamond_chain(n):
+    """n diamonds in a row: 3n + 1 blocks, each diamond a two-way branch."""
+    lines = ["func @f(%c: i1) -> i32 {"]
+    for i in range(n):
+        lines += [f"a{i}:", f"  br %c, b{i}, c{i}", f"b{i}:", f"  jmp a{i + 1}",
+                  f"c{i}:", f"  jmp a{i + 1}"]
+    lines += [f"a{n}:", "  ret i32 1", "}"]
+    return parse_module("\n".join(lines)).functions["f"]
+
+
+def test_linearize_orders_match_the_recursive_walk(corpus):
+    checked = 0
+    for _, m, _ in corpus:
+        for work in (m, extract_loops(m)):
+            for f in work.functions.values():
+                for seed in range(4):
+                    assert linearize(f, seed).order == \
+                        _linearize_order_oracle(f, seed), (f.name, seed)
+                    checked += 1
+    assert checked > 300
+
+
+def test_linearize_walks_5000_blocks_on_the_default_stack():
+    f = _diamond_chain(1667)
+    assert len(f.blocks) == 5002
+    limit = sys.getrecursionlimit()
+    lins = {seed: linearize(f, seed) for seed in (0, 1, 3 ** 40 + 5)}
+    assert sys.getrecursionlimit() == limit
+    sys.setrecursionlimit(limit + 4 * len(f.blocks))   # for the oracle only
+    try:
+        for seed, lin in lins.items():
+            assert lin.order == _linearize_order_oracle(f, seed)
+            assert len(lin.instrs) == f.size()
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_seed_pairs_cover_grid():
@@ -523,8 +587,17 @@ def test_walk_proves_sides_and_logs_why_a_side_runs_trials(pair_module,
     with caplog.at_level("DEBUG", logger="mergedse"):
         rep = verify_merge(pair_module, "sel_a", "sel_b", mf, trials=48)
     assert rep.passed and rep.proved == (True, True)
-    assert re.fullmatch(r"verify m\.sel_a\.sel_b: side 1 proved, K=\d+; "
-                        r"side 2 proved, K=\d+", caplog.records[-1].message)
+    assert re.fullmatch(r"verify m\.sel_a\.sel_b: side 1 proved, K=\d+, "
+                        r"parent trials run now; side 2 proved, K=\d+, "
+                        r"parent trials run now", caplog.records[-1].message)
+    # on a shared memo, the second call reads both parents' trials back
+    shared = {}
+    for ran in ("run now", "from memo"):
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="mergedse"):
+            assert verify_merge(pair_module, "sel_a", "sel_b", mf, trials=48,
+                                memo=shared) == rep
+        assert caplog.records[-1].message.count(f"parent trials {ran}") == 2
     # the proof needs K·F + 2·size(merged) <= fuel for every parent trial
     # that does not run out of fuel: K is 3, size(merged) 13, and at 40
     # fuel @sel_a's trials charge up to 7, @sel_b's up to 4
@@ -586,7 +659,10 @@ def test_merge_rejects_a_merged_body_that_fails_validation(pair_module,
         merge_functions(m, "sel_a", "sel_b")
 
 
-def test_trial_plans_drawn_once_per_signature_pair(corpus, monkeypatch):
+def test_trials_drawn_and_run_once_per_parent_signature(corpus, monkeypatch):
+    # every reduce candidate in FLE on one memo: the trials of a parameter-
+    # type signature are drawn once, and each parent runs exactly `trials`
+    # parent trials, however many partners of other signatures it meets
     m = extract_loops(next(m for name, m, _ in corpus if name == "reduce"))
     candidates = []
     for n1, n2, _ in rank_pairs(m, 0.3):
@@ -594,27 +670,39 @@ def test_trial_plans_drawn_once_per_signature_pair(corpus, monkeypatch):
             candidates.append((n1, n2, merge_functions(m, n1, n2)))
         except MergeRejected:
             continue
-    draws = []
-    draw_trial = merge._draw_trial
+    draws, runs = [], {}
+    draw_trial, run = merge._draw_trial, merge._run
 
-    def counted(params, rng):
+    def counted_draw(params, rng):
         draws.append(params)
         return draw_trial(params, rng)
-    monkeypatch.setattr(merge, "_draw_trial", counted)
+
+    def counted_run(mach, fname, image, args, fuel):
+        runs[fname] = runs.get(fname, 0) + 1
+        return run(mach, fname, image, args, fuel)
+    monkeypatch.setattr(merge, "_draw_trial", counted_draw)
+    monkeypatch.setattr(merge, "_run", counted_run)
 
     def signature(name):
         return tuple(ty for _, ty in m.functions[name].params)
 
     trials, shared = 48, {}
-    sigs = {(signature(n1), signature(n2)) for n1, n2, _ in candidates}
+    parents = {n for n1, n2, _ in candidates for n in (n1, n2)}
+    sigs = {signature(n) for n in parents}
+    partners = {n: {signature(b if a == n else a) for a, b, _ in candidates
+                     if n in (a, b)} for n in parents}
     reports = [verify_merge(m, n1, n2, mf, trials=trials, seed=7, memo=shared)
                for n1, n2, mf in candidates]
-    assert len(candidates) > len(sigs)
-    assert len(draws) == 2 * trials * len(sigs)
+    assert all(r.passed and r.proved == (True, True) for r in reports)
+    assert len(parents) > len(sigs) and len(candidates) > len(parents)
+    assert any(len(p) > 1 for p in partners.values())
+    assert len(draws) == trials * len(sigs)
+    assert runs == {n: trials for n in parents}
     # one fresh memo per call gives the same reports
     assert reports == [verify_merge(m, n1, n2, mf, trials=trials, seed=7)
                        for n1, n2, mf in candidates]
-    assert len(draws) == 2 * trials * (len(sigs) + len(candidates))
+    assert len(draws) == trials * (len(sigs) + sum(
+        len({signature(n1), signature(n2)}) for n1, n2, _ in candidates))
 
 
 def test_verification_decodes_each_function_once_per_memo(corpus, area_model,

@@ -30,9 +30,11 @@ def _reference(m, n1, n2, mf, fuel):
     mname = mf.function.name
     mm = Module({**m.functions, mname: mf.function}, m.entry)
     prog = Program(mm, footprints=False)
-    rng = random.Random(SEED)
-    sides = [[merge._draw_trial(mm.functions[n].params, rng)
-              for _ in range(TRIALS)] for n in (n1, n2)]
+    sides = []
+    for n in (n1, n2):   # each side draws for its own signature
+        rng = random.Random(SEED)
+        sides.append([merge._draw_trial(mm.functions[n].params, rng)
+                      for _ in range(TRIALS)])
 
     def run(fname, template, args):
         arena = Arena()
@@ -84,13 +86,13 @@ class _Batched:
         self.mname, self.merged_runs = mf.function.name, []
         rep = verify_merge(m, n1, n2, mf, trials=TRIALS, seed=SEED,
                            fuel=fuel, memo=self.memo)
-        sig = tuple(tuple(ty for _, ty in m.function(n).params)
-                    for n in (n1, n2))
-        trials = [(pname, t) for pname, side in
-                  zip((n1, n2), self.memo[(SEED, TRIALS) + sig]) for t in side]
-        outcomes = [(self.memo[(pname, fuel, pid)][0], out_m) for (pname, (
-            pid, _, _)), out_m in zip(trials, self.merged_runs)]
-        return rep, outcomes, [image for _, (_, image, _) in trials]
+        trials = [(pname, k, image) for pname in (n1, n2)
+                  for k, (image, _) in enumerate(self.memo[
+                      SEED, TRIALS, tuple(ty for _, ty in m.function(
+                          pname).params)])]
+        outcomes = [(self.memo[pname, fuel, SEED, TRIALS][0][k], out_m)
+                    for (pname, k, _), out_m in zip(trials, self.merged_runs)]
+        return rep, outcomes, [image for _, _, image in trials]
 
 
 def _prove_nothing(mf, side, parent):
@@ -242,13 +244,12 @@ def _side_agrees(m, mf, side, pname, fuel):
     """Every trial of `side` gives the parent's outcome on the merged body."""
     mname = mf.function.name
     mm = Module({**m.functions, mname: mf.function}, m.entry)
-    params = [mm.function(n).params for n in mf.parents]
-    plans = merge._trial_plans({}, SEED, TRIALS, *params)[side - 1]
+    plans = merge._trial_plans({}, SEED, TRIALS, mm.function(pname).params)
     mach = _Machine(Program(mm, footprints=False))
     return all(merge._run(mach, pname, image, args, fuel)[0]
                == merge._run(mach, mname, image, mf.args_for(side, args),
                              fuel)[0]
-               for _, image, args in plans)
+               for image, args in plans)
 
 
 def test_walk_proves_no_mutant_side_whose_trials_fail(corpus, monkeypatch):
