@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -352,8 +353,19 @@ def reports_to_csv(reports: list[DseReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_to_dict(r: DseReport) -> dict:
-    selected = set(r.merged_hw)
+def _merge_dict(mr: MergeRecord, selected: bool) -> dict:
+    return {
+        "name": mr.name, "parents": list(mr.parents),
+        "similarity": mr.similarity,
+        "aligned_fraction": mr.aligned_fraction,
+        "verified": mr.verified, "trials": mr.trials,
+        "area": mr.area, "parents_area": mr.parents_area,
+        "ep": None if mr.ep != mr.ep else mr.ep,
+        "selected": selected,
+    }
+
+
+def _point_dict(r: DseReport, merges: list) -> dict:
     return {
         "program": r.program,
         "mode": r.mode,
@@ -370,22 +382,66 @@ def report_to_dict(r: DseReport) -> dict:
         "area_used": float(r.area_used),
         "breakdown_pct": {"sw": r.sw_pct, "hw": r.hw_pct, "comm": r.comm_pct},
         "funnel": r.funnel,
-        "merges": [{
-            "name": mr.name, "parents": list(mr.parents),
-            "similarity": mr.similarity,
-            "aligned_fraction": mr.aligned_fraction,
-            "verified": mr.verified, "trials": mr.trials,
-            "area": mr.area, "parents_area": mr.parents_area,
-            "ep": None if mr.ep != mr.ep else mr.ep,
-            "selected": mr.name in selected,
-        } for mr in r.merges],
+        "merges": merges,   # the last key: reports_to_json splices it
     }
 
 
+def report_to_dict(r: DseReport) -> dict:
+    selected = set(r.merged_hw)
+    return _point_dict(r, [_merge_dict(mr, mr.name in selected)
+                           for mr in r.merges])
+
+
+# one encoder for every document; with an indent CPython encodes in Python
+_ENCODER = json.JSONEncoder(indent=2, allow_nan=False)
+
+
+def _at(text: str, depth: int) -> str:
+    """An indent=2 `text` placed at nesting depth `depth`. The layout is
+    additive: a value at depth k is its own text with 2k more spaces after
+    every newline (strings hold no raw newline)."""
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _with_list(text: str, items: list[str], depth: int) -> str:
+    """`text`, the indent=2 encoding of an object whose last value is an
+    empty list, placed at depth `depth` with `items`, texts already at
+    depth + 2, in that list."""
+    pad = "\n" + "  " * depth
+    head = _at(text[:-len("[]\n}")], depth)
+    if not items:
+        return head + "[]" + pad + "}"
+    sep = pad + "    "
+    return head + "[" + sep + ("," + sep).join(items) + pad + "  ]" + pad + "}"
+
+
 def reports_to_json(reports: list[DseReport]) -> str:
-    doc = {"schema": REPORT_SCHEMA,
-           "reports": [report_to_dict(r) for r in reports]}
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """The `dse-report/v1` document: exactly `json.dumps(doc, indent=2,
+    allow_nan=False) + "\n"` of every `report_to_dict`, and like it raising
+    ValueError on a non-finite number. A mode's reports share one merge
+    record list, so each (record, selected) pair is encoded once per
+    document and spliced into every report that holds it. A report whose
+    list no other report holds is encoded whole: one encoder call costs less
+    than one per record."""
+    holders = Counter(id(r.merges) for r in reports)
+    records: dict[tuple[int, bool], str] = {}
+    texts = []
+    for r in reports:
+        if holders[id(r.merges)] == 1:
+            texts.append(_at(_ENCODER.encode(report_to_dict(r)), 2))
+            continue
+        selected = set(r.merged_hw)
+        items = []
+        for mr in r.merges:
+            key = (id(mr), mr.name in selected)
+            text = records.get(key)
+            if text is None:
+                text = records[key] = _at(
+                    _ENCODER.encode(_merge_dict(mr, key[1])), 4)
+            items.append(text)
+        texts.append(_with_list(_ENCODER.encode(_point_dict(r, [])), items, 2))
+    doc = _ENCODER.encode({"schema": REPORT_SCHEMA, "reports": []})
+    return _with_list(doc, texts, 0) + "\n"
 
 
 _REPORT_KEYS = {

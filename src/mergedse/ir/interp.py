@@ -49,6 +49,12 @@ arguments and runs once on a fresh machine; verification runs all trials of
 a call on one machine, which keeps its calling contexts and sets only heap
 and fuel per run. Footprints are recorded only when a finite bandwidth reads
 them: never in verification, in profiling only for one (`dse.prepare`).
+
+Each interpreted call is a Python call, so a run enters at most
+MAX_CALL_DEPTH nested frames; a call one deeper raises InterpError("depth")
+instead of exhausting Python's stack. A calling context records its depth
+when it is made, once per call edge per machine, so no frame pays for the
+check.
 """
 
 from __future__ import annotations
@@ -67,6 +73,13 @@ SCRATCH_SIZE = 256
 REGION_BASE = SCRATCH_BASE + SCRATCH_SIZE
 
 DEFAULT_FUEL = 10 ** 8
+
+# The deepest chain of calls a run may enter, the entry's frame included; a
+# call one deeper raises InterpError("depth"). Each interpreted frame takes
+# one or two Python frames (two when a cold frame goes on in hot code), so
+# this keeps a run inside Python's default recursion limit of 1,000 with
+# room for the caller's own stack.
+MAX_CALL_DEPTH = 300
 
 # The most bytes the regions of one heap image may hold together (16 MiB).
 MAX_HEAP_BYTES = 1 << 24
@@ -480,11 +493,13 @@ class _Context:
     the bytes their call edge touched here; the Trace is folded from all
     contexts once, when the run's trace is first read."""
 
-    __slots__ = ("fn", "parent", "runs", "visits", "touched", "callees")
+    __slots__ = ("fn", "parent", "depth", "runs", "visits", "touched",
+                 "callees")
 
     def __init__(self, fn: _Decoded, parent: "_Context | None"):
         self.fn = fn
         self.parent = parent
+        self.depth = 1 if parent is None else parent.depth + 1
         self.runs = [0] * len(fn.segs)
         self.visits = 0
         self.touched = 0
@@ -502,6 +517,11 @@ class _Machine:
         self.contexts: list[_Context] = []
 
     def context(self, fname: str, parent: _Context | None) -> _Context:
+        """The new calling context of `fname` under `parent`, made once per
+        call edge; one deeper than MAX_CALL_DEPTH raises."""
+        if parent is not None and parent.depth >= MAX_CALL_DEPTH:
+            raise InterpError("depth", f"call to @{fname} exceeds the call "
+                              f"depth limit of {MAX_CALL_DEPTH}")
         ctx = _Context(self.prog.function(fname), parent)
         (self.roots if parent is None else parent.callees)[fname] = ctx
         self.contexts.append(ctx)

@@ -180,45 +180,65 @@ def check_function(f: Function, m: Module, diags: list[str]):
                      f"in block {label}")
 
 
-def must_assigned_at(f: Function) -> dict[str, set[str]]:
-    """Registers definitely assigned on every path at each block's entry."""
+def _must_masks(f: Function) -> tuple[dict[str, int], dict[str, int]]:
+    """Each register's bit (params first, then results in program order) and
+    the mask of registers definitely assigned on every path at each block's
+    entry: the maximal fixpoint of the forward intersection dataflow, reached
+    by round-robin passes in block order from all registers at every block
+    but the entry, which holds the parameters."""
+    bit: dict[str, int] = {}
+    for p, _ in f.params:
+        bit.setdefault(p, 1 << len(bit))
+    params = (1 << len(bit)) - 1
     preds: dict[str, list[str]] = {b.label: [] for b in f.blocks}
-    universe = {p for p, _ in f.params}
-    gen: dict[str, set[str]] = {}
+    gen: dict[str, int] = {}
     for b in f.blocks:
         for s in b.terminator().succs:
             preds[s].append(b.label)
-        gen[b.label] = {ins.result for ins in b.instrs if ins.result is not None}
-        universe |= gen[b.label]
-    avail = {b.label: set(universe) for b in f.blocks}
-    avail[f.entry] = {p for p, _ in f.params}
+        g = 0
+        for ins in b.instrs:
+            if ins.result is not None:
+                g |= bit.setdefault(ins.result, 1 << len(bit))
+        gen[b.label] = g
+    universe = (1 << len(bit)) - 1
+    avail = dict.fromkeys(gen, universe)
+    avail[f.entry] = params
+    out = {lab: avail[lab] | g for lab, g in gen.items()}   # at block exit
+    rest = [(lab, preds[lab], gen[lab]) for lab in preds if lab != f.entry]
     changed = True
     while changed:
         changed = False
-        for b in f.blocks:
-            if b.label == f.entry:
-                continue
-            inb = set(universe)
-            for p in preds[b.label]:
-                inb &= avail[p] | gen[p]
-            if inb != avail[b.label]:
-                avail[b.label] = inb
+        for lab, ps, g in rest:
+            inb = universe
+            for p in ps:
+                inb &= out[p]
+            if inb != avail[lab]:
+                avail[lab], out[lab] = inb, inb | g
                 changed = True
-    return avail
+    return bit, avail
+
+
+def must_assigned_at(f: Function) -> dict[str, set[str]]:
+    """Registers definitely assigned on every path at each block's entry."""
+    bit, avail = _must_masks(f)
+    return {lab: {r for r, b in bit.items() if mask & b}
+            for lab, mask in avail.items()}
 
 
 def unassigned_uses(f: Function) -> list[tuple[str, str]]:
     """(block label, register) of every operand read that some path from the
-    entry reaches before the register is assigned, in program order."""
-    avail = must_assigned_at(f)
+    entry reaches before the register is assigned, in program order. A
+    register no instruction assigns has no bit, so every read of it counts."""
+    bit, avail = _must_masks(f)
     out = []
     for b in f.blocks:
-        running = set(avail[b.label])
+        running = avail[b.label]
         for ins in b.instrs:
-            out += [(b.label, o.name) for o in ins.operands
-                    if isinstance(o, Reg) and o.name not in running]
+            for o in ins.operands:
+                if type(o) is Reg and not running & bit.get(o.name, 0):
+                    out.append((b.label, o.name))
             if ins.result is not None:
-                running.add(ins.result)
+                running |= bit[ins.result]
     return out
 
 

@@ -28,7 +28,7 @@ import logging
 import random
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import factorial
 from typing import NamedTuple
 
@@ -478,9 +478,10 @@ def merge_functions(m: Module, name1: str, name2: str,
             s, i = (a, e.i1) if e.i1 is not None else (b, e.i2)
             ins = s.lin.instrs[i]
             ops = tuple(map(s.operand, ins.operands))
-            cur.append(replace(
-                ins, result=s.name(ins.result) if ins.result else None,
-                operands=ops, succs=tuple(target(s, t) for t in ins.succs)))
+            cur.append(Instr(
+                ins.op, ins.ty, s.name(ins.result) if ins.result else None,
+                ops, tuple(target(s, t) for t in ins.succs), ins.callee,
+                ins.pred, ins.cast_to))
             continue
         x, y = lin1.instrs[e.i1], lin2.instrs[e.i2]
         slots = operand_slot_types(x, rt1, callee_params.get(x.callee))
@@ -495,23 +496,23 @@ def merge_functions(m: Module, name1: str, name2: str,
         elif x.op == "jmp":
             cur.append(branch(target(a, x.succs[0]), target(b, y.succs[0])))
         else:
-            res = a.name(x.result) if x.result else None
-            if w not in needs_copy:
-                cur.append(replace(x, result=res, operands=tuple(ops)))
-                continue
-            # the pair's results could not be coalesced; route the value
-            # through selects that leave the inactive side's register
+            # where the pair's results could not be coalesced, route the
+            # value through selects that leave the inactive side's register
             # untouched (it may be shared with live state of the other
             # parent). When res is shared with a different side-2
             # register, even the primary write must be conditional.
-            res2, rty = b.name(y.result), x.result_type()
-            out = namer.fresh("t") if x.result in a.partner else res
-            cur.append(replace(x, result=out, operands=tuple(ops)))
-            if out != res:
-                cur.append(Instr("select", rty, res,
-                                 (Reg(fsel), Reg(out), Reg(res))))
-            cur.append(Instr("select", rty, res2,
-                             (Reg(fsel), Reg(res2), Reg(out))))
+            res = a.name(x.result) if x.result else None
+            copy = w in needs_copy
+            out = namer.fresh("t") if copy and x.result in a.partner else res
+            cur.append(Instr(x.op, x.ty, out, tuple(ops), x.succs, x.callee,
+                             x.pred, x.cast_to))
+            if copy:
+                res2, rty = b.name(y.result), x.result_type()
+                if out != res:
+                    cur.append(Instr("select", rty, res,
+                                     (Reg(fsel), Reg(out), Reg(res))))
+                cur.append(Instr("select", rty, res2,
+                                 (Reg(fsel), Reg(res2), Reg(out))))
 
     blocks.extend(router_blocks)
 

@@ -467,13 +467,32 @@ def test_many_blocks_do_not_exhaust_the_python_stack(tmp_path, model_file):
     assert out.read_text().count("jmp b") == 1499
 
 
-def test_a_deep_call_chain_does_not_exhaust_the_python_stack(tmp_path):
+def test_a_deep_call_chain_does_not_exhaust_the_python_stack(tmp_path,
+                                                             model_file):
     # a 1,500-deep call chain used to end in a RecursionError (exit 1) in
     # the validator's call-cycle search, so no command could read it
     program = tmp_path / "chain.ir"
     program.write_text(call_chain_ir(5000))
     r = run_cli(["analyze", "--loops", str(program)])
     assert r.returncode == 0, r.stderr
+    # and then in the interpreter, which recursed once per call frame while
+    # profiling; a chain deeper than its limit is an input error
+    from mergedse.ir.interp import MAX_CALL_DEPTH
+    heap = tmp_path / "chain.heap"
+    heap.write_text("arg 0 = 3\n")
+    for depth in (1500, MAX_CALL_DEPTH):
+        program = tmp_path / f"chain{depth}.ir"
+        program.write_text(call_chain_ir(depth))
+        r = run_cli(["dse", "--model", model_file, "--mode", "FE",
+                     "--budget", "artix-z7007s", str(program), str(heap),
+                     "-o", str(tmp_path / f"out{depth}")])
+        if depth > MAX_CALL_DEPTH:
+            assert r.returncode == 2
+            assert r.stderr.splitlines() == [
+                f"error: call to @f{MAX_CALL_DEPTH} exceeds the call depth "
+                f"limit of {MAX_CALL_DEPTH}"]
+        else:   # a chain at the limit fits the CLI's stack
+            assert r.returncode == 0, r.stderr
 
 
 def test_partition_subcommand(tmp_path, model_file, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -287,6 +288,54 @@ def test_csv_and_json_emission(corpus, area_model):
     broken = json.loads(reports_to_json(reports))
     del broken["reports"][0]["speedup"]
     assert any("speedup" in b for b in validate_report_json(broken))
+
+
+def _plain_json(reports):
+    """The reference emission: one json.dumps of the whole document."""
+    doc = {"schema": dse.REPORT_SCHEMA,
+           "reports": [report_to_dict(r) for r in reports]}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def test_json_emission_equals_plain_dumps(corpus, area_model):
+    # reports_to_json encodes each shared record once per document and
+    # splices it in; the bytes must be those of one plain json.dumps
+    grid = dict(budgets=[3000, 30000], latencies=dse.PRESET_LATENCIES,
+                bandwidths=dse.PRESET_BANDWIDTHS)
+    null_ep = flipped = 0
+    for name, m, img in corpus:
+        reports = sweep(m, [img], PipelineConfig(**FAST), **grid,
+                        modes=["FLE+Merging"], model=area_model, program=name)
+        assert reports_to_json(reports) == _plain_json(reports), name
+        for mr in reports[0].merges:
+            null_ep += mr.ep != mr.ep
+            flipped += len({mr.name in r.merged_hw for r in reports}) == 2
+    assert null_ep and flipped   # records emitted with "ep": null, and
+    # records selected at some points of a sweep and not at others
+
+    name, m, img = _corpus_subset(corpus, ["reduce"])[0]
+    two = sweep(m, [img], PipelineConfig(**FAST), budgets=[3000, 3000],
+                latencies=[25], bandwidths=[float("inf"), 4e9],
+                modes=["FE", "FLE+Merging"], model=area_model, program=name)
+    assert two[0] is two[2] and not two[0].merges and two[-1].merges
+    r = two[-1]
+    # points of one record list with different selections; a report whose
+    # list no other report holds is encoded whole, next to spliced ones
+    picked = [replace(r, merged_hw=[mr.name]) for mr in r.merges[:3]]
+    own = replace(r, merges=list(r.merges))
+    for reports in ([], two, two[:2], [r, r, two[0], r], picked, [r],
+                    [own, r, r], [replace(r, merges=[])]):
+        assert reports_to_json(reports) == _plain_json(reports)
+
+    # exact objectives cannot overflow; the floats derived from them and a
+    # shared record's fields still refuse to encode as non-finite
+    inf = float("inf")
+    bad_record = replace(r.merges[0], area=inf)
+    for bad in (replace(r, speedup=inf), replace(r, comm_pct=float("nan")),
+                replace(r, merges=[bad_record, *r.merges])):
+        for emit in (_plain_json, reports_to_json):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                emit([two[0], bad])
 
 
 def test_zero_bandwidth_rejected(corpus, area_model, monkeypatch):

@@ -65,6 +65,25 @@ def test_forced_tiers_take_their_tier(monkeypatch):
                 for fn in prog.decoded.values()} == {want_hot}
 
 
+@pytest.mark.parametrize("tier", TIERS)
+def test_call_depth_limit_in_both_tiers(monkeypatch, tier):
+    # forced hot, every frame starts cold and goes on in hot code: two
+    # Python frames per call, the most the limit has to leave room for
+    monkeypatch.setattr(interp, "HOT_MULTIPLE", TIERS[tier])
+    limit, fuel = interp.MAX_CALL_DEPTH, interp.DEFAULT_FUEL
+    mach = interp._Machine(Program(parse_module(test_ir.call_chain_ir(limit))))
+    # every frame but the last charges a call segment and a ret segment
+    assert mach.run("f0", [3], bytearray(interp.REGION_BASE), fuel) == (
+        3, fuel - 2 * limit + 1)
+    assert max(ctx.depth for ctx in mach.contexts) == limit
+    with pytest.raises(InterpError) as e:
+        interpret(parse_module(test_ir.call_chain_ir(limit + 1)), args=[3])
+    assert e.value.kind == "depth"
+    assert str(e.value) == (f"call to @f{limit} exceeds the call depth "
+                            f"limit of {limit}")
+    assert e.value.fuel == fuel - limit   # the call segments charged so far
+
+
 RAISE_SRC = """
 func @step(%x: i64, %stop: i64) -> i64 {
 e:
