@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -420,16 +419,10 @@ def reports_to_json(reports: list[DseReport]) -> str:
     allow_nan=False) + "\n"` of every `report_to_dict`, and like it raising
     ValueError on a non-finite number. A mode's reports share one merge
     record list, so each (record, selected) pair is encoded once per
-    document and spliced into every report that holds it. A report whose
-    list no other report holds is encoded whole: one encoder call costs less
-    than one per record."""
-    holders = Counter(id(r.merges) for r in reports)
+    document and spliced into every report that holds it."""
     records: dict[tuple[int, bool], str] = {}
     texts = []
     for r in reports:
-        if holders[id(r.merges)] == 1:
-            texts.append(_at(_ENCODER.encode(report_to_dict(r)), 2))
-            continue
         selected = set(r.merged_hw)
         items = []
         for mr in r.merges:

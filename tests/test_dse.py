@@ -319,8 +319,8 @@ def test_json_emission_equals_plain_dumps(corpus, area_model):
                 modes=["FE", "FLE+Merging"], model=area_model, program=name)
     assert two[0] is two[2] and not two[0].merges and two[-1].merges
     r = two[-1]
-    # points of one record list with different selections; a report whose
-    # list no other report holds is encoded whole, next to spliced ones
+    # points of one record list with different selections, and a report
+    # with its own copy of the list next to reports sharing the original
     picked = [replace(r, merged_hw=[mr.name]) for mr in r.merges[:3]]
     own = replace(r, merges=list(r.merges))
     for reports in ([], two, two[:2], [r, r, two[0], r], picked, [r],
