@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -21,7 +21,7 @@ from .cost import (
 from .ir import HeapImage, IRError, Module, Program, Trace, run_heap_image
 from .merge import MergeRejected, merge_functions, verify_merge
 from .partition import (
-    BANDWIDTH_ZERO, PartitionSolution, build_problem, solve,
+    BANDWIDTH_ZERO, PartitionSolution, build_problem, solve, solver_plan,
 )
 
 log = logging.getLogger("mergedse")
@@ -145,9 +145,10 @@ def default_model(seed: int = DEFAULT_DATASET_SEED):
 
 
 def _profile(m: Module, images: list[HeapImage], footprints: bool) -> Trace:
-    trace = Trace()
+    # one Program decodes each function once for all images' runs
+    trace, prog = Trace(), Program(m, footprints)
     for img in images:
-        trace.merge(run_heap_image(Program(m, footprints), img).trace)
+        trace.merge(run_heap_image(prog, img).trace)
     return trace
 
 
@@ -187,9 +188,9 @@ def prepare(m: Module, images: list[HeapImage], cfg: PipelineConfig,
 
     if cfg.mode.endswith("Merging"):
         hw_sel = (cfg.hw_table or DEFAULT_HW_CYCLES)["select"]
-        # parent outcomes of verification trials, shared by every candidate:
-        # `work` only gains functions under fresh names below
-        verify_memo: dict = {}
+        # working functions' analyses and verification trial outcomes,
+        # shared by every candidate: `work` only gains fresh names below
+        memo: dict = {}
         for depth_round in range(1, MERGE_DEPTH + 1):
             pairs = rank_pairs(work, MIN_SIMILARITY)
             if depth_round > 1:
@@ -204,13 +205,13 @@ def prepare(m: Module, images: list[HeapImage], cfg: PipelineConfig,
             for n1, n2, sim in pairs:
                 funnel["ranked"] += 1
                 try:
-                    mf = merge_functions(work, n1, n2)
+                    mf = merge_functions(work, n1, n2, memo=memo)
                 except MergeRejected as e:
                     log.debug("merge %s+%s rejected: %s", n1, n2, e)
                     continue
                 funnel["aligned"] += 1
                 rep = verify_merge(work, n1, n2, mf, trials=cfg.verify_trials,
-                                   seed=cfg.seed, memo=verify_memo)
+                                   seed=cfg.seed, memo=memo)
                 if not rep.passed:
                     log.error("merged %s failed verification: %s",
                               mf.function.name, rep.detail)
@@ -301,7 +302,9 @@ def sweep(m: Module, images: list[HeapImage], cfg: PipelineConfig,
           modes: list[str] | None = None,
           model=None, program: str = "program") -> list[DseReport]:
     """Cartesian product over (mode, budget, latency, bandwidth). Footprints
-    are profiled if a bandwidth is finite: only a finite one reads them."""
+    are profiled if a bandwidth is finite: only a finite one reads them.
+    Each (mode, latency, bandwidth) is one problem and solver plan, and
+    each budget solves its own copy sharing the plan."""
     for lst in (budgets, latencies, bandwidths, modes):
         if lst is not None and not lst:
             raise IRError("sweep parameter lists must be non-empty")
@@ -318,7 +321,7 @@ def sweep(m: Module, images: list[HeapImage], cfg: PipelineConfig,
 
     # a repeated mode is prepared once and a repeated grid point solved once
     out: list[DseReport] = []
-    preps: dict[str, tuple[Prepared, PipelineConfig]] = {}
+    preps: dict[str, tuple[Prepared, PipelineConfig, dict]] = {}
     points: dict[tuple, DseReport] = {}
     for key in product(modes, budgets, latencies, bandwidths):
         mode, b, l, bw = key
@@ -327,12 +330,17 @@ def sweep(m: Module, images: list[HeapImage], cfg: PipelineConfig,
             # records footprints exactly when some point reads them
             mcfg = PipelineConfig(**{**cfg.__dict__, "mode": mode,
                                      "bandwidth": min(bandwidths)})
-            preps[mode] = prepare(m, images, mcfg, model), mcfg
+            preps[mode] = prepare(m, images, mcfg, model), mcfg, {}
         if key not in points:
-            prep, mcfg = preps[mode]
-            sol, problem = partition_point(prep, mcfg, b, l, bw)
-            points[key] = _report_for(prep, mcfg, sol, problem, program,
-                                      b, l, bw)
+            prep, mcfg, problems = preps[mode]
+            if (l, bw) not in problems:
+                base = problems[l, bw] = build_problem(
+                    prep.module, prep.costs, prep.trace, prep.merge_parents,
+                    latency=l, bandwidth=bw, clock=mcfg.clock)
+                base.plan = solver_plan(base)
+            problem = replace(problems[l, bw], area_budget=float(b))
+            points[key] = _report_for(prep, mcfg, solve(problem), problem,
+                                      program, b, l, bw)
         out.append(points[key])
     return out
 

@@ -113,6 +113,20 @@ def linearize(f: Function, seed: int = 0) -> Linearization:
     return Linearization(order, instrs, first_pos)
 
 
+def _fact(memo: dict | None, f: Function, key, compute):
+    """compute(), an analysis of `f`, kept in `memo` under `key`: it is
+    computed on first use and again once another Function object holds f's
+    name, the rule Program.function decodes by; afresh without a memo."""
+    if memo is None:
+        return compute()
+    held = memo.setdefault("facts", {}).get(f.name)
+    if held is None or held[0] is not f:
+        held = memo["facts"][f.name] = (f, {})
+    if key not in held[1]:
+        held[1][key] = compute()
+    return held[1][key]
+
+
 def seed_pairs(n: int):
     """First n (seed1, seed2) combinations, growing both sides evenly."""
     out = []
@@ -342,13 +356,16 @@ class _Side:
 
 
 def merge_functions(m: Module, name1: str, name2: str,
-                    seeds: int = DEFAULT_SEEDS) -> MergedFunction:
+                    seeds: int = DEFAULT_SEEDS,
+                    memo: dict | None = None) -> MergedFunction:
     """Generate the merged function @m.<name1>.<name2> for (name1, name2) in
     module m, from the best alignment over `seeds` linearization seed
     combinations (`best_alignment`) and greedy by-type parameter matching
     (`merge_parameters`). Raises MergeRejected when the pair is filtered:
     aligned fraction below MIN_ALIGNED_FRACTION, mismatched return types,
     irreducible control flow, or a merged body that fails validation.
+    `memo` keeps a parent's loop forest, register types and linearizations
+    for every pair it is in (`_fact`); the merged body is checked afresh.
 
     Both parents go through one code path, each as a `_Side`. Only the
     tie-breaks favor parent 1: a coalesced pair takes its register's name,
@@ -358,10 +375,11 @@ def merge_functions(m: Module, name1: str, name2: str,
     f1, f2 = m.function(name1), m.function(name2)
     if f1.ret != f2.ret:
         raise MergeRejected(f"@{name1} returns {f1.ret} but @{name2} returns {f2.ret}")
-    if natural_loops(f1).irreducible or natural_loops(f2).irreducible:
+    if any(_fact(memo, f, "irreducible", lambda: natural_loops(f).irreducible)
+           for f in (f1, f2)):
         raise MergeRejected("irreducible control flow")
 
-    alignment, lin1, lin2 = best_alignment(m, name1, name2, seeds)
+    alignment, lin1, lin2 = best_alignment(m, name1, name2, seeds, memo)
     param_map = merge_parameters(f1, f2)
     if alignment.aligned_fraction < MIN_ALIGNED_FRACTION:
         raise MergeRejected(
@@ -461,7 +479,7 @@ def merge_functions(m: Module, name1: str, name2: str,
         mux_selects += 1
         return Reg(res)
 
-    rt1 = f1.register_types()
+    rt1 = _fact(memo, f1, "types", f1.register_types)
     callee_params = {name: fn.params for name, fn in m.functions.items()}
 
     for w, e in enumerate(entries):
@@ -550,17 +568,19 @@ def merge_functions(m: Module, name1: str, name2: str,
 
 
 def best_alignment(m: Module, name1: str, name2: str,
-                   seeds: int = DEFAULT_SEEDS
+                   seeds: int = DEFAULT_SEEDS, memo: dict | None = None
                    ) -> tuple[Alignment, Linearization, Linearization]:
     """Best-scoring alignment over `seeds` linearization seed combinations.
-    Equal block layouts score equally, so each distinct pair aligns once."""
+    Equal block layouts score equally, so each distinct pair aligns once.
+    `memo` keeps each side's types and linearizations (`_fact`)."""
     if seeds < 1:
         raise IRError(f"seeds must be at least 1, got {seeds}")
-    f1, f2 = m.function(name1), m.function(name2)
-    rt1, rt2 = f1.register_types(), f2.register_types()
     pairs = seed_pairs(seeds)
-    lins1 = {s: linearize(f1, s) for s in {s1 for s1, _ in pairs}}
-    lins2 = {s: linearize(f2, s) for s in {s2 for _, s2 in pairs}}
+    f1, f2 = m.function(name1), m.function(name2)
+    rt1, rt2 = (_fact(memo, f, "types", f.register_types) for f in (f1, f2))
+    lins1, lins2 = ({s: _fact(memo, f, ("lin", s), lambda: linearize(f, s))
+                     for s in {pair[k] for pair in pairs}}
+                    for k, f in enumerate((f1, f2)))
     layouts: dict = {}  # (order1, order2) -> first seed pair's linearizations
     for s1, s2 in pairs:
         layouts.setdefault((tuple(lins1[s1].order), tuple(lins2[s2].order)),
@@ -581,8 +601,8 @@ class _Unproved(Exception):
     """The weave walk cannot prove the side; carries the reason."""
 
 
-def weave_walk(merged: MergedFunction, side: int, parent: Function
-               ) -> tuple[int | None, str]:
+def weave_walk(merged: MergedFunction, side: int, parent: Function,
+               clean: bool | None = None) -> tuple[int | None, str]:
     """Prove that the merged body with f_sel fixed to side's value (1 for
     side 1, 0 for side 2) computes what `parent` computes, in translation
     validation's way: by walking both, not by running them.
@@ -605,15 +625,17 @@ def weave_walk(merged: MergedFunction, side: int, parent: Function
 
     Returns (K, "") where K is the largest number of merged instructions
     walked per parent instruction (the first one's entry glue apart, which
-    is at most size(merged)), or (None, reason).
+    is at most size(merged)), or (None, reason). `clean`, when given, says
+    whether the parent reads no register before assigning it.
     """
     try:
-        return _walk(merged, side, parent), ""
+        return _walk(merged, side, parent, clean), ""
     except _Unproved as e:
         return None, str(e)
 
 
-def _walk(merged: MergedFunction, side: int, parent: Function) -> int:
+def _walk(merged: MergedFunction, side: int, parent: Function,
+          clean: bool | None) -> int:
     f = merged.function
     fsel, rename = f.params[-1][0], merged.renames[side - 1]
     inv: dict[str, str] = {}
@@ -622,7 +644,7 @@ def _walk(merged: MergedFunction, side: int, parent: Function) -> int:
             raise _Unproved(f"%{inv[mr]} and %{r} share %{mr}")
     if fsel in inv:
         raise _Unproved("a parent register is renamed to f_sel")
-    if unassigned_uses(parent):
+    if unassigned_uses(parent) if clean is None else not clean:
         raise _Unproved("the parent reads a register before assigning it")
     placed = {ix[side - 1]: p for p, ix in zip(f.params, merged.arg_plan)
               if ix[side - 1] is not None}
@@ -827,7 +849,8 @@ def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
     `interpret`, without its argument checks: plans are well-typed), which
     keeps its calling contexts; each run starts from a copy of its plan's
     heap template. `memo` also holds each signature's trials
-    (`_trial_plans`) and one Program: each module function is decoded once
+    (`_trial_plans`), each parent's must-assign check for the walk
+    (`_fact`) and one Program: each module function is decoded once
     for all calls sharing the memo and compiled (the hot tier) once it has
     run HOT_MULTIPLE times its size there; the candidate is decoded at most
     once per call, not at all when both sides are proved, and dropped. No
@@ -863,7 +886,8 @@ def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
                                   if out[0] != "error:fuel"), default=0))
                 ran = "run now"
             outs_p, returns, charged = memo[key]
-            k, why = weave_walk(merged, side, parent)
+            k, why = weave_walk(merged, side, parent, _fact(
+                memo, parent, "clean", lambda: not unassigned_uses(parent)))
             if k is not None:
                 proved[side - 1] = k * charged + 2 * size <= fuel
                 why = (f"proved, K={k}" if proved[side - 1] else

@@ -70,6 +70,8 @@ class PartitionProblem:
     bandwidth: Fraction = INF_BANDWIDTH    # bytes per second
     clock: Fraction = Fraction(1, 10 ** 9)
     area_budget: float = 0.0
+    # a `solver_plan` shared by problems differing only in area_budget
+    plan: tuple | None = field(default=None, compare=False, repr=False)
 
     def edge_cost(self, i: str, j: str) -> Fraction:
         c = self.calls.get((i, j), 0)
@@ -297,39 +299,11 @@ def solve_bruteforce(p: PartitionProblem) -> PartitionSolution:
 _HW, _SW, _NONE = 0, 1, 2
 
 
-def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution:
-    """Exact depth-first branch-and-bound.
-
-    Functions are decided by descending software-minus-hardware savings
-    (then name), trying hardware, software, then neither. A node's state is
-    a handful of bit sets, passed down and never undone: over root groups (a
-    root and its merged descendants), those with a selection, with a
-    hardware selection and with a hardware caller of their root; over
-    functions, the merged ones blocked by a selection in one of their
-    groups. A decision may select into no group that already has a
-    selection, and a group must be covered, in hardware if it has a
-    hardware caller, once its last member in decision order is decided, so
-    every leaf reached is feasible. The bound adds, for each uncovered
-    group, its cheapest cover: the root in software or hardware, or an
-    undecided, unblocked merged member at 1/k of its cost and area when it
-    covers k groups. It is the greedy LP relaxation of that multiple-choice
-    knapsack (Sinha & Zoltners, 1979) over each group's lower convex hull,
-    with the straddling step granted in full; interconnect costs are
-    nonnegative and ignored. Costs are integers over one common denominator,
-    times the lcm of the k, so each 1/k share is exact.
-
-    A group's hull depends only on which of its options are open: its
-    open-option bits, the undecided root and unblocked merged members. One
-    table per solve maps those bits to the hull, built on first sight;
-    another maps a node's open-option bits and covered groups to the summed
-    cheapest covers and the sorted hull steps of its uncovered groups. A
-    node's bound is then one lookup and the greedy, the same number the
-    hull built at that node would give. Infeasible subtrees hold no leaf,
-    the bound never exceeds a subtree's optimum, and the incumbent only
-    changes on strict improvement, so the result is the first optimal leaf
-    in decision order, the same assignment a plain enumeration returns even
-    among exactly tied costs.
-    """
+def solver_plan(p: PartitionProblem) -> tuple:
+    """All `solve` derives from p but the area budget: the decision order,
+    the integer costs' scale, each depth's constants, each group's member
+    bits and function's cover options, and the hull and cover tables that
+    solves fill; problems differing only in area_budget may share it."""
     names = sorted(p.names, key=lambda x: (-(p.sw[x] - p.hw[x]), x))
     index = {x: k for k, x in enumerate(names)}
     n = len(names)
@@ -360,11 +334,11 @@ def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution
     options = [[(area[k] / len(groups_of[k]), hw[k] // len(groups_of[k]))]
                if names[k] in p.merged else [(0.0, sw[k]), (area[k], hw[k])]
                for k in range(n)]
-    limit = p.area_budget + 1e-9
 
     # Bit sets: a group's members, a function's groups, the merged members
-    # a function's selection blocks, the groups of its root callees, and the
-    # groups whose last member it is (closes) or at or before it (closed)
+    # a function's selection blocks, the groups of its root callees, the
+    # groups whose last member it is (closes) or at or before it (closed),
+    # and the functions it and those after it decide
     group_bits = [sum(1 << index[x] for x in [r, *p.descend[r]]) for r in roots]
     merged_bits = sum(1 << index[x] for x in p.merged)
     in_groups = [sum(1 << g for g in gs) for gs in groups_of]
@@ -377,11 +351,51 @@ def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution
         closes[bits.bit_length() - 1] |= 1 << g
     closed = list(accumulate(closes, or_))
     undecided = [((1 << n) - 1) >> k << k for k in range(n)]
-    n_groups = len(roots)
+    levels = list(zip(choices, in_groups, blocks, area, callee_groups, closes,
+                      closed, undecided, hw, sw, callers, callees))
+    return names, scale, levels, group_bits, options, {}, {}
+
+
+def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution:
+    """Exact depth-first branch-and-bound.
+
+    Functions are decided by descending software-minus-hardware savings
+    (then name), trying hardware, software, then neither. A node's state is
+    a handful of bit sets, passed down and never undone: over root groups (a
+    root and its merged descendants), those with a selection, with a
+    hardware selection and with a hardware caller of their root; over
+    functions, the merged ones blocked by a selection in one of their
+    groups. A decision may select into no group that already has a
+    selection, and a group must be covered, in hardware if it has a
+    hardware caller, once its last member in decision order is decided, so
+    every leaf reached is feasible. The bound adds, for each uncovered
+    group, its cheapest cover: the root in software or hardware, or an
+    undecided, unblocked merged member at 1/k of its cost and area when it
+    covers k groups. It is the greedy LP relaxation of that multiple-choice
+    knapsack (Sinha & Zoltners, 1979) over each group's lower convex hull,
+    with the straddling step granted in full; interconnect costs are
+    nonnegative and ignored. Costs are integers over one common denominator,
+    times the lcm of the k, so each 1/k share is exact.
+
+    A group's hull depends only on which of its options are open: its
+    open-option bits, the undecided root and unblocked merged members. One
+    table maps those bits to the hull, built on first sight; another maps a
+    node's open-option bits and covered groups to the summed cheapest
+    covers and the sorted hull steps of its uncovered groups. A node's
+    bound is then one lookup and the greedy, the same number the hull built
+    at that node would give. Both tables and all else but the budget are
+    the plan (`solver_plan`), p.plan's or one built here. Infeasible
+    subtrees hold no leaf, the bound never exceeds a subtree's optimum, and
+    the incumbent only changes on strict improvement, so the result is the
+    first optimal leaf in decision order, the same assignment a plain
+    enumeration returns even among exactly tied costs.
+    """
+    names, scale, levels, group_bits, options, hulls, covers = (
+        p.plan or solver_plan(p))
+    n, n_groups = len(names), len(group_bits)
+    limit = p.area_budget + 1e-9
 
     st = [-1] * n             # -1 undecided, else _HW/_SW/_NONE
-    hulls: dict[int, tuple | None] = {}   # a group's open-option bits
-    covers: dict[int, tuple | None] = {}  # open-option bits, covered groups
     best: int | None = None
     best_state: list[int] | None = None
     nodes = 0
@@ -429,32 +443,6 @@ def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution
         steps.sort(reverse=True)
         return cost, areas, steps
 
-    def lower_bound(committed: int, used_area: float, free: int,
-                    sel: int) -> int | None:
-        """Admissible bound on every leaf below; None when none is feasible."""
-        key = free << n_groups | sel
-        if key not in covers:
-            covers[key] = cover(free, sel)
-        c = covers[key]
-        if c is None:
-            return None
-        cost, areas, steps = c
-        committed += cost
-        room = limit - used_area
-        for a in areas:   # x - 0.0 == x, so zero areas are left out
-            room -= a
-        if room < 0:
-            return None
-        for _, da, gain in steps:
-            if da <= room:
-                committed -= gain
-                room -= da
-            else:
-                if room > 0:
-                    committed -= gain  # the straddling step, granted in full
-                break
-        return committed
-
     def dfs(depth: int, used_area: float, committed: int, sel: int, hws: int,
             hwc: int, blocked: int):
         """sel, hws, hwc: groups with a selection, a hardware selection and
@@ -469,34 +457,54 @@ def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution
         if depth == n:
             best, best_state = committed, list(st)
             return
-        bound = lower_bound(committed, used_area, undecided[depth] & ~blocked,
-                            sel)
-        if bound is None or best is not None and bound >= best:
+        (choices, mine, blocks, area, callee_groups, closes, closed, free,
+         hw, sw, callers, callees) = levels[depth]
+        # the bound, admissible on every leaf below: the uncovered groups'
+        # cheapest covers, less the greedy's hull steps in the room left
+        free &= ~blocked
+        key = free << n_groups | sel
+        entry = covers.get(key, False)
+        if entry is False:
+            entry = covers[key] = cover(free, sel)
+        if entry is None:
             return
-        mine = in_groups[depth]
-        for c in choices[depth]:
+        cost, areas, steps = entry
+        bound, room = committed + cost, limit - used_area
+        for a in areas:   # x - 0.0 == x, so zero areas are left out
+            room -= a
+        if room < 0:
+            return
+        for _, da, gain in steps:
+            if da <= room:
+                bound -= gain
+                room -= da
+            else:
+                if room > 0:
+                    bound -= gain  # the straddling step, granted in full
+                break
+        if best is not None and bound >= best:
+            return
+        for c in choices:
             ua, s, h, w, b = used_area, sel, hws, hwc, blocked
             if c != _NONE:
                 if sel & mine:
                     continue
-                s, b = sel | mine, blocked | blocks[depth]
+                s, b = sel | mine, blocked | blocks
             if c == _HW:
-                ua += area[depth]
+                ua += area
                 if ua > limit:
                     continue
-                h, w = hws | mine, hwc | callee_groups[depth]
+                h, w = hws | mine, hwc | callee_groups
             # a group must be covered once its last member is decided, and
             # in hardware while it has a hardware caller; hws only grows, so
             # the closed groups that passed before still pass
-            if closes[depth] & ~s or closed[depth] & w & ~h:
+            if closes & ~s or closed & w & ~h:
                 continue
             st[depth] = c
             if c == _HW:
-                d = hw[depth] + sum(e for i, e in callers[depth]
-                                    if st[i] == _SW)
+                d = hw + sum(e for i, e in callers if st[i] == _SW)
             elif c == _SW:
-                d = sw[depth] + sum(e for j, e in callees[depth]
-                                    if st[j] == _HW)
+                d = sw + sum(e for j, e in callees if st[j] == _HW)
             else:
                 d = 0
             dfs(depth + 1, ua, committed + d, s, h, w, b)

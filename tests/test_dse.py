@@ -537,3 +537,161 @@ def test_prepare_at_infinite_bandwidth_records_no_footprints(
                              float("inf"))
     assert sol.objective == partition_point(preps[1e9], cfg, 2000.0, 25,
                                             float("inf"))[0].objective
+
+
+def test_prepare_profiles_every_image_on_one_program(corpus, area_model,
+                                                     monkeypatch):
+    # two heap images, one prepare: the profile decodes each function once,
+    # and the trace and report bytes are those of one Program per image
+    from mergedse.ir import Program, Trace, interp
+    name, m, img = _corpus_subset(corpus, ["pair"])[0]
+    other = HeapImage([(r, data[::-1]) for r, data in img.regions],
+                      dict(img.args))
+    profile, profiling, decoded = dse._profile, [], []
+
+    def per_image(m, images, footprints):
+        trace = Trace()
+        for image in images:
+            trace.merge(run_heap_image(Program(m, footprints), image).trace)
+        return trace
+
+    def watched(m, images, footprints):
+        profiling.append(True)
+        try:
+            trace = profile(m, images, footprints)
+        finally:
+            profiling.pop()
+        assert trace == per_image(m, images, footprints)
+        # the images take different paths
+        assert per_image(m, images[:1], footprints).counts != per_image(
+            m, images[1:], footprints).counts
+        return trace
+    init = interp._Decoded.__init__
+
+    def spy(self, f, footprints):
+        init(self, f, footprints)
+        if profiling:
+            decoded.append(f.name)
+    monkeypatch.setattr(interp._Decoded, "__init__", spy)
+    monkeypatch.setattr(dse, "_profile", watched)
+    reports = []
+    for mode in ("FE", "FLE+Merging"):
+        for bw in (float("inf"), 1e9):
+            decoded.clear()
+            cfg = PipelineConfig(mode=mode, bandwidth=bw, **FAST)
+            reports.append(run_pipeline(m, [img, other], cfg,
+                                        model=area_model, program=name))
+            assert sorted(decoded) == sorted(set(decoded)) and decoded
+    monkeypatch.setattr(dse, "_profile", per_image)
+    again = [run_pipeline(m, [img, other], PipelineConfig(
+        mode=r.mode, bandwidth=r.bandwidth, **FAST), model=area_model,
+        program=name) for r in reports]
+    assert reports_to_csv(reports) == reports_to_csv(again)
+    assert reports_to_json(reports) == reports_to_json(again)
+
+
+@pytest.mark.parametrize("budgets", [[3000, 30000], [30000, 3000]])
+def test_sweep_points_equal_fresh_solves(corpus, area_model, monkeypatch,
+                                         budgets):
+    # a sweep builds one problem and solver plan per (latency, bandwidth)
+    # and solves each budget's own copy; every point equals a fresh solve
+    # of a freshly built problem, node count included
+    from mergedse.partition import build_problem
+    preps, solved, real_prepare, real_solve = [], [], dse.prepare, dse.solve
+
+    def kept(*args, **kw):
+        preps.append(real_prepare(*args, **kw))
+        return preps[-1]
+
+    def counted(problem):
+        solved.append(problem)
+        return real_solve(problem)
+    monkeypatch.setattr(dse, "prepare", kept)
+    monkeypatch.setattr(dse, "solve", counted)
+    cfg = PipelineConfig(mode="FLE+Merging", **FAST)
+    for name, m, img in corpus:
+        preps.clear()
+        solved.clear()
+        reports = sweep(m, [img], cfg, budgets=budgets,
+                        latencies=dse.PRESET_LATENCIES,
+                        bandwidths=dse.PRESET_BANDWIDTHS,
+                        modes=["FLE+Merging"], model=area_model, program=name)
+        (prep,) = preps
+        assert [p.area_budget for p in solved] == [r.budget for r in reports]
+        assert len({id(p.plan) for p in solved}) == len(reports) // 2
+        for r in reports:
+            sol = solve(build_problem(
+                prep.module, prep.costs, prep.trace, prep.merge_parents,
+                latency=r.latency, bandwidth=r.bandwidth, clock=cfg.clock,
+                area_budget=r.budget))
+            assert (r.software, r.hardware, r.merged_hw, r.objective,
+                    r.optimal, r.solver_nodes) == (
+                sol.software, sol.hardware, sol.merged_hw, sol.objective,
+                sol.optimal, sol.nodes), (name, r.budget, r.latency,
+                                          r.bandwidth)
+
+
+def test_each_analysis_runs_once_where_it_varies(corpus, area_model,
+                                                 monkeypatch):
+    # a work-count guard. In one FLE+Merging prepare of reduce, the merge
+    # layer linearizes each working function at most once per seed, and
+    # finds its loop forest, register types and the walk's must-assign
+    # check at most once, however many pairs it is in. One sweep over the
+    # sweep-reduce grid in two modes builds one problem per (mode, latency,
+    # bandwidth) and solves each point once
+    from mergedse import merge
+    from mergedse.ir import Function
+    name, m, img = _corpus_subset(corpus, ["reduce"])[0]
+    works, counts = [], {}
+
+    def count(f, what):
+        # a working function, not a candidate body being built or checked
+        if works and works[-1].functions.get(f.name) is f:
+            counts[id(f), what] = counts.get((id(f), what), 0) + 1
+
+    def counted(fn, what):
+        def call(f, *args):
+            count(f, (what, *args))
+            return fn(f, *args)
+        return call
+
+    def in_merge_layer(fn):
+        def call(work, *args, **kw):
+            works.append(work)
+            try:
+                return fn(work, *args, **kw)
+            finally:
+                works.pop()
+        return call
+    for attr in ("linearize", "natural_loops", "unassigned_uses"):
+        monkeypatch.setattr(merge, attr, counted(getattr(merge, attr), attr))
+    monkeypatch.setattr(Function, "register_types", counted(
+        Function.register_types, "register_types"))
+    for attr in ("merge_functions", "verify_merge"):
+        monkeypatch.setattr(dse, attr, in_merge_layer(getattr(dse, attr)))
+    prep = dse.prepare(m, [img], PipelineConfig(mode="FLE+Merging"),
+                       model=area_model)
+    assert prep.funnel["ranked"] > prep.funnel["aligned"] > 10
+    assert max(counts.values()) == 1
+    kinds = {what[0] for _, what in counts}
+    assert kinds == {"linearize", "natural_loops", "unassigned_uses",
+                     "register_types"}
+
+    built, solved = [], []
+    real_build, real_solve = dse.build_problem, dse.solve
+
+    def build(m, *args, **kw):
+        built.append((id(m), kw["latency"], kw["bandwidth"]))
+        return real_build(m, *args, **kw)
+
+    def solve_point(problem):
+        solved.append(problem)
+        return real_solve(problem)
+    monkeypatch.setattr(dse, "build_problem", build)
+    monkeypatch.setattr(dse, "solve", solve_point)
+    grid = dict(budgets=[3000, 30000], latencies=dse.PRESET_LATENCIES,
+                bandwidths=dse.PRESET_BANDWIDTHS)
+    reports = sweep(m, [img], PipelineConfig(), **grid,
+                    modes=["FE", "FLE+Merging"], model=area_model)
+    assert len(built) == len(set(built)) == 2 * 2 * 3
+    assert len(solved) == len(reports) == 2 * 2 * 2 * 3

@@ -745,7 +745,7 @@ def test_verification_decodes_each_function_once_per_memo(corpus, area_model,
         with monkeypatch.context() as mp:
             if not walk:
                 mp.setattr(merge, "weave_walk",
-                           lambda mf, side, parent: (None, "disabled"))
+                           lambda mf, side, parent, *args: (None, "disabled"))
             prep = dse.prepare(m, [img], dse.PipelineConfig(
                 mode="FLE+Merging", seed=7), model=area_model)
         assert len(calls) == prep.funnel["aligned"] > 10
@@ -771,3 +771,95 @@ def test_verify_and_align_refuse_no_trials_or_seeds(pair_module):
         with pytest.raises(IRError, match="seeds must be at least 1"):
             merge_functions(pair_module, "sel_a", "sel_b", seeds=seeds)
     assert verify_merge(pair_module, "sel_a", "sel_b", mf, trials=1).passed
+
+
+# ---------------------------------------------------------------------------
+# Per-function facts: computed once per memo, again for a replaced function
+# ---------------------------------------------------------------------------
+
+def _merge_outcome(work, n1, n2, memo, trials=16):
+    """The printed merged body and its report, or the rejection reason."""
+    try:
+        mf = merge_functions(work, n1, n2, memo=memo)
+    except MergeRejected as e:
+        return str(e)
+    rep = verify_merge(work, n1, n2, mf, trials=trials, seed=7, memo=memo)
+    return print_function(mf.function), rep.passed, rep.proved, rep.trials
+
+
+@pytest.mark.parametrize("mode", ["FE", "FLE"])
+def test_function_facts_change_no_merge(corpus, mode):
+    # every ranked pair of every corpus program on one memo, as prepare
+    # shares one: the merged body, the rejection reason and the report are
+    # those of a fresh memo per pair
+    pairs = rejected = 0
+    for name, m, _ in corpus:
+        work = extract_loops(m) if mode == "FLE" else m.clone()
+        memo = {}
+        for n1, n2, _ in rank_pairs(work):
+            got = _merge_outcome(work, n1, n2, memo)
+            assert got == _merge_outcome(work, n1, n2, None), (name, n1, n2)
+            pairs += 1
+            rejected += isinstance(got, str)
+        assert set(memo.get("facts", ())) <= set(work.functions)
+    # FE ranks 60 pairs, all aligned; FLE 150, 8 of them rejected
+    assert pairs >= 60 and rejected < pairs and (rejected > 0 or mode == "FE")
+
+
+def test_function_facts_change_no_merge_of_either_round(corpus, area_model,
+                                                        monkeypatch):
+    # the pairs prepare forms, round 2 included (a merged parent's facts
+    # are computed once it joins the module): each candidate and report on
+    # prepare's memo equals one from a fresh memo
+    from mergedse import dse
+    real_merge, real_verify, seen = dse.merge_functions, dse.verify_merge, []
+
+    def merged(work, n1, n2, **kw):
+        fresh = _merge_outcome(work, n1, n2, None)
+        seen.append((n1, n2))
+        try:
+            mf = real_merge(work, n1, n2, **kw)
+        except MergeRejected as e:
+            assert str(e) == fresh
+            raise
+        assert print_function(mf.function) == fresh[0]
+        return mf
+
+    def verified(work, n1, n2, mf, **kw):
+        rep = real_verify(work, n1, n2, mf, **kw)
+        want = real_verify(work, n1, n2, mf, **{**kw, "memo": None})
+        assert (rep, rep.proved) == (want, want.proved)
+        return rep
+    monkeypatch.setattr(dse, "merge_functions", merged)
+    monkeypatch.setattr(dse, "verify_merge", verified)
+    for name, m, img in corpus:
+        for mode in ("FE+Merging", "FLE+Merging"):
+            dse.prepare(m, [img], dse.PipelineConfig(mode=mode, verify_trials=8),
+                        model=area_model)
+    assert sum(n1.startswith("m.") or n2.startswith("m.")
+               for n1, n2 in seen) > 100
+
+
+def test_function_facts_follow_the_function_object(pair_module):
+    # @sel_a replaced under its name: linearizations, types and the walk's
+    # must-assign check are taken again. The new @sel_a always branches to
+    # bb1, and its bb2 leaves %c unassigned: it runs, but the walk may not
+    # prove its side (a stale check would)
+    m = pair_module.clone()
+    memo = {}
+    before = _merge_outcome(m, "sel_a", "sel_b", memo)
+    assert before[1:3] == (True, (True, True))
+
+    def edit(ins):
+        if ins.op == "br":
+            return replace(ins, operands=(Lit(1, "i1"),))
+        return replace(ins, result="e") if ins.op == "mul" else ins
+    sel_a = m.functions["sel_a"]
+    m.functions["sel_a"] = replace(sel_a, blocks=[
+        replace(b, instrs=[edit(ins) for ins in b.instrs])
+        for b in sel_a.blocks])
+    facts = {"facts": memo["facts"]}   # the trial outcomes belong to old @sel_a
+    after = _merge_outcome(m, "sel_a", "sel_b", facts)
+    assert after == _merge_outcome(m, "sel_a", "sel_b", None)
+    assert after[0] != before[0] and after[2][0] is False
+    assert facts["facts"]["sel_a"][0] is m.functions["sel_a"]

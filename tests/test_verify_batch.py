@@ -95,7 +95,7 @@ class _Batched:
         return rep, outcomes, [image for _, _, image in trials]
 
 
-def _prove_nothing(mf, side, parent):
+def _prove_nothing(mf, side, parent, *args):
     """A weave walk that proves no side: every merged trial runs."""
     return None, "disabled"
 
