@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import build_call_graph, extract_loops, natural_loops, rank_pairs
 from .cost import (
-    DEFAULT_DATASET_SEED, eval_report, evaluate_model, load_model,
+    DEFAULT_DATASET_SEED, evaluate_model, load_model,
     read_dataset, save_model, synthetic_dataset, train_lasso, train_mlp,
     write_dataset,
 )
@@ -336,6 +336,8 @@ def _cmd_merge(args, tables):
 
 
 def _cmd_train(args, tables):
+    if not args.output:
+        raise UsageError("train: -o model path is required")
     seed = args.seed if args.seed is not None else DEFAULT_DATASET_SEED
     if args.dataset:
         names, X, y = read_dataset(args.dataset)
@@ -349,15 +351,11 @@ def _cmd_train(args, tables):
         model = train_mlp(X[:split], y[:split], seed=seed, **alpha)
     else:
         model = train_lasso(X[:split], y[:split], **alpha)
-    rep = eval_report(model, X[:split], y[:split], X[split:], y[split:])
-    print(f"r2_train {rep.r2_train!r}", file=sys.stderr)
-    print(f"r2_test {rep.r2_test!r}", file=sys.stderr)
-    print(f"mre_train {rep.mre_train!r}", file=sys.stderr)
-    print(f"mre_test {rep.mre_test!r}", file=sys.stderr)
-    if args.output:
-        save_model(model, args.output)
-    else:
-        raise UsageError("train: -o model path is required")
+    r2_train, mre_train = evaluate_model(model, X[:split], y[:split])
+    r2_test, mre_test = evaluate_model(model, X[split:], y[split:])
+    print(f"r2_train {r2_train!r}\nr2_test {r2_test!r}\n"
+          f"mre_train {mre_train!r}\nmre_test {mre_test!r}", file=sys.stderr)
+    save_model(model, args.output)
     return EXIT_OK
 
 

@@ -190,14 +190,6 @@ def _standardize(X: np.ndarray):
     return (X - mean) / std, mean, std
 
 
-@dataclass
-class EvalReport:
-    r2_train: float = float("nan")
-    r2_test: float = float("nan")
-    mre_train: float = float("nan")
-    mre_test: float = float("nan")
-
-
 class LassoModel:
     kind = "lasso"
 
@@ -394,13 +386,6 @@ def mean_relative_error(y: np.ndarray, pred: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
     pred = np.asarray(pred, dtype=np.float64)
     return float((np.abs(y - pred) / np.abs(y)).mean())
-
-
-def eval_report(model, X_train, y_train, X_test, y_test) -> EvalReport:
-    """Train/test r^2 and mean relative error in one record."""
-    r2tr, mretr = evaluate_model(model, X_train, y_train)
-    r2te, mrete = evaluate_model(model, X_test, y_test)
-    return EvalReport(r2tr, r2te, mretr, mrete)
 
 
 def evaluate_model(model, X: np.ndarray, y: np.ndarray) -> tuple[float, float]:

@@ -35,7 +35,6 @@ PRESET_BANDWIDTHS = [1e9, 4e9, float("inf")]
 AREA_PRESETS = {"artix-z7007s": 14400.0, "artix-z7012s": 34400.0}
 
 MIN_SIMILARITY = 0.3   # ranked pairs below this are not merge candidates
-MERGE_DEPTH = 2        # merge rounds; a round-2 merge has a merged parent
 
 CSV_HEADER = ("config,budget_luts,latency_cycles,bandwidth_bps,objective_s,"
               "speedup,area_used,comm_pct,n_merged_selected")
@@ -152,25 +151,13 @@ def _profile(m: Module, images: list[HeapImage], footprints: bool) -> Trace:
     return trace
 
 
-def _merged_depth(name: str, parents: dict[str, tuple[str, str]]) -> int:
-    if name not in parents:
-        return 0
-    a, b = parents[name]
-    return 1 + max(_merged_depth(a, parents), _merged_depth(b, parents))
-
-
-def _covered_invocations(name: str, parents, trace) -> int:
-    if name not in parents:
-        return trace.invocations.get(name, 0)
-    a, b = parents[name]
-    return (_covered_invocations(a, parents, trace)
-            + _covered_invocations(b, parents, trace))
-
-
 def prepare(m: Module, images: list[HeapImage], cfg: PipelineConfig,
             model=None) -> Prepared:
     """Run the mode's transform + profile + merge + cost stages once.
-    Footprints are profiled only when a finite `cfg.bandwidth` reads them."""
+    Footprints are profiled only when a finite `cfg.bandwidth` reads them.
+    A merging mode merges in two rounds: over every ranked pair, then, if
+    that accepted a merge, over the ranked pairs holding one, which cannot
+    pay: a merged parent has no software time (ROADMAP item 1)."""
     work = extract_loops(m) if cfg.mode.startswith("FLE") else m.clone()
     trace = _profile(work, images, cfg.bandwidth != float("inf"))
     if model is None:
@@ -186,69 +173,62 @@ def prepare(m: Module, images: list[HeapImage], cfg: PipelineConfig,
                            cfg.clock)
     baseline = sum((costs[n].own_sw for n in work.functions), Fraction(0))
 
+    def merge_round(pairs):
+        for n1, n2, sim in pairs:
+            funnel["ranked"] += 1
+            try:
+                mf = merge_functions(work, n1, n2, memo=memo)
+            except MergeRejected as e:
+                log.debug("merge %s+%s rejected: %s", n1, n2, e)
+                continue
+            funnel["aligned"] += 1
+            rep = verify_merge(work, n1, n2, mf, trials=cfg.verify_trials,
+                               seed=cfg.seed, memo=memo)
+            if not rep.passed:
+                log.error("merged %s failed verification: %s",
+                          mf.function.name, rep.detail)
+                continue
+            funnel["verified"] += 1
+
+            # a pair holds no function merged twice, so this is exact
+            inv = sum(trace.invocations.get(p, 0) for n in (n1, n2)
+                      for p in merge_parents.get(n, (n,)))
+            glue = ((mf.mux_selects * hw_sel + 1) * inv) * cfg.clock
+            name = mf.function.name
+            est = merged_cost(rows, mf.function, model, costs[n1], costs[n2],
+                              glue)
+            parents_area = costs[n1].area + costs[n2].area
+            record = MergeRecord(name, (n1, n2), sim,
+                                 mf.alignment.aligned_fraction, rep.passed,
+                                 rep.trials, est.area, parents_area,
+                                 float("nan"))
+            merges.append(record)
+            if not est.area < parents_area:
+                continue
+            funnel["area_win"] += 1
+
+            record.ep = float(estimate_profitability(
+                costs[n1].sw, costs[n2].sw, costs[n1].hw, costs[n2].hw,
+                est.hw, baseline)) if baseline > 0 else 0.0
+            if record.ep <= 0:
+                continue
+            funnel["ep_positive"] += 1
+
+            # accepted: extend the working module, its rows and costs
+            work.functions[name] = mf.function
+            rows[name] = feature_rows(mf.function, rows)
+            merge_parents[name] = (n1, n2)
+            costs[name] = est
+
     if cfg.mode.endswith("Merging"):
         hw_sel = (cfg.hw_table or DEFAULT_HW_CYCLES)["select"]
         # working functions' analyses and verification trial outcomes,
         # shared by every candidate: `work` only gains fresh names below
         memo: dict = {}
-        for depth_round in range(1, MERGE_DEPTH + 1):
-            pairs = rank_pairs(work, MIN_SIMILARITY)
-            if depth_round > 1:
-                # only pairs that deepen the merge tree by exactly one level
-                pairs = [pr for pr in pairs
-                         if max(_merged_depth(pr[0], merge_parents),
-                                _merged_depth(pr[1], merge_parents))
-                         == depth_round - 1]
-                if not pairs:
-                    break
-            added = 0
-            for n1, n2, sim in pairs:
-                funnel["ranked"] += 1
-                try:
-                    mf = merge_functions(work, n1, n2, memo=memo)
-                except MergeRejected as e:
-                    log.debug("merge %s+%s rejected: %s", n1, n2, e)
-                    continue
-                funnel["aligned"] += 1
-                rep = verify_merge(work, n1, n2, mf, trials=cfg.verify_trials,
-                                   seed=cfg.seed, memo=memo)
-                if not rep.passed:
-                    log.error("merged %s failed verification: %s",
-                              mf.function.name, rep.detail)
-                    continue
-                funnel["verified"] += 1
-
-                inv = (_covered_invocations(n1, merge_parents, trace)
-                       + _covered_invocations(n2, merge_parents, trace))
-                glue = ((mf.mux_selects * hw_sel + 1) * inv) * cfg.clock
-                name = mf.function.name
-                est = merged_cost(rows, mf.function, model, costs[n1],
-                                  costs[n2], glue)
-                parents_area = costs[n1].area + costs[n2].area
-                record = MergeRecord(name, (n1, n2), sim,
-                                     mf.alignment.aligned_fraction,
-                                     rep.passed, rep.trials, est.area,
-                                     parents_area, float("nan"))
-                merges.append(record)
-                if not est.area < parents_area:
-                    continue
-                funnel["area_win"] += 1
-
-                record.ep = float(estimate_profitability(
-                    costs[n1].sw, costs[n2].sw, costs[n1].hw, costs[n2].hw,
-                    est.hw, baseline)) if baseline > 0 else 0.0
-                if record.ep <= 0:
-                    continue
-                funnel["ep_positive"] += 1
-
-                # accepted: extend the working module, its rows and costs
-                work.functions[name] = mf.function
-                rows[name] = feature_rows(mf.function, rows)
-                merge_parents[name] = (n1, n2)
-                costs[name] = est
-                added += 1
-            if added == 0:
-                break
+        merge_round(rank_pairs(work, MIN_SIMILARITY))
+        if merge_parents:
+            merge_round([pr for pr in rank_pairs(work, MIN_SIMILARITY)
+                         if pr[0] in merge_parents or pr[1] in merge_parents])
     return Prepared(work, trace, costs, merge_parents, merges, funnel, baseline)
 
 

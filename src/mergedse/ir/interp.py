@@ -227,6 +227,34 @@ _CMP = {"eq": "==", "ne": "!=", "slt": "<", "sgt": ">", "sle": "<=",
         "sge": ">=", "olt": "<", "ogt": ">", "oeq": "=="}
 
 
+class _Unset:
+    """Every register slot's value before its first assignment. Each operator,
+    comparison and conversion on it raises, so a read raises where it
+    computes and assigned registers pay nothing; a copy passes it on."""
+
+    __slots__ = ()
+
+    def _read(self, *_):
+        raise InterpError("unassigned", "read of an unassigned register")
+
+
+for _op in ("add sub mul truediv floordiv mod lshift rshift and or xor radd "
+            "rsub rmul rtruediv rfloordiv rmod rlshift rrshift rand ror rxor "
+            "neg abs lt le gt ge eq ne bool float int index").split():
+    setattr(_Unset, f"__{_op}__", _Unset._read)
+_UNSET = _Unset()
+
+
+def _settled(e: Exception, fuel: int) -> InterpError:
+    """`e` as a frame with `fuel` left passes it on; a struct.error comes
+    only from an f64 store of an unassigned register."""
+    if type(e) is struct.error:
+        e = InterpError("unassigned", "store of an unassigned register")
+    if e.fuel is None:
+        e.fuel = fuel
+    return e
+
+
 def _oob(addr: int, width: int):
     if addr < NULL_GUARD:
         raise InterpError("oob", f"access to null/guard address {addr}")
@@ -251,14 +279,13 @@ def _exhaust(fn: "_Decoded", i: int, fuel: int, r: list | dict):
         for h in filter(None, fn.segs[i][7][:max(fuel, 0)]):
             h(r)
         raise InterpError("fuel", f"fuel exhausted in @{fn.name}")
-    except InterpError as e:
-        e.fuel = 0
-        raise
+    except (InterpError, struct.error) as e:
+        raise _settled(e, 0) from None
 
 
 # The generated code's globals: error paths and the heap codecs.
 _NS = {"InterpError": InterpError, "oob": _oob, "footprint": _footprint,
-       "exhaust": _exhaust,
+       "exhaust": _exhaust, "settled": _settled, "struct_error": struct.error,
        "unpack_i1": lambda data, addr: (data[addr] & 1,),
        **{f"unpack_{ty}": struct.Struct(f).unpack_from for ty, f in (
            ("i32", "<i"), ("i64", "<q"), ("ptr", "<Q"), ("f64", "<d"))},
@@ -350,8 +377,8 @@ def _hot_source(fn: "_Decoded") -> str:
         emit(ind, "else:")
         tree(mid, hi, ind + " ")
     tree(0, len(fn.segs), "   ")
-    emit(" ", "except InterpError as e:\n if e.fuel is None: e.fuel = fuel\n"
-              " raise")
+    emit(" ", "except (InterpError, struct_error) as e:\n"
+              " raise settled(e, fuel) from None")
     return "\n".join(out)
 
 
@@ -377,7 +404,7 @@ class _Decoded:
             if type(o) is Reg:
                 if o.name not in slots:
                     slots[o.name] = len(frame)
-                    frame.append(None)
+                    frame.append(_UNSET)
                 return slots[o.name]
             frame.append(o.value)
             return len(frame) - 1
@@ -535,6 +562,9 @@ class _Machine:
         self.heap = heap
         ctx = self.roots.get(entry) or self.context(entry, None)
         value, _, left = ctx.fn.run(self, ctx, args, fuel)
+        if value is _UNSET:   # a return only copies: the run's end reads it
+            raise _settled(InterpError("unassigned", "return of an unassigned "
+                                       "register"), left)
         return value, left
 
     def trace(self) -> Trace:
@@ -613,10 +643,8 @@ def _cold(m: _Machine, ctx: _Context, args: list, fuel: int):
             else:
                 value = r[x] if x is not None else None
                 break
-    except InterpError as e:   # the innermost frame records its fuel
-        if e.fuel is None:
-            e.fuel = fuel
-        raise
+    except (InterpError, struct.error) as e:   # the innermost frame's fuel
+        raise _settled(e, fuel) from None
     finally:   # a run that raises keeps its heat too
         fn.left = left
     # the entry has no call edge to charge its footprint to

@@ -114,9 +114,10 @@ def linearize(f: Function, seed: int = 0) -> Linearization:
 
 
 def _fact(memo: dict | None, f: Function, key, compute):
-    """compute(), an analysis of `f`, kept in `memo` under `key`: it is
-    computed on first use and again once another Function object holds f's
-    name, the rule Program.function decodes by; afresh without a memo."""
+    """compute(), a fact of `f` (an analysis, or its verification trials'
+    outcomes), kept in `memo` under `key`: it is computed on first use and
+    again once another Function object holds f's name, the rule
+    Program.function decodes by; afresh without a memo."""
     if memo is None:
         return compute()
     held = memo.setdefault("facts", {}).get(f.name)
@@ -804,6 +805,13 @@ def _run(mach: _Machine, fname: str, template: bytes, args: list, fuel: int):
     return ("ok", _canon(value), bytes(heap[REGION_BASE:])), fuel - left
 
 
+def _outcomes(runs: list) -> tuple[list, bool, int]:
+    """A parent's trial outcomes, whether any returned, and the most fuel
+    charged by one that did not run out, from its runs."""
+    return ([out for out, _ in runs], any(out[0] == "ok" for out, _ in runs),
+            max((c for out, c in runs if out[0] != "error:fuel"), default=0))
+
+
 def _canon(v):
     if isinstance(v, float):
         return struct.pack("<d", v)
@@ -832,11 +840,10 @@ def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
     agreement, unless no parent trial of a side returns. The first
     counterexample is reported; trials < 1 is an IRError.
 
-    Each parent's trials run once per memo, which maps (parent, fuel,
-    seed, trials) to their outcomes, whether any returned, and the most
-    fuel charged by one that did not run out. A side `weave_walk` proves
-    with K agrees on every trial whose parent ended in `error:fuel` or
-    charged F fuel with K·F + 2·size(merged) <= fuel: the merged run
+    Each parent's trials run once per memo: their `_outcomes` are a fact
+    of the parent (`_fact`) under (fuel, seed, trials). A side `weave_walk`
+    proves with K agrees on every trial whose parent ended in `error:fuel`
+    or charged F fuel with K·F + 2·size(merged) <= fuel: the merged run
     executes the parent's instructions with at most K merged instructions
     for each (the entry's glue apart, at most size(merged)), and the
     callees' instructions alike, so it neither runs out of fuel sooner nor,
@@ -854,17 +861,19 @@ def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
     for all calls sharing the memo and compiled (the hot tier) once it has
     run HOT_MULTIPLE times its size there; the candidate is decoded at most
     once per call, not at all when both sides are proved, and dropped. No
-    outcome depends on the tier. Callers may share a memo while the module
-    only gains functions under fresh names. Runs record no footprints: only
-    value and heap count.
+    outcome depends on the tier. The module run is `m` with `merged.function`
+    under its name. Callers may share a memo while the module only gains
+    functions under fresh names: a function replaced under its name is
+    analysed and run again, but its callers' stored outcomes are kept. Runs
+    record no footprints: only value and heap count.
     """
     if trials < 1:
         raise IRError(f"trials must be at least 1, got {trials}")
     mname = merged.function.name
     memo = {} if memo is None else memo
     prog = memo.setdefault("program", Program(m, footprints=False))
-    prog.module = mm = m if mname in m.functions else Module(
-        {**m.functions, mname: merged.function}, m.entry)
+    prog.module = mm = Module({**m.functions, mname: merged.function},
+                              m.entry)
     mach = _Machine(prog)
     size = merged.function.size()
     proved, notes = [False, False], []
@@ -876,16 +885,12 @@ def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
         for side, pname in ((1, name1), (2, name2)):
             parent = mm.function(pname)
             plans = _trial_plans(memo, seed, trials, parent.params)
-            key, ran = (pname, fuel, seed, trials), "from memo"
-            if key not in memo:
-                runs = [_run(mach, pname, image, args, fuel)
-                        for image, args in plans]
-                memo[key] = ([out for out, _ in runs],
-                             any(out[0] == "ok" for out, _ in runs),
-                             max((c for out, c in runs
-                                  if out[0] != "error:fuel"), default=0))
-                ran = "run now"
-            outs_p, returns, charged = memo[key]
+            outs_p, returns, charged = _fact(
+                memo, parent, (fuel, seed, trials), lambda: _outcomes(
+                    [_run(mach, pname, image, args, fuel)
+                     for image, args in plans]))
+            # this call's machine has a root for each entry it ran
+            ran = "run now" if pname in mach.roots else "from memo"
             k, why = weave_walk(merged, side, parent, _fact(
                 memo, parent, "clean", lambda: not unassigned_uses(parent)))
             if k is not None:

@@ -396,10 +396,35 @@ def test_train_eval_cycle(tmp_path):
                  "-o", str(model)])
     assert r.returncode == 0, r.stderr
     assert model.exists() and data.exists()
+    # the four scores of the saved model on its 80/20 split, in this order
+    from mergedse.cost import evaluate_model, load_model, read_dataset
+    _, X, y = read_dataset(str(data))
+    fit = load_model(str(model))
+    r2_train, mre_train = evaluate_model(fit, X[:64], y[:64])
+    r2_test, mre_test = evaluate_model(fit, X[64:], y[64:])
+    assert [line for line in r.stderr.splitlines()
+            if line.startswith(("r2_", "mre_"))] == [
+        f"r2_train {r2_train!r}", f"r2_test {r2_test!r}",
+        f"mre_train {mre_train!r}", f"mre_test {mre_test!r}"]
     r = run_cli(["eval", "--model", str(model), "--test", str(data)])
     assert r.returncode == 0
     assert r.stdout.startswith("r2 ")
     assert "mre " in r.stdout
+
+
+def test_train_without_output_exits_before_training(tmp_path, capsys,
+                                                    monkeypatch):
+    # training the MLP takes about 20 s; without -o nothing is read,
+    # generated, trained or written
+    def fail(*args, **kw):
+        raise AssertionError("trained or read data without -o")
+    for name in ("synthetic_dataset", "read_dataset", "train_mlp",
+                 "train_lasso", "write_dataset"):
+        monkeypatch.setattr(cli, name, fail)
+    data = tmp_path / "data.csv"
+    assert main(["train", "--dump-dataset", str(data)]) == 1
+    assert "train: -o model path is required" in capsys.readouterr().err
+    assert not data.exists()
 
 
 def test_dse_end_to_end(tmp_path, model_file):

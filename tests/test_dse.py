@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergedse.analysis import build_call_graph
 from mergedse.cost import (
     DEFAULT_HW_CYCLES, DEFAULT_SW_CYCLES, estimate_costs, load_model,
-    module_rows, save_model, synthetic_dataset, train_mlp,
+    module_rows, save_model, synthetic_dataset, train_lasso, train_mlp,
 )
 from mergedse import dse
 from mergedse.dse import (
@@ -695,3 +697,163 @@ def test_each_analysis_runs_once_where_it_varies(corpus, area_model,
                     modes=["FE", "FLE+Merging"], model=area_model)
     assert len(built) == len(set(built)) == 2 * 2 * 3
     assert len(solved) == len(reports) == 2 * 2 * 2 * 3
+
+
+def _prepare_depth_k(m, images, cfg, model, depth=2):
+    """`prepare` as it merged before its two rounds were named: a general
+    loop of up to `depth` rounds, where round k takes the ranked pairs whose
+    deeper function is k - 1 merges deep, and a round that accepts nothing
+    ends the loop. The oracle of the two named rounds."""
+    work = dse.extract_loops(m) if cfg.mode.startswith("FLE") else m.clone()
+    trace = dse._profile(work, images, cfg.bandwidth != float("inf"))
+    merge_parents, merges = {}, []
+    funnel = {"ranked": 0, "aligned": 0, "verified": 0, "area_win": 0,
+              "ep_positive": 0, "selected": 0}
+    rows = module_rows(work, build_call_graph(work))
+    costs = estimate_costs(rows, trace, model, cfg.sw_table, cfg.hw_table,
+                           cfg.clock)
+    baseline = sum((costs[n].own_sw for n in work.functions), Fraction(0))
+
+    def merged_depth(name):
+        if name not in merge_parents:
+            return 0
+        return 1 + max(map(merged_depth, merge_parents[name]))
+
+    def covered_invocations(name):
+        if name not in merge_parents:
+            return trace.invocations.get(name, 0)
+        return sum(map(covered_invocations, merge_parents[name]))
+
+    hw_sel = (cfg.hw_table or DEFAULT_HW_CYCLES)["select"]
+    memo = {}
+    for depth_round in range(1, depth + 1):
+        pairs = dse.rank_pairs(work, dse.MIN_SIMILARITY)
+        if depth_round > 1:
+            pairs = [pr for pr in pairs
+                     if max(merged_depth(pr[0]), merged_depth(pr[1]))
+                     == depth_round - 1]
+            if not pairs:
+                break
+        added = 0
+        for n1, n2, sim in pairs:
+            funnel["ranked"] += 1
+            try:
+                mf = dse.merge_functions(work, n1, n2, memo=memo)
+            except dse.MergeRejected:
+                continue
+            funnel["aligned"] += 1
+            rep = dse.verify_merge(work, n1, n2, mf, trials=cfg.verify_trials,
+                                   seed=cfg.seed, memo=memo)
+            if not rep.passed:
+                continue
+            funnel["verified"] += 1
+            inv = covered_invocations(n1) + covered_invocations(n2)
+            glue = ((mf.mux_selects * hw_sel + 1) * inv) * cfg.clock
+            name = mf.function.name
+            est = dse.merged_cost(rows, mf.function, model, costs[n1],
+                                  costs[n2], glue)
+            parents_area = costs[n1].area + costs[n2].area
+            record = dse.MergeRecord(name, (n1, n2), sim,
+                                     mf.alignment.aligned_fraction,
+                                     rep.passed, rep.trials, est.area,
+                                     parents_area, float("nan"))
+            merges.append(record)
+            if not est.area < parents_area:
+                continue
+            funnel["area_win"] += 1
+            record.ep = float(dse.estimate_profitability(
+                costs[n1].sw, costs[n2].sw, costs[n1].hw, costs[n2].hw,
+                est.hw, baseline)) if baseline > 0 else 0.0
+            if record.ep <= 0:
+                continue
+            funnel["ep_positive"] += 1
+            work.functions[name] = mf.function
+            rows[name] = dse.feature_rows(mf.function, rows)
+            merge_parents[name] = (n1, n2)
+            costs[name] = est
+            added += 1
+        if added == 0:
+            break
+    return dse.Prepared(work, trace, costs, merge_parents, merges, funnel,
+                        baseline)
+
+
+@pytest.fixture(scope="module")
+def lasso_seed3():
+    # its round 1 accepts more merges than the bundled model's
+    _, X, y = synthetic_dataset(600, 3)
+    return train_lasso(X[:480], y[:480])
+
+
+@pytest.mark.parametrize("which", ["bundled", "lasso-seed3"])
+def test_two_merge_rounds_equal_the_depth_k_loop(corpus, area_model,
+                                                 lasso_seed3, monkeypatch,
+                                                 which):
+    # every corpus program in both merging modes: the same funnel, merge
+    # records (every field, a NaN ep included), merge graph and costs as
+    # the depth-k loop, and rank_pairs called as often: once when round 1
+    # accepts nothing, else twice
+    model = area_model if which == "bundled" else lasso_seed3
+    ranked, real_rank = [], dse.rank_pairs
+    monkeypatch.setattr(dse, "rank_pairs",
+                        lambda *a: ranked.append(a) or real_rank(*a))
+    accepted = round_two = 0
+    for name, m, img in corpus:
+        for mode in ("FE+Merging", "FLE+Merging"):
+            cfg = PipelineConfig(mode=mode)
+            want = _prepare_depth_k(m, [img], cfg, model)
+            want_ranked, ranked[:] = len(ranked), []
+            got = prepare(m, [img], cfg, model=model)
+            assert len(ranked) == want_ranked == 1 + bool(got.merge_parents)
+            ranked.clear()
+            assert got.funnel == want.funnel, (name, mode)
+            assert repr(got.merges) == repr(want.merges), (name, mode)
+            assert got.merge_parents == want.merge_parents, (name, mode)
+            assert got.costs == want.costs, (name, mode)
+            accepted += len(got.merge_parents)
+            round_two += sum(r.parents[0] in got.merge_parents
+                             or r.parents[1] in got.merge_parents
+                             for r in got.merges)
+    # bundled: 58 accepted, 261 round-2 records; lasso-seed3: 99 and 420
+    assert accepted > 0 and round_two > 0
+
+
+class _UnitArea:
+    """An area model of unit areas: merged_cost's times do not read it."""
+
+    def predict(self, X):
+        return np.ones(len(X))
+
+
+def _cost(sw, hw):
+    return dse.CostEstimate(1.0, 1.0, sw=sw, hw=hw, own_sw=sw, own_hw=hw)
+
+
+_TIMES = st.builds(Fraction, st.integers(0, 10 ** 9), st.integers(1, 10 ** 4))
+
+
+@pytest.fixture(scope="module")
+def pair_rows(pair_module):
+    return module_rows(pair_module, build_call_graph(pair_module))
+
+
+@settings(max_examples=300, deadline=None)
+@given(parents=st.lists(st.tuples(_TIMES, _TIMES), min_size=4, max_size=4),
+       glues=st.lists(_TIMES, min_size=3, max_size=3),
+       total=st.integers(1, 10 ** 9), both_merged=st.booleans())
+def test_a_pair_with_a_merged_parent_never_pays(pair_module, pair_rows,
+                                                parents, glues, total,
+                                                both_merged):
+    # why round 2 cannot accept (ROADMAP item 1): a merged parent is priced
+    # as merged_cost prices it (no software time, both parents' hardware
+    # time plus glue), and with any nonnegative costs and glue a pair that
+    # holds it has a profitability of at most 0, in either order
+    rows, f = pair_rows, pair_module.functions["sel_a"]
+    a, b, c, d = (_cost(sw, hw) for sw, hw in parents)
+    merged = dse.merged_cost(rows, f, _UnitArea(), a, b, glues[0])
+    partner = (dse.merged_cost(rows, f, _UnitArea(), c, d, glues[1])
+               if both_merged else c)
+    pair = dse.merged_cost(rows, f, _UnitArea(), merged, partner, glues[2])
+    for p1, p2 in ((merged, partner), (partner, merged)):
+        assert dse.estimate_profitability(p1.sw, p2.sw, p1.hw, p2.hw, pair.hw,
+                                          total) <= 0

@@ -20,6 +20,7 @@ import struct
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -29,8 +30,9 @@ from hypothesis import strategies as st
 import test_interp_golden as golden_tests
 from conftest import SRC
 from mergedse.ir import (
-    Arena, Block, Function, HeapImage, Instr, InterpError, Module,
-    Program, Reg, interp, interpret, parse_module, run_heap_image, wrap_int,
+    BINOPS_FLOAT, BINOPS_INT, FCMP_PREDS, ICMP_PREDS, Arena, Block, Function,
+    HeapImage, Instr, InterpError, Module, Program, Reg, interp, interpret,
+    parse_module, run_heap_image, wrap_int,
 )
 import test_ir
 from test_interp_golden import GOLDEN, OPS_HEAP, OPS_SRC, _cases, _summary
@@ -858,3 +860,83 @@ def test_ir_names_cannot_alter_the_generated_code(monkeypatch):
         assert "SystemExit" not in names
         assert evil in strings
         assert [type(s) for s in tree.body] == [ast.FunctionDef]
+
+
+# Every site that reads a register, each reading %u, whose assignment (the
+# first instruction) is taken out after parsing: the validator rejects a
+# use not assigned on every path. A copy (const, a select's value, a call's
+# argument passed back) is read where the copy is, here by `ret`.
+_OTHER = {"i32": "%i", "i64": "%l", "f64": "%f"}
+UNASSIGNED_READS = [
+    *[(ty, f"%d = {op} {ty} {x}, {y}\nret i32 0")
+      for ty in ("i32", "i64") for op in BINOPS_INT
+      for x, y in (("%u", _OTHER[ty]), (_OTHER[ty], "%u"))],
+    *[("f64", f"%d = {op} f64 {x}, {y}\nret i32 0") for op in BINOPS_FLOAT
+      for x, y in (("%u", "%f"), ("%f", "%u"))],
+    *[(ty, f"%d = {cmp} {pred} {ty} {x}, {y}\nret i32 0")
+      for cmp, ty, preds in (("icmp", "i32", ICMP_PREDS),
+                             ("fcmp", "f64", FCMP_PREDS)) for pred in preds
+      for x, y in (("%u", _OTHER[ty]), (_OTHER[ty], "%u"))],
+    ("i1", "%d = select i32 %u, %i, %i\nret i32 0"),
+    *[(src, f"%d = {op} {src} %u to {to}\nret i32 0") for op, src, to in (
+        ("zext", "i1", "i32"), ("zext", "i32", "i64"), ("trunc", "i64", "i32"),
+        ("trunc", "i32", "i1"), ("sitofp", "i32", "f64"),
+        ("fptosi", "f64", "i32"))],
+    ("ptr", "%d = gep i32 %u, %i\nret i32 0"),
+    ("i64", "%d = gep i32 %p, %u\nret i32 0"),
+    ("ptr", "%d = load i32, %u\nret i32 0"),
+    *[(ty, f"store {ty} %u, %p\nret i32 0")
+      for ty in ("i1", "i32", "i64", "ptr", "f64")],
+    ("ptr", "store i32 %i, %u\nret i32 0"),
+    ("i32", "%d = call i32 @inc(%u)\nret i32 0"),
+    ("i1", "br %u, t, t\nt:\nret i32 0"),
+    ("i32", "%d = const i32 %u\nret i32 %d"),
+    ("i32", "%d = select i32 %b, %u, %i\nret i32 %d"),
+    ("i32", "%d = call i32 @id(%u)\nret i32 %d"),
+    *[(ty, f"ret {ty} %u") for ty in ("i1", "i32", "i64", "f64", "ptr")],
+]
+_LITERAL = {"i1": "true", "i32": "0", "i64": "0", "f64": "0.0", "ptr": "null"}
+
+
+@pytest.fixture(scope="module")
+def unassigned_programs():
+    src = ["func @inc(%x: i32) -> i32 {\ne:\n%y = add i32 %x, 1\n"
+           "ret i32 %y\n}", "func @id(%x: i32) -> i32 {\ne:\nret i32 %x\n}"]
+    for k, (ty, body) in enumerate(UNASSIGNED_READS):
+        ret = ty if body.startswith("ret") else "i32"
+        src.append(f"func @c{k}(%p: ptr, %i: i32, %l: i64, %b: i1, %f: f64) "
+                   f"-> {ret} {{\ne:\n%u = const {ty} {_LITERAL[ty]}\n"
+                   f"{body}\n}}")
+    m = parse_module("\n".join(src))
+    for name, f in m.functions.items():
+        if name.startswith("c"):
+            m.functions[name] = replace(f, blocks=[replace(b, instrs=[
+                ins for ins in b.instrs if ins.result != "u"])
+                for b in f.blocks])
+    return _tier_programs(m)
+
+
+def _unassigned_run(prog, name, fuel=interp.DEFAULT_FUEL):
+    arena = Arena()
+    p = arena.add_region("buf", bytes(8))
+    with pytest.raises(InterpError) as e:
+        interpret(prog, name, [p, 3, 3, 1, 1.5], arena, fuel=fuel)
+    return e.value.kind, e.value.fuel
+
+
+def test_reading_an_unassigned_register_raises_in_both_tiers(
+        unassigned_programs):
+    # an InterpError, never a Python TypeError, a silent false branch or a
+    # returned None; both tiers raise it with the same fuel left
+    for k, (ty, body) in enumerate(UNASSIGNED_READS):
+        outs = {tier: _unassigned_run(prog, f"c{k}")
+                for tier, prog in unassigned_programs.items()}
+        assert set(outs.values()) == {("unassigned", outs["cold"][1])}, body
+    # a read in the prefix of a segment that fuel cannot pay in full raises
+    # it too, and leaves no fuel; with no fuel for the read, fuel runs out
+    for body in ("store f64 %u, %p\nret i32 0",
+                 "%d = add i32 %u, %i\nret i32 0"):
+        k = next(k for k, (_, b) in enumerate(UNASSIGNED_READS) if b == body)
+        for prog in unassigned_programs.values():
+            assert _unassigned_run(prog, f"c{k}", fuel=1) == ("unassigned", 0)
+            assert _unassigned_run(prog, f"c{k}", fuel=0) == ("fuel", 0)

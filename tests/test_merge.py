@@ -841,10 +841,11 @@ def test_function_facts_change_no_merge_of_either_round(corpus, area_model,
 
 
 def test_function_facts_follow_the_function_object(pair_module):
-    # @sel_a replaced under its name: linearizations, types and the walk's
-    # must-assign check are taken again. The new @sel_a always branches to
-    # bb1, and its bb2 leaves %c unassigned: it runs, but the walk may not
-    # prove its side (a stale check would)
+    # @sel_a replaced under its name, on the same memo: linearizations,
+    # types, the walk's must-assign check and the parent trials' outcomes
+    # are taken again. The new @sel_a always branches to bb1, and its bb2
+    # leaves %c unassigned: it runs, but the walk may not prove its side (a
+    # stale check would), and its merged trials meet its own outcomes
     m = pair_module.clone()
     memo = {}
     before = _merge_outcome(m, "sel_a", "sel_b", memo)
@@ -858,8 +859,28 @@ def test_function_facts_follow_the_function_object(pair_module):
     m.functions["sel_a"] = replace(sel_a, blocks=[
         replace(b, instrs=[edit(ins) for ins in b.instrs])
         for b in sel_a.blocks])
-    facts = {"facts": memo["facts"]}   # the trial outcomes belong to old @sel_a
-    after = _merge_outcome(m, "sel_a", "sel_b", facts)
+    after = _merge_outcome(m, "sel_a", "sel_b", memo)
     assert after == _merge_outcome(m, "sel_a", "sel_b", None)
     assert after[0] != before[0] and after[2][0] is False
-    assert facts["facts"]["sel_a"][0] is m.functions["sel_a"]
+    assert memo["facts"]["sel_a"][0] is m.functions["sel_a"]
+
+
+def test_verification_meets_a_parent_reading_an_unassigned_register(
+        pair_module):
+    # @sel_a's mul assigns %e, so its bb2 leaves %c unassigned and passes
+    # it to @helper. Such a parent is built in code: the parser rejects it.
+    # Its trials that take bb2 end in error:unassigned, not in a Python
+    # TypeError, and the merged function, where %c is assigned, disagrees
+    m = pair_module.clone()
+    sel_a = m.functions["sel_a"]
+    m.functions["sel_a"] = replace(sel_a, blocks=[replace(b, instrs=[
+        replace(ins, result="e") if ins.op == "mul" else ins
+        for ins in b.instrs]) for b in sel_a.blocks])
+    memo = {}
+    mf = merge_functions(m, "sel_a", "sel_b", memo=memo)
+    rep = verify_merge(m, "sel_a", "sel_b", mf, trials=16, seed=7, memo=memo)
+    outs = memo["facts"]["sel_a"][1][10 ** 6, 7, 16][0]
+    assert {out[0] for out in outs} == {"ok", "error:unassigned"}
+    assert not rep.passed and rep.proved == (False, False)
+    assert rep.detail == ("parent error:unassigned value/heap differs from "
+                          "merged ok")

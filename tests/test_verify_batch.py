@@ -90,7 +90,8 @@ class _Batched:
                   for k, (image, _) in enumerate(self.memo[
                       SEED, TRIALS, tuple(ty for _, ty in m.function(
                           pname).params)])]
-        outcomes = [(self.memo[pname, fuel, SEED, TRIALS][0][k], out_m)
+        facts = self.memo["facts"]
+        outcomes = [(facts[pname][1][fuel, SEED, TRIALS][0][k], out_m)
                     for (pname, k, _), out_m in zip(trials, self.merged_runs)]
         return rep, outcomes, [image for _, _, image in trials]
 
@@ -310,3 +311,15 @@ def test_every_aligned_corpus_candidate_passes_its_trials(corpus, area_model,
     assert all(r.passed and r.proved == (False, False) for r in tried_reports)
     assert walked_reports == tried_reports and walked == tried
     assert all(r.proved == (True, True) for r in walked_reports)
+
+
+def test_verification_runs_the_body_it_is_handed(pair_module):
+    # the module already holds the intact candidate under its name: the
+    # corrupted body handed in is what the walk and the trials check
+    m = pair_module.clone()
+    mf = merge_functions(m, "sel_a", "sel_b")
+    broken = _corrupted(mf)
+    want = verify_merge(m, "sel_a", "sel_b", broken, trials=TRIALS, seed=SEED)
+    m.functions[mf.function.name] = mf.function
+    got = verify_merge(m, "sel_a", "sel_b", broken, trials=TRIALS, seed=SEED)
+    assert not want.passed and (got, got.proved) == (want, want.proved)
