@@ -230,7 +230,8 @@ _CMP = {"eq": "==", "ne": "!=", "slt": "<", "sgt": ">", "sle": "<=",
 class _Unset:
     """Every register slot's value before its first assignment. Each operator,
     comparison and conversion on it raises, so a read raises where it
-    computes and assigned registers pay nothing; a copy passes it on."""
+    computes and assigned registers pay nothing; a copy passes it to `ret`,
+    which raises."""
 
     __slots__ = ()
 
@@ -286,7 +287,7 @@ def _exhaust(fn: "_Decoded", i: int, fuel: int, r: list | dict):
 # The generated code's globals: error paths and the heap codecs.
 _NS = {"InterpError": InterpError, "oob": _oob, "footprint": _footprint,
        "exhaust": _exhaust, "settled": _settled, "struct_error": struct.error,
-       "unpack_i1": lambda data, addr: (data[addr] & 1,),
+       "UNSET": _UNSET, "unpack_i1": lambda data, addr: (data[addr] & 1,),
        **{f"unpack_{ty}": struct.Struct(f).unpack_from for ty, f in (
            ("i32", "<i"), ("i64", "<q"), ("ptr", "<Q"), ("f64", "<d"))},
        **{f"pack_{ty}": struct.Struct(f).pack_into for ty, f in (
@@ -363,7 +364,9 @@ def _hot_source(fn: "_Decoded") -> str:
                          "r1 = sb\n else: r1 |= sb\n" if fn.footprints else "")
                       + f"i = {u}")
         else:
-            emit(ind, "return "
+            emit(ind, (f"if r{x} is UNSET: raise InterpError('unassigned', "
+                       "'return of an unassigned register')\n"
+                       if x is not None else "") + "return "
                       + (f"r{x}, " if x is not None else "None, ")
                       + ("footprint(r1, r2, r3) if ctx.parent else r1"
                          if fn.touches else "r1") + ", fuel")
@@ -562,9 +565,6 @@ class _Machine:
         self.heap = heap
         ctx = self.roots.get(entry) or self.context(entry, None)
         value, _, left = ctx.fn.run(self, ctx, args, fuel)
-        if value is _UNSET:   # a return only copies: the run's end reads it
-            raise _settled(InterpError("unassigned", "return of an unassigned "
-                                       "register"), left)
         return value, left
 
     def trace(self) -> Trace:
@@ -642,6 +642,9 @@ def _cold(m: _Machine, ctx: _Context, args: list, fuel: int):
                 i = u
             else:
                 value = r[x] if x is not None else None
+                if value is _UNSET:
+                    raise InterpError("unassigned",
+                                      "return of an unassigned register")
                 break
     except (InterpError, struct.error) as e:   # the innermost frame's fuel
         raise _settled(e, fuel) from None

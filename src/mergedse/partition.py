@@ -17,9 +17,10 @@ under an area budget and an interconnect model:
 Costs are exact rationals, so the branch-and-bound optimum can be compared
 for equality against the brute-force oracle. `solve` scales them once to
 integers over a common denominator, keeps a node's state in bit sets, and
-bounds each uncovered group by its cheapest cover, looked up by the group's
-open options; it returns the same first optimal assignment as a plain
-enumeration would.
+bounds each uncovered group by its cheapest cover, looked up by the group
+and its open options; a merged function's cost is split over its groups by
+their roots' costs, never above its sum, so it returns the same first
+optimal assignment as a plain enumeration would.
 """
 
 from __future__ import annotations
@@ -302,8 +303,11 @@ _HW, _SW, _NONE = 0, 1, 2
 def solver_plan(p: PartitionProblem) -> tuple:
     """All `solve` derives from p but the area budget: the decision order,
     the integer costs' scale, each depth's constants, each group's member
-    bits and function's cover options, and the hull and cover tables that
-    solves fill; problems differing only in area_budget may share it."""
+    bits and cover options, and the hull and cover tables that solves fill;
+    problems differing only in area_budget may share it. A merged function
+    k covers each g of its groups G at area[k] / len(G) and hw[k] * c_g //
+    sum(c), c_g = min(sw, hw) of g's root (floor equal shares if every c is
+    0): the shares sum to at most hw[k], which every leaf selecting k pays."""
     names = sorted(p.names, key=lambda x: (-(p.sw[x] - p.hw[x]), x))
     index = {x: k for k, x in enumerate(names)}
     n = len(names)
@@ -314,9 +318,8 @@ def solver_plan(p: PartitionProblem) -> tuple:
             groups_of[index[x]].append(g)
     edges = {(i, j): p.edge_cost(i, j)
              for i in p.names for j in p.callees.get(i, ())}
-    scale = (math.lcm(*(c.denominator for c in [*p.sw.values(), *p.hw.values(),
-                                                 *edges.values()]))
-             * math.lcm(*(len(gs) for gs in groups_of)))
+    scale = math.lcm(*(c.denominator for c in [*p.sw.values(), *p.hw.values(),
+                                                *edges.values()]))
     sw = [int(p.sw[x] * scale) for x in names]
     hw = [int(p.hw[x] * scale) for x in names]
     area = [p.area[x] for x in names]
@@ -329,11 +332,16 @@ def solver_plan(p: PartitionProblem) -> tuple:
             callees[index[i]].append((index[j], c))
     choices = [(_HW, _NONE) if x in p.merged else
                (_HW, _SW, _NONE) if p.descend[x] else (_HW, _SW) for x in names]
-    # A function's cover options: a root in software or hardware, a merged
-    # function at its 1/k share of cost and area, the same in each group
-    options = [[(area[k] / len(groups_of[k]), hw[k] // len(groups_of[k]))]
-               if names[k] in p.merged else [(0.0, sw[k]), (area[k], hw[k])]
-               for k in range(n)]
+    # Per group, each member's cover options (root: software or hardware)
+    root_cost = [min(sw[index[r]], hw[index[r]]) for r in roots]
+    options: list[list[tuple[int, list]]] = [[] for _ in roots]
+    for k, gs in enumerate(groups_of):
+        c = [root_cost[g] for g in gs]
+        c = c if any(c) else [1] * len(c)
+        for g, c_g in zip(gs, c):
+            options[g].append((k, [(area[k] / len(gs), hw[k] * c_g // sum(c))]
+                               if names[k] in p.merged else
+                               [(0.0, sw[k]), (area[k], hw[k])]))
 
     # Bit sets: a group's members, a function's groups, the merged members
     # a function's selection blocks, the groups of its root callees, the
@@ -366,29 +374,30 @@ def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution
     hardware selection and with a hardware caller of their root; over
     functions, the merged ones blocked by a selection in one of their
     groups. A decision may select into no group that already has a
-    selection, and a group must be covered, in hardware if it has a
-    hardware caller, once its last member in decision order is decided, so
-    every leaf reached is feasible. The bound adds, for each uncovered
-    group, its cheapest cover: the root in software or hardware, or an
-    undecided, unblocked merged member at 1/k of its cost and area when it
-    covers k groups. It is the greedy LP relaxation of that multiple-choice
-    knapsack (Sinha & Zoltners, 1979) over each group's lower convex hull,
-    with the straddling step granted in full; interconnect costs are
-    nonnegative and ignored. Costs are integers over one common denominator,
-    times the lcm of the k, so each 1/k share is exact.
+    selection, and a group must be covered, in hardware if it has a hardware
+    caller, once its last member in decision order is decided, so every leaf
+    reached is feasible. The bound adds, for each uncovered group, its
+    cheapest cover: the root in software or hardware, or an undecided,
+    unblocked merged member at its shares of cost and area (`solver_plan`),
+    which sum to at most what a leaf selecting it pays. It is the greedy LP
+    relaxation of that multiple-choice knapsack (Sinha & Zoltners, 1979)
+    over each group's lower convex hull, with the straddling step granted in
+    full; interconnect costs are nonnegative and ignored. Costs are integers
+    over one common denominator.
 
     A group's hull depends only on which of its options are open: its
     open-option bits, the undecided root and unblocked merged members. One
-    table maps those bits to the hull, built on first sight; another maps a
-    node's open-option bits and covered groups to the summed cheapest
-    covers and the sorted hull steps of its uncovered groups. A node's
-    bound is then one lookup and the greedy, the same number the hull built
-    at that node would give. Both tables and all else but the budget are
-    the plan (`solver_plan`), p.plan's or one built here. Infeasible
-    subtrees hold no leaf, the bound never exceeds a subtree's optimum, and
-    the incumbent only changes on strict improvement, so the result is the
-    first optimal leaf in decision order, the same assignment a plain
-    enumeration returns even among exactly tied costs.
+    table maps a group and those bits to the hull (groups price a shared
+    member apart), built on first sight; another maps a node's open-option
+    bits and covered groups to the summed cheapest covers and the sorted
+    hull steps of its uncovered groups. A node's bound is then one lookup
+    and the greedy, the same number the hull built at that node would give.
+    Both tables and all else but the budget are the plan (`solver_plan`),
+    p.plan's or one built here. Infeasible subtrees hold no leaf, the bound
+    never exceeds a subtree's optimum, and the incumbent only changes on
+    strict improvement, so the result is the first optimal leaf in decision
+    order, the same assignment a plain enumeration returns even among
+    exactly tied costs.
     """
     names, scale, levels, group_bits, options, hulls, covers = (
         p.plan or solver_plan(p))
@@ -401,10 +410,10 @@ def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution
     nodes = 0
     hit_limit = False
 
-    def hull_of(state: int) -> tuple | None:
+    def hull_of(g: int, state: int) -> tuple | None:
         """Cheapest cover (cost, area) and lower-hull steps (ratio, area,
-        gain) of a group whose open options are the functions in state."""
-        opts = [o for k in range(n) if state >> k & 1 for o in options[k]]
+        gain) of group g whose open options are the functions in state."""
+        opts = [o for k, os in options[g] if state >> k & 1 for o in os]
         if not opts:
             return None
         opts.sort()
@@ -430,10 +439,10 @@ def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution
         for g, bits in enumerate(group_bits):
             if sel >> g & 1:
                 continue
-            state = free & bits
-            if state not in hulls:
-                hulls[state] = hull_of(state)
-            h = hulls[state]
+            key = g, free & bits
+            if key not in hulls:
+                hulls[key] = hull_of(*key)
+            h = hulls[key]
             if h is None:
                 return None
             cost += h[0]

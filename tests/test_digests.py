@@ -1,4 +1,5 @@
-"""The benchmark's recorded output bytes, checked in process.
+"""The benchmark's recorded output bytes, and the solver's search on its
+sweep, checked in process.
 
 For each workload and seed recorded in `perfbench/digests.json`, one pass of
 the workload's calls runs with the bundled area model, and the sha256 of each
@@ -7,6 +8,10 @@ it. A change to any seeded output byte fails here without a benchmark run.
 The check is skipped when the saved model's hash differs from the recorded
 one (another numeric platform trains other bits). Nothing is written under
 `perfbench/`.
+
+The node ceilings hold the sweep searches to what the bound's split of a
+merged function's cost by root cost takes (3,931 and 9,036 nodes); with
+equal shares they took 13,941 and 50,427.
 """
 
 import hashlib
@@ -53,3 +58,19 @@ def test_outputs_match_recorded_digests(model_and_hash, workload, seed):
         text = dse.reports_to_csv(reports) + dse.reports_to_json(reports)
         got[call.label] = hashlib.sha256(text.encode()).hexdigest()
     assert got == entry["calls"]
+
+
+def test_sweep_searches_stay_under_node_ceilings(model_and_hash):
+    model, model_hash = model_and_hash
+    if model_hash != RECORDED["sweep-reduce"][str(workloads.CLI_SEED)]["model"]:
+        pytest.skip("the area model differs from the one the ceilings were "
+                    "measured with")
+    inputs = workloads.load_inputs("sweep-reduce")
+    (grid,) = workloads.calls("sweep-reduce", inputs, workloads.CLI_SEED)
+    assert sum(r.solver_nodes for r in grid(model)) <= 5_000
+    # the CLI's default sweep: every mode over the preset grids
+    m, img = inputs.programs[workloads.SWEEP_PROGRAM]
+    reports = dse.sweep(m, [img], dse.PipelineConfig(seed=workloads.CLI_SEED),
+                        model=model)
+    assert len(reports) == 168
+    assert sum(r.solver_nodes for r in reports) <= 12_000

@@ -940,3 +940,20 @@ def test_reading_an_unassigned_register_raises_in_both_tiers(
         for prog in unassigned_programs.values():
             assert _unassigned_run(prog, f"c{k}", fuel=1) == ("unassigned", 0)
             assert _unassigned_run(prog, f"c{k}", fuel=0) == ("fuel", 0)
+
+
+def test_a_callee_returning_an_unassigned_register_raises_in_both_tiers():
+    # @main ignores @g's result, so only @g's own `ret` can notice that %u
+    # was never assigned; the error records the fuel left after that ret
+    m = parse_module("func @g(%x: i32) -> i32 {\ne:\n%u = add i32 %x, 1\n"
+                     "ret i32 %u\n}\nfunc @main(%x: i32) -> i32 {\ne:\n"
+                     "%v = call i32 @g(%x)\nret i32 3\n}")
+    g = m.functions["g"]
+    m.functions["g"] = replace(g, blocks=[replace(g.blocks[0], instrs=[
+        ins for ins in g.blocks[0].instrs if ins.result != "u"])])
+    for tier, prog in _tier_programs(m).items():
+        with pytest.raises(InterpError) as e:
+            interpret(prog, "main", [1], fuel=10)
+        assert (e.value.kind, e.value.fuel) == ("unassigned", 8), tier
+        assert {fn.run is not interp._cold
+                for fn in prog.decoded.values()} == {tier == "hot"}
