@@ -435,8 +435,8 @@ def load_model(path: str):
     that do not chain raise CostError naming it."""
     try:
         with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-        if not lines or lines[0] != "mergedse-model v1":
+            lines = fh.read().removesuffix("\n").split("\n")
+        if lines[0] != "mergedse-model v1":
             raise CostError(f"{path}: not a mergedse-model v1 file")
         return _model_from_lines(lines)
     except ValueError as e:  # also a file that is not text
@@ -449,7 +449,7 @@ def _model_from_lines(lines: list[str]):
             raise ValueError(what)
 
     def vec(text, n):
-        v = np.array([float(x) for x in text.split()])
+        v = np.array(text.split(), dtype=np.float64)
         need(v.size == n, f"expected {n} values, got {v.size}")
         need(np.isfinite(v).all(), f"non-finite value in {text[:30]!r}")
         return v

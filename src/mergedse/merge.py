@@ -13,13 +13,10 @@ of control-flow graphs.
 Verification checks it per side. The weave walk proves a side: with f_sel
 fixed, the merged body must run exactly the parent's instructions in order,
 on the same values, with only glue between them: `select %f_sel`, `br
-%f_sel`, `jmp` and the zero initializers at the entry. It returns K, the
-most merged instructions run per parent instruction. A proved side whose
-parent trials each ran out of fuel or charged F fuel with
-K·F + 2·size(merged) <= fuel agrees on every trial without running the
-merged body; every other side falls back to running its merged trials
-against the parent's. A side's trials are drawn for its parent's
-parameter types alone and run once for every merge of that parent.
+%f_sel`, `jmp` and the zero initializers at the entry. A proved side runs no
+trial. A side the walk cannot prove runs random-input trials of the merged
+body against its parent's. They are drawn for the parent's parameter types
+alone, and the parent's runs are shared by every merge of that parent.
 """
 
 from __future__ import annotations
@@ -603,7 +600,7 @@ class _Unproved(Exception):
 
 
 def weave_walk(merged: MergedFunction, side: int, parent: Function,
-               clean: bool | None = None) -> tuple[int | None, str]:
+               clean: bool | None = None) -> tuple[bool, str]:
     """Prove that the merged body with f_sel fixed to side's value (1 for
     side 1, 0 for side 2) computes what `parent` computes, in translation
     validation's way: by walking both, not by running them.
@@ -624,19 +621,19 @@ def weave_walk(merged: MergedFunction, side: int, parent: Function,
     checks, so an unassigned one may hold anything). Each (merged block,
     parent block) pair is walked once, with an explicit worklist.
 
-    Returns (K, "") where K is the largest number of merged instructions
-    walked per parent instruction (the first one's entry glue apart, which
-    is at most size(merged)), or (None, reason). `clean`, when given, says
-    whether the parent reads no register before assigning it.
+    Returns (True, "") for a proved side, else (False, the reason).
+    `clean`, when given, says whether the parent reads no register before
+    assigning it.
     """
     try:
-        return _walk(merged, side, parent, clean), ""
+        _walk(merged, side, parent, clean)
     except _Unproved as e:
-        return None, str(e)
+        return False, str(e)
+    return True, ""
 
 
 def _walk(merged: MergedFunction, side: int, parent: Function,
-          clean: bool | None) -> int:
+          clean: bool | None):
     f = merged.function
     fsel, rename = f.params[-1][0], merged.renames[side - 1]
     inv: dict[str, str] = {}
@@ -660,7 +657,7 @@ def _walk(merged: MergedFunction, side: int, parent: Function,
     params, size, fsel_reg = {p for p, _ in parent.params}, f.size(), Reg(fsel)
     fsel_value = ("l", "i1", int(side == 1))
     start = (f.entry, parent.entry)
-    seen, work, k = {start}, [start], 1
+    seen, work = {start}, [start]
     holds: dict[str, tuple | None] = {}   # merged register -> its value
     gen: dict[str, int] = {}   # parent register -> assignments in this walk
 
@@ -708,7 +705,7 @@ def _walk(merged: MergedFunction, side: int, parent: Function,
                     raise _Unproved("an entry initializer is not a constant")
                 holds[q.result] = value(q.operands[0])
             pc = glue = merged.inits
-        for i, p in enumerate(pblocks[plab]):
+        for p in pblocks[plab]:
             while True:
                 if pc == len(instrs) or glue == size:
                     raise _Unproved(f"glue does not reach {p.op} in {plab}")
@@ -737,8 +734,6 @@ def _walk(merged: MergedFunction, side: int, parent: Function,
                     raise _Unproved(f"{p.op} in {plab} meets merged {q.op} "
                                     f"in the merged walk from {mlab}")
                 break
-            if i or not at_entry:
-                k = max(k, glue)
             glue = 0
             if p.op == "jmp":
                 enter(target, p.succs[0])
@@ -748,7 +743,6 @@ def _walk(merged: MergedFunction, side: int, parent: Function,
             elif p.result is not None:
                 gen[p.result] = n = gen.get(p.result, 0) + 1
                 holds[q.result] = ("r", p.result, n)
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -795,21 +789,13 @@ def _trial_plans(memo: dict, seed: int, trials: int,
 
 
 def _run(mach: _Machine, fname: str, template: bytes, args: list, fuel: int):
-    """One run's outcome and the fuel it charged (all of it when an error
-    does not say what it left)."""
+    """One run's outcome: its value and heap image, or its error kind."""
     heap = bytearray(template)
     try:
-        value, left = mach.run(fname, args, heap, fuel)
+        value, _ = mach.run(fname, args, heap, fuel)
     except InterpError as e:
-        return ("error:" + e.kind, None, None), fuel - (e.fuel or 0)
-    return ("ok", _canon(value), bytes(heap[REGION_BASE:])), fuel - left
-
-
-def _outcomes(runs: list) -> tuple[list, bool, int]:
-    """A parent's trial outcomes, whether any returned, and the most fuel
-    charged by one that did not run out, from its runs."""
-    return ([out for out, _ in runs], any(out[0] == "ok" for out, _ in runs),
-            max((c for out, c in runs if out[0] != "error:fuel"), default=0))
+        return ("error:" + e.kind, None, None)
+    return ("ok", _canon(value), bytes(heap[REGION_BASE:]))
 
 
 def _canon(v):
@@ -833,24 +819,22 @@ class VerifyReport:
 def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
                  trials: int = DEFAULT_TRIALS, seed: int = 0,
                  fuel: int = 10 ** 6, memo: dict | None = None) -> VerifyReport:
-    """Differential random-input check: merged ≡ parent on each f_sel side.
+    """Check merged ≡ parent on each f_sel side: by proof, or by trials.
 
-    Values must be bit-equal (f64 compared by bit pattern) and the observable
-    heap images identical; a matching error kind on both sides also counts as
-    agreement, unless no parent trial of a side returns. The first
-    counterexample is reported; trials < 1 is an IRError.
+    `weave_walk` tries each side first. A side it proves computes what its
+    parent computes on every input, so it draws no trial and runs none. A
+    side it does not prove runs differential random-input trials: values
+    must be bit-equal (f64 compared by bit pattern) and the observable heap
+    images identical; a matching error kind on both sides also counts as
+    agreement, unless no parent trial of the side returns (its trials then
+    reached only error paths and checked nothing of its body). The first
+    counterexample is reported; trials < 1 is an IRError. A passed report
+    thus says each side was proved (`VerifyReport.proved`) or agreed on
+    every trial.
 
-    Each parent's trials run once per memo: their `_outcomes` are a fact
-    of the parent (`_fact`) under (fuel, seed, trials). A side `weave_walk`
-    proves with K agrees on every trial whose parent ended in `error:fuel`
-    or charged F fuel with K·F + 2·size(merged) <= fuel: the merged run
-    executes the parent's instructions with at most K merged instructions
-    for each (the entry's glue apart, at most size(merged)), and the
-    callees' instructions alike, so it neither runs out of fuel sooner nor,
-    on a parent that does, later. When every parent trial is such a trial,
-    the side costs its walk and one memo read; otherwise, and on a side the
-    walk does not prove, its merged trials all run and are compared with
-    the stored parent outcomes.
+    Each parent's trial outcomes are a fact of the parent (`_fact`) under
+    (fuel, seed, trials): they run once per memo, on the first unproved
+    side of that parent, and every merged trial is compared with them.
 
     The trials of a call run as one batch on one _Machine (the run path of
     `interpret`, without its argument checks: plans are well-typed), which
@@ -875,7 +859,6 @@ def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
     prog.module = mm = Module({**m.functions, mname: merged.function},
                               m.entry)
     mach = _Machine(prog)
-    size = merged.function.size()
     proved, notes = [False, False], []
 
     def report(passed: bool, **kw) -> VerifyReport:
@@ -884,30 +867,27 @@ def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
     try:
         for side, pname in ((1, name1), (2, name2)):
             parent = mm.function(pname)
+            ok, why = weave_walk(merged, side, parent, _fact(
+                memo, parent, "clean", lambda: not unassigned_uses(parent)))
+            if ok:
+                proved[side - 1] = True
+                notes.append(f"side {side} proved")
+                continue
             plans = _trial_plans(memo, seed, trials, parent.params)
-            outs_p, returns, charged = _fact(
-                memo, parent, (fuel, seed, trials), lambda: _outcomes(
-                    [_run(mach, pname, image, args, fuel)
-                     for image, args in plans]))
+            outs_p = _fact(memo, parent, (fuel, seed, trials), lambda: [
+                _run(mach, pname, image, args, fuel) for image, args in plans])
             # this call's machine has a root for each entry it ran
             ran = "run now" if pname in mach.roots else "from memo"
-            k, why = weave_walk(merged, side, parent, _fact(
-                memo, parent, "clean", lambda: not unassigned_uses(parent)))
-            if k is not None:
-                proved[side - 1] = k * charged + 2 * size <= fuel
-                why = (f"proved, K={k}" if proved[side - 1] else
-                       f"K={k}, but a parent trial charged {charged} fuel")
             notes.append(f"side {side} {why}, parent trials {ran}")
-            for (image, args_p), out_p in zip(
-                    [] if proved[side - 1] else plans, outs_p):
+            for (image, args_p), out_p in zip(plans, outs_p):
                 out_m = _run(mach, mname, image,
-                             merged.args_for(side, args_p), fuel)[0]
+                             merged.args_for(side, args_p), fuel)
                 if out_p != out_m:
                     return report(
                         False, counterexample=(int(side == 1), list(args_p)),
                         detail=f"parent {out_p[0]} value/heap differs from "
                                f"merged {out_m[0]}")
-            if not returns:
+            if all(out_p[0] != "ok" for out_p in outs_p):
                 return report(False, detail=f"side {side} (@{pname}) never "
                                             "returns")
     finally:

@@ -9,8 +9,8 @@ import pytest
 from mergedse import merge
 from mergedse.analysis import extract_loops, rank_pairs
 from mergedse.ir import (
-    Arena, Function, Instr, IRError, Lit, interpret, parse_module, print_function,
-    print_module, structurally_equal, validate_module,
+    Arena, Function, Instr, IRError, Lit, Reg, interpret, parse_module,
+    print_function, print_module, structurally_equal, validate_module,
 )
 from mergedse.merge import (
     MergeRejected, _align_key, _draw_trial, align, best_alignment,
@@ -440,15 +440,33 @@ e:
 
 
 def test_verify_rejects_a_side_whose_trials_never_return():
-    # @bad divides by zero on every input, and so does the merged body on
-    # its side: every trial agrees, but that side checked nothing
+    # @bad divides by zero on every input. Its side of the merged body
+    # computes the zero as b - b, not a - a: still equal, and still dividing
+    # by zero on every input, but no longer what the walk can prove. Its
+    # trials all agree, yet they reached only error paths and checked nothing
     m = parse_module(ERROR_ONLY_SRC)
     for n1, n2, side in (("good", "bad", 2), ("bad", "good", 1)):
         mf = merge_functions(m, n1, n2)
+        (block,) = [b for b in mf.function.blocks if b.instrs[0].op == "sub"]
+        z = block.instrs[0]
+        b = Reg(mf.renames[side - 1]["b"])
+        block.instrs[0] = replace(z, operands=(b, b))
+        assert not merge.weave_walk(mf, side, m.function("bad"))[0]
         rep = verify_merge(m, n1, n2, mf, trials=48, seed=3)
-        assert not rep.passed
-        assert rep.counterexample is None
+        assert not rep.passed and rep.counterexample is None
+        # @good's side is proved when it comes first, and else not reached
+        assert rep.proved == (side == 2, False)
         assert rep.detail == f"side {side} (@bad) never returns"
+
+
+def test_verify_passes_a_proved_side_whose_trials_never_return():
+    # the walk proves @bad's side equal to @bad on every input, error paths
+    # included, so no trial runs and the never-returns rule does not apply
+    m = parse_module(ERROR_ONLY_SRC)
+    for n1, n2 in (("good", "bad"), ("bad", "good")):
+        rep = verify_merge(m, n1, n2, merge_functions(m, n1, n2), trials=48,
+                           seed=3)
+        assert rep.passed and rep.proved == (True, True)
 
 
 def test_merged_functions_validate_in_module(pair_module):
@@ -582,31 +600,17 @@ def test_walk_proves_sides_and_logs_why_a_side_runs_trials(pair_module,
                                                           caplog):
     mf = merge_functions(pair_module, "sel_a", "sel_b")
     for side, name in ((1, "sel_a"), (2, "sel_b")):
-        k, why = merge.weave_walk(mf, side, pair_module.function(name))
-        assert k is not None and 1 <= k <= mf.function.size() and why == ""
-    with caplog.at_level("DEBUG", logger="mergedse"):
-        rep = verify_merge(pair_module, "sel_a", "sel_b", mf, trials=48)
-    assert rep.passed and rep.proved == (True, True)
-    assert re.fullmatch(r"verify m\.sel_a\.sel_b: side 1 proved, K=\d+, "
-                        r"parent trials run now; side 2 proved, K=\d+, "
-                        r"parent trials run now", caplog.records[-1].message)
-    # on a shared memo, the second call reads both parents' trials back
-    shared = {}
-    for ran in ("run now", "from memo"):
+        assert merge.weave_walk(mf, side, pair_module.function(name)) == (
+            True, "")
+    # a proved side runs no trial, so it passes at any fuel
+    for fuel in (10 ** 6, 40):
         caplog.clear()
         with caplog.at_level("DEBUG", logger="mergedse"):
-            assert verify_merge(pair_module, "sel_a", "sel_b", mf, trials=48,
-                                memo=shared) == rep
-        assert caplog.records[-1].message.count(f"parent trials {ran}") == 2
-    # the proof needs K·F + 2·size(merged) <= fuel for every parent trial
-    # that does not run out of fuel: K is 3, size(merged) 13, and at 40
-    # fuel @sel_a's trials charge up to 7, @sel_b's up to 4
-    caplog.clear()
-    with caplog.at_level("DEBUG", logger="mergedse"):
-        rep = verify_merge(pair_module, "sel_a", "sel_b", mf, trials=48,
-                           fuel=40)
-    assert rep.passed and rep.proved == (False, True)
-    assert "but a parent trial charged" in caplog.records[-1].message
+            rep = verify_merge(pair_module, "sel_a", "sel_b", mf, trials=48,
+                               fuel=fuel)
+        assert rep.passed and rep.proved == (True, True)
+        assert caplog.records[-1].message == (
+            "verify m.sel_a.sel_b: side 1 proved; side 2 proved")
     # a swapped mux is not proved on either side; the trials catch it
     broken = merge_functions(pair_module, "sel_a", "sel_b")
     for b in broken.function.blocks:
@@ -615,13 +619,20 @@ def test_walk_proves_sides_and_logs_why_a_side_runs_trials(pair_module,
                 c, x, y = ins.operands
                 b.instrs[k] = Instr("select", ins.ty, ins.result, (c, y, x))
     for side, name in ((1, "sel_a"), (2, "sel_b")):
-        k, why = merge.weave_walk(broken, side, pair_module.function(name))
-        assert k is None and "meets merged" in why
-    caplog.clear()
-    with caplog.at_level("DEBUG", logger="mergedse"):
-        rep = verify_merge(pair_module, "sel_a", "sel_b", broken, trials=48)
-    assert not rep.passed and rep.proved == (False, False)
-    assert "side 1 ret in bb3 meets merged ret" in caplog.records[-1].message
+        proved, why = merge.weave_walk(broken, side,
+                                       pair_module.function(name))
+        assert not proved and "meets merged" in why
+    # on a shared memo, the second call reads the parent's trials back
+    shared = {}
+    for ran in ("run now", "from memo"):
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="mergedse"):
+            rep = verify_merge(pair_module, "sel_a", "sel_b", broken,
+                               trials=48, memo=shared)
+        assert not rep.passed and rep.proved == (False, False)
+        assert re.fullmatch(r"verify m\.sel_a\.sel_b: side 1 ret in bb3 meets "
+                            r"merged ret in the merged walk from \w+, parent "
+                            f"trials {ran}", caplog.records[-1].message)
 
 
 def _edit_sel_a(m, op, edit):
@@ -660,9 +671,11 @@ def test_merge_rejects_a_merged_body_that_fails_validation(pair_module,
 
 
 def test_trials_drawn_and_run_once_per_parent_signature(corpus, monkeypatch):
-    # every reduce candidate in FLE on one memo: the trials of a parameter-
-    # type signature are drawn once, and each parent runs exactly `trials`
-    # parent trials, however many partners of other signatures it meets
+    # every reduce candidate in FLE on one memo. The walk proves every side,
+    # so no trial is drawn or run. With the walk off, the trials of a
+    # parameter-type signature are drawn once, and each parent runs exactly
+    # `trials` parent trials, however many partners of other signatures it
+    # meets
     m = extract_loops(next(m for name, m, _ in corpus if name == "reduce"))
     candidates = []
     for n1, n2, _ in rank_pairs(m, 0.3):
@@ -686,21 +699,31 @@ def test_trials_drawn_and_run_once_per_parent_signature(corpus, monkeypatch):
     def signature(name):
         return tuple(ty for _, ty in m.functions[name].params)
 
-    trials, shared = 48, {}
+    trials = 48
     parents = {n for n1, n2, _ in candidates for n in (n1, n2)}
     sigs = {signature(n) for n in parents}
     partners = {n: {signature(b if a == n else a) for a, b, _ in candidates
                      if n in (a, b)} for n in parents}
-    reports = [verify_merge(m, n1, n2, mf, trials=trials, seed=7, memo=shared)
-               for n1, n2, mf in candidates]
-    assert all(r.passed and r.proved == (True, True) for r in reports)
+
+    def verify_all(memo=None):   # one memo for all, or a fresh one each
+        return [verify_merge(m, n1, n2, mf, trials=trials, seed=7, memo=memo)
+                for n1, n2, mf in candidates]
+    proved = verify_all({})
+    assert all(r.passed and r.proved == (True, True) for r in proved)
+    assert draws == [] and runs == {}
+
+    monkeypatch.setattr(merge, "weave_walk",
+                        lambda mf, side, parent, *args: (None, "off"))
+    reports = verify_all({})
+    assert reports == proved
+    assert all(r.passed and r.proved == (False, False) for r in reports)
     assert len(parents) > len(sigs) and len(candidates) > len(parents)
     assert any(len(p) > 1 for p in partners.values())
     assert len(draws) == trials * len(sigs)
-    assert runs == {n: trials for n in parents}
+    assert runs == {**{n: trials for n in parents},
+                    **{mf.function.name: 2 * trials for _, _, mf in candidates}}
     # one fresh memo per call gives the same reports
-    assert reports == [verify_merge(m, n1, n2, mf, trials=trials, seed=7)
-                       for n1, n2, mf in candidates]
+    assert verify_all() == reports
     assert len(draws) == trials * (len(sigs) + sum(
         len({signature(n1), signature(n2)}) for n1, n2, _ in candidates))
 
@@ -879,7 +902,7 @@ def test_verification_meets_a_parent_reading_an_unassigned_register(
     memo = {}
     mf = merge_functions(m, "sel_a", "sel_b", memo=memo)
     rep = verify_merge(m, "sel_a", "sel_b", mf, trials=16, seed=7, memo=memo)
-    outs = memo["facts"]["sel_a"][1][10 ** 6, 7, 16][0]
+    outs = memo["facts"]["sel_a"][1][10 ** 6, 7, 16]
     assert {out[0] for out in outs} == {"ok", "error:unassigned"}
     assert not rep.passed and rep.proved == (False, False)
     assert rep.detail == ("parent error:unassigned value/heap differs from "

@@ -5,7 +5,8 @@ starts each run from a copy of its plan's heap template. The reference
 below is verification as it ran before: per trial, a fresh Arena laid out
 from the plan and one call of the public `interpret`. With the weave walk
 disabled, so that every merged trial runs, both must give the same outcome
-on every trial and the same report; with it, the same report.
+on every trial and the same report. With it, a proved side runs no trial:
+the report may differ only where a proved side fails its trials.
 """
 
 import random
@@ -22,11 +23,17 @@ from mergedse.merge import (MergeRejected, VerifyReport, merge_functions,
                             verify_merge)
 
 TRIALS, SEED = 48, 7   # the pipeline default trial count
+# candidates per mode whose sides trials alone reject at fuel 40, and the
+# walk proves
+LOW_FUEL_PROVED = {"FE": 1, "FLE": 18}
 
 
 def _reference(m, n1, n2, mf, fuel):
     """(report, per-trial (parent, merged) outcomes, per-trial initial heap
-    bytes) of verification run trial by trial through `interpret`."""
+    bytes, the sides that fail) of verification run trial by trial through
+    `interpret`. Every trial of both sides runs, so that each side's verdict
+    is known; the report and the outcomes end where the first failing
+    side's failure ends verification."""
     mname = mf.function.name
     mm = Module({**m.functions, mname: mf.function}, m.entry)
     prog = Program(mm, footprints=False)
@@ -46,24 +53,28 @@ def _reference(m, n1, n2, mf, fuel):
         return ("ok", merge._canon(r.value), r.heap)
 
     initial = [template for plans in sides for template, _ in plans]
-    outcomes = []
+    outcomes, failures = [], {}   # side -> (its report, outcomes up to it)
     for side, pname, plans in zip((1, 2), (n1, n2), sides):
         for template, args_p in plans:
             out_p = run(pname, template, args_p)
             out_m = run(mname, template, mf.args_for(side, args_p))
             outcomes.append((out_p, out_m))
-            if out_p != out_m:
-                return VerifyReport(
+            if out_p != out_m and side not in failures:
+                failures[side] = VerifyReport(
                     (n1, n2), mname, TRIALS, False,
                     counterexample=(1 if side == 1 else 0, args_p),
                     detail=f"parent {out_p[0]} value/heap differs from "
-                           f"merged {out_m[0]}"), outcomes, initial
+                           f"merged {out_m[0]}"), len(outcomes)
         # a side whose parent never returns checked nothing of the body
-        if all(out_p[0] != "ok" for out_p, _ in outcomes[-len(plans):]):
-            return VerifyReport((n1, n2), mname, TRIALS, False,
-                                detail=f"side {side} (@{pname}) never returns"
-                                ), outcomes, initial
-    return VerifyReport((n1, n2), mname, TRIALS, True), outcomes, initial
+        if side not in failures and all(
+                out_p[0] != "ok" for out_p, _ in outcomes[-len(plans):]):
+            failures[side] = VerifyReport(
+                (n1, n2), mname, TRIALS, False,
+                detail=f"side {side} (@{pname}) never returns"), len(outcomes)
+    if failures:
+        rep, end = failures[min(failures)]
+        return rep, outcomes[:end], initial, set(failures)
+    return VerifyReport((n1, n2), mname, TRIALS, True), outcomes, initial, set()
 
 
 class _Batched:
@@ -78,7 +89,7 @@ class _Batched:
         def spy(mach, fname, image, args, fuel):
             out = run(mach, fname, image, args, fuel)
             if fname == self.mname:
-                self.merged_runs.append(out[0])
+                self.merged_runs.append(out)
             return out
         monkeypatch.setattr(merge, "_run", spy)
 
@@ -91,7 +102,7 @@ class _Batched:
                       SEED, TRIALS, tuple(ty for _, ty in m.function(
                           pname).params)])]
         facts = self.memo["facts"]
-        outcomes = [(facts[pname][1][fuel, SEED, TRIALS][0][k], out_m)
+        outcomes = [(facts[pname][1][fuel, SEED, TRIALS][k], out_m)
                     for (pname, k, _), out_m in zip(trials, self.merged_runs)]
         return rep, outcomes, [image for _, _, image in trials]
 
@@ -125,14 +136,16 @@ def _corrupted(mf):
 
 
 def _check(batched, m, n1, n2, mf, fuel):
+    """The batched report, checked against the reference, and the sides
+    that fail their trials."""
     rep, outcomes, images = batched.verify(m, n1, n2, mf, fuel)
-    ref_rep, ref_outcomes, initial = _reference(m, n1, n2, mf, fuel)
+    ref_rep, ref_outcomes, initial, failing = _reference(m, n1, n2, mf, fuel)
     assert outcomes == ref_outcomes, (n1, n2, fuel)
     assert rep == ref_rep, (n1, n2, fuel)
     assert [bytes(image) for image in images] == initial, (n1, n2, fuel)
     for image, laid_out in zip(images, initial):
         batched.templates.setdefault(id(image), (image, laid_out))
-    return rep
+    return rep, failing
 
 
 @pytest.mark.parametrize("mode", ["FE", "FLE"])
@@ -142,17 +155,19 @@ def test_batched_trials_match_per_trial_interpret(corpus, monkeypatch, mode):
     monkeypatch.setattr(merge, "weave_walk", _prove_nothing)
     programs = [(name, extract_loops(m) if mode == "FLE" else m.clone())
                 for name, m, _ in corpus]
-    reference = {}   # (program, candidate, fuel) -> the reference's report
+    # (program, candidate, fuel) -> the reference's report and the sides
+    # that fail their trials
+    reference = {}
     for name, work in programs:
         # one shared memo per program, as prepare shares one; a low fuel
         # ends some runs mid-way, so fuel must be set afresh per run
         batched.memo = {}
         for n1, n2, mf in _candidates(work):
             for fuel in (10 ** 6, 40):
-                rep = _check(batched, work, n1, n2, mf, fuel)
+                rep, failing = _check(batched, work, n1, n2, mf, fuel)
                 assert rep.proved == (False, False)
-                reference[name, mf.function.name, fuel] = rep
-    results = [rep.passed for rep in reference.values()]
+                reference[name, mf.function.name, fuel] = rep, failing
+    results = [rep.passed for rep, _ in reference.values()]
     assert results.count(True) > 50 and False in results
     # a corrupted body under a candidate's name, verified on the same memo
     # after the good body: nothing of the good one may carry over
@@ -163,9 +178,9 @@ def test_batched_trials_match_per_trial_interpret(corpus, monkeypatch, mode):
             broken = _corrupted(mf)
             if broken is None:
                 continue
-            assert _check(batched, work, n1, n2, mf, 10 ** 6).passed
-            rep = _check(batched, work, n1, n2, broken, 10 ** 6)
-            reference[name, "broken", mf.function.name] = rep
+            assert _check(batched, work, n1, n2, mf, 10 ** 6)[0].passed
+            rep, failing = _check(batched, work, n1, n2, broken, 10 ** 6)
+            reference[name, "broken", mf.function.name] = rep, failing
             caught += not rep.passed
     assert caught > 0
     # every template still holds the bytes it was laid out with
@@ -173,22 +188,37 @@ def test_batched_trials_match_per_trial_interpret(corpus, monkeypatch, mode):
     for image, laid_out in batched.templates.values():
         assert bytes(image) == laid_out
 
-    # the walk proves sides, and the reports stay the reference's
+    # the walk on: a proved side runs no trial. At fuel 40 some parents'
+    # trials all run out of fuel, so trials alone reject their sides as
+    # never returning. A report differs from the reference exactly where the
+    # reference failed and the walk proves every side that fails its
+    # trials, and there it passes; at fuel 10**6 none differs
     monkeypatch.setattr(merge, "weave_walk", walk)
-    proved = 0
+    proved, differ, expect = 0, set(), set()
     for name, work in programs:
         memo = {}
         for n1, n2, mf in _candidates(work):
+            walked = {side for side, n in ((1, n1), (2, n2))
+                      if walk(mf, side, work.function(n))[0]}
             for fuel in (10 ** 6, 40):
+                key = name, mf.function.name, fuel
                 rep = verify_merge(work, n1, n2, mf, trials=TRIALS, seed=SEED,
                                    fuel=fuel, memo=memo)
-                assert rep == reference[name, mf.function.name, fuel]
+                ref, failing = reference[key]
+                if rep != ref:
+                    differ.add(key)
+                    assert rep.passed, key
+                if not ref.passed and failing <= walked:
+                    expect.add(key)
                 proved += sum(rep.proved)
             broken = _corrupted(mf)
             if broken is not None:
                 rep = verify_merge(work, n1, n2, broken, trials=TRIALS,
                                    seed=SEED, memo=memo)
-                assert rep == reference[name, "broken", mf.function.name]
+                assert rep == reference[name, "broken", mf.function.name][0]
+    assert differ == expect
+    assert {fuel for *_, fuel in differ} == {40}
+    assert len(differ) == LOW_FUEL_PROVED[mode]
     assert proved > len(reference) / 2
 
 
@@ -247,9 +277,9 @@ def _side_agrees(m, mf, side, pname, fuel):
     mm = Module({**m.functions, mname: mf.function}, m.entry)
     plans = merge._trial_plans({}, SEED, TRIALS, mm.function(pname).params)
     mach = _Machine(Program(mm, footprints=False))
-    return all(merge._run(mach, pname, image, args, fuel)[0]
+    return all(merge._run(mach, pname, image, args, fuel)
                == merge._run(mach, mname, image, mf.args_for(side, args),
-                             fuel)[0]
+                             fuel)
                for image, args in plans)
 
 
