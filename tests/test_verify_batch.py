@@ -23,8 +23,8 @@ from mergedse.merge import (MergeRejected, VerifyReport, merge_functions,
                             verify_merge)
 
 TRIALS, SEED = 48, 7   # the pipeline default trial count
-# candidates per mode whose sides trials alone reject at fuel 40, and the
-# walk proves
+# per mode, the candidates that trials alone reject at fuel 40 and that
+# the walk proves
 LOW_FUEL_PROVED = {"FE": 1, "FLE": 18}
 
 
@@ -53,7 +53,8 @@ def _reference(m, n1, n2, mf, fuel):
         return ("ok", merge._canon(r.value), r.heap)
 
     initial = [template for plans in sides for template, _ in plans]
-    outcomes, failures = [], {}   # side -> (its report, outcomes up to it)
+    # side -> (its report, the number of outcomes up to its failure)
+    outcomes, failures = [], {}
     for side, pname, plans in zip((1, 2), (n1, n2), sides):
         for template, args_p in plans:
             out_p = run(pname, template, args_p)
@@ -198,7 +199,7 @@ def test_batched_trials_match_per_trial_interpret(corpus, monkeypatch, mode):
     for name, work in programs:
         memo = {}
         for n1, n2, mf in _candidates(work):
-            walked = {side for side, n in ((1, n1), (2, n2))
+            provable = {side for side, n in ((1, n1), (2, n2))
                       if walk(mf, side, work.function(n))[0]}
             for fuel in (10 ** 6, 40):
                 key = name, mf.function.name, fuel
@@ -208,7 +209,7 @@ def test_batched_trials_match_per_trial_interpret(corpus, monkeypatch, mode):
                 if rep != ref:
                     differ.add(key)
                     assert rep.passed, key
-                if not ref.passed and failing <= walked:
+                if not ref.passed and failing <= provable:
                     expect.add(key)
                 proved += sum(rep.proved)
             broken = _corrupted(mf)
