@@ -28,9 +28,7 @@ from .dse import (
     sweep,
 )
 from .ir import OPCODES, HeapImage, IRError, parse_module, print_module
-from .merge import (
-    DEFAULT_SEEDS, DEFAULT_TRIALS, MergeRejected, merge_functions, verify_merge,
-)
+from .merge import DEFAULT_SEEDS, MergeRejected, merge_functions, verify_merge
 from .partition import check_solution
 
 log = logging.getLogger("mergedse")
@@ -173,8 +171,9 @@ def _add_common(sp, budget=True):
         sp.add_argument("--mode", choices=MODES, default=None,
                         help="pipeline configuration")
         sp.add_argument("--model", default=None, help="area model file")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="seed for all randomized stages")
+        sp.add_argument("--seed", type=int, default=None,
+                        help="area model seed when --model is not given "
+                             "(7, the default, loads the bundled model)")
     sp.add_argument("-o", "--output", default=None, help="output file")
 
 
@@ -212,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seeds", type=int, default=DEFAULT_SEEDS,
                     help="linearization seed combinations per pair")
     sp.add_argument("--verify", action="store_true",
-                    help="differentially verify each merged function")
-    sp.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+                    help="prove each merged function equal to its parents")
     sp.add_argument("--csv", default=None,
                     help="write a pair,similarity,aligned,verified CSV here")
     _add_common(sp, budget=False)
@@ -226,6 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="train from this CSV instead of the synthetic oracle")
     sp.add_argument("--dump-dataset", default=None,
                     help="also write the generated dataset CSV here")
+    sp.add_argument("--seed", type=int, default=None,
+                    help="dataset and training seed (default 7)")
     _add_common(sp, budget=False)
 
     sp = sub.add_parser("eval", help="evaluate a model on a dataset CSV")
@@ -255,11 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated subset of the four configurations")
     _add_common(sp)
 
-    sp = sub.add_parser("verify", help="differentially verify a merged pair")
+    sp = sub.add_parser("verify", help="prove both sides of a merged pair")
     sp.add_argument("program")
     sp.add_argument("--pair", required=True,
                     help="comma-separated pair of function names")
-    sp.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     _add_common(sp, budget=False)
     return ap
 
@@ -323,9 +322,7 @@ def _cmd_merge(args, tables):
             continue
         verified = ""
         if args.verify:
-            rep = verify_merge(m, n1, n2, mf, trials=args.trials,
-                               seed=args.seed or 0)
-            verified = str(rep.passed).lower()
+            verified = str(verify_merge(m, n1, n2, mf).passed).lower()
         out.functions[mf.function.name] = mf.function
         rows.append(f"{n1}+{n2},{sim!r},{mf.alignment.aligned_fraction!r},"
                     f"{verified}")
@@ -451,11 +448,12 @@ def _cmd_verify(args, tables):
     if len(parts) != 2:
         raise UsageError("--pair expects exactly two names")
     mf = merge_functions(m, parts[0], parts[1])
-    rep = verify_merge(m, parts[0], parts[1], mf, trials=args.trials,
-                       seed=args.seed or 0)
-    _out(args, f"verified {str(rep.passed).lower()}\n"
-               f"trials {rep.trials}\n"
-               f"detail {rep.detail or '-'}\n")
+    rep = verify_merge(m, parts[0], parts[1], mf)
+    # one line per side: proved, or the unproved side as `detail` names it
+    unproved = iter(rep.detail.split("; "))
+    _out(args, "".join([f"verified {str(rep.passed).lower()}\n"] + [
+        f"side {side} proved\n" if ok else next(unproved) + "\n"
+        for side, ok in enumerate(rep.proved, 1)]))
     return EXIT_OK if rep.passed else EXIT_INPUT
 
 

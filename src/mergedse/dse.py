@@ -48,8 +48,7 @@ class PipelineConfig:
     latency: int = 25
     bandwidth: float = float("inf")
     clock: Fraction = DEFAULT_CLOCK
-    verify_trials: int = 48
-    seed: int = 7
+    seed: int = 7   # picks the area model (`default_model`) when none is given
     sw_table: dict[str, int] | None = None
     hw_table: dict[str, int] | None = None
 
@@ -64,8 +63,6 @@ class PipelineConfig:
                               f"{'a number' if v != v else 'finite'}, got {v}")
             if v < 0 and name != "clock":
                 raise IRError(f"{name} must be non-negative")
-        if self.verify_trials < 1:
-            raise IRError("verify_trials must be at least 1")
         for side, table in (("sw", self.sw_table), ("hw", self.hw_table)):
             for op, cycles in (table or {}).items():
                 if cycles < 0:
@@ -83,8 +80,6 @@ class MergeRecord:
     parents: tuple[str, str]
     similarity: float
     aligned_fraction: float
-    verified: bool
-    trials: int
     area: float            # merged standalone area (hierarchical features)
     parents_area: float    # sum of the parents' standalone areas
     ep: float
@@ -182,8 +177,7 @@ def prepare(m: Module, images: list[HeapImage], cfg: PipelineConfig,
                 log.debug("merge %s+%s rejected: %s", n1, n2, e)
                 continue
             funnel["aligned"] += 1
-            rep = verify_merge(work, n1, n2, mf, trials=cfg.verify_trials,
-                               seed=cfg.seed, memo=memo)
+            rep = verify_merge(work, n1, n2, mf, memo=memo)
             if not rep.passed:
                 log.error("merged %s failed verification: %s",
                           mf.function.name, rep.detail)
@@ -199,9 +193,8 @@ def prepare(m: Module, images: list[HeapImage], cfg: PipelineConfig,
                               glue)
             parents_area = costs[n1].area + costs[n2].area
             record = MergeRecord(name, (n1, n2), sim,
-                                 mf.alignment.aligned_fraction, rep.passed,
-                                 rep.trials, est.area, parents_area,
-                                 float("nan"))
+                                 mf.alignment.aligned_fraction, est.area,
+                                 parents_area, float("nan"))
             merges.append(record)
             if not est.area < parents_area:
                 continue
@@ -222,8 +215,8 @@ def prepare(m: Module, images: list[HeapImage], cfg: PipelineConfig,
 
     if cfg.mode.endswith("Merging"):
         hw_sel = (cfg.hw_table or DEFAULT_HW_CYCLES)["select"]
-        # working functions' analyses and verification trial outcomes,
-        # shared by every candidate: `work` only gains fresh names below
+        # working functions' analyses, shared by every candidate: `work`
+        # only gains fresh names below
         memo: dict = {}
         merge_round(rank_pairs(work, MIN_SIMILARITY))
         if merge_parents:
@@ -341,11 +334,13 @@ def reports_to_csv(reports: list[DseReport]) -> str:
 
 
 def _merge_dict(mr: MergeRecord, selected: bool) -> dict:
+    # only a proved merge gets a record: "verified" and "trials" are
+    # dse-report/v1 constants, which v2's per-side verification replaces
     return {
         "name": mr.name, "parents": list(mr.parents),
         "similarity": mr.similarity,
         "aligned_fraction": mr.aligned_fraction,
-        "verified": mr.verified, "trials": mr.trials,
+        "verified": True, "trials": 48,
         "area": mr.area, "parents_area": mr.parents_area,
         "ep": None if mr.ep != mr.ep else mr.ep,
         "selected": selected,

@@ -37,7 +37,7 @@ one fuel comparison per segment, against the longest segment's length,
 guards the exact check. Later calls enter it, and a cold frame switches
 into it at its current segment, so one long call tiers up too. Heat gates
 compiling because it costs about six decodes; compiling eagerly slows the
-many short runs of verification. No output depends on the tier. Names
+many short runs of profiling. No output depends on the tier. Names
 reach generated code only as repr() strings, literals only as frame slots.
 In both tiers an integer result is wrapped only when it leaves the range
 its type holds (`INT_RANGE`; an i1 holds 0 or 1), fuel passes through calls
@@ -45,10 +45,9 @@ as an argument and a return value, frame entry converts no argument (every
 producer yields a value in range) and a frame reads the heap's length once.
 
 `_Machine.run` is the one run path: `interpret` checks and coerces its
-arguments and runs once on a fresh machine; verification runs all trials of
-a call on one machine, which keeps its calling contexts and sets only heap
-and fuel per run. Footprints are recorded only when a finite bandwidth reads
-them: never in verification, in profiling only for one (`dse.prepare`).
+arguments and runs once on a fresh machine. Profiling records footprints
+only when a finite bandwidth reads them (`dse.prepare`); merge verification
+runs nothing (`merge.weave_walk`).
 
 Each interpreted call is a Python call, so a run enters at most
 MAX_CALL_DEPTH nested frames; a call one deeper raises InterpError("depth")

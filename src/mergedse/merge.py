@@ -1,6 +1,6 @@
 """Function merging: linearization, weighted sequence alignment, parameter
 merging, merged-body code generation with f_sel multiplexing, and
-verification by weave walk and random-input differential trials.
+verification by weave walk.
 
 The merged function interleaves both parents' linearized instruction streams.
 Aligned instruction pairs are emitted once, with `select f_sel, ...` muxes on
@@ -10,19 +10,17 @@ parent's instructions (gap blocks of the other side are branched around), and
 symmetrically for f_sel=0, so equivalence holds by construction for any pair
 of control-flow graphs.
 
-Verification checks it per side. The weave walk proves a side: with f_sel
-fixed, the merged body must run exactly the parent's instructions in order,
-on the same values, with only glue between them: `select %f_sel`, `br
-%f_sel`, `jmp` and the zero initializers at the entry. A proved side runs no
-trial. A side the walk cannot prove runs random-input trials of the merged
-body against its parent's. They are drawn for the parent's parameter types
-alone, and the parent's runs are shared by every merge of that parent.
+Verification proves it per side, and runs nothing. The weave walk proves a
+side: with f_sel fixed, the merged body must run exactly the parent's
+instructions in order, on the same values, with only glue between them:
+`select %f_sel`, `br %f_sel`, `jmp` and the zero initializers at the entry.
+A merge passes only if both sides are proved. Random-input differential runs
+are the tests' oracle for the walk, not a second way to pass.
 """
 
 from __future__ import annotations
 
 import logging
-import random
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -31,11 +29,10 @@ from typing import NamedTuple
 
 from .analysis import natural_loops, postorder
 from .ir import (  # `interpret` stays bound here: perfbench/spans.py times it
-    OPCODES, REGION_BASE, Block, Function, Instr, InterpError, IRError,
-    Lit, Module, Program, Reg, check_function, interpret, operand_slot_types,
-    unassigned_uses, zero_literal,
+    OPCODES, Block, Function, Instr, IRError, Lit, Module, Reg,
+    check_function, interpret, operand_slot_types, unassigned_uses,
+    zero_literal,
 )
-from .ir.interp import _Machine
 
 log = logging.getLogger("mergedse")
 
@@ -48,7 +45,6 @@ DEFAULT_GAP_PENALTY = 0.1
 
 MIN_ALIGNED_FRACTION = 0.05  # pairs aligning less than this are rejected
 DEFAULT_SEEDS = 4
-DEFAULT_TRIALS = 200
 
 
 class MergeRejected(IRError):
@@ -111,10 +107,10 @@ def linearize(f: Function, seed: int = 0) -> Linearization:
 
 
 def _fact(memo: dict | None, f: Function, key, compute):
-    """compute(), a fact of `f` (an analysis, or its verification trials'
-    outcomes), kept in `memo` under `key`: it is computed on first use and
-    again once another Function object holds f's name, the rule
-    Program.function decodes by; afresh without a memo."""
+    """compute(), a fact of `f` (an analysis: its loop forest, register
+    types, a linearization or its must-assign check), kept in `memo` under
+    `key`: it is computed on first use and again once another Function
+    object holds f's name; afresh without a memo."""
     if memo is None:
         return compute()
     held = memo.setdefault("facts", {}).get(f.name)
@@ -595,6 +591,13 @@ def best_alignment(m: Module, name1: str, name2: str,
 # Weave walk: one f_sel side proved equal to its parent
 # ---------------------------------------------------------------------------
 
+def _canon(v):
+    """A literal's value as the walk compares it: an f64 by bit pattern."""
+    if isinstance(v, float):
+        return struct.pack("<d", v)
+    return v
+
+
 class _Unproved(Exception):
     """The weave walk cannot prove the side; carries the reason."""
 
@@ -746,152 +749,36 @@ def _walk(merged: MergedFunction, side: int, parent: Function,
 
 
 # ---------------------------------------------------------------------------
-# Differential verification
+# Verification
 # ---------------------------------------------------------------------------
-
-REGION_SIZE = 64   # bytes of each ptr argument's random region
-
-
-def _draw_trial(params: list[tuple[str, str]], rng: random.Random
-                ) -> tuple[bytes, list]:
-    """One trial's heap template and arguments, drawn in parameter order.
-    A ptr gets the address of a fresh REGION_SIZE-byte region, laid out as
-    an Arena lays regions out (one after another from REGION_BASE), filled
-    by one rng.randbytes call: uniform bytes, as randrange(256) per byte
-    would give, from one draw."""
-    heap, args = bytearray(REGION_BASE), []
-    for _, ty in params:
-        if ty == "ptr":
-            args.append(len(heap))
-            heap += rng.randbytes(REGION_SIZE)
-        elif ty == "i1":
-            args.append(rng.randrange(2))
-        elif ty == "i64":
-            args.append(rng.randrange(0, 9))
-        elif ty == "i32":
-            args.append(rng.randrange(-64, 65))
-        else:
-            args.append(round(rng.uniform(-8.0, 8.0), 3))
-    return bytes(heap), args
-
-
-def _trial_plans(memo: dict, seed: int, trials: int,
-                 params: list[tuple[str, str]]) -> list[tuple[bytes, list]]:
-    """The (heap template, arguments) of `trials` trials of a function with
-    these parameter types, drawn from random.Random(seed) once per memo and
-    signature: a function's trials depend on its own signature only, so
-    every merge of a parent checks it on the same inputs."""
-    key = (seed, trials, tuple(ty for _, ty in params))
-    if key not in memo:
-        rng = random.Random(seed)
-        memo[key] = [_draw_trial(params, rng) for _ in range(trials)]
-    return memo[key]
-
-
-def _run(mach: _Machine, fname: str, template: bytes, args: list, fuel: int):
-    """One run's outcome: its value and heap image, or its error kind."""
-    heap = bytearray(template)
-    try:
-        value, _ = mach.run(fname, args, heap, fuel)
-    except InterpError as e:
-        return ("error:" + e.kind, None, None)
-    return ("ok", _canon(value), bytes(heap[REGION_BASE:]))
-
-
-def _canon(v):
-    if isinstance(v, float):
-        return struct.pack("<d", v)
-    return v
-
 
 @dataclass
 class VerifyReport:
     parents: tuple[str, str]
     merged: str
-    trials: int
     passed: bool
-    counterexample: tuple[int, list] | None = None   # (f_sel, parent args)
-    detail: str = ""
-    # per side: the weave walk proved it and no merged trial of it ran
-    proved: tuple[bool, bool] = field(default=(False, False), compare=False)
+    detail: str = ""   # each unproved side with the walk's reason, "; "-joined
+    proved: tuple[bool, bool] = (False, False)   # per side
 
 
 def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
-                 trials: int = DEFAULT_TRIALS, seed: int = 0,
-                 fuel: int = 10 ** 6, memo: dict | None = None) -> VerifyReport:
-    """Check merged ≡ parent on each f_sel side: by proof, or by trials.
-
-    `weave_walk` tries each side first. A side it proves computes what its
-    parent computes on every input, so it draws no trial and runs none. A
-    side it does not prove runs differential random-input trials: values
-    must be bit-equal (f64 compared by bit pattern) and the observable heap
-    images identical; a matching error kind on both sides also counts as
-    agreement, unless no parent trial of the side returns (its trials then
-    reached only error paths and checked nothing of its body). The first
-    counterexample is reported; trials < 1 is an IRError. A passed report
-    thus says each side was proved (`VerifyReport.proved`) or agreed on
-    every trial.
-
-    Each parent's trial outcomes are a fact of the parent (`_fact`) under
-    (fuel, seed, trials): they run once per memo, on the first unproved
-    side of that parent, and every merged trial is compared with them.
-
-    The trials of a call run as one batch on one _Machine (the run path of
-    `interpret`, without its argument checks: plans are well-typed), which
-    keeps its calling contexts; each run starts from a copy of its plan's
-    heap template. `memo` also holds each signature's trials
-    (`_trial_plans`), each parent's must-assign check for the walk
-    (`_fact`) and one Program: each module function is decoded once
-    for all calls sharing the memo and compiled (the hot tier) once it has
-    run HOT_MULTIPLE times its size there; the candidate is decoded at most
-    once per call, not at all when both sides are proved, and dropped. No
-    outcome depends on the tier. The module run is `m` with `merged.function`
-    under its name. Callers may share a memo while the module only gains
-    functions under fresh names: a function replaced under its name is
-    analysed and run again, but its callers' stored outcomes are kept. Runs
-    record no footprints: only value and heap count.
-    """
-    if trials < 1:
-        raise IRError(f"trials must be at least 1, got {trials}")
+                 memo: dict | None = None) -> VerifyReport:
+    """Prove merged ≡ parent on each f_sel side with `weave_walk`; nothing
+    runs, so no fuel limit applies. Both sides are walked, the merge passes
+    only if both are proved, and `detail` names each unproved side as `side
+    N (@parent) unproved: <the walk's reason>`. The body checked is
+    `merged.function`, whatever `m` holds under its name. `memo` keeps each
+    parent's must-assign check (`_fact`), so callers may share one while the
+    module only gains functions under fresh names."""
+    proved, notes = [], []
+    for side, pname in ((1, name1), (2, name2)):
+        parent = m.function(pname)
+        ok, why = weave_walk(merged, side, parent, _fact(
+            memo, parent, "clean", lambda: not unassigned_uses(parent)))
+        proved.append(ok)
+        notes.append(f"side {side} proved" if ok else
+                     f"side {side} (@{pname}) unproved: {why}")
     mname = merged.function.name
-    memo = {} if memo is None else memo
-    prog = memo.setdefault("program", Program(m, footprints=False))
-    prog.module = mm = Module({**m.functions, mname: merged.function},
-                              m.entry)
-    mach = _Machine(prog)
-    proved, notes = [False, False], []
-
-    def report(passed: bool, **kw) -> VerifyReport:
-        return VerifyReport((name1, name2), mname, trials, passed,
-                            proved=tuple(proved), **kw)
-    try:
-        for side, pname in ((1, name1), (2, name2)):
-            parent = mm.function(pname)
-            ok, why = weave_walk(merged, side, parent, _fact(
-                memo, parent, "clean", lambda: not unassigned_uses(parent)))
-            if ok:
-                proved[side - 1] = True
-                notes.append(f"side {side} proved")
-                continue
-            plans = _trial_plans(memo, seed, trials, parent.params)
-            outs_p = _fact(memo, parent, (fuel, seed, trials), lambda: [
-                _run(mach, pname, image, args, fuel) for image, args in plans])
-            # this call's machine has a root for each entry it ran
-            ran = "run now" if pname in mach.roots else "from memo"
-            notes.append(f"side {side} {why}, parent trials {ran}")
-            for (image, args_p), out_p in zip(plans, outs_p):
-                out_m = _run(mach, mname, image,
-                             merged.args_for(side, args_p), fuel)
-                if out_p != out_m:
-                    return report(
-                        False, counterexample=(int(side == 1), list(args_p)),
-                        detail=f"parent {out_p[0]} value/heap differs from "
-                               f"merged {out_m[0]}")
-            if all(out_p[0] != "ok" for out_p in outs_p):
-                return report(False, detail=f"side {side} (@{pname}) never "
-                                            "returns")
-    finally:
-        prog.module = m
-        prog.decoded.pop(mname, None)
-        log.debug("verify %s: %s", mname, "; ".join(notes))
-    return report(True)
+    log.debug("verify %s: %s; %s", mname, *notes)
+    return VerifyReport((name1, name2), mname, all(proved), "; ".join(
+        n for n, ok in zip(notes, proved) if not ok), tuple(proved))

@@ -27,6 +27,7 @@ from mergedse.merge import (
 from mergedse.partition import check_solution, solve, solve_bruteforce
 
 from conftest import src_env
+from trial_oracle import refute
 from test_partition import rand_problem
 
 
@@ -49,10 +50,14 @@ def test_criterion_01_merge_correctness(corpus):
                     mf = merge_functions(m, n1, n2)
                 except MergeRejected:
                     continue
-                rep = verify_merge(m, n1, n2, mf, trials=200, seed=1234)
+                # proved on both sides, and agreeing with each parent on
+                # 200 random trials of the oracle
+                rep = verify_merge(m, n1, n2, mf)
                 verified += 1
-                if not rep.passed:
-                    failures.append((name, variant, n1, n2, rep.detail))
+                why = [rep.detail] + [refute(m, mf, side, 200, 1234)
+                                      for side in (1, 2)]
+                if not rep.passed or any(why):
+                    failures.append((name, variant, n1, n2, why))
     dt = time.time() - t0
     _report(1, verified >= 20 and not failures and dt < 60.0,
             f"{verified} merged pairs x 200 trials/side, "
@@ -123,7 +128,7 @@ def test_criterion_04_monotonicity_and_dominance(corpus, area_model):
     for name, m, img in corpus:
         objectives = {}
         for mode in MODES:
-            cfg = PipelineConfig(mode=mode, verify_trials=8)
+            cfg = PipelineConfig(mode=mode)
             prep = prepare(m, [img], cfg, model=area_model)
             objs = []
             for b in PRESET_BUDGETS:

@@ -27,16 +27,16 @@ def run_cli(args, **kw):
 
 def test_help_lists_documented_flags():
     expected = {
-        "analyze": ["--callgraph", "--loops", "--rank", "--seed", "-o"],
+        "analyze": ["--callgraph", "--loops", "--rank", "-o"],
         "merge": ["--pair", "--all", "--min-similarity", "--seeds",
-                  "--verify", "--trials", "--csv"],
+                  "--verify", "--csv"],
         "train": ["--model", "--samples", "--alpha", "--dataset",
-                  "--dump-dataset"],
+                  "--dump-dataset", "--seed"],
         "eval": ["--model", "--test"],
         "dse": ["--config", "--budget", "--latency", "--bandwidth", "--clock",
                 "--mode", "--model", "--seed", "-o"],
         "sweep": ["--budgets", "--latencies", "--bandwidths", "--modes"],
-        "verify": ["--pair", "--trials"],
+        "verify": ["--pair"],
         "transform": ["--extract-loops"],
         "partition": ["--budget", "--latency", "--bandwidth"],
     }
@@ -47,6 +47,12 @@ def test_help_lists_documented_flags():
         text = sub.choices[command].format_help()
         for flag in flags:
             assert flag in text, (command, flag)
+    # --seed only where it is read; verification takes no trial count
+    for command, sp in sub.choices.items():
+        text = sp.format_help()
+        assert ("--seed " in text) == (
+            command in ("train", "partition", "dse", "sweep")), command
+        assert "--trials" not in text, command
 
 
 def test_analyze_callgraph_and_loops(tmp_path):
@@ -71,7 +77,7 @@ def test_merge_all_writes_csv_and_module(tmp_path):
     out = tmp_path / "merged.ir"
     csv = tmp_path / "pairs.csv"
     r = run_cli(["merge", "--all", "--min-similarity", "0.3", "--seeds", "4",
-                 "--verify", "--trials", "20", "--csv", str(csv),
+                 "--verify", "--csv", str(csv),
                  POLY_IR, "-o", str(out)])
     assert r.returncode == 0
     lines = csv.read_text().strip().split("\n")
@@ -84,10 +90,9 @@ def test_merge_all_writes_csv_and_module(tmp_path):
 
 
 def test_verify_subcommand():
-    r = run_cli(["verify", POLY_IR, "--pair", "poly_a,poly_b",
-                 "--trials", "30", "--seed", "1"])
+    r = run_cli(["verify", POLY_IR, "--pair", "poly_a,poly_b"])
     assert r.returncode == 0
-    assert "verified true" in r.stdout
+    assert r.stdout == "verified true\nside 1 proved\nside 2 proved\n"
 
 
 def test_long_token_is_cut_in_parse_errors(tmp_path, capsys):
@@ -347,11 +352,11 @@ REDUCE_IR = str(corpus_dir() / "reduce.ir")
 
 @pytest.mark.parametrize("args, message", [
     (["verify", REDUCE_IR, "--pair", "acc_sum,acc_max", "--trials", "0"],
-     "trials must be at least 1, got 0"),
+     "unrecognized arguments: --trials"),
     (["verify", REDUCE_IR, "--pair", "acc_sum,acc_max", "--trials", "-3"],
-     "trials must be at least 1, got -3"),
+     "unrecognized arguments: --trials"),
     (["merge", "--all", "--verify", "--trials", "0", REDUCE_IR],
-     "trials must be at least 1, got 0"),
+     "unrecognized arguments: --trials"),
     (["merge", "--pair", "acc_sum,acc_max", "--seeds", "0", REDUCE_IR],
      "seeds must be at least 1, got 0"),
     (["merge", "--all", "--min-similarity", "nan", REDUCE_IR],
@@ -362,10 +367,11 @@ REDUCE_IR = str(corpus_dir() / "reduce.ir")
      "--min-similarity must be in [0, 1], got 1.5"),
 ])
 def test_no_trials_or_seeds_exits_2(tmp_path, args, message):
-    # zero trials printed "verified true"; zero seeds crashed with a
-    # traceback (exit 1); a NaN cutoff merged nothing and exited 0
+    # zero trials printed "verified true", and verification now takes no
+    # trial count, so --trials is a usage error (exit 1); zero seeds crashed
+    # with a traceback (exit 1); a NaN cutoff merged nothing and exited 0
     r = run_cli(args + ["-o", str(tmp_path / "out")])
-    assert r.returncode == 2
+    assert r.returncode == (1 if "--trials" in args else 2)
     assert message in r.stderr
     assert "Traceback" not in r.stderr
     assert "verified" not in r.stdout

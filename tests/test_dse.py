@@ -23,9 +23,6 @@ from mergedse.ir import (
 from mergedse.merge import verify_merge
 from mergedse.partition import _objective, solve, solve_bruteforce
 
-FAST = dict(verify_trials=8)
-
-
 def _corpus_subset(corpus, names):
     return [c for c in corpus if c[0] in names]
 
@@ -94,7 +91,7 @@ def test_candidate_areas_match_probe_module_costing(corpus, area_model,
 def test_budget_zero_speedup_exactly_one(corpus, area_model):
     name, m, img = _corpus_subset(corpus, ["poly"])[0]
     for mode in MODES:
-        cfg = PipelineConfig(mode=mode, area_budget=0.0, **FAST)
+        cfg = PipelineConfig(mode=mode, area_budget=0.0)
         r = run_pipeline(m, [img], cfg, model=area_model, program=name)
         assert r.speedup == 1.0
         assert r.objective == r.baseline
@@ -130,7 +127,7 @@ def test_two_function_module_hand_computation(area_model):
     """)
     img = HeapImage.parse("region buf 64 " + "00" * 64 +
                           "\narg 0 = buf\narg 1 = 16")
-    cfg = PipelineConfig(mode="FE", area_budget=0.0, latency=25, **FAST)
+    cfg = PipelineConfig(mode="FE", area_budget=0.0, latency=25)
     prep = prepare(m, [img], cfg, model=area_model)
     hot_area = prep.costs["hot"].own_area
     main_area = prep.costs["main"].own_area
@@ -153,7 +150,7 @@ def test_two_function_module_hand_computation(area_model):
 
 def test_funnel_monotonic(corpus, area_model):
     for name, m, img in _corpus_subset(corpus, ["blur", "reduce", "chain"]):
-        cfg = PipelineConfig(mode="FLE+Merging", **FAST)
+        cfg = PipelineConfig(mode="FLE+Merging")
         r = run_pipeline(m, [img], cfg, model=area_model, program=name)
         f = r.funnel
         assert (f["ranked"] >= f["aligned"] >= f["verified"]
@@ -162,21 +159,23 @@ def test_funnel_monotonic(corpus, area_model):
 
 def test_selected_merges_carry_passing_verification(corpus, area_model):
     name, m, img = _corpus_subset(corpus, ["blur"])[0]
-    cfg = PipelineConfig(mode="FLE+Merging", area_budget=3000.0, **FAST)
+    cfg = PipelineConfig(mode="FLE+Merging", area_budget=3000.0)
     r = run_pipeline(m, [img], cfg, model=area_model, program=name)
     selected = [mr for mr in r.merges if mr.name in r.merged_hw]
     assert r.n_merged_selected == len(r.merged_hw) == len(selected)
     for mr in selected:
-        assert mr.verified and mr.trials >= 1
         assert mr.area < mr.parents_area
         assert mr.ep > 0
+    # only proved merges get a record; v1 still writes its two constants
+    records = json.loads(reports_to_json([r]))["reports"][0]["merges"]
+    assert {(d["verified"], d["trials"]) for d in records} == {(True, 48)}
 
 
 def test_sweep_points_share_one_merge_record_list(corpus, area_model):
     # the mode's records are not copied per point; "selected" is read from
     # each point's merged_hw when the report is emitted
     name, m, img = _corpus_subset(corpus, ["reduce"])[0]
-    cfg = PipelineConfig(mode="FLE+Merging", **FAST)
+    cfg = PipelineConfig(mode="FLE+Merging")
     reports = sweep(m, [img], cfg, budgets=[1000, 6000], latencies=[25],
                     bandwidths=[float("inf")], modes=["FLE+Merging"],
                     model=area_model, program=name)
@@ -192,8 +191,8 @@ def test_sweep_points_share_one_merge_record_list(corpus, area_model):
 def test_merging_dominance_spot(corpus, area_model):
     for name, m, img in _corpus_subset(corpus, ["blur", "poly"]):
         for base_mode in ("FE", "FLE"):
-            base_cfg = PipelineConfig(mode=base_mode, **FAST)
-            merge_cfg = PipelineConfig(mode=base_mode + "+Merging", **FAST)
+            base_cfg = PipelineConfig(mode=base_mode)
+            merge_cfg = PipelineConfig(mode=base_mode + "+Merging")
             pb = prepare(m, [img], base_cfg, model=area_model)
             pm = prepare(m, [img], merge_cfg, model=area_model)
             for budget in (3000.0, 30000.0):
@@ -204,7 +203,7 @@ def test_merging_dominance_spot(corpus, area_model):
 
 def test_breakdown_sums_to_objective(corpus, area_model):
     name, m, img = _corpus_subset(corpus, ["decode"])[0]
-    cfg = PipelineConfig(mode="FLE+Merging", area_budget=8000.0, **FAST)
+    cfg = PipelineConfig(mode="FLE+Merging", area_budget=8000.0)
     r = run_pipeline(m, [img], cfg, model=area_model, program=name)
     assert r.sw_pct + r.hw_pct + r.comm_pct == pytest.approx(100.0, abs=0.1)
 
@@ -217,14 +216,14 @@ def test_fle_and_fe_interpret_equal_with_unit_baselines(corpus, area_model):
         assert r_fe.value == r_fle.value
         assert r_fe.heap == r_fle.heap
         for mode in ("FE", "FLE"):
-            cfg = PipelineConfig(mode=mode, area_budget=0.0, **FAST)
+            cfg = PipelineConfig(mode=mode, area_budget=0.0)
             rep = run_pipeline(m, [img], cfg, model=area_model, program=name)
             assert rep.speedup == 1.0
 
 
 def test_sweep_speedup_monotone_in_budget(corpus, area_model):
     name, m, img = _corpus_subset(corpus, ["reduce"])[0]
-    cfg = PipelineConfig(**FAST)
+    cfg = PipelineConfig()
     reports = sweep(m, [img], cfg, budgets=[1000, 5000, 20000, 100000],
                     latencies=[25], bandwidths=[float("inf")],
                     modes=list(MODES), model=area_model, program=name)
@@ -236,7 +235,7 @@ def test_sweep_speedup_monotone_in_budget(corpus, area_model):
 
 def test_comm_share_rises_with_latency_at_fixed_selection(corpus, area_model):
     name, m, img = _corpus_subset(corpus, ["histo"])[0]
-    cfg = PipelineConfig(mode="FE", **FAST)
+    cfg = PipelineConfig(mode="FE")
     prep = prepare(m, [img], cfg, model=area_model)
     sol, p25 = partition_point(prep, cfg, 2000.0, 25, float("inf"))
     assert any(sol.frontier.values()), "expected a software-to-hardware edge"
@@ -257,7 +256,7 @@ def test_free_interconnect_matches_bruteforce(corpus, area_model):
     for name, m, img in _corpus_subset(corpus, ["poly", "chain", "geometry"]):
         for mode in MODES:
             cfg = PipelineConfig(mode=mode, latency=0,
-                                 bandwidth=float("inf"), **FAST)
+                                 bandwidth=float("inf"))
             prep = prepare(m, [img], cfg, model=area_model)
             if len(prep.module.functions) > 20:
                 continue
@@ -268,7 +267,7 @@ def test_free_interconnect_matches_bruteforce(corpus, area_model):
 
 def test_csv_and_json_emission(corpus, area_model):
     name, m, img = _corpus_subset(corpus, ["histo"])[0]
-    cfg = PipelineConfig(**FAST)
+    cfg = PipelineConfig()
     reports = sweep(m, [img], cfg, budgets=[2000, 6000, 20000],
                     latencies=[25], bandwidths=[float("inf")],
                     modes=["FE", "FLE+Merging"], model=area_model,
@@ -306,7 +305,7 @@ def test_json_emission_equals_plain_dumps(corpus, area_model):
                 bandwidths=dse.PRESET_BANDWIDTHS)
     null_ep = flipped = 0
     for name, m, img in corpus:
-        reports = sweep(m, [img], PipelineConfig(**FAST), **grid,
+        reports = sweep(m, [img], PipelineConfig(), **grid,
                         modes=["FLE+Merging"], model=area_model, program=name)
         assert reports_to_json(reports) == _plain_json(reports), name
         for mr in reports[0].merges:
@@ -316,7 +315,7 @@ def test_json_emission_equals_plain_dumps(corpus, area_model):
     # records selected at some points of a sweep and not at others
 
     name, m, img = _corpus_subset(corpus, ["reduce"])[0]
-    two = sweep(m, [img], PipelineConfig(**FAST), budgets=[3000, 3000],
+    two = sweep(m, [img], PipelineConfig(), budgets=[3000, 3000],
                 latencies=[25], bandwidths=[float("inf"), 4e9],
                 modes=["FE", "FLE+Merging"], model=area_model, program=name)
     assert two[0] is two[2] and not two[0].merges and two[-1].merges
@@ -354,7 +353,7 @@ def test_zero_bandwidth_rejected(corpus, area_model, monkeypatch):
             ("latencies", [25, -500], "latency must be non-negative"),
             ("budgets", [-5], "area_budget must be non-negative")]:
         with pytest.raises(IRError, match=match):
-            sweep(m, [img], PipelineConfig(**FAST), **{**grid, key: bad},
+            sweep(m, [img], PipelineConfig(), **{**grid, key: bad},
                   modes=["FE"], model=area_model, program=name)
 
 
@@ -378,20 +377,19 @@ def test_non_finite_values_rejected(corpus, area_model, monkeypatch):
     for key, bad in [("budgets", [6000, nan]), ("budgets", [inf]),
                      ("bandwidths", [nan])]:
         with pytest.raises(IRError, match="must be"):
-            sweep(m, [img], PipelineConfig(**FAST), **{**grid, key: bad},
+            sweep(m, [img], PipelineConfig(), **{**grid, key: bad},
                   modes=["FE"], model=area_model, program=name)
 
 
 def test_no_trials_or_seeds_rejected():
-    # zero trials verified every merge vacuously (zero seeds: test_merge)
-    for bad in (0, -3):
-        with pytest.raises(IRError, match="verify_trials must be at least 1"):
-            PipelineConfig(verify_trials=bad)
-    assert PipelineConfig(verify_trials=1).verify_trials == 1
+    # zero trials verified every merge vacuously; verification now proves
+    # each merge and takes no trial count (zero seeds: test_merge)
+    with pytest.raises(TypeError, match="verify_trials"):
+        PipelineConfig(verify_trials=8)
 
 def test_solver_status_reaches_report(corpus, area_model, monkeypatch):
     name, m, img = _corpus_subset(corpus, ["poly"])[0]
-    cfg = PipelineConfig(mode="FE", area_budget=14400.0, **FAST)
+    cfg = PipelineConfig(mode="FE", area_budget=14400.0)
     r = run_pipeline(m, [img], cfg, model=area_model, program=name)
     assert r.optimal and r.solver_nodes > 5
     monkeypatch.setattr(dse, "solve", lambda p: solve(p, node_limit=5))
@@ -416,7 +414,7 @@ def test_reduce_merged_solve_node_count(corpus, area_model):
 def test_sweep_rejects_empty_lists(corpus, area_model):
     name, m, img = corpus[0]
     with pytest.raises(Exception, match="non-empty"):
-        sweep(m, [img], PipelineConfig(**FAST), budgets=[], model=area_model)
+        sweep(m, [img], PipelineConfig(), budgets=[], model=area_model)
 
 
 def test_sweep_prepares_each_distinct_mode_once(corpus, area_model,
@@ -425,7 +423,7 @@ def test_sweep_prepares_each_distinct_mode_once(corpus, area_model,
     # repeated grid point solved again (4 solves); it still gives one row
     # per grid point, with the bytes of a single preparation and solve
     name, m, img = _corpus_subset(corpus, ["poly"])[0]
-    cfg = PipelineConfig(**FAST)
+    cfg = PipelineConfig()
     modes, solved, real, real_solve = [], [], dse.prepare, dse.solve
 
     def counted(m, images, cfg, model):
@@ -485,7 +483,7 @@ def test_sweep_with_a_finite_bandwidth_keeps_footprints(corpus, area_model,
     # one finite bandwidth in the list: each mode's profile records
     # footprints, and every row equals its own run_pipeline call
     name, m, img = _corpus_subset(corpus, ["histo"])[0]
-    cfg = PipelineConfig(**FAST)
+    cfg = PipelineConfig()
     preps, real = [], dse.prepare
 
     def kept(*args, **kw):
@@ -525,14 +523,14 @@ def test_prepare_at_infinite_bandwidth_records_no_footprints(
     preps = {}
     for bw in (float("inf"), 1e9):
         decoded.clear()
-        cfg = PipelineConfig(mode="FLE+Merging", bandwidth=bw, **FAST)
+        cfg = PipelineConfig(mode="FLE+Merging", bandwidth=bw)
         preps[bw] = prepare(m, [img], cfg, model=area_model)
         # a decoded load or store records its address only if `touches`
         assert any(fn.touches for fn in decoded) == (bw != float("inf"))
     assert preps[float("inf")].trace.edge_bytes is None
     assert any(preps[1e9].trace.edge_bytes.values())
     # unrecorded bytes are never priced as zero
-    cfg = PipelineConfig(mode="FLE+Merging", **FAST)
+    cfg = PipelineConfig(mode="FLE+Merging")
     with pytest.raises(PartitionError, match="footprints"):
         partition_point(preps[float("inf")], cfg, 2000.0, 25, 1e9)
     sol, _ = partition_point(preps[float("inf")], cfg, 2000.0, 25,
@@ -580,13 +578,13 @@ def test_prepare_profiles_every_image_on_one_program(corpus, area_model,
     for mode in ("FE", "FLE+Merging"):
         for bw in (float("inf"), 1e9):
             decoded.clear()
-            cfg = PipelineConfig(mode=mode, bandwidth=bw, **FAST)
+            cfg = PipelineConfig(mode=mode, bandwidth=bw)
             reports.append(run_pipeline(m, [img, other], cfg,
                                         model=area_model, program=name))
             assert sorted(decoded) == sorted(set(decoded)) and decoded
     monkeypatch.setattr(dse, "_profile", per_image)
     again = [run_pipeline(m, [img, other], PipelineConfig(
-        mode=r.mode, bandwidth=r.bandwidth, **FAST), model=area_model,
+        mode=r.mode, bandwidth=r.bandwidth), model=area_model,
         program=name) for r in reports]
     assert reports_to_csv(reports) == reports_to_csv(again)
     assert reports_to_json(reports) == reports_to_json(again)
@@ -610,7 +608,7 @@ def test_sweep_points_equal_fresh_solves(corpus, area_model, monkeypatch,
         return real_solve(problem)
     monkeypatch.setattr(dse, "prepare", kept)
     monkeypatch.setattr(dse, "solve", counted)
-    cfg = PipelineConfig(mode="FLE+Merging", **FAST)
+    cfg = PipelineConfig(mode="FLE+Merging")
     for name, m, img in corpus:
         preps.clear()
         solved.clear()
@@ -742,8 +740,7 @@ def _prepare_depth_k(m, images, cfg, model, depth=2):
             except dse.MergeRejected:
                 continue
             funnel["aligned"] += 1
-            rep = dse.verify_merge(work, n1, n2, mf, trials=cfg.verify_trials,
-                                   seed=cfg.seed, memo=memo)
+            rep = dse.verify_merge(work, n1, n2, mf, memo=memo)
             if not rep.passed:
                 continue
             funnel["verified"] += 1
@@ -754,8 +751,7 @@ def _prepare_depth_k(m, images, cfg, model, depth=2):
                                   costs[n2], glue)
             parents_area = costs[n1].area + costs[n2].area
             record = dse.MergeRecord(name, (n1, n2), sim,
-                                     mf.alignment.aligned_fraction,
-                                     rep.passed, rep.trials, est.area,
+                                     mf.alignment.aligned_fraction, est.area,
                                      parents_area, float("nan"))
             merges.append(record)
             if not est.area < parents_area:

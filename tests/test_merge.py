@@ -1,4 +1,3 @@
-import re
 import random
 import sys
 from dataclasses import replace
@@ -13,10 +12,12 @@ from mergedse.ir import (
     print_function, print_module, structurally_equal, validate_module,
 )
 from mergedse.merge import (
-    MergeRejected, _align_key, _draw_trial, align, best_alignment,
-    default_weights, linearize, merge_functions, merge_parameters, seed_pairs,
-    verify_merge,
+    MergeRejected, _align_key, align, best_alignment, default_weights,
+    linearize, merge_functions, merge_parameters, seed_pairs, verify_merge,
 )
+
+import trial_oracle
+from trial_oracle import draw_trial, refute
 
 
 def brute_force_align_score(s1, s2, weights, gap):
@@ -322,7 +323,7 @@ def test_self_merge_structure(pair_module):
     assert f.params[-1][1] == "i1"
     stripped = Function(f.name, f.params[:-1], f.ret, f.blocks, f.provenance)
     assert structurally_equal(stripped, m.functions["sel_a"])
-    assert verify_merge(m, "sel_a", "twin", mf, trials=30, seed=5).passed
+    assert verify_merge(m, "sel_a", "twin", mf).passed
 
 
 def test_selector_pair_merge_structure(pair_module):
@@ -416,9 +417,11 @@ def test_verify_detects_corrupted_merge(pair_module):
             if ins.op == "select" and ins.result and ins.result.startswith("sel"):
                 c, x, y = ins.operands
                 b.instrs[k] = Instr("select", ins.ty, ins.result, (c, y, x))
-    rep = verify_merge(pair_module, "sel_a", "sel_b", mf, trials=200, seed=9)
-    assert not rep.passed
-    assert rep.counterexample is not None
+    rep = verify_merge(pair_module, "sel_a", "sel_b", mf)
+    assert not rep.passed and rep.proved == (False, False)
+    # and it is a real miscompile: the trial oracle finds a counterexample
+    assert all(refute(pair_module, mf, side, 200, 9).startswith("trial ")
+               for side in (1, 2))
 
 
 ERROR_ONLY_SRC = """
@@ -442,8 +445,10 @@ e:
 def test_verify_rejects_a_side_whose_trials_never_return():
     # @bad divides by zero on every input. Its side of the merged body
     # computes the zero as b - b, not a - a: still equal, and still dividing
-    # by zero on every input, but no longer what the walk can prove. Its
-    # trials all agree, yet they reached only error paths and checked nothing
+    # by zero on every input, but no longer what the walk can prove. The
+    # merge is rejected whatever the trials say: they all agree, and reach
+    # only error paths. Both sides are walked, so @good's side is proved in
+    # either order, and only @bad's side is named
     m = parse_module(ERROR_ONLY_SRC)
     for n1, n2, side in (("good", "bad", 2), ("bad", "good", 1)):
         mf = merge_functions(m, n1, n2)
@@ -451,21 +456,22 @@ def test_verify_rejects_a_side_whose_trials_never_return():
         z = block.instrs[0]
         b = Reg(mf.renames[side - 1]["b"])
         block.instrs[0] = replace(z, operands=(b, b))
-        assert not merge.weave_walk(mf, side, m.function("bad"))[0]
-        rep = verify_merge(m, n1, n2, mf, trials=48, seed=3)
-        assert not rep.passed and rep.counterexample is None
-        # @good's side is proved when it comes first, and else not reached
-        assert rep.proved == (side == 2, False)
-        assert rep.detail == f"side {side} (@bad) never returns"
+        proved, why = merge.weave_walk(mf, side, m.function("bad"))
+        assert not proved
+        rep = verify_merge(m, n1, n2, mf)
+        assert not rep.passed
+        assert rep.proved == (side == 2, side == 1)
+        assert rep.detail == f"side {side} (@bad) unproved: {why}"
+        assert refute(m, mf, side) == f"side {side} (@bad) never returns"
+        assert refute(m, mf, 3 - side) == ""
 
 
 def test_verify_passes_a_proved_side_whose_trials_never_return():
     # the walk proves @bad's side equal to @bad on every input, error paths
-    # included, so no trial runs and the never-returns rule does not apply
+    # included, so the merge passes although no trial of @bad returns
     m = parse_module(ERROR_ONLY_SRC)
     for n1, n2 in (("good", "bad"), ("bad", "good")):
-        rep = verify_merge(m, n1, n2, merge_functions(m, n1, n2), trials=48,
-                           seed=3)
+        rep = verify_merge(m, n1, n2, merge_functions(m, n1, n2))
         assert rep.passed and rep.proved == (True, True)
 
 
@@ -494,12 +500,12 @@ def test_depth_two_remerge(pair_module):
     m.functions[mf1.function.name] = mf1.function
     # merging the merged function again is supported up to depth 2
     mf2 = merge_functions(m, mf1.function.name, "sel_b")
-    rep = verify_merge(m, mf1.function.name, "sel_b", mf2, trials=60, seed=8)
+    rep = verify_merge(m, mf1.function.name, "sel_b", mf2)
     assert rep.passed, rep.detail
 
 
 def test_corpus_pairs_verify(corpus):
-    # a fast spot check; the acceptance suite runs the full 200-trial sweep
+    # a fast spot check; the acceptance suite adds 200 oracle trials a side
     checked = 0
     for name, m, _ in corpus[:4]:
         for n1, n2, sim in rank_pairs(m, 0.3)[:3]:
@@ -507,14 +513,15 @@ def test_corpus_pairs_verify(corpus):
                 mf = merge_functions(m, n1, n2)
             except MergeRejected:
                 continue
-            rep = verify_merge(m, n1, n2, mf, trials=25, seed=2)
+            rep = verify_merge(m, n1, n2, mf)
             assert rep.passed, (name, n1, n2, rep.detail)
             checked += 1
     assert checked >= 5
 
 
 def _plan_trial_reference(params, rng, region_size=64):
-    """Trial drawing, regions apart: one randbytes call per region."""
+    """The oracle's trial drawing, regions apart: one randbytes call per
+    region."""
     scalars, regions = [], []
     for _, ty in params:
         if ty == "ptr":
@@ -543,10 +550,10 @@ def test_plan_trial_draws_each_region_with_one_randbytes_call(seed,
     ]
     for params in param_lists:
         for size in (1, 64, 300):
-            monkeypatch.setattr(merge, "REGION_SIZE", size)
+            monkeypatch.setattr(trial_oracle, "REGION_SIZE", size)
             new, old = random.Random(seed), random.Random(seed)
             for _ in range(4):
-                heap, args = _draw_trial(params, new)
+                heap, args = draw_trial(params, new)
                 scalars, regions = _plan_trial_reference(params, old, size)
                 # the reference plan laid out by a fresh Arena
                 arena, regions = Arena(), iter(regions)
@@ -568,9 +575,8 @@ def test_shared_verify_memo_matches_fresh(corpus):
             mf = merge_functions(m, n1, n2)
         except MergeRejected:
             continue
-        fresh = verify_merge(m, n1, n2, mf, trials=48, seed=7)
-        assert verify_merge(m, n1, n2, mf, trials=48, seed=7,
-                            memo=shared) == fresh
+        fresh = verify_merge(m, n1, n2, mf)
+        assert verify_merge(m, n1, n2, mf, memo=shared) == fresh
         checked += 1
     assert checked >= 20
     assert shared
@@ -580,20 +586,17 @@ def test_shared_verify_memo_matches_fresh(corpus):
 def test_shared_verify_memo_still_catches_a_broken_merge(pair_module):
     shared = {}
     mf = merge_functions(pair_module, "sel_a", "sel_b")
-    assert verify_merge(pair_module, "sel_a", "sel_b", mf, trials=200,
-                        seed=9, memo=shared).passed
-    # same parents and trial plans, so every parent run is a memo hit
+    assert verify_merge(pair_module, "sel_a", "sel_b", mf, memo=shared).passed
+    # same parents, so each parent's must-assign check is a memo hit
     broken = merge_functions(pair_module, "sel_a", "sel_b")
     for b in broken.function.blocks:
         for k, ins in enumerate(b.instrs):
             if ins.op == "select" and ins.result and ins.result.startswith("sel"):
                 c, x, y = ins.operands
                 b.instrs[k] = Instr("select", ins.ty, ins.result, (c, y, x))
-    rep = verify_merge(pair_module, "sel_a", "sel_b", broken, trials=200,
-                       seed=9, memo=shared)
+    rep = verify_merge(pair_module, "sel_a", "sel_b", broken, memo=shared)
     assert not rep.passed
-    assert rep == verify_merge(pair_module, "sel_a", "sel_b", broken,
-                               trials=200, seed=9)
+    assert rep == verify_merge(pair_module, "sel_a", "sel_b", broken)
 
 
 def test_walk_proves_sides_and_logs_why_a_side_runs_trials(pair_module,
@@ -602,37 +605,31 @@ def test_walk_proves_sides_and_logs_why_a_side_runs_trials(pair_module,
     for side, name in ((1, "sel_a"), (2, "sel_b")):
         assert merge.weave_walk(mf, side, pair_module.function(name)) == (
             True, "")
-    # a proved side runs no trial, so it passes at any fuel
-    for fuel in (10 ** 6, 40):
-        caplog.clear()
-        with caplog.at_level("DEBUG", logger="mergedse"):
-            rep = verify_merge(pair_module, "sel_a", "sel_b", mf, trials=48,
-                               fuel=fuel)
-        assert rep.passed and rep.proved == (True, True)
-        assert caplog.records[-1].message == (
-            "verify m.sel_a.sel_b: side 1 proved; side 2 proved")
-    # a swapped mux is not proved on either side; the trials catch it
+    with caplog.at_level("DEBUG", logger="mergedse"):
+        rep = verify_merge(pair_module, "sel_a", "sel_b", mf)
+    assert rep.passed and rep.proved == (True, True) and rep.detail == ""
+    assert caplog.records[-1].message == (
+        "verify m.sel_a.sel_b: side 1 proved; side 2 proved")
+    # a swapped mux is proved on neither side: the log and the detail give
+    # the walk's reason for each, and nothing runs in its place
     broken = merge_functions(pair_module, "sel_a", "sel_b")
     for b in broken.function.blocks:
         for k, ins in enumerate(b.instrs):
             if ins.op == "select" and ins.result.startswith("sel"):
                 c, x, y = ins.operands
                 b.instrs[k] = Instr("select", ins.ty, ins.result, (c, y, x))
+    notes = []
     for side, name in ((1, "sel_a"), (2, "sel_b")):
         proved, why = merge.weave_walk(broken, side,
                                        pair_module.function(name))
         assert not proved and "meets merged" in why
-    # on a shared memo, the second call reads the parent's trials back
-    shared = {}
-    for ran in ("run now", "from memo"):
-        caplog.clear()
-        with caplog.at_level("DEBUG", logger="mergedse"):
-            rep = verify_merge(pair_module, "sel_a", "sel_b", broken,
-                               trials=48, memo=shared)
-        assert not rep.passed and rep.proved == (False, False)
-        assert re.fullmatch(r"verify m\.sel_a\.sel_b: side 1 ret in bb3 meets "
-                            r"merged ret in the merged walk from \w+, parent "
-                            f"trials {ran}", caplog.records[-1].message)
+        notes.append(f"side {side} (@{name}) unproved: {why}")
+    caplog.clear()
+    with caplog.at_level("DEBUG", logger="mergedse"):
+        rep = verify_merge(pair_module, "sel_a", "sel_b", broken)
+    assert not rep.passed and rep.proved == (False, False)
+    assert rep.detail == "; ".join(notes)
+    assert caplog.records[-1].message == f"verify m.sel_a.sel_b: {rep.detail}"
 
 
 def _edit_sel_a(m, op, edit):
@@ -670,72 +667,12 @@ def test_merge_rejects_a_merged_body_that_fails_validation(pair_module,
         merge_functions(m, "sel_a", "sel_b")
 
 
-def test_trials_drawn_and_run_once_per_parent_signature(corpus, monkeypatch):
-    # every reduce candidate in FLE on one memo. The walk proves every side,
-    # so no trial is drawn or run. With the walk off, the trials of a
-    # parameter-type signature are drawn once, and each parent runs exactly
-    # `trials` parent trials, however many partners of other signatures it
-    # meets
-    m = extract_loops(next(m for name, m, _ in corpus if name == "reduce"))
-    candidates = []
-    for n1, n2, _ in rank_pairs(m, 0.3):
-        try:
-            candidates.append((n1, n2, merge_functions(m, n1, n2)))
-        except MergeRejected:
-            continue
-    draws, runs = [], {}
-    draw_trial, run = merge._draw_trial, merge._run
-
-    def counted_draw(params, rng):
-        draws.append(params)
-        return draw_trial(params, rng)
-
-    def counted_run(mach, fname, image, args, fuel):
-        runs[fname] = runs.get(fname, 0) + 1
-        return run(mach, fname, image, args, fuel)
-    monkeypatch.setattr(merge, "_draw_trial", counted_draw)
-    monkeypatch.setattr(merge, "_run", counted_run)
-
-    def signature(name):
-        return tuple(ty for _, ty in m.functions[name].params)
-
-    trials = 48
-    parents = {n for n1, n2, _ in candidates for n in (n1, n2)}
-    sigs = {signature(n) for n in parents}
-    partners = {n: {signature(b if a == n else a) for a, b, _ in candidates
-                     if n in (a, b)} for n in parents}
-
-    def verify_all(memo=None):   # one memo for all, or a fresh one each
-        return [verify_merge(m, n1, n2, mf, trials=trials, seed=7, memo=memo)
-                for n1, n2, mf in candidates]
-    proved = verify_all({})
-    assert all(r.passed and r.proved == (True, True) for r in proved)
-    assert draws == [] and runs == {}
-
-    monkeypatch.setattr(merge, "weave_walk",
-                        lambda mf, side, parent, *args: (None, "off"))
-    reports = verify_all({})
-    assert reports == proved
-    assert all(r.passed and r.proved == (False, False) for r in reports)
-    assert len(parents) > len(sigs) and len(candidates) > len(parents)
-    assert any(len(p) > 1 for p in partners.values())
-    assert len(draws) == trials * len(sigs)
-    assert runs == {**{n: trials for n in parents},
-                    **{mf.function.name: 2 * trials for _, _, mf in candidates}}
-    # one fresh memo per call gives the same reports
-    assert verify_all() == reports
-    assert len(draws) == trials * (len(sigs) + sum(
-        len({signature(n1), signature(n2)}) for n1, n2, _ in candidates))
-
-
 def test_verification_decodes_each_function_once_per_memo(corpus, area_model,
                                                            monkeypatch):
-    # reduce in FLE+Merging: every module function is decoded once for all
-    # of prepare's verify_merge calls (they share one memo); each candidate
-    # at most once per call, not at all when the weave walk proves both of
-    # its sides, and its decoded code leaves the memo on return. Only
-    # decodes made inside a verify_merge call count: profiling at infinite
-    # bandwidth decodes without footprints too
+    # reduce in FLE+Merging: verification runs nothing, so none of
+    # prepare's verify_merge calls decodes a function, and their shared memo
+    # holds only per-function facts. Profiling decodes each module function
+    # once per Program
     from mergedse import dse
     from mergedse.ir import interp
     m, img = next((m, img) for name, m, img in corpus if name == "reduce")
@@ -744,70 +681,58 @@ def test_verification_decodes_each_function_once_per_memo(corpus, area_model,
 
     def counted(self, f, footprints):
         init(self, f, footprints)
-        if verifying:
-            assert not footprints
-            built.append((f.name, f, calls[-1][0]))
+        built.append((f.name, bool(verifying)))
     monkeypatch.setattr(interp._Decoded, "__init__", counted)
 
     def checked(work, n1, n2, mf, **kw):
-        calls.append([mf.function.name, None])
         verifying.append(True)
         try:
             rep = verify(work, n1, n2, mf, **kw)
         finally:
             verifying.pop()
-        assert mf.function.name not in kw["memo"]["program"].decoded
-        calls[-1][1] = rep.proved
+        assert set(kw["memo"]) == {"facts"}
+        calls.append(rep.proved)
         return rep
     verify = dse.verify_merge
     monkeypatch.setattr(dse, "verify_merge", checked)
 
-    for walk in (True, False):   # off: every merged trial runs
-        built.clear()
-        calls.clear()
-        with monkeypatch.context() as mp:
-            if not walk:
-                mp.setattr(merge, "weave_walk",
-                           lambda mf, side, parent, *args: (None, "disabled"))
-            prep = dse.prepare(m, [img], dse.PipelineConfig(
-                mode="FLE+Merging", seed=7), model=area_model)
-        assert len(calls) == prep.funnel["aligned"] > 10
-        assert prep.merge_parents   # accepted merges join the module
-        own = [(name, call) for name, _, call in built if name == call]
-        assert sorted(own) == sorted((c, c) for c, proved in calls
-                                     if proved != (True, True))
-        assert all(proved == (True, True) for _, proved in calls) == walk
-        module = [(name, id(f)) for name, f, call in built if name != call]
-        assert len(module) == len(set(module))
-        assert {name for name, _ in module} <= set(prep.module.functions)
+    prep = dse.prepare(m, [img], dse.PipelineConfig(mode="FLE+Merging"),
+                       model=area_model)
+    assert len(calls) == prep.funnel["aligned"] > 10
+    assert prep.merge_parents   # accepted merges join the module
+    assert all(proved == (True, True) for proved in calls)
+    assert built and not any(inside for _, inside in built)
+    names = [name for name, _ in built]
+    assert len(names) == len(set(names))
 
 
 def test_verify_and_align_refuse_no_trials_or_seeds(pair_module):
-    # zero trials used to pass any merge; zero seeds left no alignment
+    # zero trials used to pass any merge: verification now takes no trial
+    # count at all. Zero seeds left no alignment
     mf = merge_functions(pair_module, "sel_a", "sel_b")
-    for trials in (0, -3):
-        with pytest.raises(IRError, match="trials must be at least 1"):
-            verify_merge(pair_module, "sel_a", "sel_b", mf, trials=trials)
+    for knob in ("trials", "seed", "fuel"):
+        with pytest.raises(TypeError, match=knob):
+            verify_merge(pair_module, "sel_a", "sel_b", mf, **{knob: 1})
     for seeds in (0, -1):
         with pytest.raises(IRError, match="seeds must be at least 1"):
             best_alignment(pair_module, "sel_a", "sel_b", seeds)
         with pytest.raises(IRError, match="seeds must be at least 1"):
             merge_functions(pair_module, "sel_a", "sel_b", seeds=seeds)
-    assert verify_merge(pair_module, "sel_a", "sel_b", mf, trials=1).passed
+    assert verify_merge(pair_module, "sel_a", "sel_b", mf).passed
 
 
 # ---------------------------------------------------------------------------
 # Per-function facts: computed once per memo, again for a replaced function
 # ---------------------------------------------------------------------------
 
-def _merge_outcome(work, n1, n2, memo, trials=16):
+def _merge_outcome(work, n1, n2, memo):
     """The printed merged body and its report, or the rejection reason."""
     try:
         mf = merge_functions(work, n1, n2, memo=memo)
     except MergeRejected as e:
         return str(e)
-    rep = verify_merge(work, n1, n2, mf, trials=trials, seed=7, memo=memo)
-    return print_function(mf.function), rep.passed, rep.proved, rep.trials
+    rep = verify_merge(work, n1, n2, mf, memo=memo)
+    return print_function(mf.function), rep.passed, rep.proved, rep.detail
 
 
 @pytest.mark.parametrize("mode", ["FE", "FLE"])
@@ -851,13 +776,13 @@ def test_function_facts_change_no_merge_of_either_round(corpus, area_model,
     def verified(work, n1, n2, mf, **kw):
         rep = real_verify(work, n1, n2, mf, **kw)
         want = real_verify(work, n1, n2, mf, **{**kw, "memo": None})
-        assert (rep, rep.proved) == (want, want.proved)
+        assert rep == want
         return rep
     monkeypatch.setattr(dse, "merge_functions", merged)
     monkeypatch.setattr(dse, "verify_merge", verified)
     for name, m, img in corpus:
         for mode in ("FE+Merging", "FLE+Merging"):
-            dse.prepare(m, [img], dse.PipelineConfig(mode=mode, verify_trials=8),
+            dse.prepare(m, [img], dse.PipelineConfig(mode=mode),
                         model=area_model)
     assert sum(n1.startswith("m.") or n2.startswith("m.")
                for n1, n2 in seen) > 100
@@ -865,10 +790,9 @@ def test_function_facts_change_no_merge_of_either_round(corpus, area_model,
 
 def test_function_facts_follow_the_function_object(pair_module):
     # @sel_a replaced under its name, on the same memo: linearizations,
-    # types, the walk's must-assign check and the parent trials' outcomes
-    # are taken again. The new @sel_a always branches to bb1, and its bb2
-    # leaves %c unassigned: it runs, but the walk may not prove its side (a
-    # stale check would), and its merged trials meet its own outcomes
+    # types and the walk's must-assign check are taken again. The new @sel_a
+    # always branches to bb1, and its bb2 leaves %c unassigned: it runs, but
+    # the walk may not prove its side (a stale check would)
     m = pair_module.clone()
     memo = {}
     before = _merge_outcome(m, "sel_a", "sel_b", memo)
@@ -892,8 +816,9 @@ def test_verification_meets_a_parent_reading_an_unassigned_register(
         pair_module):
     # @sel_a's mul assigns %e, so its bb2 leaves %c unassigned and passes
     # it to @helper. Such a parent is built in code: the parser rejects it.
-    # Its trials that take bb2 end in error:unassigned, not in a Python
-    # TypeError, and the merged function, where %c is assigned, disagrees
+    # The walk refuses its side. Its trials that take bb2 end in
+    # error:unassigned, not in a Python TypeError, and the merged function,
+    # where %c is assigned, disagrees
     m = pair_module.clone()
     sel_a = m.functions["sel_a"]
     m.functions["sel_a"] = replace(sel_a, blocks=[replace(b, instrs=[
@@ -901,9 +826,9 @@ def test_verification_meets_a_parent_reading_an_unassigned_register(
         for ins in b.instrs]) for b in sel_a.blocks])
     memo = {}
     mf = merge_functions(m, "sel_a", "sel_b", memo=memo)
-    rep = verify_merge(m, "sel_a", "sel_b", mf, trials=16, seed=7, memo=memo)
-    outs = memo["facts"]["sel_a"][1][10 ** 6, 7, 16]
-    assert {out[0] for out in outs} == {"ok", "error:unassigned"}
-    assert not rep.passed and rep.proved == (False, False)
-    assert rep.detail == ("parent error:unassigned value/heap differs from "
-                          "merged ok")
+    rep = verify_merge(m, "sel_a", "sel_b", mf, memo=memo)
+    assert not rep.passed and rep.proved == (False, True)
+    assert rep.detail == ("side 1 (@sel_a) unproved: the parent reads a "
+                          "register before assigning it")
+    assert refute(m, mf, 1, 16).endswith(
+        "parent error:unassigned value/heap differs from merged ok")
