@@ -600,15 +600,22 @@ def estimate_costs(rows: dict, trace: Trace, model,
     return out
 
 
+def merged_area(rows: dict, row, model, own: bool = False) -> float:
+    """Hierarchical (own-body if `own`) area of `feature_rows` row as the
+    last of a batch after every row of `rows`."""
+    batch = [r[own] for r in rows.values()] + [row[own]]
+    return float(_predict(model, batch)[-1])
+
+
 def merged_cost(rows: dict, f: Function, model,
-                a: CostEstimate, b: CostEstimate, glue: Fraction
-                ) -> CostEstimate:
+                a: CostEstimate, b: CostEstimate, glue: Fraction,
+                area: float | None = None) -> CostEstimate:
     """Cost of the merged accelerator f of parents a and b, where rows are
-    those of the module f would join last. Its areas are the last rows of
-    that module's batch; it runs both parents' profiled work in hardware
-    plus `glue`, and has no software time of its own."""
-    hier, own = zip(*rows.values(), feature_rows(f, rows))
-    area, own_area = _predict(model, hier)[-1], _predict(model, own)[-1]
-    return CostEstimate(float(area), float(own_area), sw=Fraction(0),
-                        hw=a.hw + b.hw + glue, own_sw=Fraction(0),
-                        own_hw=a.own_hw + b.own_hw + glue)
+    those of the module f would join last. Its areas are `merged_area`s,
+    the hierarchical one `area` if known; it runs both parents' profiled
+    work in hardware plus `glue`, and has no software time of its own."""
+    row = feature_rows(f, rows)
+    return CostEstimate(merged_area(rows, row, model) if area is None else area,
+                        merged_area(rows, row, model, own=True),
+                        sw=Fraction(0), hw=a.hw + b.hw + glue,
+                        own_sw=Fraction(0), own_hw=a.own_hw + b.own_hw + glue)

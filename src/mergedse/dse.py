@@ -16,7 +16,7 @@ from .analysis import build_call_graph, extract_loops, rank_pairs
 from .cost import (
     DEFAULT_CLOCK, DEFAULT_DATASET_SEED, DEFAULT_HW_CYCLES, CostEstimate,
     estimate_costs, estimate_profitability, feature_rows, load_model,
-    merged_cost, module_rows, synthetic_dataset, train_mlp,
+    merged_area, merged_cost, module_rows, synthetic_dataset, train_mlp,
 )
 from .ir import HeapImage, IRError, Module, Program, Trace, run_heap_image
 from .merge import MergeRejected, merge_functions, verify_merge
@@ -184,34 +184,35 @@ def prepare(m: Module, images: list[HeapImage], cfg: PipelineConfig,
                 continue
             funnel["verified"] += 1
 
+            # priced as read: the record its area, ep its hardware time
+            name, row = mf.function.name, feature_rows(mf.function, rows)
+            area, c1, c2 = merged_area(rows, row, model), costs[n1], costs[n2]
+            parents_area = c1.area + c2.area
+            record = MergeRecord(name, (n1, n2), sim,
+                                 mf.alignment.aligned_fraction, area,
+                                 parents_area, float("nan"))
+            merges.append(record)
+            if not area < parents_area:
+                continue
+            funnel["area_win"] += 1
+
             # a pair holds no function merged twice, so this is exact
             inv = sum(trace.invocations.get(p, 0) for n in (n1, n2)
                       for p in merge_parents.get(n, (n,)))
             glue = ((mf.mux_selects * hw_sel + 1) * inv) * cfg.clock
-            name = mf.function.name
-            est = merged_cost(rows, mf.function, model, costs[n1], costs[n2],
-                              glue)
-            parents_area = costs[n1].area + costs[n2].area
-            record = MergeRecord(name, (n1, n2), sim,
-                                 mf.alignment.aligned_fraction, est.area,
-                                 parents_area, float("nan"))
-            merges.append(record)
-            if not est.area < parents_area:
-                continue
-            funnel["area_win"] += 1
-
             record.ep = float(estimate_profitability(
-                costs[n1].sw, costs[n2].sw, costs[n1].hw, costs[n2].hw,
-                est.hw, baseline)) if baseline > 0 else 0.0
+                c1.sw, c2.sw, c1.hw, c2.hw, c1.hw + c2.hw + glue,
+                baseline)) if baseline > 0 else 0.0
             if record.ep <= 0:
                 continue
             funnel["ep_positive"] += 1
 
-            # accepted: extend the working module, its rows and costs
+            # accepted: priced before its row joins the working module's rows
+            costs[name] = merged_cost(rows, mf.function, model, c1, c2, glue,
+                                      area=area)
             work.functions[name] = mf.function
-            rows[name] = feature_rows(mf.function, rows)
+            rows[name] = row
             merge_parents[name] = (n1, n2)
-            costs[name] = est
 
     if cfg.mode.endswith("Merging"):
         hw_sel = (cfg.hw_table or DEFAULT_HW_CYCLES)["select"]

@@ -103,11 +103,6 @@ class Instr:
             return "ptr"
         return self.ty
 
-    def arity(self) -> int | None:
-        """Required operand count, or None when it depends on context (call/ret)."""
-        slots = SLOTS.get(self.op)
-        return None if slots is None else len(slots)
-
 
 def operand_slot_types(ins: Instr, reg_types: dict[str, str],
                        callee_params: list[tuple[str, str]] | None = None) -> tuple[str, ...]:

@@ -15,10 +15,12 @@ Checks are deliberately strict so that every transformation in the toolkit
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import product
 
 from .core import (
     BINOPS_FLOAT, BINOPS_INT, CASTS, FCMP_PREDS, ICMP_PREDS, INT_RANGE, OPCODES,
-    Function, Instr, IRError, Module, Reg, operand_slot_types, wrap_int,
+    SLOTS, TYPE_TAGS, Function, Instr, IRError, Module, Reg,
+    operand_slot_types, wrap_int,
 )
 
 CAST_PAIRS = {
@@ -37,54 +39,73 @@ class ValidationError(IRError):
         self.diagnostics = diagnostics
 
 
+def _shape_findings(op, ty, pred, cast_to, assigns: bool, nops: int,
+                    nsuccs: int, ret) -> tuple[list[str], bool]:
+    """The findings of an instruction shape, without `@function: `, and
+    whether they end its checks; `ret` is the function's return type."""
+    if op not in OPCODES:
+        return [f"unknown opcode {op!r}"], True
+    arity = len(SLOTS[op]) if op in SLOTS else None
+    if arity is not None and nops != arity:
+        return [f"{op} expects {arity} operands, has {nops}"], True
+    out = []
+    if assigns == (op in _NO_RESULT or op == "call" and ty == "void"):
+        out.append(f"{op} cannot produce a result" if assigns
+                   else f"{op} must assign a register")
+    if op == "br" and nsuccs != 2:
+        out.append("br needs exactly two successors")
+    if op == "jmp" and nsuccs != 1:
+        out.append("jmp needs exactly one successor")
+    if op not in ("br", "jmp") and nsuccs:
+        out.append(f"{op} cannot have successors")
+    if op in BINOPS_INT and ty not in ("i1", "i32", "i64"):
+        out.append(f"{op} requires an integer type, got {ty}")
+    if op in BINOPS_INT and op not in ("and", "or", "xor") and ty == "i1":
+        out.append(f"{op} not defined on i1")
+    if op in BINOPS_FLOAT and ty != "f64":
+        out.append(f"{op} requires f64")
+    if op == "icmp" and pred not in ICMP_PREDS:
+        out.append(f"bad icmp predicate {pred!r}")
+    if op == "icmp" and ty not in ("i1", "i32", "i64"):
+        out.append(f"icmp requires an integer type, got {ty}")
+    if op == "fcmp" and pred not in FCMP_PREDS:
+        out.append(f"bad fcmp predicate {pred!r}")
+    if op == "fcmp" and ty != "f64":
+        out.append("fcmp requires f64")
+    if op in CASTS and (ty, cast_to) not in CAST_PAIRS[op]:
+        out.append(f"invalid cast {op} {ty} to {cast_to}")
+    if op == "ret" and ret == "void" and nops:
+        out.append("ret with a value in a void function")
+    if op == "ret" and ret != "void" and (nops != 1 or ty != ret):
+        out.append(f"ret must return one {ret} value")
+    return out, False
+
+
+# Every shape without findings among those the parser and merged codegen
+# write (up to 8 call arguments), built at import: the parser validates.
+_FINE_SHAPES = frozenset(
+    shape for op in OPCODES for shape in product(
+        (op,), TYPE_TAGS + (None, "void"),
+        {"icmp": ICMP_PREDS, "fcmp": FCMP_PREDS}.get(op, (None,)),
+        TYPE_TAGS if op in CASTS else (None,), (False, True),
+        range(9) if op == "call" else (0, 1) if op == "ret"
+        else (len(SLOTS[op]),), ({"br": 2, "jmp": 1}.get(op, 0),),
+        ("void",) + TYPE_TAGS if op == "ret" else (None,))
+    if not _shape_findings(*shape)[0])
+
+
 def _check_instr_shape(f: Function, ins: Instr, reg_types, m: Module, diags):
-    where = f"@{f.name}"
-    if ins.op not in OPCODES:
-        diags.append(f"{where}: unknown opcode {ins.op!r}")
-        return
-
-    arity = ins.arity()
-    if arity is not None and len(ins.operands) != arity:
-        diags.append(f"{where}: {ins.op} expects {arity} operands, has {len(ins.operands)}")
-        return
-
-    if ins.op in _NO_RESULT or (ins.op == "call" and ins.ty == "void"):
-        if ins.result is not None:
-            diags.append(f"{where}: {ins.op} cannot produce a result")
-    elif ins.result is None:
-        diags.append(f"{where}: {ins.op} must assign a register")
-
-    if ins.op == "br" and len(ins.succs) != 2:
-        diags.append(f"{where}: br needs exactly two successors")
-    if ins.op == "jmp" and len(ins.succs) != 1:
-        diags.append(f"{where}: jmp needs exactly one successor")
-    if ins.op not in ("br", "jmp") and ins.succs:
-        diags.append(f"{where}: {ins.op} cannot have successors")
-
-    if ins.op in BINOPS_INT and ins.ty not in ("i1", "i32", "i64"):
-        diags.append(f"{where}: {ins.op} requires an integer type, got {ins.ty}")
-    if ins.op in BINOPS_INT and ins.op not in ("and", "or", "xor") and ins.ty == "i1":
-        diags.append(f"{where}: {ins.op} not defined on i1")
-    if ins.op in BINOPS_FLOAT and ins.ty != "f64":
-        diags.append(f"{where}: {ins.op} requires f64")
-    if ins.op == "icmp":
-        if ins.pred not in ICMP_PREDS:
-            diags.append(f"{where}: bad icmp predicate {ins.pred!r}")
-        if ins.ty not in ("i1", "i32", "i64"):
-            diags.append(f"{where}: icmp requires an integer type, got {ins.ty}")
-    if ins.op == "fcmp":
-        if ins.pred not in FCMP_PREDS:
-            diags.append(f"{where}: bad fcmp predicate {ins.pred!r}")
-        if ins.ty != "f64":
-            diags.append(f"{where}: fcmp requires f64")
-    if ins.op in CASTS and (ins.ty, ins.cast_to) not in CAST_PAIRS[ins.op]:
-        diags.append(f"{where}: invalid cast {ins.op} {ins.ty} to {ins.cast_to}")
-    if ins.op == "ret":
-        if f.ret == "void" and ins.operands:
-            diags.append(f"{where}: ret with a value in a void function")
-        if f.ret != "void" and (len(ins.operands) != 1 or ins.ty != f.ret):
-            diags.append(f"{where}: ret must return one {f.ret} value")
-
+    """Append the diagnostics of one instruction of f: its shape's
+    `_shape_findings` unless `_FINE_SHAPES` holds it, then its callee's and
+    operand types'."""
+    op, where = ins.op, f"@{f.name}"
+    shape = (op, ins.ty, ins.pred, ins.cast_to, ins.result is not None,
+             len(ins.operands), len(ins.succs), f.ret if op == "ret" else None)
+    if shape not in _FINE_SHAPES:
+        found, stop = _shape_findings(*shape)
+        diags.extend(f"{where}: {d}" for d in found)
+        if stop:
+            return
     callee_params = None
     if ins.op == "call":
         if ins.callee not in m.functions:
@@ -116,8 +137,10 @@ def _check_instr_shape(f: Function, ins: Instr, reg_types, m: Module, diags):
                 diags.append(f"{where}: {o.ty} literal {o.value} out of range")
 
 
-def check_function(f: Function, m: Module, diags: list[str]):
-    """Append the diagnostics of `f` to `diags`; `m` supplies its callees."""
+def check_function(f: Function, m: Module, diags: list[str],
+                   reg_types: dict[str, str] | None = None):
+    """Append the diagnostics of `f` to `diags`; `m` supplies its callees.
+    `reg_types`, when given, is `f.register_types()`, already found."""
     where = f"@{f.name}"
     names = [p for p, _ in f.params]
     diags.extend(f"{where}: duplicate parameter %{p}"
@@ -146,11 +169,12 @@ def check_function(f: Function, m: Module, diags: list[str]):
     if diags:
         return
 
-    try:
-        reg_types = f.register_types()
-    except IRError as e:
-        diags.append(str(e))
-        return
+    if reg_types is None:
+        try:
+            reg_types = f.register_types()
+        except IRError as e:
+            diags.append(str(e))
+            return
 
     for b in f.blocks:
         for ins in b.instrs:

@@ -44,6 +44,7 @@ HEAVY_MATCH_WEIGHT = 4.0
 DEFAULT_GAP_PENALTY = 0.1
 
 MIN_ALIGNED_FRACTION = 0.05  # pairs aligning less than this are rejected
+MAX_ALIGN_CELLS = 1 << 26   # 64 MiB of moves: two 8,000-instruction sides
 DEFAULT_SEEDS = 4
 
 
@@ -123,13 +124,9 @@ def _fact(memo: dict | None, f: Function, key, compute):
 
 def seed_pairs(n: int):
     """First n (seed1, seed2) combinations, growing both sides evenly."""
-    out = []
-    m = 0
+    out, m = [], 0
     while len(out) < n:
-        for s2 in range(m + 1):
-            out.append((m, s2))
-        for s1 in range(m):
-            out.append((s1, m))
+        out += [(m, s2) for s2 in range(m + 1)] + [(s1, m) for s1 in range(m)]
         m += 1
     return out[:n]
 
@@ -181,50 +178,52 @@ def align(s1: list[Instr], s2: list[Instr],
           rt2: dict[str, str] | None = None) -> Alignment:
     """Global alignment maximizing match weights minus gap penalties.
 
-    Only compatible instructions (equal opcode/type/callee/predicate) may
-    align; incompatible pairs are effectively scored minus infinity. Without
-    `weights`, a match scores as `default_weights()` gives.
+    Only compatible instructions (equal `_align_key`) may align;
+    incompatible pairs are effectively scored minus infinity. Without
+    `weights`, a match scores as `default_weights()` gives; among equal
+    scores a match beats a gap in s2, which beats a gap in s1. Keys are
+    interned to ints, the scores kept in two rows and the moves in one byte
+    per cell: above MAX_ALIGN_CELLS cells the pair is rejected.
     """
     if not s1 or not s2:
         raise IRError("cannot align empty sequences")
-    rt1 = rt1 or {}
-    rt2 = rt2 or {}
+    rt1, rt2 = rt1 or {}, rt2 or {}
     n1, n2 = len(s1), len(s2)
-
-    score = [[0.0] * (n2 + 1) for _ in range(n1 + 1)]
-    move = [[0] * (n2 + 1) for _ in range(n1 + 1)]  # 1=diag 2=up(gap2) 3=left(gap1)
-    for i in range(1, n1 + 1):
-        score[i][0] = -gap * i
-        move[i][0] = 2
-    for j in range(1, n2 + 1):
-        score[0][j] = -gap * j
-        move[0][j] = 3
-    keys2 = [_align_key(b, rt2, "?2") for b in s2]
-    for i in range(1, n1 + 1):
-        a = s1[i - 1]
-        key = _align_key(a, rt1, "?1")
+    width = n2 + 1
+    if (n1 + 1) * width > MAX_ALIGN_CELLS:
+        raise MergeRejected(f"alignment needs {(n1 + 1) * width} cells, "
+                            f"above the limit of {MAX_ALIGN_CELLS}")
+    ids: dict[tuple, int] = {}
+    keys2 = [ids.setdefault(_align_key(b, rt2, "?2"), len(ids)) for b in s2]
+    move = bytearray((n1 + 1) * width)   # 1=diag 2=up(gap2) 3=left(gap1)
+    move[:width] = b"\3" * width
+    prow = [0.0] + [-gap * j for j in range(1, width)]
+    for i, a in enumerate(s1, 1):
+        key = ids.get(_align_key(a, rt1, "?1"), -1)
         weight = (weights.get(a.op, DEFAULT_MATCH_WEIGHT) if weights else
                   HEAVY_MATCH_WEIGHT if a.op in HEAVY_OPS else
                   DEFAULT_MATCH_WEIGHT)
-        row, prow = score[i], score[i - 1]
-        mrow = move[i]
-        for j in range(1, n2 + 1):
+        left = -gap * i
+        row, at = [left], i * width
+        move[at] = 2
+        for j, k2 in enumerate(keys2, 1):
             best = prow[j] - gap
             mv = 2
-            left = row[j - 1] - gap
+            left -= gap
             if left > best:
                 best, mv = left, 3
-            if key == keys2[j - 1]:
+            if key == k2:
                 d = prow[j - 1] + weight
                 if d >= best:
                     best, mv = d, 1
-            row[j] = best
-            mrow[j] = mv
+            row.append(best)
+            left = best
+            move[at + j] = mv
+        prow = row
 
-    entries: list[AlignEntry] = []
-    i, j = n1, n2
+    entries, i, j = [], n1, n2
     while i > 0 or j > 0:
-        mv = move[i][j]
+        mv = move[i * width + j]
         if mv == 1:
             entries.append(AlignEntry("aligned", i - 1, j - 1))
             i, j = i - 1, j - 1
@@ -235,7 +234,7 @@ def align(s1: list[Instr], s2: list[Instr],
             entries.append(AlignEntry("gap1", None, j - 1))
             j -= 1
     entries.reverse()
-    return Alignment(entries, score[n1][n2], n1, n2)
+    return Alignment(entries, prow[n2], n1, n2)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +254,6 @@ def merge_parameters(f1: Function, f2: Function) -> ParamMap:
     the second; searching resumes after the previous match."""
     matched: list[tuple[int, int]] = []
     unmatched1: list[int] = []
-    taken: set[int] = set()
     j = 0
     for i, (_, ty) in enumerate(f1.params):
         k = next((k for k in range(j, len(f2.params)) if f2.params[k][1] == ty),
@@ -264,10 +262,10 @@ def merge_parameters(f1: Function, f2: Function) -> ParamMap:
             unmatched1.append(i)
         else:
             matched.append((i, k))
-            taken.add(k)
             j = k + 1
-    unmatched2 = [k for k in range(len(f2.params)) if k not in taken]
-    return ParamMap(matched, unmatched1, unmatched2)
+    taken = {k for _, k in matched}
+    return ParamMap(matched, unmatched1,
+                    [k for k in range(len(f2.params)) if k not in taken])
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +308,7 @@ class _Namer:
         self.used: set[str] = set()
 
     def fresh(self, want: str) -> str:
-        name = want
-        k = 2
+        name, k = want, 2
         while name in self.used:
             name = f"{want}.{k}"
             k += 1
@@ -542,19 +539,22 @@ def merge_functions(m: Module, name1: str, name2: str,
     # Mux selects read both sides' registers eagerly, and mixed-f_sel paths
     # the dataflow considers (but execution never takes) can reach a side's
     # register before that side assigned it; dead zero-initializers at entry
-    # make the body assign-before-use clean without changing behavior.
-    needed = {r for _, r in unassigned_uses(merged)}
-    inits: list[Instr] = []
-    if needed:
+    # make the body assign-before-use clean without changing behavior. They
+    # assign registers their own types, so one type map serves them and the
+    # check; the check reports a register of two types.
+    try:
         reg_types = merged.register_types()
-        inits = [Instr("const", reg_types[r], r, (zero_literal(reg_types[r]),))
-                 for r in sorted(needed) if r in reg_types]
-        merged.blocks[0].instrs[0:0] = inits
+        needed = sorted({r for _, r in unassigned_uses(merged)})
+    except IRError:
+        reg_types, needed = None, []
+    inits = [Instr("const", reg_types[r], r, (zero_literal(reg_types[r]),))
+             for r in needed if r in reg_types]
+    merged.blocks[0].instrs[0:0] = inits
 
     # only the new body needs checking: its callees are the parents' callees,
     # so under a fresh name it cannot close a call cycle
     diags: list[str] = []
-    check_function(merged, m, diags)
+    check_function(merged, m, diags, reg_types)
     if diags:
         raise MergeRejected("merged body failed validation: " + "; ".join(diags))
     return MergedFunction(merged, (name1, name2), alignment, mux_selects,
@@ -726,17 +726,20 @@ def _walk(merged: MergedFunction, side: int, parent: Function,
                         raise _Unproved(f"a branch to {target}")
                     instrs, pc = blocks[target], 0
                     continue
-                if (p.op == "jmp" or (q.op, q.ty, q.pred, q.cast_to, q.callee)
-                        != (p.op, p.ty, p.pred, p.cast_to, p.callee)
-                        or (q.result is None) != (p.result is None)
-                        or q.result == fsel
-                        or len(q.operands) != len(p.operands)
-                        or len(q.succs) != len(p.succs)
-                        or any(value(a) != pvalue(b)
-                               for a, b in zip(q.operands, p.operands))):
-                    raise _Unproved(f"{p.op} in {plab} meets merged {q.op} "
-                                    f"in the merged walk from {mlab}")
-                break
+                if (p.op != "jmp"
+                        and (q.op, q.ty, q.pred, q.cast_to, q.callee)
+                        == (p.op, p.ty, p.pred, p.cast_to, p.callee)
+                        and (q.result is None) == (p.result is None)
+                        and q.result != fsel
+                        and len(q.operands) == len(p.operands)
+                        and len(q.succs) == len(p.succs)):
+                    for x, y in zip(q.operands, p.operands):
+                        if value(x) != pvalue(y):
+                            break
+                    else:
+                        break   # q is p's instruction: on to p's next
+                raise _Unproved(f"{p.op} in {plab} meets merged {q.op} "
+                                f"in the merged walk from {mlab}")
             glue = 0
             if p.op == "jmp":
                 enter(target, p.succs[0])

@@ -636,7 +636,9 @@ def test_each_analysis_runs_once_where_it_varies(corpus, area_model,
     # a work-count guard. In one FLE+Merging prepare of reduce, the merge
     # layer linearizes each working function at most once per seed, and
     # finds its loop forest, register types and the walk's must-assign
-    # check at most once, however many pairs it is in. One sweep over the
+    # check at most once, however many pairs it is in. The area model runs
+    # twice for the module's costs, once for each verified candidate's
+    # record and once more for each accepted merge. One sweep over the
     # sweep-reduce grid in two modes builds one problem per (mode, latency,
     # bandwidth) and solves each point once
     from mergedse import merge
@@ -669,9 +671,14 @@ def test_each_analysis_runs_once_where_it_varies(corpus, area_model,
         Function.register_types, "register_types"))
     for attr in ("merge_functions", "verify_merge"):
         monkeypatch.setattr(dse, attr, in_merge_layer(getattr(dse, attr)))
+    passes, predict = [], type(area_model).predict
+    monkeypatch.setattr(type(area_model), "predict",
+                        lambda model, X: passes.append(1) or predict(model, X))
     prep = dse.prepare(m, [img], PipelineConfig(mode="FLE+Merging"),
                        model=area_model)
     assert prep.funnel["ranked"] > prep.funnel["aligned"] > 10
+    verified = prep.funnel["verified"]
+    assert len(passes) == 2 + verified + len(prep.merge_parents) < 2 * verified
     assert max(counts.values()) == 1
     kinds = {what[0] for _, what in counts}
     assert kinds == {"linearize", "natural_loops", "unassigned_uses",
@@ -701,7 +708,9 @@ def _prepare_depth_k(m, images, cfg, model, depth=2):
     """`prepare` as it merged before its two rounds were named: a general
     loop of up to `depth` rounds, where round k takes the ranked pairs whose
     deeper function is k - 1 merges deep, and a round that accepts nothing
-    ends the loop. The oracle of the two named rounds."""
+    ends the loop. Every verified candidate is priced in full by
+    `merged_cost`, so its costs pin those `prepare` prices lazily. The
+    oracle of the two named rounds."""
     work = dse.extract_loops(m) if cfg.mode.startswith("FLE") else m.clone()
     trace = dse._profile(work, images, cfg.bandwidth != float("inf"))
     merge_parents, merges = {}, []

@@ -1,16 +1,21 @@
 import json
 import random
 import struct
+from itertools import product
 
 import pytest
 
 from mergedse.analysis import extract_loops, rank_pairs
 from mergedse.dse import MIN_SIMILARITY
 from mergedse.ir import (
-    Arena, Block, Function, HeapImage, Instr, InterpError, IRError, Lit,
-    Module, ParseError, Program, Reg, Trace, ValidationError, interpret,
-    parse_module, print_module, run_heap_image, validate, validate_module,
+    BINOPS_FLOAT, BINOPS_INT, CASTS, FCMP_PREDS, ICMP_PREDS, OPCODES,
+    TYPE_TAGS, Arena, Block, Function, HeapImage, Instr, InterpError,
+    IRError, Lit, Module, ParseError, Program, Reg, Trace, ValidationError,
+    interpret, operand_slot_types, parse_module, print_module,
+    run_heap_image, validate, validate_module, wrap_int,
 )
+from mergedse.ir.core import INT_RANGE, SLOTS
+from mergedse.ir.validate import CAST_PAIRS, _check_instr_shape
 from mergedse.merge import MergeRejected, merge_functions
 
 from conftest import PAIR_SRC
@@ -52,6 +57,119 @@ def test_use_before_assignment_rejected():
 def test_validator_diagnostics(src, match):
     with pytest.raises(ValidationError, match=match):
         parse_module(src)
+
+
+def _check_instr_shape_oracle(f, ins, reg_types, m, diags):
+    """The instruction check as it was written before its shape findings
+    came from one table: every rule tested in turn, per instruction."""
+    where = f"@{f.name}"
+    if ins.op not in OPCODES:
+        diags.append(f"{where}: unknown opcode {ins.op!r}")
+        return
+
+    arity = len(SLOTS[ins.op]) if ins.op in SLOTS else None
+    if arity is not None and len(ins.operands) != arity:
+        diags.append(f"{where}: {ins.op} expects {arity} operands, has {len(ins.operands)}")
+        return
+
+    if ins.op in ("store", "br", "jmp", "ret") or (ins.op == "call"
+                                                   and ins.ty == "void"):
+        if ins.result is not None:
+            diags.append(f"{where}: {ins.op} cannot produce a result")
+    elif ins.result is None:
+        diags.append(f"{where}: {ins.op} must assign a register")
+
+    if ins.op == "br" and len(ins.succs) != 2:
+        diags.append(f"{where}: br needs exactly two successors")
+    if ins.op == "jmp" and len(ins.succs) != 1:
+        diags.append(f"{where}: jmp needs exactly one successor")
+    if ins.op not in ("br", "jmp") and ins.succs:
+        diags.append(f"{where}: {ins.op} cannot have successors")
+
+    if ins.op in BINOPS_INT and ins.ty not in ("i1", "i32", "i64"):
+        diags.append(f"{where}: {ins.op} requires an integer type, got {ins.ty}")
+    if ins.op in BINOPS_INT and ins.op not in ("and", "or", "xor") and ins.ty == "i1":
+        diags.append(f"{where}: {ins.op} not defined on i1")
+    if ins.op in BINOPS_FLOAT and ins.ty != "f64":
+        diags.append(f"{where}: {ins.op} requires f64")
+    if ins.op == "icmp":
+        if ins.pred not in ICMP_PREDS:
+            diags.append(f"{where}: bad icmp predicate {ins.pred!r}")
+        if ins.ty not in ("i1", "i32", "i64"):
+            diags.append(f"{where}: icmp requires an integer type, got {ins.ty}")
+    if ins.op == "fcmp":
+        if ins.pred not in FCMP_PREDS:
+            diags.append(f"{where}: bad fcmp predicate {ins.pred!r}")
+        if ins.ty != "f64":
+            diags.append(f"{where}: fcmp requires f64")
+    if ins.op in CASTS and (ins.ty, ins.cast_to) not in CAST_PAIRS[ins.op]:
+        diags.append(f"{where}: invalid cast {ins.op} {ins.ty} to {ins.cast_to}")
+    if ins.op == "ret":
+        if f.ret == "void" and ins.operands:
+            diags.append(f"{where}: ret with a value in a void function")
+        if f.ret != "void" and (len(ins.operands) != 1 or ins.ty != f.ret):
+            diags.append(f"{where}: ret must return one {f.ret} value")
+
+    callee_params = None
+    if ins.op == "call":
+        if ins.callee not in m.functions:
+            diags.append(f"{where}: call to undefined function @{ins.callee}")
+            return
+        cal = m.functions[ins.callee]
+        callee_params = cal.params
+        if ins.ty != cal.ret:
+            diags.append(f"{where}: call type {ins.ty} does not match @{cal.name} -> {cal.ret}")
+        if len(ins.operands) != len(cal.params):
+            diags.append(f"{where}: call to @{cal.name} expects {len(cal.params)} args, "
+                         f"has {len(ins.operands)}")
+            return
+
+    slots = operand_slot_types(ins, reg_types, callee_params)
+    if ins.op == "gep" and slots[1] not in ("i32", "i64"):
+        diags.append(f"{where}: gep index must be i32 or i64, got {slots[1]}")
+    for o, want in zip(ins.operands, slots):
+        if isinstance(o, Reg):
+            have = reg_types.get(o.name)
+            if have is None:
+                continue  # reported by the must-assign pass
+            if have != want:
+                diags.append(f"{where}: operand %{o.name} has type {have}, expected {want}")
+        else:
+            if o.ty != want:
+                diags.append(f"{where}: literal {o.value!r} has type {o.ty}, expected {want}")
+            if o.ty in INT_RANGE and o.value != wrap_int(o.value, o.ty):
+                diags.append(f"{where}: {o.ty} literal {o.value} out of range")
+
+
+def test_shape_table_gives_the_oracle_diagnostics():
+    # every shape: each opcode and an unknown one, each type tag and None
+    # and void, no / a valid / an invalid predicate, each cast target, with
+    # and without a result, 0-3 operands, 0-2 successors, a ret in a void
+    # and in an i32 function, a call to a present and to a missing callee.
+    # The diagnostics, their list and order, are the rule-by-rule check's
+    g = Function("g", [("x", "i32"), ("y", "i64")], "i32", [])
+    reg_types = {"a": "i32", "b": "i64", "p": "ptr"}
+    operands = (Reg("a"), Lit(7, "i64"), Reg("p"))
+    checked = fine = 0
+    for ret in ("void", "i32"):
+        f = Function("f", [], ret, [])
+        m = Module({"f": f, "g": g}, "f")
+        for op, ty, pred, cast_to, result, nops, nsuccs in product(
+                OPCODES + ("bogus",), TYPE_TAGS + (None, "void"),
+                (None, "slt", "oeq", "between"), TYPE_TAGS + (None,),
+                (None, "r"), range(4), range(3)):
+            if ret == "void" and op != "ret":
+                continue
+            for callee in (("g", "nosuch") if op == "call" else (None,)):
+                ins = Instr(op, ty, result, operands[:nops],
+                            ("L1", "L2")[:nsuccs], callee, pred, cast_to)
+                got, want = [], []
+                _check_instr_shape(f, ins, reg_types, m, got)
+                _check_instr_shape_oracle(f, ins, reg_types, m, want)
+                assert got == want, ins
+                checked += 1
+                fine += not got
+    assert checked > 100_000 and fine > 100
 
 
 def test_recursion_rejected():

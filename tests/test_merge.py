@@ -4,6 +4,8 @@ from dataclasses import replace
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergedse import merge
 from mergedse.analysis import extract_loops, rank_pairs
@@ -248,6 +250,125 @@ def test_align_matches_brute_force_random():
         a = align(s1, s2, w, 0.1)
         assert a.score == pytest.approx(
             brute_force_align_score(s1, s2, w, 0.1), abs=1e-9)
+
+
+def _align_oracle(s1, s2, weights=None, gap=merge.DEFAULT_GAP_PENALTY,
+                  rt1=None, rt2=None):
+    """`align` as it was written before its compact tables: (n1+1)x(n2+1)
+    lists of float scores and int moves, comparing keys as tuples."""
+    rt1 = rt1 or {}
+    rt2 = rt2 or {}
+    n1, n2 = len(s1), len(s2)
+
+    score = [[0.0] * (n2 + 1) for _ in range(n1 + 1)]
+    move = [[0] * (n2 + 1) for _ in range(n1 + 1)]  # 1=diag 2=up(gap2) 3=left(gap1)
+    for i in range(1, n1 + 1):
+        score[i][0] = -gap * i
+        move[i][0] = 2
+    for j in range(1, n2 + 1):
+        score[0][j] = -gap * j
+        move[0][j] = 3
+    keys2 = [_align_key(b, rt2, "?2") for b in s2]
+    for i in range(1, n1 + 1):
+        a = s1[i - 1]
+        key = _align_key(a, rt1, "?1")
+        weight = (weights.get(a.op, merge.DEFAULT_MATCH_WEIGHT) if weights
+                  else merge.HEAVY_MATCH_WEIGHT if a.op in merge.HEAVY_OPS
+                  else merge.DEFAULT_MATCH_WEIGHT)
+        row, prow = score[i], score[i - 1]
+        mrow = move[i]
+        for j in range(1, n2 + 1):
+            best = prow[j] - gap
+            mv = 2
+            left = row[j - 1] - gap
+            if left > best:
+                best, mv = left, 3
+            if key == keys2[j - 1]:
+                d = prow[j - 1] + weight
+                if d >= best:
+                    best, mv = d, 1
+            row[j] = best
+            mrow[j] = mv
+
+    entries = []
+    i, j = n1, n2
+    while i > 0 or j > 0:
+        mv = move[i][j]
+        if mv == 1:
+            entries.append(merge.AlignEntry("aligned", i - 1, j - 1))
+            i, j = i - 1, j - 1
+        elif mv == 2:
+            entries.append(merge.AlignEntry("gap2", i - 1))
+            i -= 1
+        else:
+            entries.append(merge.AlignEntry("gap1", None, j - 1))
+            j -= 1
+    entries.reverse()
+    return merge.Alignment(entries, score[n1][n2], n1, n2)
+
+
+# few distinct keys, so equal keys and score ties are common; a gep's index
+# register is typed by its side's map, or has no type there
+_SHAPES = st.sampled_from([("add", "i32"), ("add", "i64"), ("mul", "i32"),
+                           ("load", "i32"), ("gep", "ptr")])
+_WIDTHS = st.dictionaries(st.just("i"), st.sampled_from(["i32", "i64"]))
+_SCORES = st.one_of(st.just(0.1), st.sampled_from([0.0, 0.5, 1.0, 4.0]),
+                    st.floats(0, 8, allow_nan=False))
+
+
+def _shaped(shape):
+    op, ty = shape
+    return Instr(op, ty, "r", (Reg("p"), Reg("i")) if op == "gep" else ())
+
+
+@settings(max_examples=400, deadline=None)
+@given(s1=st.lists(_SHAPES, min_size=1, max_size=14),
+       s2=st.lists(_SHAPES, min_size=1, max_size=14),
+       weights=st.one_of(st.none(), st.dictionaries(
+           st.sampled_from(["add", "mul", "load", "gep"]), _SCORES)),
+       gap=_SCORES, rt1=_WIDTHS, rt2=_WIDTHS)
+def test_align_equals_the_list_of_lists_oracle(s1, s2, weights, gap, rt1,
+                                                rt2):
+    # the same entries and a bit-identical score, ties included
+    s1, s2 = [_shaped(x) for x in s1], [_shaped(x) for x in s2]
+    got = align(s1, s2, weights, gap, rt1, rt2)
+    want = _align_oracle(s1, s2, weights, gap, rt1, rt2)
+    assert got.entries == want.entries
+    assert got.score.hex() == want.score.hex()
+
+
+def test_align_rejects_a_pair_above_the_cell_limit(corpus, area_model,
+                                                  monkeypatch):
+    # the limit bounds the (n1+1)(n2+1) cells of the move table; above it
+    # the pair is rejected, naming both, and prepare's funnel counts it as
+    # ranked but not aligned
+    s1, s2 = [_instr("add")] * 4, [_instr("add")] * 5
+    monkeypatch.setattr(merge, "MAX_ALIGN_CELLS", 30)
+    assert align(s1, s2).aligned_count == 4
+    monkeypatch.setattr(merge, "MAX_ALIGN_CELLS", 29)
+    with pytest.raises(MergeRejected) as exc:
+        align(s1, s2)
+    assert str(exc.value) == "alignment needs 30 cells, above the limit of 29"
+
+    from mergedse import dse
+    m, img = next((m, img) for name, m, img in corpus if name == "reduce")
+    monkeypatch.setattr(merge, "MAX_ALIGN_CELLS", 3)
+    reasons, real = [], dse.merge_functions
+
+    def rejected(*args, **kw):
+        try:
+            return real(*args, **kw)
+        except MergeRejected as e:
+            reasons.append(str(e))
+            raise
+    monkeypatch.setattr(dse, "merge_functions", rejected)
+    prep = dse.prepare(m, [img], dse.PipelineConfig(mode="FLE+Merging"),
+                       model=area_model)
+    ranked = rank_pairs(extract_loops(m), dse.MIN_SIMILARITY)
+    assert prep.funnel["ranked"] == len(ranked) == len(reasons) > 10
+    assert prep.funnel["aligned"] == 0
+    assert all(r.startswith("alignment needs ") and
+               r.endswith(" cells, above the limit of 3") for r in reasons)
 
 
 def test_alignment_indices_strictly_increasing(pair_module):
@@ -665,6 +786,26 @@ def test_merge_rejects_a_merged_body_that_fails_validation(pair_module,
     with pytest.raises(MergeRejected,
                        match="literal 1 has type i64, expected i32"):
         merge_functions(m, "sel_a", "sel_b")
+
+
+def test_merge_rejects_a_register_of_two_types(pair_module, monkeypatch):
+    # a mux named after the i1 parameter %sum gives that register a second
+    # type, i32. The type map that places the initializers is the
+    # validator's, so the pair is rejected with the validator's text, never
+    # raised past the merge layer, whether or not the body needs
+    # initializers
+    assert merge_functions(pair_module, "sel_a", "sel_b").inits > 0
+    fresh = merge._Namer.fresh
+    monkeypatch.setattr(merge._Namer, "fresh", lambda self, want: (
+        "sum" if want == "sel" else fresh(self, want)))
+    text = ("merged body failed validation: register %sum assigned as i32 "
+            "and i1 in @m.sel_a.sel_b")
+    for inits in (True, False):
+        if not inits:
+            monkeypatch.setattr(merge, "unassigned_uses", lambda f: [])
+        with pytest.raises(MergeRejected) as exc:
+            merge_functions(pair_module, "sel_a", "sel_b")
+        assert str(exc.value) == text
 
 
 def test_verification_decodes_each_function_once_per_memo(corpus, area_model,
