@@ -322,7 +322,7 @@ def _cmd_merge(args, tables):
             continue
         verified = ""
         if args.verify:
-            verified = str(verify_merge(m, n1, n2, mf).passed).lower()
+            verified = str(verify_merge(m, mf).passed).lower()
         out.functions[mf.function.name] = mf.function
         rows.append(f"{n1}+{n2},{sim!r},{mf.alignment.aligned_fraction!r},"
                     f"{verified}")
@@ -434,12 +434,18 @@ def _cmd_sweep(args, tables):
 
 
 def _write_reports(base: Path, reports):
-    """Write base.csv and base.json; an emitter error writes neither."""
+    """Write base.csv and base.json; an emitter error writes neither. Points
+    the solver stopped at its node limit are counted on stderr."""
     csv_text, json_text = reports_to_csv(reports), reports_to_json(reports)
     base.with_suffix(".csv").write_text(csv_text)
     base.with_suffix(".json").write_text(json_text)
     print(f"wrote {base.with_suffix('.csv')} and {base.with_suffix('.json')}",
           file=sys.stderr)
+    stopped = sum(not r.optimal for r in reports)
+    if stopped:
+        print(f"{stopped} of {len(reports)} points stopped at the solver's "
+              "node limit: their selections are the best found, not proved "
+              "optimal", file=sys.stderr)
 
 
 def _cmd_verify(args, tables):
@@ -448,7 +454,7 @@ def _cmd_verify(args, tables):
     if len(parts) != 2:
         raise UsageError("--pair expects exactly two names")
     mf = merge_functions(m, parts[0], parts[1])
-    rep = verify_merge(m, parts[0], parts[1], mf)
+    rep = verify_merge(m, mf)
     # one line per side: proved, or the unproved side as `detail` names it
     unproved = iter(rep.detail.split("; "))
     _out(args, "".join([f"verified {str(rep.passed).lower()}\n"] + [

@@ -18,7 +18,8 @@ from .cost import (
     estimate_costs, estimate_profitability, feature_rows, load_model,
     merged_area, merged_cost, module_rows, synthetic_dataset, train_mlp,
 )
-from .ir import HeapImage, IRError, Module, Program, Trace, run_heap_image
+from .ir import (OPCODES, HeapImage, IRError, Module, Program, Trace,
+                 run_heap_image)
 from .merge import MergeRejected, merge_functions, verify_merge
 from .partition import (
     BANDWIDTH_ZERO, PartitionSolution, build_problem, solve, solver_plan,
@@ -65,6 +66,8 @@ class PipelineConfig:
                 raise IRError(f"{name} must be non-negative")
         for side, table in (("sw", self.sw_table), ("hw", self.hw_table)):
             for op, cycles in (table or {}).items():
+                if op not in OPCODES:
+                    raise IRError(f"{side}_table key {op!r} is not an opcode")
                 if cycles < 0:
                     raise IRError(f"{side}.{op} must be non-negative, "
                                   f"got {cycles}")
@@ -177,7 +180,7 @@ def prepare(m: Module, images: list[HeapImage], cfg: PipelineConfig,
                 log.debug("merge %s+%s rejected: %s", n1, n2, e)
                 continue
             funnel["aligned"] += 1
-            rep = verify_merge(work, n1, n2, mf, memo=memo)
+            rep = verify_merge(work, mf, memo=memo)
             if not rep.passed:
                 log.error("merged %s failed verification: %s",
                           mf.function.name, rep.detail)

@@ -19,12 +19,11 @@ can enter starts a segment: the entry, branch targets, call continuations
 and the targets of segment-ending jmps. Fuel is charged once per segment;
 a segment longer than the remaining fuel runs only the instructions the
 fuel pays for and then raises, so fuel runs out at the same dynamic
-instruction as with per-instruction charging. An InterpError records the
-fuel left where it was raised. Frames count
-segment runs per calling context (a function reached through one chain of
-calls); the Trace is folded from those counts when first read. A frame
-records the start addresses of its loads and stores, one set per access
-width, and expands them to bytes on return, for its call edge's footprint.
+instruction as with per-instruction charging. Frames count segment runs per
+calling context (a function reached through one chain of calls); the Trace
+is folded from those counts when first read. A frame records the start
+addresses of its loads and stores, one set per access width, and expands
+them to bytes on return, for its call edge's footprint.
 
 One table of per-opcode source templates implements every instruction, in
 two tiers. Cold code runs a prebound handler per instruction on a frame
@@ -44,16 +43,15 @@ its type holds (`INT_RANGE`; an i1 holds 0 or 1), fuel passes through calls
 as an argument and a return value, frame entry converts no argument (every
 producer yields a value in range) and a frame reads the heap's length once.
 
-`_Machine.run` is the one run path: `interpret` checks and coerces its
-arguments and runs once on a fresh machine. Profiling records footprints
-only when a finite bandwidth reads them (`dse.prepare`); merge verification
-runs nothing (`merge.weave_walk`).
+`_Machine.run` is the one run path, and a machine runs once: `interpret`
+checks and coerces its arguments and runs them on a fresh machine.
+Profiling records footprints only when a finite bandwidth reads them
+(`dse.prepare`); merge verification runs nothing (`merge.weave_walk`).
 
 Each interpreted call is a Python call, so a run enters at most
 MAX_CALL_DEPTH nested frames; a call one deeper raises InterpError("depth")
 instead of exhausting Python's stack. A calling context records its depth
-when it is made, once per call edge per machine, so no frame pays for the
-check.
+when it is made, once per call edge, so no frame pays for the check.
 """
 
 from __future__ import annotations
@@ -87,14 +85,11 @@ MAX_HEAP_BYTES = 1 << 24
 
 
 class InterpError(IRError):
-    """A run's error. `fuel` is the fuel left where it was raised: after the
-    charge of the segment that raised it, and 0 when that segment could not
-    be paid in full. It is None for errors raised outside a frame."""
+    """A run's error; `kind` names what went wrong."""
 
     def __init__(self, kind: str, message: str):
         super().__init__(message)
         self.kind = kind
-        self.fuel: int | None = None
 
 
 @dataclass
@@ -245,14 +240,10 @@ for _op in ("add sub mul truediv floordiv mod lshift rshift and or xor radd "
 _UNSET = _Unset()
 
 
-def _settled(e: Exception, fuel: int) -> InterpError:
-    """`e` as a frame with `fuel` left passes it on; a struct.error comes
-    only from an f64 store of an unassigned register."""
-    if type(e) is struct.error:
-        e = InterpError("unassigned", "store of an unassigned register")
-    if e.fuel is None:
-        e.fuel = fuel
-    return e
+def _unset_store() -> InterpError:
+    """What a struct.error means: it comes only from an f64 store of an
+    unassigned register."""
+    return InterpError("unassigned", "store of an unassigned register")
 
 
 def _oob(addr: int, width: int):
@@ -271,22 +262,22 @@ def _footprint(reached: set, t4: set, t8: set) -> set:
 
 def _exhaust(fn: "_Decoded", i: int, fuel: int, r: list | dict):
     """Run the instructions of segment i that `fuel` pays for on frame r,
-    then raise. The hot tier passes its locals(), turned back into a frame.
-    The segment spends all the fuel left, so what it raises leaves none."""
+    then raise. The hot tier passes its locals(), turned back into a frame."""
     if type(r) is dict:
         r = [r[f"r{k}"] for k in range(len(fn.frame))]
     try:
         for h in filter(None, fn.segs[i][7][:max(fuel, 0)]):
             h(r)
-        raise InterpError("fuel", f"fuel exhausted in @{fn.name}")
-    except (InterpError, struct.error) as e:
-        raise _settled(e, 0) from None
+    except struct.error:
+        raise _unset_store() from None
+    raise InterpError("fuel", f"fuel exhausted in @{fn.name}")
 
 
 # The generated code's globals: error paths and the heap codecs.
 _NS = {"InterpError": InterpError, "oob": _oob, "footprint": _footprint,
-       "exhaust": _exhaust, "settled": _settled, "struct_error": struct.error,
-       "UNSET": _UNSET, "unpack_i1": lambda data, addr: (data[addr] & 1,),
+       "exhaust": _exhaust, "unset_store": _unset_store,
+       "struct_error": struct.error, "UNSET": _UNSET,
+       "unpack_i1": lambda data, addr: (data[addr] & 1,),
        **{f"unpack_{ty}": struct.Struct(f).unpack_from for ty, f in (
            ("i32", "<i"), ("i64", "<q"), ("ptr", "<Q"), ("f64", "<d"))},
        **{f"pack_{ty}": struct.Struct(f).pack_into for ty, f in (
@@ -325,8 +316,7 @@ def _factory(op: str, ty: str, pred, cast_to, touch: bool):
 def _hot_source(fn: "_Decoded") -> str:
     """Hot tier: the source of one Python function running all of `fn` from
     segment i with registers as locals r<slot>, charging fuel (one guard at
-    the loop head), counting segment runs, calling and recording the fuel
-    left in an InterpError as _cold does."""
+    the loop head), counting segment runs and calling as _cold does."""
     out = ["def hot(m, ctx, args, fuel, r=frame, i=0):",
            " " + "".join(f"r{k}, " for k in range(len(fn.frame))) + "= r",
            " if args is not None:",
@@ -379,8 +369,7 @@ def _hot_source(fn: "_Decoded") -> str:
         emit(ind, "else:")
         tree(mid, hi, ind + " ")
     tree(0, len(fn.segs), "   ")
-    emit(" ", "except (InterpError, struct_error) as e:\n"
-              " raise settled(e, fuel) from None")
+    emit(" ", "except struct_error:\n raise unset_store() from None")
     return "\n".join(out)
 
 
@@ -538,13 +527,11 @@ class _Context:
 
 
 class _Machine:
-    """Runs entries of one Program, keeping the calling contexts (a root
-    per entry, its callees under it) from run to run."""
+    """Runs one entry of a Program once, keeping the calling contexts it
+    made (the entry's, its callees under it) for the trace."""
 
     def __init__(self, prog: Program):
         self.prog = prog
-        self.heap = bytearray()
-        self.roots: dict[str, _Context] = {}
         self.contexts: list[_Context] = []
 
     def context(self, fname: str, parent: _Context | None) -> _Context:
@@ -554,17 +541,16 @@ class _Machine:
             raise InterpError("depth", f"call to @{fname} exceeds the call "
                               f"depth limit of {MAX_CALL_DEPTH}")
         ctx = _Context(self.prog.function(fname), parent)
-        (self.roots if parent is None else parent.callees)[fname] = ctx
+        if parent is not None:
+            parent.callees[fname] = ctx
         self.contexts.append(ctx)
         return ctx
 
     def run(self, entry: str, args: list, heap: bytearray, fuel: int):
-        """`entry`'s value on well-typed `args` over `heap` with `fuel`, and
-        the fuel left."""
+        """`entry`'s value on well-typed `args` over `heap` with `fuel`."""
         self.heap = heap
-        ctx = self.roots.get(entry) or self.context(entry, None)
-        value, _, left = ctx.fn.run(self, ctx, args, fuel)
-        return value, left
+        ctx = self.context(entry, None)
+        return ctx.fn.run(self, ctx, args, fuel)[0]
 
     def trace(self) -> Trace:
         tr = Trace(edge_bytes={} if self.prog.footprints else None)
@@ -645,8 +631,8 @@ def _cold(m: _Machine, ctx: _Context, args: list, fuel: int):
                     raise InterpError("unassigned",
                                       "return of an unassigned register")
                 break
-    except (InterpError, struct.error) as e:   # the innermost frame's fuel
-        raise _settled(e, fuel) from None
+    except struct.error:
+        raise _unset_store() from None
     finally:   # a run that raises keeps its heat too
         fn.left = left
     # the entry has no call edge to charge its footprint to
@@ -689,8 +675,8 @@ def interpret(m: Module | Program, entry: str | None = None,
                           f"got {len(args)}")
     args = [_coerce_arg(a, ty) for a, (_, ty) in zip(args, f.params)]
     arena, mach = arena or Arena(), _Machine(prog)
-    value, _ = mach.run(entry, args, arena.data, fuel)
-    return ExecResult(value, arena.region_image(), mach)
+    return ExecResult(mach.run(entry, args, arena.data, fuel),
+                      arena.region_image(), mach)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ parent's instructions (gap blocks of the other side are branched around), and
 symmetrically for f_sel=0, so equivalence holds by construction for any pair
 of control-flow graphs.
 
-Verification proves it per side, and runs nothing. The weave walk proves a
-side: with f_sel fixed, the merged body must run exactly the parent's
-instructions in order, on the same values, with only glue between them:
-`select %f_sel`, `br %f_sel`, `jmp` and the zero initializers at the entry.
-A merge passes only if both sides are proved. Random-input differential runs
-are the tests' oracle for the walk, not a second way to pass.
+Verification proves it per side, and runs nothing: `verify_merge` takes
+the merged function alone, whose `parents` name the functions it walks
+against. The weave walk proves a side: with f_sel fixed, the merged body
+must run exactly the parent's instructions in order, on the same values,
+with only glue between them: `select %f_sel`, `br %f_sel`, `jmp` and the
+zero initializers at the entry. A merge passes only if both sides are
+proved. Random-input differential runs are the tests' oracle for the walk,
+not a second way to pass.
 """
 
 from __future__ import annotations
@@ -109,14 +111,14 @@ def linearize(f: Function, seed: int = 0) -> Linearization:
 
 def _fact(memo: dict | None, f: Function, key, compute):
     """compute(), a fact of `f` (an analysis: its loop forest, register
-    types, a linearization or its must-assign check), kept in `memo` under
-    `key`: it is computed on first use and again once another Function
-    object holds f's name; afresh without a memo."""
+    types, a linearization or its must-assign check), kept in the facts
+    table `memo` under f's name and `key`: it is computed on first use and
+    again once another Function object holds f's name; afresh without one."""
     if memo is None:
         return compute()
-    held = memo.setdefault("facts", {}).get(f.name)
+    held = memo.get(f.name)
     if held is None or held[0] is not f:
-        held = memo["facts"][f.name] = (f, {})
+        held = memo[f.name] = (f, {})
     if key not in held[1]:
         held[1][key] = compute()
     return held[1][key]
@@ -764,17 +766,18 @@ class VerifyReport:
     proved: tuple[bool, bool] = (False, False)   # per side
 
 
-def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
+def verify_merge(m: Module, merged: MergedFunction,
                  memo: dict | None = None) -> VerifyReport:
     """Prove merged ≡ parent on each f_sel side with `weave_walk`; nothing
-    runs, so no fuel limit applies. Both sides are walked, the merge passes
-    only if both are proved, and `detail` names each unproved side as `side
-    N (@parent) unproved: <the walk's reason>`. The body checked is
-    `merged.function`, whatever `m` holds under its name. `memo` keeps each
-    parent's must-assign check (`_fact`), so callers may share one while the
-    module only gains functions under fresh names."""
+    runs, so no fuel limit applies. The parents are `merged.parents`, read
+    from `m`. Both sides are walked, the merge passes only if both are
+    proved, and `detail` names each unproved side as `side N (@parent)
+    unproved: <the walk's reason>`. The body checked is `merged.function`,
+    whatever `m` holds under its name. `memo` keeps each parent's
+    must-assign check (`_fact`), so callers may share one while the module
+    only gains functions under fresh names."""
     proved, notes = [], []
-    for side, pname in ((1, name1), (2, name2)):
+    for side, pname in enumerate(merged.parents, 1):
         parent = m.function(pname)
         ok, why = weave_walk(merged, side, parent, _fact(
             memo, parent, "clean", lambda: not unassigned_uses(parent)))
@@ -783,5 +786,5 @@ def verify_merge(m: Module, name1: str, name2: str, merged: MergedFunction,
                      f"side {side} (@{pname}) unproved: {why}")
     mname = merged.function.name
     log.debug("verify %s: %s; %s", mname, *notes)
-    return VerifyReport((name1, name2), mname, all(proved), "; ".join(
+    return VerifyReport(merged.parents, mname, all(proved), "; ".join(
         n for n, ok in zip(notes, proved) if not ok), tuple(proved))

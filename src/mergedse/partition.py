@@ -112,7 +112,7 @@ def build_problem(m, costs, trace, merge_parents: dict[str, tuple[str, str]],
                   area_budget: float = 0.0) -> PartitionProblem:
     """Assemble the optimization instance from a module, its cost estimates,
     the all-software profile, and the merge graph (child -> parents)."""
-    from .analysis import build_call_graph
+    from .analysis import build_call_graph, postorder
 
     names = list(m.functions)
     missing = [n for n in names if n not in costs]
@@ -127,18 +127,11 @@ def build_problem(m, costs, trace, merge_parents: dict[str, tuple[str, str]],
         children[p1].add(child)
         children[p2].add(child)
     descend: dict[str, set[str]] = {}
-
-    def desc(n: str) -> set[str]:
-        if n not in descend:
-            out = set()
-            for c in children[n]:
-                out.add(c)
-                out |= desc(c)
-            descend[n] = out
-        return descend[n]
-
-    for n in names:
-        desc(n)
+    for n in names:   # each function after its children, without recursion
+        for x in postorder(n, lambda y: () if y in descend else children[y]):
+            if x not in descend:
+                descend[x] = set(children[x]).union(
+                    *(descend[c] for c in children[x]))
     merged = set(merge_parents)
     roots = {n for n in names if n not in merged}
 

@@ -52,7 +52,7 @@ def test_criterion_01_merge_correctness(corpus):
                     continue
                 # proved on both sides, and agreeing with each parent on
                 # 200 random trials of the oracle
-                rep = verify_merge(m, n1, n2, mf)
+                rep = verify_merge(m, mf)
                 verified += 1
                 why = [rep.detail] + [refute(m, mf, side, 200, 1234)
                                       for side in (1, 2)]

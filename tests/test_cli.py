@@ -446,6 +446,34 @@ def test_dse_end_to_end(tmp_path, model_file):
     assert validate_report_json(doc) == []
 
 
+def test_points_stopped_at_the_node_limit_are_counted_on_stderr(
+        tmp_path, model_file, capsys, monkeypatch):
+    # the solver logs a node-limit hit only as a warning, below the default
+    # log level; the written reports are counted on stderr instead, and the
+    # exit code stays 0
+    from mergedse import dse
+    from mergedse.dse import corpus_programs
+
+    def run(name, *flags):
+        _, ir, heap = next(p for p in corpus_programs() if p[0] == name)
+        out = tmp_path / name
+        assert main(["dse", "--model", model_file, *flags, str(ir), str(heap),
+                     "-o", str(out)]) == 0
+        assert out.with_suffix(".csv").exists()
+        return capsys.readouterr().err.splitlines()
+    for name, _, _ in corpus_programs():   # every point optimal: no line
+        assert run(name, "--budget", "6000") == [
+            f"wrote {tmp_path / name}.csv and {tmp_path / name}.json"]
+    monkeypatch.setattr(dse, "solve", lambda p: solve(p, node_limit=50))
+    tail = ("stopped at the solver's node limit: their selections are the "
+            "best found, not proved optimal")
+    assert run("reduce", "--budget", "6000")[-1] == "1 of 1 points " + tail
+    # without a budget dse sweeps the preset grids: some points stop
+    stopped = run("reduce")[-1]
+    assert re.fullmatch(r"([1-9]\d*) of (\d+) points " + re.escape(tail),
+                        stopped), stopped
+
+
 def test_sweep_without_budget_uses_preset_grid(tmp_path, model_file):
     out = tmp_path / "sweep"
     r = run_cli(["sweep", "--model", model_file, "--seed", "7",

@@ -61,8 +61,8 @@ def test_candidate_areas_match_probe_module_costing(corpus, area_model,
     # every bit of that, on every corpus program.
     verified = []
 
-    def spy(work, n1, n2, mf, **kw):
-        rep = verify_merge(work, n1, n2, mf, **kw)
+    def spy(work, mf, **kw):
+        rep = verify_merge(work, mf, **kw)
         if rep.passed:
             verified.append((Module(dict(work.functions), work.entry),
                              mf.function))
@@ -453,6 +453,16 @@ def test_pipeline_config_validation():
         PipelineConfig(area_budget=-1.0)
 
 
+def test_pipeline_config_rejects_a_table_key_that_is_not_an_opcode():
+    # as the config file rejects `hw.nosuch`: a table key names an opcode
+    from mergedse.cost import DEFAULT_HW_CYCLES, DEFAULT_SW_CYCLES
+    for side, table in (("sw", DEFAULT_SW_CYCLES), ("hw", DEFAULT_HW_CYCLES)):
+        with pytest.raises(IRError) as e:
+            PipelineConfig(**{f"{side}_table": {**table, "nosuch": 1}})
+        assert str(e.value) == f"{side}_table key 'nosuch' is not an opcode"
+        assert PipelineConfig(**{f"{side}_table": dict(table)})
+
+
 # ---------------------------------------------------------------------------
 # Footprints are profiled only when a finite bandwidth reads them
 # ---------------------------------------------------------------------------
@@ -749,7 +759,7 @@ def _prepare_depth_k(m, images, cfg, model, depth=2):
             except dse.MergeRejected:
                 continue
             funnel["aligned"] += 1
-            rep = dse.verify_merge(work, n1, n2, mf, memo=memo)
+            rep = dse.verify_merge(work, mf, memo=memo)
             if not rep.passed:
                 continue
             funnel["verified"] += 1

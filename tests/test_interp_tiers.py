@@ -72,18 +72,31 @@ def test_call_depth_limit_in_both_tiers(monkeypatch, tier):
     # forced hot, every frame starts cold and goes on in hot code: two
     # Python frames per call, the most the limit has to leave room for
     monkeypatch.setattr(interp, "HOT_MULTIPLE", TIERS[tier])
-    limit, fuel = interp.MAX_CALL_DEPTH, interp.DEFAULT_FUEL
-    mach = interp._Machine(Program(parse_module(test_ir.call_chain_ir(limit))))
+    limit = interp.MAX_CALL_DEPTH
+    chain, deeper = (Program(parse_module(test_ir.call_chain_ir(n)))
+                     for n in (limit, limit + 1))
     # every frame but the last charges a call segment and a ret segment
-    assert mach.run("f0", [3], bytearray(interp.REGION_BASE), fuel) == (
-        3, fuel - 2 * limit + 1)
+    mach = interp._Machine(chain)
+    assert mach.run("f0", [3], bytearray(interp.REGION_BASE),
+                    2 * limit - 1) == 3
     assert max(ctx.depth for ctx in mach.contexts) == limit
+    assert _outcome(chain, 2 * limit - 2) == "fuel"
     with pytest.raises(InterpError) as e:
-        interpret(parse_module(test_ir.call_chain_ir(limit + 1)), args=[3])
+        interpret(deeper, args=[3])
     assert e.value.kind == "depth"
     assert str(e.value) == (f"call to @f{limit} exceeds the call depth "
                             f"limit of {limit}")
-    assert e.value.fuel == fuel - limit   # the call segments charged so far
+    # the depth error comes once the call segments above it are charged
+    assert _outcome(deeper, limit) == "depth"
+    assert _outcome(deeper, limit - 1) == "fuel"
+
+
+def _outcome(prog: Program, fuel: int, args=(3,)):
+    """The entry's value on `args` with `fuel`, or the kind it raised."""
+    try:
+        return interpret(prog, args=list(args), fuel=fuel).value
+    except InterpError as e:
+        return e.kind
 
 
 RAISE_SRC = """
@@ -138,9 +151,11 @@ def test_runs_that_raise_keep_their_heat(monkeypatch):
 
 
 @pytest.mark.parametrize("tier", TIERS)
-def test_errors_record_the_fuel_left_where_they_were_raised(monkeypatch,
-                                                            tier):
+def test_each_outcome_needs_the_same_least_fuel_in_both_tiers(monkeypatch,
+                                                              tier):
     # Charged segments as above; a run of 5 steps charges 4 + 5 * 8 + 2.
+    # The least fuel reaching an outcome pays for every instruction up to
+    # the one that gives it; one unit less runs out first
     monkeypatch.setattr(interp, "HOT_MULTIPLE", TIERS[tier])
     m = parse_module(RAISE_SRC)
 
@@ -153,20 +168,19 @@ def test_errors_record_the_fuel_left_where_they_were_raised(monkeypatch,
         except InterpError as e:
             assert {fn.run is not interp._cold
                     for fn in prog.decoded.values()} == {tier == "hot"}
-            return e.kind, e.fuel
-    assert run(100, True, 1000) == (0, 1000 - 46)   # value and fuel left
-    assert run(100, False, 1000) == ("oob", 1000 - 46)   # the last load
-    # raised in the callee, on the fourth call: @main charged its call and
-    # @step its segment
-    assert run(3, True, 1000) == ("div-zero", 1000 - (4 + 3 * 8 + 1 + 4))
-    # fuel that cannot pay a segment in full leaves none, whether it runs
-    # out or the paid prefix raises first (@step's sdiv is its second)
-    assert run(100, True, 45) == ("fuel", 0)
-    assert run(3, True, 4 + 3 * 8 + 1 + 2) == ("div-zero", 0)
-    assert run(3, True, 4 + 3 * 8 + 1 + 1) == ("fuel", 0)
-    with pytest.raises(InterpError) as raised:   # not in a frame: no fuel
+            return e.kind
+    # the value; the last load, the paid prefix of [load ret]; and the
+    # fourth call, after @main charged it, at @step's sdiv, the second
+    # instruction of @step's one segment
+    for stop, p, least, want in ((100, True, 4 + 5 * 8 + 2, 0),
+                                 (100, False, 4 + 5 * 8 + 1, "oob"),
+                                 (3, True, 4 + 3 * 8 + 1 + 2, "div-zero")):
+        assert run(stop, p, 1000) == want
+        assert run(stop, p, least) == want
+        assert run(stop, p, least - 1) == "fuel"
+    with pytest.raises(InterpError) as raised:   # raised before any frame
         interpret(m, "main", [1, 2])
-    assert raised.value.kind == "type" and raised.value.fuel is None
+    assert raised.value.kind == "type"
 
 
 @pytest.mark.parametrize("case", ["ops/FE", "ops/FLE"])
@@ -921,30 +935,36 @@ def _unassigned_run(prog, name, fuel=interp.DEFAULT_FUEL):
     p = arena.add_region("buf", bytes(8))
     with pytest.raises(InterpError) as e:
         interpret(prog, name, [p, 3, 3, 1, 1.5], arena, fuel=fuel)
-    return e.value.kind, e.value.fuel
+    return e.value.kind
 
 
 def test_reading_an_unassigned_register_raises_in_both_tiers(
         unassigned_programs):
     # an InterpError, never a Python TypeError, a silent false branch or a
-    # returned None; both tiers raise it with the same fuel left
+    # returned None; both tiers raise it from the same least fuel, and run
+    # out of fuel with one unit less
     for k, (ty, body) in enumerate(UNASSIGNED_READS):
-        outs = {tier: _unassigned_run(prog, f"c{k}")
-                for tier, prog in unassigned_programs.items()}
-        assert set(outs.values()) == {("unassigned", outs["cold"][1])}, body
+        least = {}
+        for tier, prog in unassigned_programs.items():
+            assert _unassigned_run(prog, f"c{k}") == "unassigned", body
+            least[tier] = next(f for f in range(1, 8) if _unassigned_run(
+                prog, f"c{k}", fuel=f) == "unassigned")
+            assert _unassigned_run(prog, f"c{k}", least[tier] - 1) == "fuel"
+        assert least["hot"] == least["cold"], body
     # a read in the prefix of a segment that fuel cannot pay in full raises
-    # it too, and leaves no fuel; with no fuel for the read, fuel runs out
+    # it too; with no fuel for the read, fuel runs out
     for body in ("store f64 %u, %p\nret i32 0",
                  "%d = add i32 %u, %i\nret i32 0"):
         k = next(k for k, (_, b) in enumerate(UNASSIGNED_READS) if b == body)
         for prog in unassigned_programs.values():
-            assert _unassigned_run(prog, f"c{k}", fuel=1) == ("unassigned", 0)
-            assert _unassigned_run(prog, f"c{k}", fuel=0) == ("fuel", 0)
+            assert _unassigned_run(prog, f"c{k}", fuel=1) == "unassigned"
+            assert _unassigned_run(prog, f"c{k}", fuel=0) == "fuel"
 
 
 def test_a_callee_returning_an_unassigned_register_raises_in_both_tiers():
     # @main ignores @g's result, so only @g's own `ret` can notice that %u
-    # was never assigned; the error records the fuel left after that ret
+    # was never assigned: the least fuel raising it pays for @main's call
+    # and that ret
     m = parse_module("func @g(%x: i32) -> i32 {\ne:\n%u = add i32 %x, 1\n"
                      "ret i32 %u\n}\nfunc @main(%x: i32) -> i32 {\ne:\n"
                      "%v = call i32 @g(%x)\nret i32 3\n}")
@@ -952,8 +972,8 @@ def test_a_callee_returning_an_unassigned_register_raises_in_both_tiers():
     m.functions["g"] = replace(g, blocks=[replace(g.blocks[0], instrs=[
         ins for ins in g.blocks[0].instrs if ins.result != "u"])])
     for tier, prog in _tier_programs(m).items():
-        with pytest.raises(InterpError) as e:
-            interpret(prog, "main", [1], fuel=10)
-        assert (e.value.kind, e.value.fuel) == ("unassigned", 8), tier
+        for fuel, kind in ((10, "unassigned"), (2, "unassigned"),
+                           (1, "fuel")):
+            assert _outcome(prog, fuel, [1]) == kind, (tier, fuel)
         assert {fn.run is not interp._cold
                 for fn in prog.decoded.values()} == {tier == "hot"}

@@ -444,7 +444,7 @@ def test_self_merge_structure(pair_module):
     assert f.params[-1][1] == "i1"
     stripped = Function(f.name, f.params[:-1], f.ret, f.blocks, f.provenance)
     assert structurally_equal(stripped, m.functions["sel_a"])
-    assert verify_merge(m, "sel_a", "twin", mf).passed
+    assert verify_merge(m, mf).passed
 
 
 def test_selector_pair_merge_structure(pair_module):
@@ -538,7 +538,7 @@ def test_verify_detects_corrupted_merge(pair_module):
             if ins.op == "select" and ins.result and ins.result.startswith("sel"):
                 c, x, y = ins.operands
                 b.instrs[k] = Instr("select", ins.ty, ins.result, (c, y, x))
-    rep = verify_merge(pair_module, "sel_a", "sel_b", mf)
+    rep = verify_merge(pair_module, mf)
     assert not rep.passed and rep.proved == (False, False)
     # and it is a real miscompile: the trial oracle finds a counterexample
     assert all(refute(pair_module, mf, side, 200, 9).startswith("trial ")
@@ -579,7 +579,7 @@ def test_verify_rejects_a_side_whose_trials_never_return():
         block.instrs[0] = replace(z, operands=(b, b))
         proved, why = merge.weave_walk(mf, side, m.function("bad"))
         assert not proved
-        rep = verify_merge(m, n1, n2, mf)
+        rep = verify_merge(m, mf)
         assert not rep.passed
         assert rep.proved == (side == 2, side == 1)
         assert rep.detail == f"side {side} (@bad) unproved: {why}"
@@ -592,7 +592,7 @@ def test_verify_passes_a_proved_side_whose_trials_never_return():
     # included, so the merge passes although no trial of @bad returns
     m = parse_module(ERROR_ONLY_SRC)
     for n1, n2 in (("good", "bad"), ("bad", "good")):
-        rep = verify_merge(m, n1, n2, merge_functions(m, n1, n2))
+        rep = verify_merge(m, merge_functions(m, n1, n2))
         assert rep.passed and rep.proved == (True, True)
 
 
@@ -621,7 +621,7 @@ def test_depth_two_remerge(pair_module):
     m.functions[mf1.function.name] = mf1.function
     # merging the merged function again is supported up to depth 2
     mf2 = merge_functions(m, mf1.function.name, "sel_b")
-    rep = verify_merge(m, mf1.function.name, "sel_b", mf2)
+    rep = verify_merge(m, mf2)
     assert rep.passed, rep.detail
 
 
@@ -634,7 +634,7 @@ def test_corpus_pairs_verify(corpus):
                 mf = merge_functions(m, n1, n2)
             except MergeRejected:
                 continue
-            rep = verify_merge(m, n1, n2, mf)
+            rep = verify_merge(m, mf)
             assert rep.passed, (name, n1, n2, rep.detail)
             checked += 1
     assert checked >= 5
@@ -696,8 +696,8 @@ def test_shared_verify_memo_matches_fresh(corpus):
             mf = merge_functions(m, n1, n2)
         except MergeRejected:
             continue
-        fresh = verify_merge(m, n1, n2, mf)
-        assert verify_merge(m, n1, n2, mf, memo=shared) == fresh
+        fresh = verify_merge(m, mf)
+        assert verify_merge(m, mf, memo=shared) == fresh
         checked += 1
     assert checked >= 20
     assert shared
@@ -707,7 +707,7 @@ def test_shared_verify_memo_matches_fresh(corpus):
 def test_shared_verify_memo_still_catches_a_broken_merge(pair_module):
     shared = {}
     mf = merge_functions(pair_module, "sel_a", "sel_b")
-    assert verify_merge(pair_module, "sel_a", "sel_b", mf, memo=shared).passed
+    assert verify_merge(pair_module, mf, memo=shared).passed
     # same parents, so each parent's must-assign check is a memo hit
     broken = merge_functions(pair_module, "sel_a", "sel_b")
     for b in broken.function.blocks:
@@ -715,9 +715,9 @@ def test_shared_verify_memo_still_catches_a_broken_merge(pair_module):
             if ins.op == "select" and ins.result and ins.result.startswith("sel"):
                 c, x, y = ins.operands
                 b.instrs[k] = Instr("select", ins.ty, ins.result, (c, y, x))
-    rep = verify_merge(pair_module, "sel_a", "sel_b", broken, memo=shared)
+    rep = verify_merge(pair_module, broken, memo=shared)
     assert not rep.passed
-    assert rep == verify_merge(pair_module, "sel_a", "sel_b", broken)
+    assert rep == verify_merge(pair_module, broken)
 
 
 def test_walk_proves_sides_and_logs_why_a_side_runs_trials(pair_module,
@@ -727,7 +727,7 @@ def test_walk_proves_sides_and_logs_why_a_side_runs_trials(pair_module,
         assert merge.weave_walk(mf, side, pair_module.function(name)) == (
             True, "")
     with caplog.at_level("DEBUG", logger="mergedse"):
-        rep = verify_merge(pair_module, "sel_a", "sel_b", mf)
+        rep = verify_merge(pair_module, mf)
     assert rep.passed and rep.proved == (True, True) and rep.detail == ""
     assert caplog.records[-1].message == (
         "verify m.sel_a.sel_b: side 1 proved; side 2 proved")
@@ -747,7 +747,7 @@ def test_walk_proves_sides_and_logs_why_a_side_runs_trials(pair_module,
         notes.append(f"side {side} (@{name}) unproved: {why}")
     caplog.clear()
     with caplog.at_level("DEBUG", logger="mergedse"):
-        rep = verify_merge(pair_module, "sel_a", "sel_b", broken)
+        rep = verify_merge(pair_module, broken)
     assert not rep.passed and rep.proved == (False, False)
     assert rep.detail == "; ".join(notes)
     assert caplog.records[-1].message == f"verify m.sel_a.sel_b: {rep.detail}"
@@ -825,13 +825,14 @@ def test_verification_decodes_each_function_once_per_memo(corpus, area_model,
         built.append((f.name, bool(verifying)))
     monkeypatch.setattr(interp._Decoded, "__init__", counted)
 
-    def checked(work, n1, n2, mf, **kw):
+    def checked(work, mf, **kw):
         verifying.append(True)
         try:
-            rep = verify(work, n1, n2, mf, **kw)
+            rep = verify(work, mf, **kw)
         finally:
             verifying.pop()
-        assert set(kw["memo"]) == {"facts"}
+        assert all(work.functions.get(name) is held[0]
+                   for name, held in kw["memo"].items())
         calls.append(rep.proved)
         return rep
     verify = dse.verify_merge
@@ -853,13 +854,24 @@ def test_verify_and_align_refuse_no_trials_or_seeds(pair_module):
     mf = merge_functions(pair_module, "sel_a", "sel_b")
     for knob in ("trials", "seed", "fuel"):
         with pytest.raises(TypeError, match=knob):
-            verify_merge(pair_module, "sel_a", "sel_b", mf, **{knob: 1})
+            verify_merge(pair_module, mf, **{knob: 1})
     for seeds in (0, -1):
         with pytest.raises(IRError, match="seeds must be at least 1"):
             best_alignment(pair_module, "sel_a", "sel_b", seeds)
         with pytest.raises(IRError, match="seeds must be at least 1"):
             merge_functions(pair_module, "sel_a", "sel_b", seeds=seeds)
-    assert verify_merge(pair_module, "sel_a", "sel_b", mf).passed
+    assert verify_merge(pair_module, mf).passed
+
+
+def test_verify_takes_the_parents_from_the_merged_function(pair_module):
+    # the walk pairs side 1 with parents[0]: parent names passed beside the
+    # merge could come in the other order and reject a good merge
+    for n1, n2 in (("sel_a", "sel_b"), ("sel_b", "sel_a")):
+        mf = merge_functions(pair_module, n1, n2)
+        rep = verify_merge(pair_module, mf)
+        assert rep.passed and rep.parents == mf.parents == (n1, n2)
+        with pytest.raises(TypeError):
+            verify_merge(pair_module, n1, n2, mf)
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +884,7 @@ def _merge_outcome(work, n1, n2, memo):
         mf = merge_functions(work, n1, n2, memo=memo)
     except MergeRejected as e:
         return str(e)
-    rep = verify_merge(work, n1, n2, mf, memo=memo)
+    rep = verify_merge(work, mf, memo=memo)
     return print_function(mf.function), rep.passed, rep.proved, rep.detail
 
 
@@ -890,7 +902,7 @@ def test_function_facts_change_no_merge(corpus, mode):
             assert got == _merge_outcome(work, n1, n2, None), (name, n1, n2)
             pairs += 1
             rejected += isinstance(got, str)
-        assert set(memo.get("facts", ())) <= set(work.functions)
+        assert set(memo) <= set(work.functions)
     # FE ranks 60 pairs, all aligned; FLE 150, 8 of them rejected
     assert pairs >= 60 and rejected < pairs and (rejected > 0 or mode == "FE")
 
@@ -914,9 +926,9 @@ def test_function_facts_change_no_merge_of_either_round(corpus, area_model,
         assert print_function(mf.function) == fresh[0]
         return mf
 
-    def verified(work, n1, n2, mf, **kw):
-        rep = real_verify(work, n1, n2, mf, **kw)
-        want = real_verify(work, n1, n2, mf, **{**kw, "memo": None})
+    def verified(work, mf, **kw):
+        rep = real_verify(work, mf, **kw)
+        want = real_verify(work, mf, **{**kw, "memo": None})
         assert rep == want
         return rep
     monkeypatch.setattr(dse, "merge_functions", merged)
@@ -950,7 +962,7 @@ def test_function_facts_follow_the_function_object(pair_module):
     after = _merge_outcome(m, "sel_a", "sel_b", memo)
     assert after == _merge_outcome(m, "sel_a", "sel_b", None)
     assert after[0] != before[0] and after[2][0] is False
-    assert memo["facts"]["sel_a"][0] is m.functions["sel_a"]
+    assert memo["sel_a"][0] is m.functions["sel_a"]
 
 
 def test_verification_meets_a_parent_reading_an_unassigned_register(
@@ -967,7 +979,7 @@ def test_verification_meets_a_parent_reading_an_unassigned_register(
         for ins in b.instrs]) for b in sel_a.blocks])
     memo = {}
     mf = merge_functions(m, "sel_a", "sel_b", memo=memo)
-    rep = verify_merge(m, "sel_a", "sel_b", mf, memo=memo)
+    rep = verify_merge(m, mf, memo=memo)
     assert not rep.passed and rep.proved == (False, True)
     assert rep.detail == ("side 1 (@sel_a) unproved: the parent reads a "
                           "register before assigning it")

@@ -491,6 +491,28 @@ def test_depth2_descend_transitive():
     assert s1.objective == s2.objective
 
 
+@pytest.mark.parametrize("order", ["parent-first", "child-first"])
+def test_build_problem_descends_a_deep_merge_chain(order):
+    # @n{k} merges @n{k-1} with @b, 2,000 levels deep: deeper than Python's
+    # recursion limit. The module and the merge graph list the chain in
+    # either order; descend is the transitive closure either way
+    from types import SimpleNamespace
+    from mergedse.ir import parse_module
+    depth = 2000
+    chain = [f"n{k}" for k in range(depth + 1)]
+    listed = ["b"] + (chain if order == "parent-first" else chain[::-1])
+    m = parse_module("".join(f"func @{x}(%x: i32) -> i32 {{\ne:\n"
+                             "  ret i32 %x\n}\n" for x in listed))
+    merge_parents = {x: (f"n{int(x[1:]) - 1}", "b")
+                     for x in listed if x not in ("b", "n0")}
+    cost = SimpleNamespace(own_sw=0, own_hw=0, own_area=1.0)
+    p = build_problem(m, dict.fromkeys(listed, cost), None, merge_parents)
+    want = {x: set(chain[k + 1:]) for k, x in enumerate(chain)}
+    want["b"] = set(chain[1:])
+    assert p.descend == want
+    assert p.roots == {"b", "n0"}
+
+
 def test_bruteforce_rejects_large_instances():
     rng = random.Random(0)
     p = make_problem(21, [], rng)

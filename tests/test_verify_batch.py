@@ -112,7 +112,7 @@ def test_walk_proves_no_mutant_side_whose_trials_fail(corpus):
                                                         diags := []) or diags:
                         continue
                     valid += 1
-                    rep = verify_merge(work, n1, n2, mutant)
+                    rep = verify_merge(work, mutant)
                     rejected += not rep.passed
                     for side in (1, 2):
                         why = refute(work, mutant, side, fuel=fuel)
@@ -135,8 +135,8 @@ def test_every_aligned_corpus_candidate_passes_its_trials(corpus, area_model,
     checked = []
     verify = dse.verify_merge
 
-    def spy(work, n1, n2, mf, **kw):
-        rep = verify(work, n1, n2, mf, **kw)
+    def spy(work, mf, **kw):
+        rep = verify(work, mf, **kw)
         checked.append((rep.proved, [refute(work, mf, 1),
                                      refute(work, mf, 2)]))
         return rep
@@ -182,7 +182,7 @@ def test_walk_proves_every_merge_of_every_ordered_corpus_pair(corpus,
                     except MergeRejected:
                         rejected += 1
                         continue
-                    rep = verify_merge(m, n1, n2, mf)
+                    rep = verify_merge(m, mf)
                     assert rep.proved == (True, True), (
                         n1, n2, seeds, setting, rep.detail)
                     merges += 1
@@ -195,7 +195,7 @@ def test_verification_runs_the_body_it_is_handed(pair_module):
     m = pair_module.clone()
     mf = merge_functions(m, "sel_a", "sel_b")
     broken = _corrupted(mf)
-    want = verify_merge(m, "sel_a", "sel_b", broken)
+    want = verify_merge(m, broken)
     m.functions[mf.function.name] = mf.function
-    got = verify_merge(m, "sel_a", "sel_b", broken)
+    got = verify_merge(m, broken)
     assert not want.passed and got == want
