@@ -114,11 +114,6 @@ def _apply_config(args, cfgfile: dict):
 
 
 def _tool_config(args, tables) -> PipelineConfig:
-    from .cost import DEFAULT_HW_CYCLES, DEFAULT_SW_CYCLES
-    sw_table = dict(DEFAULT_SW_CYCLES)
-    sw_table.update(tables["sw"])
-    hw_table = dict(DEFAULT_HW_CYCLES)
-    hw_table.update(tables["hw"])
     # flags left unset take PipelineConfig's defaults
     given = {"mode": args.mode, "area_budget": args.budget,
              "latency": args.latency, "bandwidth": args.bandwidth,
@@ -128,7 +123,7 @@ def _tool_config(args, tables) -> PipelineConfig:
         given["clock"] = (Fraction(args.clock).limit_denominator(10 ** 15)
                           if isfinite(args.clock) else args.clock)
     return PipelineConfig(**{k: v for k, v in given.items() if v is not None},
-                          sw_table=sw_table, hw_table=hw_table)
+                          sw_table=tables["sw"], hw_table=tables["hw"])
 
 
 def _load_program(args):

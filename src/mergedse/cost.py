@@ -190,12 +190,28 @@ def _standardize(X: np.ndarray):
     return (X - mean) / std, mean, std
 
 
-class LassoModel:
-    kind = "lasso"
+def _training_data(X: np.ndarray, y: np.ndarray):
+    """Checked, standardized training data: Xs, ys and the scale (xmean,
+    xstd, ymean, ystd) a `_ScaledModel` unscales by."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, _ = X.shape
+    if n < 20:
+        raise CostError(f"need at least 20 samples, got {n}")
+    if float(np.ptp(y)) == 0.0:
+        raise CostError("degenerate training data: all targets equal")
+    Xs, xmean, xstd = _standardize(X)
+    ymean, ystd = float(y.mean()), float(y.std())
+    if ystd < 1e-12:
+        ystd = 1.0
+    return Xs, (y - ymean) / ystd, (xmean, xstd, ymean, ystd)
 
-    def __init__(self, weights, intercept, alpha, xmean, xstd, ymean, ystd):
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.intercept = float(intercept)
+
+class _ScaledModel:
+    """A model fit in standardized space: `predict` standardizes X by the
+    training scale and unscales what `_forward` makes of it."""
+
+    def __init__(self, alpha, xmean, xstd, ymean, ystd):
         self.alpha = float(alpha)
         self.xmean, self.xstd = xmean, xstd
         self.ymean, self.ystd = float(ymean), float(ystd)
@@ -203,7 +219,19 @@ class LassoModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         Xs = (X - self.xmean) / self.xstd
-        return (Xs @ self.weights + self.intercept) * self.ystd + self.ymean
+        return self._forward(Xs) * self.ystd + self.ymean
+
+
+class LassoModel(_ScaledModel):
+    kind = "lasso"
+
+    def __init__(self, weights, intercept, *scale):
+        super().__init__(*scale)
+        self.weights = np.asarray(weights, dtype=np.float64)
+        self.intercept = float(intercept)
+
+    def _forward(self, Xs: np.ndarray) -> np.ndarray:
+        return Xs @ self.weights + self.intercept
 
 
 DEFAULT_ALPHA_LASSO = 0.01
@@ -219,18 +247,8 @@ def train_lasso(X: np.ndarray, y: np.ndarray,
                 alpha: float = DEFAULT_ALPHA_LASSO) -> LassoModel:
     """L1-penalized least squares fit by cyclic coordinate descent, until a
     sweep moves the loss by less than 1e-8 or after 10000 sweeps."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, d = X.shape
-    if n < 20:
-        raise CostError(f"need at least 20 samples, got {n}")
-    if float(np.ptp(y)) == 0.0:
-        raise CostError("degenerate training data: all targets equal")
-    Xs, xmean, xstd = _standardize(X)
-    ymean, ystd = float(y.mean()), float(y.std())
-    if ystd < 1e-12:
-        ystd = 1.0
-    ys = (y - ymean) / ystd
+    Xs, ys, scale = _training_data(X, y)
+    n, d = Xs.shape
 
     w = np.zeros(d)
     b = 0.0
@@ -257,20 +275,18 @@ def train_lasso(X: np.ndarray, y: np.ndarray,
         if abs(prev - cur) < 1e-8:
             break
         prev = cur
-    return LassoModel(w, b, alpha, xmean, xstd, ymean, ystd)
+    return LassoModel(w, b, alpha, *scale)
 
 
-class MLPModel:
+class MLPModel(_ScaledModel):
     kind = "mlp"
 
-    def __init__(self, weights, biases, alpha, xmean, xstd, ymean, ystd):
+    def __init__(self, weights, biases, *scale):
+        super().__init__(*scale)
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
-        self.alpha = float(alpha)
-        self.xmean, self.xstd = xmean, xstd
-        self.ymean, self.ystd = float(ymean), float(ystd)
 
-    def _forward_std(self, Xs: np.ndarray) -> np.ndarray:
+    def _forward(self, Xs: np.ndarray) -> np.ndarray:
         h = Xs
         last = len(self.weights) - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
@@ -278,11 +294,6 @@ class MLPModel:
             if i != last:
                 h = np.maximum(h, 0.0)  # rectifier
         return h[:, 0]
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        Xs = (X - self.xmean) / self.xstd
-        return self._forward_std(Xs) * self.ystd + self.ymean
 
 
 def mlp_loss_and_grads(weights, biases, Xs, ys, alpha=0.0):
@@ -328,16 +339,8 @@ def train_mlp(X: np.ndarray, y: np.ndarray, alpha: float = 0.0,
     Deterministic for a fixed seed: initialization and batch shuffling both
     come from one seeded generator.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, d = X.shape
-    if n < 20:
-        raise CostError(f"need at least 20 samples, got {n}")
-    if float(np.ptp(y)) == 0.0:
-        raise CostError("degenerate training data: all targets equal")
-    Xs, xmean, xstd = _standardize(X)
-    ymean, ystd = float(y.mean()), float(y.std())
-    ys = (y - ymean) / ystd
+    Xs, ys, scale = _training_data(X, y)
+    n, d = Xs.shape
 
     rng = np.random.RandomState(seed)
     dims = [d] + [HIDDEN_UNITS] * HIDDEN_LAYERS + [1]
@@ -369,7 +372,7 @@ def train_mlp(X: np.ndarray, y: np.ndarray, alpha: float = 0.0,
                 mb[i] = b1 * mb[i] + (1 - b1) * db[i]
                 vb[i] = b2 * vb[i] + (1 - b2) * db[i] ** 2
                 biases[i] -= step * (mb[i] / c1) / (np.sqrt(vb[i] / c2) + eps)
-    return MLPModel(weights, biases, alpha, xmean, xstd, ymean, ystd)
+    return MLPModel(weights, biases, alpha, *scale)
 
 
 def r_squared(y: np.ndarray, pred: np.ndarray) -> float:
@@ -520,8 +523,12 @@ DEFAULT_HW_CYCLES = {
 DEFAULT_CLOCK = Fraction(1, 10 ** 9)  # one nanosecond per cycle
 
 
-def _latency(counts: dict[str, int] | None, table: dict[str, int],
-             clock: Fraction) -> Fraction:
+def latency(counts: dict[str, int] | None, table: dict[str, int],
+            clock: Fraction = DEFAULT_CLOCK) -> Fraction:
+    """Seconds that profiled opcode counts take at `table`'s cycles per
+    opcode; no counts take none. Over `Trace.hier_counts` this is a
+    function's whole dynamic call extent, over `Trace.counts` its own
+    instructions."""
     if not counts:
         return Fraction(0)
     cycles = 0
@@ -530,24 +537,6 @@ def _latency(counts: dict[str, int] | None, table: dict[str, int],
             raise CostError(f"opcode {op!r} missing from latency table")
         cycles += table[op] * c
     return cycles * clock
-
-
-def sw_latency(trace: Trace, fname: str, table: dict[str, int] | None = None,
-               clock: Fraction = DEFAULT_CLOCK,
-               hierarchical: bool = True) -> Fraction:
-    """Software seconds for f over the profile; hierarchical sums f's whole
-    dynamic call extent, otherwise only f's own instructions."""
-    counts = (trace.hier_counts if hierarchical else trace.counts).get(fname)
-    return _latency(counts, table or DEFAULT_SW_CYCLES, clock)
-
-
-def hw_latency(trace: Trace, fname: str, table: dict[str, int] | None = None,
-               clock: Fraction = DEFAULT_CLOCK,
-               hierarchical: bool = True) -> Fraction:
-    """Accelerated seconds for f over the profile; calls internal to the
-    accelerator cost nothing (hierarchical composition)."""
-    counts = (trace.hier_counts if hierarchical else trace.counts).get(fname)
-    return _latency(counts, table or DEFAULT_HW_CYCLES, clock)
 
 
 # ---------------------------------------------------------------------------
@@ -587,15 +576,18 @@ def estimate_costs(rows: dict, trace: Trace, model,
     batch: the MLP's last bits depend on the batch shape."""
     hier, own = zip(*rows.values())
     area_h, area_o = _predict(model, hier), _predict(model, own)
+    sw_table = sw_table or DEFAULT_SW_CYCLES
+    hw_table = hw_table or DEFAULT_HW_CYCLES
     out = {}
     for i, n in enumerate(rows):
+        h, o = trace.hier_counts.get(n), trace.counts.get(n)
         out[n] = CostEstimate(
             area=float(area_h[i]),
             own_area=float(area_o[i]),
-            sw=sw_latency(trace, n, sw_table, clock),
-            hw=hw_latency(trace, n, hw_table, clock),
-            own_sw=sw_latency(trace, n, sw_table, clock, hierarchical=False),
-            own_hw=hw_latency(trace, n, hw_table, clock, hierarchical=False),
+            sw=latency(h, sw_table, clock),
+            hw=latency(h, hw_table, clock),
+            own_sw=latency(o, sw_table, clock),
+            own_hw=latency(o, hw_table, clock),
         )
     return out
 
@@ -607,15 +599,13 @@ def merged_area(rows: dict, row, model, own: bool = False) -> float:
     return float(_predict(model, batch)[-1])
 
 
-def merged_cost(rows: dict, f: Function, model,
-                a: CostEstimate, b: CostEstimate, glue: Fraction,
-                area: float | None = None) -> CostEstimate:
-    """Cost of the merged accelerator f of parents a and b, where rows are
-    those of the module f would join last. Its areas are `merged_area`s,
-    the hierarchical one `area` if known; it runs both parents' profiled
-    work in hardware plus `glue`, and has no software time of its own."""
-    row = feature_rows(f, rows)
-    return CostEstimate(merged_area(rows, row, model) if area is None else area,
-                        merged_area(rows, row, model, own=True),
+def merged_cost(rows: dict, row, model, a: CostEstimate, b: CostEstimate,
+                glue: Fraction, area: float) -> CostEstimate:
+    """Cost of the merged accelerator of parents a and b, with `feature_rows`
+    row `row` and hierarchical area `area`, where rows are those of the
+    module it would join last. Its own-body area is a `merged_area`; it runs
+    both parents' profiled work in hardware plus `glue`, and has no software
+    time of its own."""
+    return CostEstimate(area, merged_area(rows, row, model, own=True),
                         sw=Fraction(0), hw=a.hw + b.hw + glue,
                         own_sw=Fraction(0), own_hw=a.own_hw + b.own_hw + glue)

@@ -14,9 +14,10 @@ from pathlib import Path
 
 from .analysis import build_call_graph, extract_loops, rank_pairs
 from .cost import (
-    DEFAULT_CLOCK, DEFAULT_DATASET_SEED, DEFAULT_HW_CYCLES, CostEstimate,
-    estimate_costs, estimate_profitability, feature_rows, load_model,
-    merged_area, merged_cost, module_rows, synthetic_dataset, train_mlp,
+    DEFAULT_CLOCK, DEFAULT_DATASET_SEED, DEFAULT_HW_CYCLES, DEFAULT_SW_CYCLES,
+    CostEstimate, estimate_costs, estimate_profitability, feature_rows,
+    load_model, merged_area, merged_cost, module_rows, synthetic_dataset,
+    train_mlp,
 )
 from .ir import (OPCODES, HeapImage, IRError, Module, Program, Trace,
                  run_heap_image)
@@ -50,6 +51,7 @@ class PipelineConfig:
     bandwidth: float = float("inf")
     clock: Fraction = DEFAULT_CLOCK
     seed: int = 7   # picks the area model (`default_model`) when none is given
+    # cycles per opcode: the defaults, with the given entries overriding
     sw_table: dict[str, int] | None = None
     hw_table: dict[str, int] | None = None
 
@@ -75,6 +77,8 @@ class PipelineConfig:
             raise IRError(BANDWIDTH_ZERO)
         if self.clock <= 0:
             raise IRError("clock must be positive")
+        self.sw_table = {**DEFAULT_SW_CYCLES, **(self.sw_table or {})}
+        self.hw_table = {**DEFAULT_HW_CYCLES, **(self.hw_table or {})}
 
 
 @dataclass
@@ -211,14 +215,13 @@ def prepare(m: Module, images: list[HeapImage], cfg: PipelineConfig,
             funnel["ep_positive"] += 1
 
             # accepted: priced before its row joins the working module's rows
-            costs[name] = merged_cost(rows, mf.function, model, c1, c2, glue,
-                                      area=area)
+            costs[name] = merged_cost(rows, row, model, c1, c2, glue, area)
             work.functions[name] = mf.function
             rows[name] = row
             merge_parents[name] = (n1, n2)
 
     if cfg.mode.endswith("Merging"):
-        hw_sel = (cfg.hw_table or DEFAULT_HW_CYCLES)["select"]
+        hw_sel = cfg.hw_table["select"]
         # working functions' analyses, shared by every candidate: `work`
         # only gains fresh names below
         memo: dict = {}

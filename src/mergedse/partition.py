@@ -447,8 +447,10 @@ def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution
 
     def dfs(depth: int, used_area: float, committed: int, sel: int, hws: int,
             hwc: int, blocked: int):
-        """sel, hws, hwc: groups with a selection, a hardware selection and
-        a hardware caller; blocked: merged functions in a group in sel."""
+        """The search below a node, which yields each child's arguments
+        when it takes that child's choice. sel, hws, hwc: groups with a
+        selection, a hardware selection and a hardware caller; blocked:
+        merged functions in a group in sel."""
         nonlocal best, best_state, nodes, hit_limit
         if nodes >= node_limit:
             hit_limit = True
@@ -509,10 +511,19 @@ def solve(p: PartitionProblem, node_limit: int = 5_000_000) -> PartitionSolution
                 d = sw + sum(e for j, e in callees if st[j] == _HW)
             else:
                 d = 0
-            dfs(depth + 1, ua, committed + d, s, h, w, b)
+            yield depth + 1, ua, committed + d, s, h, w, b
         st[depth] = -1
 
-    dfs(0, 0.0, 0, 0, 0, 0, 0)
+    # depth first on an explicit stack of nodes' searches, not recursion: a
+    # child is entered when its parent yields it, so node order, and st at
+    # -1 below the deciding depth, are those of a recursive descent
+    stack = [dfs(0, 0.0, 0, 0, 0, 0, 0)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(dfs(*child))
     if best_state is None:
         raise PartitionError("infeasible instance (no software fallback?)")
     hwv = {name: 1 for k, name in enumerate(names) if best_state[k] == _HW}

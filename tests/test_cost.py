@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from mergedse.analysis import build_call_graph
 from mergedse.cost import (
-    CostError, DEFAULT_SW_CYCLES, _standardize, estimate_costs,
-    estimate_profitability, evaluate_model, hw_latency, load_model,
-    mean_relative_error, mlp_loss_and_grads, module_rows, own_features,
-    r_squared, read_dataset, save_model, sw_latency, synthetic_dataset,
+    CostError, DEFAULT_HW_CYCLES, DEFAULT_SW_CYCLES, _standardize,
+    estimate_costs, estimate_profitability, evaluate_model, latency,
+    load_model, mean_relative_error, mlp_loss_and_grads, module_rows,
+    own_features, r_squared, read_dataset, save_model, synthetic_dataset,
     synthetic_hls_oracle, train_lasso, train_mlp, write_dataset,
 )
 from mergedse.ir import OPCODE_INDEX, interpret, parse_module, run_heap_image
@@ -264,22 +264,23 @@ def test_evaluate_filters_zero_targets():
 
 def test_latency_empty_trace():
     from mergedse.ir import Trace
-    assert sw_latency(Trace(), "nope") == 0
+    assert latency(Trace().hier_counts.get("nope"), DEFAULT_SW_CYCLES) == 0
 
 
 def test_latency_simple_arithmetic():
     from mergedse.ir import Trace
     t = Trace(hier_counts={"f": {"add": 100}})
     table = {"add": 1}
-    assert sw_latency(t, "f", table, Fraction(1, 10 ** 9)) == Fraction(1, 10 ** 7)
-    assert float(sw_latency(t, "f", table)) == 1e-7
+    counts = t.hier_counts["f"]
+    assert latency(counts, table, Fraction(1, 10 ** 9)) == Fraction(1, 10 ** 7)
+    assert float(latency(counts, table)) == 1e-7
 
 
 def test_latency_missing_opcode_errors():
     from mergedse.ir import Trace
     t = Trace(hier_counts={"f": {"weird": 1}})
     with pytest.raises(CostError, match="missing from latency table"):
-        sw_latency(t, "f", {"add": 1})
+        latency(t.hier_counts["f"], {"add": 1})
 
 
 def test_hierarchical_latency_equals_flat_recomputation():
@@ -309,7 +310,7 @@ def test_hierarchical_latency_equals_flat_recomputation():
     """)
     r = interpret(m, "top", [10])
     assert r.trace.calls_between("top", "leaf") == 10
-    got = sw_latency(r.trace, "top")
+    got = latency(r.trace.hier_counts["top"], DEFAULT_SW_CYCLES)
     # independent recomputation: own counts of both functions, flat sum
     cycles = 0
     for fn in ("top", "leaf"):
@@ -317,10 +318,11 @@ def test_hierarchical_latency_equals_flat_recomputation():
             cycles += DEFAULT_SW_CYCLES[op] * c
     assert got == cycles * Fraction(1, 10 ** 9)
     # linear in the trace: doubling every count doubles the latency
-    base_hw = hw_latency(r.trace, "top")
+    base_hw = latency(r.trace.hier_counts["top"], DEFAULT_HW_CYCLES)
     doubled = r.trace.merge(interpret(m, "top", [10]).trace)
-    assert sw_latency(doubled, "top") == 2 * got
-    assert hw_latency(doubled, "top") == 2 * base_hw
+    top = doubled.hier_counts["top"]
+    assert latency(top, DEFAULT_SW_CYCLES) == 2 * got
+    assert latency(top, DEFAULT_HW_CYCLES) == 2 * base_hw
 
 
 def test_estimate_costs_sw_zero_iff_unexecuted(corpus, area_model):

@@ -457,10 +457,34 @@ def test_pipeline_config_rejects_a_table_key_that_is_not_an_opcode():
     # as the config file rejects `hw.nosuch`: a table key names an opcode
     from mergedse.cost import DEFAULT_HW_CYCLES, DEFAULT_SW_CYCLES
     for side, table in (("sw", DEFAULT_SW_CYCLES), ("hw", DEFAULT_HW_CYCLES)):
-        with pytest.raises(IRError) as e:
-            PipelineConfig(**{f"{side}_table": {**table, "nosuch": 1}})
-        assert str(e.value) == f"{side}_table key 'nosuch' is not an opcode"
+        for bad in ({**table, "nosuch": 1}, {"nosuch": 1}):  # full or partial
+            with pytest.raises(IRError) as e:
+                PipelineConfig(**{f"{side}_table": bad})
+            assert str(e.value) == f"{side}_table key 'nosuch' is not an opcode"
         assert PipelineConfig(**{f"{side}_table": dict(table)})
+
+
+def test_a_partial_cycle_table_takes_the_defaults_for_the_rest(corpus,
+                                                               area_model):
+    # a library config's table overrides the defaults it names, as a config
+    # file's `hw.op` lines do: without `select`, the merging modes price
+    # glue at the default select cycles, and every report is the default's
+    partial = {op: c for op, c in DEFAULT_HW_CYCLES.items() if op != "select"}
+    for name, m, img in corpus:
+        for mode in ("FE+Merging", "FLE+Merging"):
+            got, want = (
+                [run_pipeline(m, [img], PipelineConfig(mode=mode, **table),
+                              model=area_model, program=name)]
+                for table in ({"hw_table": partial}, {}))
+            assert reports_to_csv(got) == reports_to_csv(want), (name, mode)
+            assert reports_to_json(got) == reports_to_json(want), (name, mode)
+    # an entry still overrides its default
+    name, m, img = _corpus_subset(corpus, ["poly"])[0]
+    costs = [prepare(m, [img], PipelineConfig(mode="FE", **table),
+                     model=area_model).costs
+             for table in ({"hw_table": {"mul": 50}}, {})]
+    assert any(costs[0][n].hw > costs[1][n].hw for n in costs[1])
+    assert all(costs[0][n].sw == costs[1][n].sw for n in costs[1])
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +765,7 @@ def _prepare_depth_k(m, images, cfg, model, depth=2):
             return trace.invocations.get(name, 0)
         return sum(map(covered_invocations, merge_parents[name]))
 
-    hw_sel = (cfg.hw_table or DEFAULT_HW_CYCLES)["select"]
+    hw_sel = cfg.hw_table["select"]
     memo = {}
     for depth_round in range(1, depth + 1):
         pairs = dse.rank_pairs(work, dse.MIN_SIMILARITY)
@@ -765,9 +789,9 @@ def _prepare_depth_k(m, images, cfg, model, depth=2):
             funnel["verified"] += 1
             inv = covered_invocations(n1) + covered_invocations(n2)
             glue = ((mf.mux_selects * hw_sel + 1) * inv) * cfg.clock
-            name = mf.function.name
-            est = dse.merged_cost(rows, mf.function, model, costs[n1],
-                                  costs[n2], glue)
+            name, row = mf.function.name, dse.feature_rows(mf.function, rows)
+            est = dse.merged_cost(rows, row, model, costs[n1], costs[n2], glue,
+                                  dse.merged_area(rows, row, model))
             parents_area = costs[n1].area + costs[n2].area
             record = dse.MergeRecord(name, (n1, n2), sim,
                                      mf.alignment.aligned_fraction, est.area,
@@ -783,7 +807,7 @@ def _prepare_depth_k(m, images, cfg, model, depth=2):
                 continue
             funnel["ep_positive"] += 1
             work.functions[name] = mf.function
-            rows[name] = dse.feature_rows(mf.function, rows)
+            rows[name] = row
             merge_parents[name] = (n1, n2)
             costs[name] = est
             added += 1
@@ -863,12 +887,14 @@ def test_a_pair_with_a_merged_parent_never_pays(pair_module, pair_rows,
     # as merged_cost prices it (no software time, both parents' hardware
     # time plus glue), and with any nonnegative costs and glue a pair that
     # holds it has a profitability of at most 0, in either order
-    rows, f = pair_rows, pair_module.functions["sel_a"]
+    rows, model = pair_rows, _UnitArea()
+    row = dse.feature_rows(pair_module.functions["sel_a"], rows)
+    area = dse.merged_area(rows, row, model)
     a, b, c, d = (_cost(sw, hw) for sw, hw in parents)
-    merged = dse.merged_cost(rows, f, _UnitArea(), a, b, glues[0])
-    partner = (dse.merged_cost(rows, f, _UnitArea(), c, d, glues[1])
+    merged = dse.merged_cost(rows, row, model, a, b, glues[0], area)
+    partner = (dse.merged_cost(rows, row, model, c, d, glues[1], area)
                if both_merged else c)
-    pair = dse.merged_cost(rows, f, _UnitArea(), merged, partner, glues[2])
+    pair = dse.merged_cost(rows, row, model, merged, partner, glues[2], area)
     for p1, p2 in ((merged, partner), (partner, merged)):
         assert dse.estimate_profitability(p1.sw, p2.sw, p1.hw, p2.hw, pair.hw,
                                           total) <= 0

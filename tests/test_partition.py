@@ -513,6 +513,25 @@ def test_build_problem_descends_a_deep_merge_chain(order):
     assert p.roots == {"b", "n0"}
 
 
+def test_solve_is_not_bounded_by_the_recursion_limit():
+    # 1,500 independent functions that all pay in hardware, all fitting the
+    # budget: the search goes 1,500 decisions deep, beyond Python's default
+    # recursion limit, and proves the all-hardware assignment optimal
+    n = 1500
+    names = [f"f{i}" for i in range(n)]
+    p = PartitionProblem(
+        names, {x: Fraction(2 + i % 7, 10 ** 6) for i, x in enumerate(names)},
+        dict.fromkeys(names, Fraction(1, 10 ** 6)),
+        {x: float(1 + i % 5) for i, x in enumerate(names)},
+        {x: set() for x in names}, {}, {}, {x: set() for x in names},
+        set(names), set(), area_budget=10.0 * n)
+    assert n > sys.getrecursionlimit()
+    s = solve(p)
+    assert s.optimal and check_solution(p, s) == []
+    assert s.hwv == dict.fromkeys(names, 1)
+    assert s.objective == Fraction(n, 10 ** 6)
+
+
 def test_bruteforce_rejects_large_instances():
     rng = random.Random(0)
     p = make_problem(21, [], rng)
