@@ -70,6 +70,9 @@ class PipelineConfig:
             for op, cycles in (table or {}).items():
                 if op not in OPCODES:
                     raise IRError(f"{side}_table key {op!r} is not an opcode")
+                if cycles != cycles or cycles == float("inf"):
+                    raise IRError(f"{side}_table[{op!r}] must be a finite "
+                                  f"number, got {cycles}")
                 if cycles < 0:
                     raise IRError(f"{side}.{op} must be non-negative, "
                                   f"got {cycles}")

@@ -36,8 +36,17 @@ one fuel comparison per segment, against the longest segment's length,
 guards the exact check. Later calls enter it, and a cold frame switches
 into it at its current segment, so one long call tiers up too. Heat gates
 compiling because it costs about six decodes; compiling eagerly slows the
-many short runs of profiling. No output depends on the tier. Names
-reach generated code only as repr() strings, literals only as frame slots.
+many short runs of profiling. A leaf (a call-free function of at most
+INLINE_MAX instructions with an acyclic segment graph, whose reads are all
+assigned first and which records no footprint) runs inline in its hot
+callers, as adaptive compilers inline hot call sites (Hölzle and Ungar,
+PLDI 1994): when fuel pays for its longest path, the caller runs its body
+on renamed locals and counts its visit and segment runs in the leaf's
+calling context; otherwise it calls it. Such a leaf reached by a call
+stays cold when its heat runs out, so it is compiled only inside its
+callers.
+No output depends on the tier. Names reach generated code only as repr()
+strings, literals only as frame slots.
 In both tiers an integer result is wrapped only when it leaves the range
 its type holds (`INT_RANGE`; an i1 holds 0 or 1), fuel passes through calls
 as an argument and a return value, frame entry converts no argument (every
@@ -48,10 +57,11 @@ checks and coerces its arguments and runs them on a fresh machine.
 Profiling records footprints only when a finite bandwidth reads them
 (`dse.prepare`); merge verification runs nothing (`merge.weave_walk`).
 
-Each interpreted call is a Python call, so a run enters at most
-MAX_CALL_DEPTH nested frames; a call one deeper raises InterpError("depth")
-instead of exhausting Python's stack. A calling context records its depth
-when it is made, once per call edge, so no frame pays for the check.
+Each interpreted call that is not inlined is a Python call, so a run
+enters at most MAX_CALL_DEPTH nested frames; a call one deeper, inlined or
+not, raises InterpError("depth") instead of exhausting Python's stack. A
+calling context records its depth when it is made, once per call edge, so
+no frame pays for the check.
 """
 
 from __future__ import annotations
@@ -63,6 +73,7 @@ from functools import cache, cached_property
 
 from .core import (INT_RANGE, TYPE_WIDTH, Function, Instr, IRError, Module,
                    Reg, wrap_int)
+from .validate import unassigned_uses
 
 NULL_GUARD = 8
 SCRATCH_BASE = 8
@@ -179,6 +190,11 @@ _BR, _JMP, _CALL, _RET = range(4)
 # reach this multiple of its static instruction count (see the module
 # docstring for why it is gated by heat).
 HOT_MULTIPLE = 128
+
+# The most instructions a leaf may hold and still run inline: every call site
+# copies its source, and the caller's heat, which gates compiling that
+# source, does not count the copies. The corpus's leaves hold 5-12.
+INLINE_MAX = 16
 
 
 _WRAP = "\nif {d} > {top} or {d} < -{half}: {d} = ({d} + {half} & {mask}) - {half}"
@@ -313,17 +329,35 @@ def _factory(op: str, ty: str, pred, cast_to, touch: bool):
     return ns["make"]
 
 
+def _code(fn: "_Decoded", k: int, name) -> list[str]:
+    """The source of segment k's instructions with slot s spelled name(s)."""
+    return [_source(ins, fn.touches and ins.op in ("load", "store"),
+                    d=name(d), H=f"r{_HEAP}", n=f"r{_HLEN}", fn=repr(fn.name),
+                    t=f"r{_TOUCHED[TYPE_WIDTH[ins.ty]]}",
+                    **{f: name(o) for f, o in zip("abc", ops)})
+            for ins, d, ops in filter(None, fn.code[k])]
+
+
 def _hot_source(fn: "_Decoded") -> str:
     """Hot tier: the source of one Python function running all of `fn` from
     segment i with registers as locals r<slot>, charging fuel (one guard at
-    the loop head), counting segment runs and calling as _cold does."""
-    out = ["def hot(m, ctx, args, fuel, r=frame, i=0):",
+    the loop head), counting segment runs and calling as _cold does. A call
+    of a leaf (`_Decoded.leaf`) runs its body inline on locals l<j>_<slot>
+    while fuel pays for the leaf's longest path and its context holds the
+    decoding compiled in (inl<j>); the leaves' constants come bound in c."""
+    leaves = fn.inlined()
+    names = list(leaves)
+    out = ["def hot(m, ctx, args, fuel, r=frame, i=0, c=consts):",
            " " + "".join(f"r{k}, " for k in range(len(fn.frame))) + "= r",
            " if args is not None:",
            "  ctx.visits += 1", f"  r{_HEAP} = m.heap", f"  r{_HLEN} = len(r{_HEAP})"]
 
     def emit(ind: str, text: str):
         out.extend(ind + line for line in text.split("\n"))
+    bound = [f"l{j}_{s}" for j, leaf in enumerate(leaves.values())
+             for s in leaf.leaf[2]]
+    if bound:
+        out.insert(2, " " + "".join(f"{b}, " for b in bound) + "= c")
     if fn.touches:
         emit("  ", "r1, r2, r3 = set(), set(), set()")
     emit("  ", "(" + "".join(f"r{s}, " for s in fn.params) + ") = args")
@@ -331,27 +365,59 @@ def _hot_source(fn: "_Decoded") -> str:
               f" while True:\n  if fuel < {max(fn.lens)}:\n   if fuel < "
               f"{tuple(fn.lens)}[i]: exhaust(ctx.fn, i, fuel, locals())")
 
+    def inline(j: int, leaf: "_Decoded", args: tuple, z, ind: str):
+        """Run `leaf` on the caller's slots `args` into slot z (or None) as
+        its frame would: its segments in topological order, each entered
+        when j names it. Each ends in a branch or a return, since a segment
+        ends in a jmp only where the jmp closes a cycle."""
+        order = leaf.leaf[1]
+        runs = "lr" if len(order) > 1 else "sub.runs"
+        emit(ind, "sub.visits += 1" + ("\nlr = sub.runs" if len(order) > 1
+                                       else ""))
+        for p, a in zip(leaf.params, args):
+            emit(ind, f"l{j}_{p} = r{a}")
+        for s in order:
+            _, n, end, x, y, w, _, _ = leaf.segs[s]
+            sind = ind
+            if s != order[0]:
+                emit(ind, f"if j == {s}:")
+                sind = ind + " "
+            emit(sind, f"fuel -= {n}\n{runs}[{s}] += 1")
+            for text in _code(leaf, s, lambda o: f"l{j}_{o}"):
+                emit(sind, text)
+            if end == _BR:
+                emit(sind, f"j = {y} if l{j}_{x} else {w}")
+            elif x is not None:
+                emit(sind, f"if l{j}_{x} is UNSET: raise InterpError("
+                           "'unassigned', 'return of an unassigned register')"
+                           + (f"\nr{z} = l{j}_{x}" if z is not None else ""))
+
     def segment(k: int, ind: str):
         _, n, end, x, y, z, u, _ = fn.segs[k]
-        code = [s and _source(s[0], fn.touches and s[0].op in ("load", "store"),
-                              d=f"r{s[1]}", H=f"r{_HEAP}", n=f"r{_HLEN}",
-                              fn=repr(fn.name), t=f"r{_TOUCHED[TYPE_WIDTH[s[0].ty]]}",
-                              **{f: f"r{o}" for f, o in zip("abc", s[2])})
-                for s in fn.code[k]]
         emit(ind, f"fuel -= {n}\nruns[{k}] += 1")
-        for c in filter(None, code):
-            emit(ind, c)
+        for text in _code(fn, k, lambda o: f"r{o}"):
+            emit(ind, text)
         if end == _BR:
             emit(ind, f"i = {y} if r{x} else {z}")
         elif end == _JMP:
             emit(ind, f"i = {x}")
         elif end == _CALL:
-            emit(ind, f"sub = callees.get({x!r}) or m.context({x!r}, ctx)\n"
-                      f"{'_' if z is None else f'r{z}'}, sb, fuel = sub.fn.run("
-                      "m, sub, [" + ", ".join(f"r{a}" for a in y) + "], fuel)\n"
-                      + ("if sb:\n sub.touched += len(sb)\n if r1 is None: "
-                         "r1 = sb\n else: r1 |= sb\n" if fn.footprints else "")
-                      + f"i = {u}")
+            emit(ind, f"sub = callees.get({x!r}) or m.context({x!r}, ctx)")
+            call = (f"{'_' if z is None else f'r{z}'}, sb, fuel = sub.fn.run("
+                    "m, sub, [" + ", ".join(f"r{a}" for a in y) + "], fuel)"
+                    + ("\nif sb:\n sub.touched += len(sb)\n if r1 is None: "
+                       "r1 = sb\n else: r1 |= sb" if fn.prog.footprints
+                       else ""))
+            if x in leaves:
+                j = names.index(x)
+                emit(ind, f"if sub.fn is inl{j} and fuel >= "
+                          f"{leaves[x].leaf[0]}:")
+                inline(j, leaves[x], y, z, ind + " ")
+                emit(ind, "else:")
+                emit(ind + " ", call)
+            else:
+                emit(ind, call)
+            emit(ind, f"i = {u}")
         else:
             emit(ind, (f"if r{x} is UNSET: raise InterpError('unassigned', "
                        "'return of an unassigned register')\n"
@@ -384,8 +450,8 @@ class _Decoded:
     prefix when fuel runs out. `code` holds, per segment and step, the
     instruction with its result and operand slots, for the hot tier."""
 
-    def __init__(self, f: Function, footprints: bool):
-        self.name, self.source, self.footprints = f.name, f, footprints
+    def __init__(self, f: Function, prog: "Program"):
+        self.name, self.source, self.prog = f.name, f, prog
         self.run = _cold   # the tier: run(machine, context, args, fuel)
         self.left = HOT_MULTIPLE * f.size()   # instructions until compiled
         slots: dict[str, int] = {}
@@ -445,7 +511,7 @@ class _Decoded:
             for ins in instrs[:-1]:
                 h = c = None
                 if ins.op != "jmp":
-                    touch = footprints and ins.op in ("load", "store")
+                    touch = prog.footprints and ins.op in ("load", "store")
                     self.touches |= touch
                     c = (ins, slot(Reg(ins.result)) if ins.result is not None
                          else None, [slot(o) for o in ins.operands])
@@ -476,23 +542,74 @@ class _Decoded:
         self.edge_const = (sum(TYPE_WIDTH[t] for _, t in f.params if t != "ptr")
                            + (TYPE_WIDTH[f.ret] if f.ret != "void" else 0))
 
+    @cached_property
+    def leaf(self) -> tuple[int, list[int], list[int]] | None:
+        """What a hot caller needs to run this function inline, if it is a
+        leaf: the fuel of its longest path, its segments in topological
+        order and its constant slots. A leaf ends no segment in a call, its
+        segments form no cycle, it reads no register some path leaves
+        unassigned (so no invocation resets a register to UNSET), it
+        records no footprint and it holds at most INLINE_MAX instructions.
+        Decided at most once, when a caller compiles or its heat runs out,
+        so decoding pays nothing for it."""
+        if (self.touches or self.source.size() > INLINE_MAX
+                or any(seg[2] == _CALL for seg in self.segs)):
+            return None
+
+        def succs(k: int) -> tuple:
+            _, _, end, x, y, z, _, _ = self.segs[k]
+            return (y, z) if end == _BR else (x,) if end == _JMP else ()
+        # every segment is reachable from the entry, so a cycle leaves some
+        # segment with entries never all taken
+        entries = Counter(t for k in range(len(self.segs)) for t in succs(k))
+        order, ready = [], [] if entries[0] else [0]
+        while ready:
+            order.append(k := ready.pop())
+            for t in succs(k):
+                entries[t] -= 1
+                if not entries[t]:
+                    ready.append(t)
+        if len(order) < len(self.segs) or unassigned_uses(self.source):
+            return None
+        longest: dict[int, int] = {}
+        for k in reversed(order):
+            longest[k] = self.lens[k] + max(map(longest.get, succs(k)),
+                                            default=0)
+        return longest[0], order, [k for k in range(_RESERVED, len(self.frame))
+                                   if self.frame[k] is not _UNSET]
+
+    def inlined(self) -> dict[str, "_Decoded"]:
+        """The leaves this function calls, current in its Program, by name
+        in order of first call: its hot code runs them inline."""
+        funcs, out = self.prog.module.functions, {}
+        for _, _, end, x, *_ in self.segs:
+            if end == _CALL and x not in out and x in funcs:
+                callee = self.prog.function(x)
+                if callee.leaf is not None:
+                    out[x] = callee
+        return out
+
     def compiled(self):
         """The hot tier's function, generated and compiled on first use."""
         if self.run is _cold:
-            ns = dict(_NS, frame=self.frame)
+            leaves = self.inlined()
+            ns = dict(_NS, frame=self.frame, consts=tuple(
+                leaf.frame[k] for leaf in leaves.values() for k in leaf.leaf[2]),
+                **{f"inl{j}": leaf for j, leaf in enumerate(leaves.values())})
             exec(_hot_source(self), ns)
             self.run = ns["hot"]
         return self.run
 
 
 class Program:
-    """A module decoded for execution. Functions are decoded on first call,
-    and again if their Function object in `module` is replaced. Each gathers
-    heat over every run on the Program and turns hot at HOT_MULTIPLE times
-    its size; no output depends on the tier. Footprints are for a finite
-    bandwidth only: with `footprints=False` loads and stores record no
-    touched addresses and traces mark `edge_bytes` as not recorded (None);
-    everything else is the same."""
+    """A module decoded for execution. Functions are decoded on first call
+    or when a caller compiles, and again if their Function object in
+    `module` is replaced. Each gathers heat over every run on the Program and
+    turns hot at HOT_MULTIPLE times its size, except a leaf reached by a
+    call, which its hot callers run inline; no output depends on the tier.
+    Footprints are for a finite bandwidth only: with `footprints=False`
+    loads and stores record no touched addresses and traces mark
+    `edge_bytes` as not recorded (None); everything else is the same."""
 
     def __init__(self, m: Module, footprints: bool = True):
         self.module = m
@@ -503,7 +620,7 @@ class Program:
         f = self.module.functions[name]
         fn = self.decoded.get(name)
         if fn is None or fn.source is not f:
-            fn = self.decoded[name] = _Decoded(f, self.footprints)
+            fn = self.decoded[name] = _Decoded(f, self)
         return fn
 
 
@@ -596,7 +713,8 @@ def _cold(m: _Machine, ctx: _Context, args: list, fuel: int):
     i = 0
     try:
         while True:
-            if left <= 0:
+            # a leaf reached by a call stays cold: hot callers run it inline
+            if left <= 0 and (ctx.parent is None or fn.leaf is None):
                 fn.left, r[1] = left, reached
                 return fn.compiled()(m, ctx, None, fuel, r, i)
             body, n, end, x, y, z, u, _ = segs[i]

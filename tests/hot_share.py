@@ -2,12 +2,12 @@
 
 Runs one pass of each benchmark workload (the calls of
 ``perfbench/workloads.py``) with the interpreter watched from outside:
-every calling context is kept, and when a function switches to the hot
-tier the segment runs its cold-created contexts have made so far are
-counted as cold. Everything a context runs after that, and everything in
-contexts created hot, is hot. Instructions are counted as the fuel charges
-them, errored runs included; `compiled` counts the functions that switched
-to the hot tier. Usage:
+every calling context is kept, and every cold frame counts the segment
+runs its context makes until the frame returns, raises or switches to the
+hot tier. Those instructions are cold; all others are hot, among them the
+runs of a leaf that a hot caller runs inline. Instructions are counted as
+the fuel charges them, errored runs included; `compiled` counts the
+functions that switched to the hot tier. Usage:
 
     PYTHONPATH=src python tests/hot_share.py [--seed 7] [WORKLOAD ...]
 """
@@ -29,46 +29,64 @@ from mergedse import dse  # noqa: E402
 class Watch:
     def __init__(self):
         self.contexts = []           # every context, with its function
-        self.cold_open = {}          # id(fn) -> contexts created cold
-        self.cold = 0                # instructions run cold so far
+        self.frames = []             # [context, its instructions at entry]
+        self.cold = 0                # instructions run cold
         self.compiled = 0            # functions switched to the hot tier
 
     @staticmethod
     def instrs(ctx) -> int:
         return sum(k * n for k, n in zip(ctx.runs, ctx.fn.lens))
 
+    def close(self, frame):
+        """Count the cold instructions of `frame` once, when it ends or
+        switches; a context is never re-entered while a frame of it runs."""
+        if frame[0] is not None:
+            self.cold += self.instrs(frame[0]) - frame[1]
+            frame[0] = None
+
     @contextmanager
     def installed(self):
-        context, compiled = interp._Machine.context, interp._Decoded.compiled
+        context, compiled, cold = (interp._Machine.context,
+                                   interp._Decoded.compiled, interp._cold)
         watch = self
 
         def watched_context(mach, fname, parent):
             ctx = context(mach, fname, parent)
             watch.contexts.append(ctx)
-            if ctx.fn.run is interp._cold:
-                watch.cold_open.setdefault(id(ctx.fn), []).append(ctx)
             return ctx
 
+        def watched_cold(mach, ctx, args, fuel):
+            frame = [ctx, watch.instrs(ctx)]
+            watch.frames.append(frame)
+            try:
+                return cold(mach, ctx, args, fuel)
+            finally:
+                watch.close(watch.frames.pop())
+
         def watched_compiled(fn):
-            if fn.run is interp._cold:
+            if fn.run is watched_cold:
                 watch.compiled += 1
-                for ctx in watch.cold_open.pop(id(fn), []):
-                    watch.cold += watch.instrs(ctx)
-            return compiled(fn)
+            hot = compiled(fn)
+
+            def switch(mach, ctx, args, fuel, r, i):   # the only caller
+                watch.close(watch.frames[-1])
+                return hot(mach, ctx, args, fuel, r, i)
+            return switch
+        # decoding binds the cold tier it finds, so this one is bound
         interp._Machine.context = watched_context
         interp._Decoded.compiled = watched_compiled
+        interp._cold = watched_cold
         try:
             yield self
         finally:
             interp._Machine.context = context
             interp._Decoded.compiled = compiled
+            interp._cold = cold
 
     def shares(self) -> tuple[int, int]:
         """(instructions run, instructions run hot)."""
         total = sum(self.instrs(ctx) for ctx in self.contexts)
-        cold = self.cold + sum(self.instrs(ctx) for ctxs in
-                               self.cold_open.values() for ctx in ctxs)
-        return total, total - cold
+        return total, total - self.cold
 
 
 def main(argv=None) -> int:

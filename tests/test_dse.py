@@ -464,6 +464,18 @@ def test_pipeline_config_rejects_a_table_key_that_is_not_an_opcode():
         assert PipelineConfig(**{f"{side}_table": dict(table)})
 
 
+def test_pipeline_config_rejects_a_cycle_count_that_is_not_finite():
+    # NaN passes `cycles < 0`; both would fail late, in exact pricing
+    for side in ("sw", "hw"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(IRError) as e:
+                PipelineConfig(**{f"{side}_table": {"add": bad}})
+            assert str(e.value) == (f"{side}_table['add'] must be a finite "
+                                    f"number, got {bad}")
+        with pytest.raises(IRError, match="must be non-negative"):
+            PipelineConfig(**{f"{side}_table": {"add": -float("inf")}})
+
+
 def test_a_partial_cycle_table_takes_the_defaults_for_the_rest(corpus,
                                                                area_model):
     # a library config's table overrides the defaults it names, as a config
@@ -549,8 +561,8 @@ def test_prepare_at_infinite_bandwidth_records_no_footprints(
     from mergedse.partition import PartitionError
     decoded, init = [], interp._Decoded.__init__
 
-    def spy(self, f, footprints):
-        init(self, f, footprints)
+    def spy(self, f, prog):
+        init(self, f, prog)
         decoded.append(self)
     monkeypatch.setattr(interp._Decoded, "__init__", spy)
     name, m, img = _corpus_subset(corpus, ["histo"])[0]
@@ -602,8 +614,8 @@ def test_prepare_profiles_every_image_on_one_program(corpus, area_model,
         return trace
     init = interp._Decoded.__init__
 
-    def spy(self, f, footprints):
-        init(self, f, footprints)
+    def spy(self, f, prog):
+        init(self, f, prog)
         if profiling:
             decoded.append(f.name)
     monkeypatch.setattr(interp._Decoded, "__init__", spy)

@@ -35,7 +35,7 @@ from mergedse.ir import (
     parse_module, run_heap_image, wrap_int,
 )
 import test_ir
-from test_interp_golden import GOLDEN, OPS_HEAP, OPS_SRC, _cases, _summary
+from test_interp_golden import GOLDEN, _cases, _summary
 
 TIERS = {"cold": math.inf, "hot": 0}
 
@@ -56,15 +56,39 @@ def test_forced_tier_matches_golden(golden, monkeypatch, tier):
     test_ir.test_outcome_only_program_matches_the_full_path()
 
 
+def _inline_instrs(fn, contexts) -> int:
+    """The instructions `fn` ran inside hot callers, under HOT_MULTIPLE 0:
+    all it ran less those its cold frames charged to its heat."""
+    return fn.left + sum(k * n for ctx in contexts if ctx.fn is fn
+                         for k, n in zip(ctx.runs, fn.lens))
+
+
+def _assert_tiers(contexts, tier: str) -> set[str]:
+    """Every function that ran took the forced tier, except that forced hot
+    a leaf reached by a call stays cold and runs inline in its callers;
+    returns the names of those leaves."""
+    called = {ctx.fn for ctx in contexts if ctx.parent is not None}
+    inline = set()
+    for fn in {ctx.fn for ctx in contexts}:
+        if fn.run is interp._cold and tier == "hot":
+            assert fn.leaf is not None and fn in called, fn.name
+            assert _inline_instrs(fn, contexts) > 0, fn.name
+            inline.add(fn.name)
+        else:
+            assert (fn.run is not interp._cold) == (tier == "hot"), fn.name
+    return inline
+
+
 def test_forced_tiers_take_their_tier(monkeypatch):
-    m, img = parse_module(OPS_SRC), HeapImage.parse(OPS_HEAP)
-    for tier, want_hot in (("cold", False), ("hot", True)):
-        monkeypatch.setattr(interp, "HOT_MULTIPLE", TIERS[tier])
-        prog = Program(m)
-        arena, args = img.instantiate(m.functions[m.entry])
-        interpret(prog, m.entry, args, arena)
-        assert {fn.run is not interp._cold
-                for fn in prog.decoded.values()} == {want_hot}
+    # in ops @cmp holds more than INLINE_MAX instructions, and the others
+    # load or store while the run records footprints
+    want = {"ops/FE": set(), "decode/FE": {"clip", "bias_clip", "scale_clip"}}
+    for case, m, img in _cases():
+        for tier in TIERS if case in want else ():
+            monkeypatch.setattr(interp, "HOT_MULTIPLE", TIERS[tier])
+            r = run_heap_image(Program(m), img)
+            assert _assert_tiers(r._mach.contexts, tier) == (
+                want[case] if tier == "hot" else set()), case
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -162,12 +186,14 @@ def test_each_outcome_needs_the_same_least_fuel_in_both_tiers(monkeypatch,
     def run(stop, p, fuel):
         prog, arena = Program(m), Arena()
         buf = arena.add_region("buf", bytes(8))
+        mach = interp._Machine(prog)
         try:
-            return interp._Machine(prog).run(
-                "main", [5, stop, buf if p else 0], arena.data, fuel)
+            return mach.run("main", [5, stop, buf if p else 0], arena.data,
+                            fuel)
         except InterpError as e:
-            assert {fn.run is not interp._cold
-                    for fn in prog.decoded.values()} == {tier == "hot"}
+            # forced hot, @step runs inline while fuel pays for all of it
+            assert _assert_tiers(mach.contexts, tier) == (
+                {"step"} if tier == "hot" else set())
             return e.kind
     # the value; the last load, the paid prefix of [load ret]; and the
     # fourth call, after @main charged it, at @step's sdiv, the second
@@ -295,6 +321,226 @@ def test_hot_sources_have_one_fuel_check(corpus):
                 assert src.count("exhaust(") == 1, f
                 checked += 1
     assert checked > 50
+
+
+# ---------------------------------------------------------------------------
+# Leaves run inline
+# ---------------------------------------------------------------------------
+
+# A hot @main calls four leaves: @one is one segment, @clip branches into
+# five, @put stores and returns nothing, and @risky loads, divides and
+# computes on f64, so its inputs reach oob, div-zero (integer and float)
+# and f64 specials.
+LEAF_SRC = """
+func @one(%x: i64) -> i64 {
+e:
+  %y = mul i64 %x, 3
+  %y = add i64 %y, 1
+  ret i64 %y
+}
+
+func @clip(%x: i32, %lo: i32, %hi: i32) -> i32 {
+e:
+  %c = icmp slt i32 %x, %lo
+  br %c, low, up
+low:
+  ret i32 %lo
+up:
+  %d = icmp sgt i32 %x, %hi
+  br %d, high, mid
+high:
+  ret i32 %hi
+mid:
+  %y = add i32 %x, 0
+  ret i32 %y
+}
+
+func @put(%p: ptr, %i: i32, %v: i32) -> void {
+e:
+  %q = gep i32 %p, %i
+  store i32 %v, %q
+  ret
+}
+
+func @risky(%p: ptr, %i: i32, %d: i64, %f: f64) -> f64 {
+e:
+  %q = gep i64 %p, %i
+  %v = load i64, %q
+  %v = sdiv i64 %v, %d
+  %g = sitofp i64 %v to f64
+  %g = fdiv f64 %g, %f
+  ret f64 %g
+}
+
+func @main(%p: ptr, %n: i32, %d: i64, %f: f64) -> f64 {
+e:
+  %i = const i32 0
+  %acc = const f64 0.0
+  jmp h
+h:
+  %c = icmp slt i32 %i, %n
+  br %c, b, x
+b:
+  %k = call i32 @clip(%i, 1, 3)
+  %v = mul i32 %i, 40000
+  call void @put(%p, %k, %v)
+  %o = call i64 @one(%d)
+  %r = call f64 @risky(%p, %i, %d, %f)
+  %of = sitofp i64 %o to f64
+  %acc = fadd f64 %acc, %r
+  %acc = fadd f64 %acc, %of
+  %i = add i32 %i, 1
+  jmp h
+x:
+  ret f64 %acc
+}
+"""
+# (%n, %d, %f) over a 32-byte buffer: a value, oob at the fifth load,
+# integer and float division by zero, nan, and an overflow to inf
+LEAF_ARGS = [(4, 3, 0.5), (6, 3, 0.5), (3, 0, 0.5), (3, 2, 0.0),
+             (3, -1, math.nan), (3, 1, 1e-300)]
+
+# Leaves returning an argument that was never assigned: @main's %u lost its
+# assignment, and @pick's select copies it when %z is 0.
+UNSET_SRC = """
+func @id(%x: i32) -> i32 {
+e:
+  ret i32 %x
+}
+
+func @pick(%c: i1, %a: i32, %b: i32) -> i32 {
+e:
+  %r = select i32 %c, %a, %b
+  ret i32 %r
+}
+
+func @main(%p: ptr, %n: i32, %z: i1) -> i32 {
+e:
+  %u = const i32 0
+  %i = const i32 0
+  %s = const i32 0
+  jmp h
+h:
+  %c = icmp slt i32 %i, %n
+  br %c, b, x
+b:
+  %v = call i32 @pick(%z, %i, %u)
+  %s = add i32 %s, %v
+  %i = add i32 %i, 1
+  jmp h
+x:
+  %w = call i32 @id(%u)
+  ret i32 %s
+}
+"""
+
+
+def _unset_module() -> Module:
+    m = parse_module(UNSET_SRC)
+    main = m.functions["main"]
+    m.functions["main"] = replace(main, blocks=[replace(b, instrs=[
+        ins for ins in b.instrs if ins.result != "u"]) for b in main.blocks])
+    return m
+
+
+def _forced_run(prog: Program, args, fuel=interp.DEFAULT_FUEL):
+    """(outcome, heap, trace) of @main on a 32-byte buffer and `args`, and
+    the run's machine; the outcome is the value's bits or the error."""
+    arena, mach = Arena(), interp._Machine(prog)
+    p = arena.add_region("buf", bytes(range(32)))
+    try:
+        out = _bits(mach.run("main", [p, *args], arena.data, fuel))
+    except InterpError as e:
+        out = (e.kind, str(e))
+    return (out, arena.region_image(), mach.trace()), mach
+
+
+def _leaf_programs(m: Module, footprints: bool) -> dict[str, Program]:
+    """A Program per forced tier; heat is fixed at decoding, so the tier
+    holds on every later run."""
+    progs = {}
+    for tier, multiple in TIERS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(interp, "HOT_MULTIPLE", multiple)
+            progs[tier] = prog = Program(m, footprints)
+            for name in m.functions:
+                prog.function(name)
+    return progs
+
+
+@pytest.mark.parametrize("src, arglists, leaves", [
+    (LEAF_SRC, LEAF_ARGS, [{"one", "clip", "put", "risky"}] * len(LEAF_ARGS)),
+    ("unset", [(3, 1), (3, 0)], [{"id", "pick"}, {"pick"}])],
+    ids=["leaves", "unset"])
+def test_inline_leaves_match_cold_frames_at_every_fuel(src, arglists, leaves):
+    # forced hot @main runs every leaf inline while fuel pays for the
+    # leaf's longest path and calls it otherwise; either way each fuel
+    # gives the cold outcome, heap and trace, so fuel runs out at the same
+    # dynamic instruction in both tiers
+    m = _unset_module() if src == "unset" else parse_module(src)
+    kinds = set()
+    for args, inline in zip(arglists, leaves):
+        progs = _leaf_programs(m, footprints=False)
+        want, _ = _forced_run(progs["cold"], args)
+        got, mach = _forced_run(progs["hot"], args)
+        assert got == want, args
+        assert _assert_tiers(mach.contexts, "hot") == inline, args
+        kinds.add(want[0][0] if type(want[0]) is tuple else "value")
+        for fuel in range(want[2].total + 2):
+            assert (_forced_run(progs["hot"], args, fuel)[0]
+                    == _forced_run(progs["cold"], args, fuel)[0]), (args, fuel)
+    assert kinds == ({"value", "oob", "div-zero"} if src == LEAF_SRC
+                     else {"unassigned"})
+
+
+def test_a_callee_replaced_after_its_caller_compiled_takes_the_call(
+        monkeypatch):
+    # @main's hot code holds the @one it inlined; a new @one is decoded
+    # anew, and the call runs it in its own frame
+    monkeypatch.setattr(interp, "HOT_MULTIPLE", 0)
+    m = parse_module(LEAF_SRC)
+    prog = Program(m, footprints=False)
+    first, _ = _forced_run(prog, LEAF_ARGS[0])
+    assert prog.function("main").run is not interp._cold
+    m.functions["one"] = parse_module("func @one(%x: i64) -> i64 {\ne:\n"
+                                      "%y = sub i64 %x, 5\nret i64 %y\n}"
+                                      ).functions["one"]
+    got, mach = _forced_run(prog, LEAF_ARGS[0])
+    monkeypatch.setattr(interp, "HOT_MULTIPLE", math.inf)
+    assert got == _forced_run(Program(m, footprints=False), LEAF_ARGS[0])[0]
+    assert got[2].counts["one"] == {"sub": 4, "ret": 4} != first[2].counts["one"]
+    one = prog.function("one")
+    assert one.run is interp._cold and _inline_instrs(one, mach.contexts) == 0
+
+
+def test_a_memory_leaf_is_not_inlined_where_footprints_are_recorded():
+    # its frame collects the addresses it touches for its call edge
+    m = parse_module(LEAF_SRC)
+    progs = _leaf_programs(m, footprints=True)
+    want, _ = _forced_run(progs["cold"], LEAF_ARGS[0])
+    got, mach = _forced_run(progs["hot"], LEAF_ARGS[0])
+    assert got == want
+    # four calls, each storing 4 bytes and passing two i32 arguments
+    assert got[2].edge_bytes[("main", "put")] == 4 * (4 + 2 * 4)
+    assert _assert_tiers(mach.contexts, "hot") == {"one", "clip"}
+    assert progs["hot"].function("put").leaf is None
+    assert Program(m, footprints=False).function("put").leaf is not None
+
+
+def test_a_leaf_over_the_size_limit_compiles_on_its_own(monkeypatch):
+    # every call site would copy it: a leaf of INLINE_MAX instructions runs
+    # inline, one more and it is called, compiled by its own heat
+    monkeypatch.setattr(interp, "HOT_MULTIPLE", 0)
+    for size, inline in ((interp.INLINE_MAX, {"add"}), (interp.INLINE_MAX + 1,
+                                                         set())):
+        adds = "%y = add i64 %y, 1\n" * (size - 2)
+        m = parse_module(f"func @add(%x: i64) -> i64 {{\ne:\n%y = add i64 %x, "
+                         f"1\n{adds}ret i64 %y\n}}\nfunc @main(%x: i64) -> "
+                         "i64 {\ne:\n%r = call i64 @add(%x)\nret i64 %r\n}")
+        assert m.functions["add"].size() == size
+        r = interpret(Program(m), "main", [1])
+        assert r.value == size
+        assert _assert_tiers(r._mach.contexts, "hot") == inline
 
 
 # ---------------------------------------------------------------------------

@@ -820,8 +820,8 @@ def test_verification_decodes_each_function_once_per_memo(corpus, area_model,
     built, calls, verifying = [], [], []
     init = interp._Decoded.__init__
 
-    def counted(self, f, footprints):
-        init(self, f, footprints)
+    def counted(self, f, prog):
+        init(self, f, prog)
         built.append((f.name, bool(verifying)))
     monkeypatch.setattr(interp._Decoded, "__init__", counted)
 
