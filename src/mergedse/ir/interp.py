@@ -35,8 +35,8 @@ registers as locals and fuel, segment counts, branches and calls inline;
 one fuel comparison per segment, against the longest segment's length,
 guards the exact check. Later calls enter it, and a cold frame switches
 into it at its current segment, so one long call tiers up too. Heat gates
-compiling because it costs about six decodes; compiling eagerly slows the
-many short runs of profiling. A leaf (a call-free function of at most
+compiling because it costs about eleven decodes; compiling eagerly slows
+the many short runs of profiling. A leaf (a call-free function of at most
 INLINE_MAX instructions with an acyclic segment graph, whose reads are all
 assigned first and which records no footprint) runs inline in its hot
 callers, as adaptive compilers inline hot call sites (Hölzle and Ungar,
@@ -46,9 +46,12 @@ calling context; otherwise it calls it. Such a leaf reached by a call
 stays cold when its heat runs out, so it is compiled only inside its
 callers.
 No output depends on the tier. Names reach generated code only as repr()
-strings, literals only as frame slots.
+strings, literals only as frame slots. Generated code compiles under
+filenames profilers keep apart: `<hot @NAME #N>` per hot function compiled
+and `<cold OP TY ...>` per handler factory.
 In both tiers an integer result is wrapped only when it leaves the range
-its type holds (`INT_RANGE`; an i1 holds 0 or 1), fuel passes through calls
+its type holds (`INT_RANGE`; an i1 holds 0 or 1; and, or, xor and ashr
+never leave it, so they are not wrapped), fuel passes through calls
 as an argument and a return value, frame entry converts no argument (every
 producer yields a value in range) and a frame reads the heap's length once.
 
@@ -70,6 +73,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import count
 
 from .core import (INT_RANGE, TYPE_WIDTH, Function, Instr, IRError, Module,
                    Reg, wrap_int)
@@ -188,8 +192,15 @@ _BR, _JMP, _CALL, _RET = range(4)
 
 # A function is compiled once the instructions it has run in one Program
 # reach this multiple of its static instruction count (see the module
-# docstring for why it is gated by heat).
-HOT_MULTIPLE = 128
+# docstring for why it is gated by heat). A bundled program's profile runs
+# at most 16 times the size of any function but a leaf reached by a call,
+# so 32 keeps a 2x margin there and long runs tier up early.
+HOT_MULTIPLE = 32
+
+# Numbers each compiled hot function's filename, so that profilers, which
+# key on (file, line, name), keep apart the same function compiled in
+# several Programs.
+_COMPILES = count(1)
 
 # The most instructions a leaf may hold and still run inline: every call site
 # copies its source, and the caller's heat, which gates compiling that
@@ -209,13 +220,16 @@ _MEM = "if addr < {guard} or addr + {w} > {n}: oob(addr, {w})\n"
 # function name; the other fields are constants of the instruction's types.
 # Integer results are wrapped like wrap_int, but only outside [-half, top],
 # the range the type holds (0 and 1 for i1), where wrap_int is the identity.
+# and, or, xor and ashr of values in that range stay in it (two's complement
+# for i32/i64, 0 and 1 for i1, unsigned for ptr), so they wrap nothing.
 # Loads and stores keep what wrap_int keeps.
 _TEMPLATES = {
     **{op: "{d} = {a} %s {b}" % sym + _WRAP for op, sym in (
-        ("add", "+"), ("sub", "-"), ("mul", "*"), ("and", "&"), ("or", "|"),
-        ("xor", "^"))},
+        ("add", "+"), ("sub", "-"), ("mul", "*"))},
+    **{op: "{d} = {a} %s {b}" % sym for op, sym in (
+        ("and", "&"), ("or", "|"), ("xor", "^"))},
     "shl": "{d} = {a} << ({b} & {sh})" + _WRAP,
-    "ashr": "{d} = {a} >> ({b} & {sh})" + _WRAP,
+    "ashr": "{d} = {a} >> ({b} & {sh})",
     "sdiv": _DIV + "{d} = q" + _WRAP,
     "srem": _DIV + "{d} = x - q * y" + _WRAP,
     "fadd": "{d} = {a} + {b}", "fsub": "{d} = {a} - {b}", "fmul": "{d} = {a} * {b}",
@@ -262,6 +276,11 @@ def _unset_store() -> InterpError:
     return InterpError("unassigned", "store of an unassigned register")
 
 
+def _unset_ret():
+    """`ret` of a register still UNSET, in either tier."""
+    raise InterpError("unassigned", "return of an unassigned register")
+
+
 def _oob(addr: int, width: int):
     if addr < NULL_GUARD:
         raise InterpError("oob", f"access to null/guard address {addr}")
@@ -292,7 +311,7 @@ def _exhaust(fn: "_Decoded", i: int, fuel: int, r: list | dict):
 # The generated code's globals: error paths and the heap codecs.
 _NS = {"InterpError": InterpError, "oob": _oob, "footprint": _footprint,
        "exhaust": _exhaust, "unset_store": _unset_store,
-       "struct_error": struct.error, "UNSET": _UNSET,
+       "unset_ret": _unset_ret, "struct_error": struct.error, "UNSET": _UNSET,
        "unpack_i1": lambda data, addr: (data[addr] & 1,),
        **{f"unpack_{ty}": struct.Struct(f).unpack_from for ty, f in (
            ("i32", "<i"), ("i64", "<q"), ("ptr", "<Q"), ("f64", "<d"))},
@@ -323,9 +342,10 @@ def _factory(op: str, ty: str, pred, cast_to, touch: bool):
                    d="v", a="r[a]", b="r[b]", c="r[c]", H=f"r[{_HEAP}]",
                    n=f"r[{_HLEN}]", t=f"r[{_TOUCHED[TYPE_WIDTH[ty]]}]",
                    fn="fn") + ("" if op == "store" else "\nr[d] = v")
-    ns = dict(_NS)
-    exec("def make(d, a=None, b=None, c=None, fn=None):\n def h(r):\n  "
-         + body.replace("\n", "\n  ") + "\n return h", ns)
+    ns, name = dict(_NS), " ".join(filter(None, (op, ty, pred, cast_to)))
+    exec(compile("def make(d, a=None, b=None, c=None, fn=None):\n def h(r):\n  "
+                 + body.replace("\n", "\n  ") + "\n return h",
+                 f"<cold {name}>", "exec"), ns)
     return ns["make"]
 
 
@@ -388,8 +408,7 @@ def _hot_source(fn: "_Decoded") -> str:
             if end == _BR:
                 emit(sind, f"j = {y} if l{j}_{x} else {w}")
             elif x is not None:
-                emit(sind, f"if l{j}_{x} is UNSET: raise InterpError("
-                           "'unassigned', 'return of an unassigned register')"
+                emit(sind, f"if l{j}_{x} is UNSET: unset_ret()"
                            + (f"\nr{z} = l{j}_{x}" if z is not None else ""))
 
     def segment(k: int, ind: str):
@@ -419,8 +438,7 @@ def _hot_source(fn: "_Decoded") -> str:
                 emit(ind, call)
             emit(ind, f"i = {u}")
         else:
-            emit(ind, (f"if r{x} is UNSET: raise InterpError('unassigned', "
-                       "'return of an unassigned register')\n"
+            emit(ind, (f"if r{x} is UNSET: unset_ret()\n"
                        if x is not None else "") + "return "
                       + (f"r{x}, " if x is not None else "None, ")
                       + ("footprint(r1, r2, r3) if ctx.parent else r1"
@@ -596,7 +614,8 @@ class _Decoded:
             ns = dict(_NS, frame=self.frame, consts=tuple(
                 leaf.frame[k] for leaf in leaves.values() for k in leaf.leaf[2]),
                 **{f"inl{j}": leaf for j, leaf in enumerate(leaves.values())})
-            exec(_hot_source(self), ns)
+            exec(compile(_hot_source(self), f"<hot @{self.name} "
+                         f"#{next(_COMPILES)}>", "exec"), ns)
             self.run = ns["hot"]
         return self.run
 
@@ -746,8 +765,7 @@ def _cold(m: _Machine, ctx: _Context, args: list, fuel: int):
             else:
                 value = r[x] if x is not None else None
                 if value is _UNSET:
-                    raise InterpError("unassigned",
-                                      "return of an unassigned register")
+                    _unset_ret()
                 break
     except struct.error:
         raise _unset_store() from None

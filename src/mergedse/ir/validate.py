@@ -138,9 +138,11 @@ def _check_instr_shape(f: Function, ins: Instr, reg_types, m: Module, diags):
 
 
 def check_function(f: Function, m: Module, diags: list[str],
-                   reg_types: dict[str, str] | None = None):
+                   reg_types: dict[str, str] | None = None,
+                   unassigned: list[tuple[str, str]] | None = None):
     """Append the diagnostics of `f` to `diags`; `m` supplies its callees.
-    `reg_types`, when given, is `f.register_types()`, already found."""
+    `reg_types` and `unassigned`, when given, are `f.register_types()` and
+    `unassigned_uses(f)`, already found."""
     where = f"@{f.name}"
     names = [p for p, _ in f.params]
     diags.extend(f"{where}: duplicate parameter %{p}"
@@ -198,7 +200,7 @@ def check_function(f: Function, m: Module, diags: list[str],
         return
 
     # must-assign analysis: every register assigned before use on every path
-    for label, r in unassigned_uses(f):
+    for label, r in unassigned_uses(f) if unassigned is None else unassigned:
         what = "undefined register" if r not in reg_types else "register"
         diags.append(f"{where}: {what} %{r} used before assignment "
                      f"in block {label}")

@@ -543,20 +543,23 @@ def merge_functions(m: Module, name1: str, name2: str,
     # register before that side assigned it; dead zero-initializers at entry
     # make the body assign-before-use clean without changing behavior. They
     # assign registers their own types, so one type map serves them and the
-    # check; the check reports a register of two types.
+    # check; the check reports a register of two types. They read nothing
+    # and come first, so the reads left unassigned are those of registers
+    # without a type, which no instruction assigns.
     try:
         reg_types = merged.register_types()
-        needed = sorted({r for _, r in unassigned_uses(merged)})
+        uses = unassigned_uses(merged)
     except IRError:
-        reg_types, needed = None, []
+        reg_types, uses = None, []
     inits = [Instr("const", reg_types[r], r, (zero_literal(reg_types[r]),))
-             for r in needed if r in reg_types]
+             for r in sorted({r for _, r in uses if r in reg_types})]
     merged.blocks[0].instrs[0:0] = inits
 
     # only the new body needs checking: its callees are the parents' callees,
     # so under a fresh name it cannot close a call cycle
     diags: list[str] = []
-    check_function(merged, m, diags, reg_types)
+    check_function(merged, m, diags, reg_types,
+                   [(label, r) for label, r in uses if r not in reg_types])
     if diags:
         raise MergeRejected("merged body failed validation: " + "; ".join(diags))
     return MergedFunction(merged, (name1, name2), alignment, mux_selects,

@@ -7,7 +7,11 @@ runs its context makes until the frame returns, raises or switches to the
 hot tier. Those instructions are cold; all others are hot, among them the
 runs of a leaf that a hot caller runs inline. Instructions are counted as
 the fuel charges them, errored runs included; `compiled` counts the
-functions that switched to the hot tier. Usage:
+functions that switched to the hot tier. `cold heat/size` is the margin
+below HOT_MULTIPLE: the largest heat (instructions a function ran cold in
+its Program) per instruction of size among the functions that did not
+compile. Leaves, which stay cold when reached by a call, are reported
+apart. Usage:
 
     PYTHONPATH=src python tests/hot_share.py [--seed 7] [WORKLOAD ...]
 """
@@ -31,7 +35,7 @@ class Watch:
         self.contexts = []           # every context, with its function
         self.frames = []             # [context, its instructions at entry]
         self.cold = 0                # instructions run cold
-        self.compiled = 0            # functions switched to the hot tier
+        self.compiled = set()        # functions switched to the hot tier
 
     @staticmethod
     def instrs(ctx) -> int:
@@ -65,7 +69,7 @@ class Watch:
 
         def watched_compiled(fn):
             if fn.run is watched_cold:
-                watch.compiled += 1
+                watch.compiled.add(fn)
             hot = compiled(fn)
 
             def switch(mach, ctx, args, fuel, r, i):   # the only caller
@@ -88,6 +92,17 @@ class Watch:
         total = sum(self.instrs(ctx) for ctx in self.contexts)
         return total, total - self.cold
 
+    def margins(self) -> list[tuple[float, str]]:
+        """The largest (heat per instruction of size, function name) of the
+        functions that did not compile, for non-leaves and leaves."""
+        best = [(0.0, "-"), (0.0, "-")]
+        for fn in {ctx.fn for ctx in self.contexts} - self.compiled:
+            size = fn.source.size()
+            heat = (interp.HOT_MULTIPLE * size - fn.left) / size
+            k = fn.leaf is not None
+            best[k] = max(best[k], (heat, "@" + fn.name))
+        return best
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -104,8 +119,11 @@ def main(argv=None) -> int:
             for call in workloads.calls(name, inputs, args.seed):
                 call(model)
         total, hot = watch.shares()
+        (heat, fname), (leaf_heat, leaf) = watch.margins()
         print(f"{name:15s} instructions {total:10d}  hot {hot:10d}  "
-              f"share {hot / total:.3f}  compiled {watch.compiled:5d}")
+              f"share {hot / total:.3f}  compiled {len(watch.compiled):5d}  "
+              f"cold heat/size {heat:.1f} ({fname}), leaves {leaf_heat:.1f} "
+              f"({leaf})")
     return 0
 
 

@@ -323,6 +323,29 @@ def test_hot_sources_have_one_fuel_check(corpus):
     assert checked > 50
 
 
+def test_corpus_runs_stay_below_half_the_hot_multiple(corpus):
+    # the margin HOT_MULTIPLE is chosen with: each bundled program and image,
+    # untransformed and with loops extracted, on a fresh Program compiles
+    # nothing, and each function but a leaf reached by a call (which stays
+    # cold whatever its heat) runs at most HOT_MULTIPLE / 2 instructions per
+    # instruction of its size
+    from mergedse.analysis import extract_loops
+    checked = 0
+    for name, m, img in corpus:
+        for mm in (m, extract_loops(m)):
+            contexts = run_heap_image(Program(mm), img)._mach.contexts
+            called = {ctx.fn for ctx in contexts if ctx.parent is not None}
+            for fn in {ctx.fn for ctx in contexts}:
+                assert fn.run is interp._cold, (name, fn.name)
+                if fn.leaf is None or fn not in called:
+                    size = fn.source.size()
+                    heat = interp.HOT_MULTIPLE * size - fn.left
+                    assert 2 * heat <= interp.HOT_MULTIPLE * size, (
+                        name, fn.name, heat / size)
+                    checked += 1
+    assert checked > 30
+
+
 # ---------------------------------------------------------------------------
 # Leaves run inline
 # ---------------------------------------------------------------------------
@@ -1223,3 +1246,57 @@ def test_a_callee_returning_an_unassigned_register_raises_in_both_tiers():
             assert _outcome(prog, fuel, [1]) == kind, (tier, fuel)
         assert {fn.run is not interp._cold
                 for fn in prog.decoded.values()} == {tier == "hot"}
+
+
+# and, or, xor and ashr are generated without a wrap: of operands in their
+# type's range (unsigned for ptr), their results stay in it. The IR types
+# these ops i32 and i64 (and, or, xor i1 too); the templates are checked on
+# every integer slot type alike.
+NOWRAP_RANGE = {**interp.INT_RANGE, "ptr": (0, (1 << 64) - 1)}
+NOWRAP_REF = {"and": int.__and__, "or": int.__or__, "xor": int.__xor__,
+              "ashr": lambda a, b, bits: a >> (b & (bits - 1))}
+
+
+@pytest.fixture(scope="module")
+def nowrap_programs():
+    funcs = {}
+    for op in NOWRAP_REF:
+        for ty in NOWRAP_RANGE:
+            name = f"{op}_{ty}"
+            funcs[name] = Function(name, [("a", ty), ("b", ty)], ty, [Block(
+                "e", [Instr(op, ty, "r", (Reg("a"), Reg("b"))),
+                      Instr("ret", ty, None, (Reg("r"),))])])
+    return _tier_programs(Module(funcs, "and_i32"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_and_or_xor_ashr_of_in_range_operands_stay_in_range(nowrap_programs,
+                                                            data):
+    op = data.draw(st.sampled_from(sorted(NOWRAP_REF)))
+    ty = data.draw(st.sampled_from(sorted(NOWRAP_RANGE)))
+    lo, top = NOWRAP_RANGE[ty]
+    a, b = (data.draw(st.integers(lo, top)) for _ in range(2))
+    ref = NOWRAP_REF[op]
+    want = ref(a, b, (top - lo).bit_length()) if op == "ashr" else ref(a, b)
+    assert lo <= want <= top
+    for tier, prog in nowrap_programs.items():
+        assert interpret(prog, f"{op}_{ty}", [a, b]).value == want, (
+            op, ty, a, b, tier)
+
+
+def test_generated_code_is_named_for_profilers():
+    # profilers key on (file, line, name): each hot function compiles under
+    # a filename of its own, in every Program, and each cold handler
+    # factory under its shape's
+    m = parse_module(
+        "func @inc(%x: i32) -> i32 {\ne:\n%y = add i32 %x, 1\nret i32 %y\n}\n"
+        "func @lt(%x: i32) -> i1 {\ne:\n%c = icmp slt i32 %x, 1\n"
+        "ret i1 %c\n}")
+    fns = [Program(m).function(f) for f in ("inc", "lt", "inc")]
+    assert [fn.segs[0][0][0].__code__.co_filename for fn in fns] == [
+        "<cold add i32>", "<cold icmp i32 slt>", "<cold add i32>"]
+    names = [fn.compiled().__code__.co_filename for fn in fns]
+    assert len(set(names)) == 3, names
+    assert [name.split(" #")[0] for name in names] == [
+        "<hot @inc", "<hot @lt", "<hot @inc"]

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from mergedse import merge
 from mergedse.analysis import extract_loops, rank_pairs
 from mergedse.ir import (
-    Arena, Function, Instr, IRError, Lit, Reg, interpret, parse_module,
-    print_function, print_module, structurally_equal, validate_module,
+    Arena, Function, Instr, IRError, Lit, Reg, check_function, interpret,
+    parse_module, print_function, print_module, structurally_equal,
+    unassigned_uses, validate_module,
 )
 from mergedse.merge import (
     MergeRejected, _align_key, align, best_alignment, default_weights,
@@ -767,11 +768,24 @@ def test_merge_rejects_a_merged_body_that_fails_validation(pair_module,
                                                            monkeypatch):
     # only the merged body is validated now; it must still be refused when
     # it reads a register before assigning it, calls an unknown function or
-    # mistypes an operand
+    # mistypes an operand. The check takes the reads left unassigned from
+    # the analysis merge_functions made before its initializers (exact, see
+    # test_the_check_reads_the_must_assign_analysis_made_before_the_inits),
+    # so the read refused here is of a register no instruction assigns,
+    # which no initializer covers; the body without initializers fails the
+    # check that analyses it anew
+    m = pair_module.clone()
+    _edit_sel_a(m, "add", lambda ins: replace(
+        ins, operands=(Reg("nosuch"), ins.operands[1])))
+    with pytest.raises(MergeRejected, match=r"undefined register %\S*nosuch "
+                                            "used before assignment"):
+        merge_functions(m, "sel_a", "sel_b")
     with monkeypatch.context() as mp:
         mp.setattr(merge, "unassigned_uses", lambda f: [])  # no initializers
-        with pytest.raises(MergeRejected, match="used before assignment"):
-            merge_functions(pair_module, "sel_a", "sel_b")
+        bare = merge_functions(pair_module, "sel_a", "sel_b").function
+    diags = []
+    check_function(bare, pair_module, diags)
+    assert diags and all("used before assignment" in d for d in diags)
     merge_functions(pair_module, "sel_a", "sel_b")
 
     m = pair_module.clone()
@@ -939,6 +953,34 @@ def test_function_facts_change_no_merge_of_either_round(corpus, area_model,
                         model=area_model)
     assert sum(n1.startswith("m.") or n2.startswith("m.")
                for n1, n2 in seen) > 100
+
+
+def test_the_check_reads_the_must_assign_analysis_made_before_the_inits(
+        corpus, area_model, monkeypatch):
+    # every merged body prepare forms (both rounds, both merging modes) is
+    # checked, and the reads merge_functions hands the check as left
+    # unassigned, derived from the analysis it made before inserting the
+    # zero initializers, equal a fresh analysis of the finished body
+    from mergedse import dse
+    real_check, real_merge, checked, inits = (merge.check_function,
+                                              dse.merge_functions, [], [])
+
+    def check(f, m, diags, reg_types=None, unassigned=None):
+        assert unassigned == unassigned_uses(f), f.name
+        checked.append(f.name)
+        return real_check(f, m, diags, reg_types, unassigned)
+
+    def merged(work, n1, n2, **kw):
+        mf = real_merge(work, n1, n2, **kw)
+        inits.append(mf.inits)
+        return mf
+    monkeypatch.setattr(merge, "check_function", check)
+    monkeypatch.setattr(dse, "merge_functions", merged)
+    for name, m, img in corpus:
+        for mode in ("FE+Merging", "FLE+Merging"):
+            dse.prepare(m, [img], dse.PipelineConfig(mode=mode),
+                        model=area_model)
+    assert len(checked) >= len(inits) > 300 and sum(map(bool, inits)) > 100
 
 
 def test_function_facts_follow_the_function_object(pair_module):
