@@ -1,11 +1,12 @@
 """Static analyses: call graph, dominators, natural loops, loop-to-function
-extraction, and opcode fingerprints with pairwise similarity ranking.
+extraction, and opcode fingerprints with pairwise similarity ranking. The
+call graph's order, the dominators' block ranks and each loop's body come
+from one depth-first search, `postorder` (from `ir`, importable here too).
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from .ir import (
     OPCODES, OPCODE_INDEX, SCRATCH_BASE, SCRATCH_SIZE,
     Block, Function, Instr, IRError, Lit, Module, Reg, must_assigned_at,
-    validate_module,
+    postorder, validate_module,
 )
 
 log = logging.getLogger("mergedse")
@@ -34,39 +35,19 @@ class CallGraph:
 
 
 def build_call_graph(m: Module) -> CallGraph:
-    direct: dict[str, set[str]] = {name: set() for name in m.functions}
-    for name, f in m.functions.items():
-        for ins in f.instructions():
-            if ins.op == "call":
-                direct[name].add(ins.callee)
-
-    # Kahn topological sort, callees first; validation guarantees a DAG but
-    # report defensively in case a hand-built module slipped through.
-    callers: dict[str, set[str]] = {name: set() for name in m.functions}
-    for name, cs in direct.items():
-        for c in cs:
-            callers[c].add(name)
-    pending = {name: len(direct[name]) for name in m.functions}
-    ready = sorted(name for name, n in pending.items() if n == 0)
-    topo: list[str] = []
-    while ready:
-        n = ready.pop()
-        topo.append(n)
-        for caller in sorted(callers[n]):
-            pending[caller] -= 1
-            if pending[caller] == 0:
-                ready.append(caller)
-        ready.sort()
-    if len(topo) != len(m.functions):
-        raise IRError("cycle detected in call graph")
-
+    direct = {name: {i.callee for i in f.instructions() if i.op == "call"}
+              for name, f in m.functions.items()}
+    # callees first: the postorder below a virtual root (None) whose
+    # successors are the sorted names. A hand-built module, not validated,
+    # may hold a cycle: a callee still open when its caller finishes
+    succs = {name: sorted(cs) for name, cs in direct.items()}
+    succs[None] = sorted(m.functions)
     transitive: dict[str, set[str]] = {}
-    for name in topo:
-        tc = set(direct[name])
-        for c in direct[name]:
-            tc |= transitive[c]
-        transitive[name] = tc
-    return CallGraph(direct, transitive, topo)
+    for name in postorder(None, succs.__getitem__)[:-1]:
+        if not direct[name].issubset(transitive):
+            raise IRError("cycle detected in call graph")
+        transitive[name] = direct[name].union(*map(transitive.get, direct[name]))
+    return CallGraph(direct, transitive, list(transitive))
 
 
 # ---------------------------------------------------------------------------
@@ -81,27 +62,6 @@ def _cfg(f: Function):
         for s in succs[lab]:
             preds[s].append(lab)
     return labels, succs, preds
-
-
-def postorder(entry: str, succs_of: Callable[[str], Iterable[str]]
-              ) -> list[str]:
-    """The blocks reachable from `entry` in depth-first postorder, found
-    with an explicit stack. `succs_of(label)` gives a block's successors in
-    visit order; it is called when the search first reaches the block."""
-    post: list[str] = []
-    seen = {entry}
-    path = [(entry, iter(succs_of(entry)))]
-    while path:
-        lab, it = path[-1]
-        for s in it:
-            if s not in seen:
-                seen.add(s)
-                path.append((s, iter(succs_of(s))))
-                break
-        else:
-            post.append(lab)
-            path.pop()
-    return post
 
 
 def _back_edges(entry: str, succs: dict[str, list[str]],
@@ -181,15 +141,8 @@ def natural_loops(f: Function) -> LoopForest:
     # passing through the header; loops sharing a header are unioned
     by_header: dict[str, set[str]] = {}
     for u, v in back_edges:
-        body = {v}
-        stack = [u]
-        while stack:
-            b = stack.pop()
-            if b in body:
-                continue
-            body.add(b)
-            stack.extend(preds[b])
-        by_header.setdefault(v, set()).update(body)
+        body = postorder(u, lambda b: () if b == v else preds[b])
+        by_header.setdefault(v, {v}).update(body)
 
     loops = [Loop(h, body) for h, body in by_header.items()]
     loops.sort(key=lambda l: labels.index(l.header))

@@ -11,8 +11,6 @@ import argparse
 import logging
 import os
 import sys
-from fractions import Fraction
-from math import isfinite
 from pathlib import Path
 
 from . import __version__
@@ -117,11 +115,7 @@ def _tool_config(args, tables) -> PipelineConfig:
     # flags left unset take PipelineConfig's defaults
     given = {"mode": args.mode, "area_budget": args.budget,
              "latency": args.latency, "bandwidth": args.bandwidth,
-             "seed": args.seed}
-    if args.clock is not None:
-        # a non-finite clock reaches PipelineConfig as is, which rejects it
-        given["clock"] = (Fraction(args.clock).limit_denominator(10 ** 15)
-                          if isfinite(args.clock) else args.clock)
+             "clock": args.clock, "seed": args.seed}
     return PipelineConfig(**{k: v for k, v in given.items() if v is not None},
                           sw_table=tables["sw"], hw_table=tables["hw"])
 

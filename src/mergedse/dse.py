@@ -10,6 +10,7 @@ import logging
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
+from numbers import Integral, Rational
 from pathlib import Path
 
 from .analysis import build_call_graph, extract_loops, rank_pairs
@@ -66,6 +67,8 @@ class PipelineConfig:
                               f"{'a number' if v != v else 'finite'}, got {v}")
             if v < 0 and name != "clock":
                 raise IRError(f"{name} must be non-negative")
+        if not isinstance(self.latency, Integral):
+            raise IRError(f"latency must be an integer, got {self.latency}")
         for side, table in (("sw", self.sw_table), ("hw", self.hw_table)):
             for op, cycles in (table or {}).items():
                 if op not in OPCODES:
@@ -76,8 +79,13 @@ class PipelineConfig:
                 if cycles < 0:
                     raise IRError(f"{side}.{op} must be non-negative, "
                                   f"got {cycles}")
+                if not isinstance(cycles, Integral):
+                    raise IRError(f"{side}_table[{op!r}] must be an integer, "
+                                  f"got {cycles}")
         if self.bandwidth == 0:
             raise IRError(BANDWIDTH_ZERO)
+        if not isinstance(self.clock, Rational):   # a float, as --clock gives
+            self.clock = Fraction(self.clock).limit_denominator(10 ** 15)
         if self.clock <= 0:
             raise IRError("clock must be positive")
         self.sw_table = {**DEFAULT_SW_CYCLES, **(self.sw_table or {})}

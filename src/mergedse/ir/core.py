@@ -7,7 +7,9 @@ ends in exactly one terminator (br/jmp/ret).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 TYPE_TAGS = ("i1", "i32", "i64", "f64", "ptr")
 
@@ -207,6 +209,30 @@ def wrap_int(value: int, ty: str) -> int:
     return (value - lo & hi - lo) + lo
 
 
+N = TypeVar("N", bound=Hashable)
+
+
+def postorder(entry: N, succs_of: Callable[[N], Iterable[N]]) -> list[N]:
+    """The nodes reachable from `entry` in depth-first postorder, found with
+    an explicit stack; `succs_of(node)` gives a node's successors in visit
+    order, called once, when the search first reaches it. An edge to a node
+    not earlier in the list closes a cycle (Tarjan, SIAM J. Comput. 1972)."""
+    post: list[N] = []
+    seen = {entry}
+    path = [(entry, iter(succs_of(entry)))]
+    while path:
+        node, it = path[-1]
+        for s in it:
+            if s not in seen:
+                seen.add(s)
+                path.append((s, iter(succs_of(s))))
+                break
+        else:
+            post.append(node)
+            path.pop()
+    return post
+
+
 def _alpha_text(f: Function) -> str:
     """Canonical text of f with registers and labels alpha-renamed."""
     regs: dict[str, str] = {}
@@ -253,5 +279,5 @@ __all__ = [
     "ICMP_PREDS", "FCMP_PREDS",
     "IRError", "Reg", "Lit", "Operand", "Instr", "Block", "Function", "Module",
     "clone_function", "zero_literal", "wrap_int", "structurally_equal",
-    "operand_slot_types", "SLOTS", "PROVENANCE_WORDS",
+    "operand_slot_types", "SLOTS", "PROVENANCE_WORDS", "postorder",
 ]

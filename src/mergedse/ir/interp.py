@@ -76,7 +76,7 @@ from functools import cache, cached_property
 from itertools import count
 
 from .core import (INT_RANGE, TYPE_WIDTH, Function, Instr, IRError, Module,
-                   Reg, wrap_int)
+                   Reg, postorder, wrap_int)
 from .validate import unassigned_uses
 
 NULL_GUARD = 8
@@ -466,7 +466,9 @@ class _Decoded:
     segment charges, the ending one included; `steps` holds one entry per
     instruction before the end (None for a followed `jmp`), for running a
     prefix when fuel runs out. `code` holds, per segment and step, the
-    instruction with its result and operand slots, for the hot tier."""
+    instruction with its result and operand slots, for the hot tier.
+    `postorder` finds the segments from the entry piece; they are numbered
+    in block order, and a leaf's order is their reverse postorder."""
 
     def __init__(self, f: Function, prog: "Program"):
         self.name, self.source, self.prog = f.name, f, prog
@@ -499,11 +501,8 @@ class _Decoded:
         # can enter start a segment: the entry piece, branch targets, call
         # continuations and the targets of segment-ending jmps
         spans: dict[tuple[str, int], tuple[list, str, int]] = {}
-        stack = [(f.entry, 0)]
-        while stack:
-            key = stack.pop()
-            if key in spans:
-                continue
+
+        def span(key: tuple[str, int]) -> list[tuple[str, int]]:
             (label, j), seen = key, {key[0]}
             instrs = list(pieces[label][j])
             while instrs[-1].op == "jmp" and instrs[-1].succs[0] not in seen:
@@ -512,8 +511,9 @@ class _Decoded:
                 instrs += pieces[label][0]
             spans[key] = instrs, label, j
             last = instrs[-1]
-            stack.extend([(label, j + 1)] if last.op == "call" else
-                         [(t, 0) for t in last.succs])
+            return ([(label, j + 1)] if last.op == "call" else
+                    [(t, 0) for t in last.succs])
+        postorder((f.entry, 0), span)
         index = {key: k for k, key in enumerate(   # in block order
             (label, j) for label, ps in pieces.items() for j in range(len(ps))
             if (label, j) in spans)}
@@ -577,24 +577,19 @@ class _Decoded:
         def succs(k: int) -> tuple:
             _, _, end, x, y, z, _, _ = self.segs[k]
             return (y, z) if end == _BR else (x,) if end == _JMP else ()
-        # every segment is reachable from the entry, so a cycle leaves some
-        # segment with entries never all taken
-        entries = Counter(t for k in range(len(self.segs)) for t in succs(k))
-        order, ready = [], [] if entries[0] else [0]
-        while ready:
-            order.append(k := ready.pop())
-            for t in succs(k):
-                entries[t] -= 1
-                if not entries[t]:
-                    ready.append(t)
-        if len(order) < len(self.segs) or unassigned_uses(self.source):
-            return None
+        # every segment is reachable from the entry; in postorder an edge to
+        # a segment not earlier than its source closes a cycle
         longest: dict[int, int] = {}
-        for k in reversed(order):
+        for k in postorder(0, succs):
+            if any(t not in longest for t in succs(k)):
+                return None
             longest[k] = self.lens[k] + max(map(longest.get, succs(k)),
                                             default=0)
-        return longest[0], order, [k for k in range(_RESERVED, len(self.frame))
-                                   if self.frame[k] is not _UNSET]
+        if unassigned_uses(self.source):
+            return None
+        return longest[0], list(longest)[::-1], [
+            k for k in range(_RESERVED, len(self.frame))
+            if self.frame[k] is not _UNSET]
 
     def inlined(self) -> dict[str, "_Decoded"]:
         """The leaves this function calls, current in its Program, by name

@@ -20,7 +20,7 @@ from itertools import product
 from .core import (
     BINOPS_FLOAT, BINOPS_INT, CASTS, FCMP_PREDS, ICMP_PREDS, INT_RANGE, OPCODES,
     SLOTS, TYPE_TAGS, Function, Instr, IRError, Module, Reg,
-    operand_slot_types, wrap_int,
+    operand_slot_types, postorder, wrap_int,
 )
 
 CAST_PAIRS = {
@@ -186,12 +186,7 @@ def check_function(f: Function, m: Module, diags: list[str],
 
     # reachability + entry has no predecessors
     succs = {b.label: b.terminator().succs for b in f.blocks}
-    seen, stack = set(), [f.entry]
-    while stack:
-        lab = stack.pop()
-        if lab not in seen:
-            seen.add(lab)
-            stack.extend(succs[lab])
+    seen = set(postorder(f.entry, succs.__getitem__))
     diags.extend(f"{where}: unreachable block {lab}"
                  for lab in labels if lab not in seen)
     if any(f.entry in succs[lab] for lab in seen):

@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 from math import factorial
 from typing import NamedTuple
 
-from .analysis import natural_loops, postorder
+from .analysis import natural_loops
 from .ir import (  # `interpret` stays bound here: perfbench/spans.py times it
     OPCODES, Block, Function, Instr, IRError, Lit, Module, Reg,
-    check_function, interpret, operand_slot_types, unassigned_uses,
-    zero_literal,
+    check_function, interpret, operand_slot_types, postorder,
+    unassigned_uses, zero_literal,
 )
 
 log = logging.getLogger("mergedse")

@@ -33,7 +33,8 @@ from functools import reduce
 from itertools import accumulate
 from operator import or_
 
-from .ir import IRError
+from .cost import DEFAULT_CLOCK
+from .ir import IRError, postorder
 
 log = logging.getLogger("mergedse")
 
@@ -69,7 +70,7 @@ class PartitionProblem:
     merged: set[str]                       # merged-provenance functions
     latency: int = 25                      # cycles per accelerator call
     bandwidth: Fraction = INF_BANDWIDTH    # bytes per second
-    clock: Fraction = Fraction(1, 10 ** 9)
+    clock: Fraction = DEFAULT_CLOCK
     area_budget: float = 0.0
     # a `solver_plan` shared by problems differing only in area_budget
     plan: tuple | None = field(default=None, compare=False, repr=False)
@@ -108,11 +109,11 @@ class PartitionSolution:
 
 def build_problem(m, costs, trace, merge_parents: dict[str, tuple[str, str]],
                   latency: int = 25, bandwidth=float("inf"),
-                  clock: Fraction = Fraction(1, 10 ** 9),
+                  clock: Fraction = DEFAULT_CLOCK,
                   area_budget: float = 0.0) -> PartitionProblem:
     """Assemble the optimization instance from a module, its cost estimates,
     the all-software profile, and the merge graph (child -> parents)."""
-    from .analysis import build_call_graph, postorder
+    from .analysis import build_call_graph
 
     names = list(m.functions)
     missing = [n for n in names if n not in costs]

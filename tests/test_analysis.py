@@ -1,3 +1,4 @@
+import itertools
 import random
 import struct
 from graphlib import CycleError, TopologicalSorter
@@ -13,7 +14,8 @@ from mergedse.analysis import (
     rank_pairs, similarity_matrix,
 )
 from mergedse.ir import (
-    Arena, OPCODES, interpret, parse_module, print_module, run_heap_image,
+    Arena, Block, Function, Instr, IRError, Module, OPCODES, interpret,
+    parse_module, print_module, run_heap_image,
 )
 
 
@@ -40,6 +42,45 @@ def test_call_graph_chain_transitive():
     assert cg.callees("a") == {"b", "c"}
     assert cg.topo_order.index("c") < cg.topo_order.index("b")
     assert cg.topo_order.index("b") < cg.topo_order.index("a")
+
+
+def _calling(calls: dict[str, list[str]]) -> Module:
+    """A module built as objects, so no validation runs: each function
+    calls the named functions in order, then returns."""
+    return Module({name: Function(name, [], "void", [Block("e", [
+        Instr("call", "void", callee=c) for c in cs] + [Instr("ret")])])
+        for name, cs in calls.items()}, next(iter(calls)))
+
+
+@pytest.mark.parametrize("calls", [
+    {"a": ["b"], "b": ["a"]}, {"f": ["f"]},
+    {"main": ["a"], "a": ["b", "c"], "b": [], "c": ["a"]}],
+    ids=["two-cycle", "self-call", "below-a-root"])
+def test_call_graph_of_a_hand_built_cycle_raises(calls):
+    with pytest.raises(IRError) as e:
+        build_call_graph(_calling(calls))
+    assert str(e.value) == "cycle detected in call graph"
+
+
+def test_call_graph_orders_a_long_chain_callees_first():
+    # the search keeps its own stack: 5,000 nested callers reach no
+    # recursion limit
+    n = 5000
+    cg = build_call_graph(_calling(
+        {f"f{i}": [f"f{i + 1}"] if i + 1 < n else [] for i in range(n)}))
+    assert cg.topo_order == [f"f{i}" for i in reversed(range(n))]
+    assert len(cg.callees("f0")) == n - 1
+
+
+def test_call_graph_order_follows_sorted_names():
+    # in any module order and call order: the postorder below the sorted
+    # names, each function's callees visited in sorted order
+    calls = {"a": ["c", "b"], "b": ["d"], "c": [], "d": []}
+    for k, names in enumerate(itertools.permutations(calls)):
+        cg = build_call_graph(_calling(
+            {n: calls[n][::(-1) ** k] for n in names}))
+        assert cg.topo_order == ["d", "b", "c", "a"], names
+        assert cg.callees("a") == {"b", "c", "d"}
 
 
 def test_no_loops_in_straight_line():

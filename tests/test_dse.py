@@ -476,6 +476,29 @@ def test_pipeline_config_rejects_a_cycle_count_that_is_not_finite():
             PipelineConfig(**{f"{side}_table": {"add": -float("inf")}})
 
 
+def test_pipeline_config_rejects_a_latency_or_cycle_count_not_an_integer():
+    # a float latency failed in `solver_plan`; a float cycle count made
+    # every estimate a float, which `build_problem` then rounded
+    with pytest.raises(IRError) as e:
+        PipelineConfig(latency=2.5)
+    assert str(e.value) == "latency must be an integer, got 2.5"
+    for side in ("sw", "hw"):
+        with pytest.raises(IRError) as e:
+            PipelineConfig(**{f"{side}_table": {"add": 1.5}})
+        assert str(e.value) == f"{side}_table['add'] must be an integer, got 1.5"
+
+
+def test_a_float_clock_is_converted_as_the_cli_converts_it(corpus, area_model):
+    # a float clock reached the solver, which needs a Fraction
+    assert PipelineConfig(clock=1e-9).clock == Fraction(1, 10 ** 9)
+    name, m, img = _corpus_subset(corpus, ["poly"])[0]
+    got, want = ([run_pipeline(m, [img], PipelineConfig(mode=mode, clock=clock),
+                               model=area_model, program=name)
+                  for mode in MODES] for clock in (1e-9, Fraction(1, 10 ** 9)))
+    assert reports_to_csv(got) == reports_to_csv(want)
+    assert reports_to_json(got) == reports_to_json(want)
+
+
 def test_a_partial_cycle_table_takes_the_defaults_for_the_rest(corpus,
                                                                area_model):
     # a library config's table overrides the defaults it names, as a config

@@ -31,8 +31,8 @@ import test_interp_golden as golden_tests
 from conftest import SRC
 from mergedse.ir import (
     BINOPS_FLOAT, BINOPS_INT, FCMP_PREDS, ICMP_PREDS, Arena, Block, Function,
-    HeapImage, Instr, InterpError, Module, Program, Reg, interp, interpret,
-    parse_module, run_heap_image, wrap_int,
+    HeapImage, Instr, InterpError, Lit, Module, Program, Reg, interp,
+    interpret, parse_module, run_heap_image, wrap_int,
 )
 import test_ir
 from test_interp_golden import GOLDEN, _cases, _summary
@@ -564,6 +564,83 @@ def test_a_leaf_over_the_size_limit_compiles_on_its_own(monkeypatch):
         r = interpret(Program(m), "main", [1])
         assert r.value == size
         assert _assert_tiers(r._mach.contexts, "hot") == inline
+
+
+# Call-free functions of (%x: i64) -> i64 built as objects, so no validation
+# runs. @d is a diamond on the sign of %x: each arm's jmp continues into the
+# join's ret, so the entry segment (2 instructions) branches to segments of
+# 3 and 4.
+X = Reg("x")
+SIGN = Instr("icmp", "i64", "c", (X, Lit(0, "i64")), pred="slt")
+RET_Y = Instr("ret", "i64", None, (Reg("y"),))
+DIAMOND = {
+    "e": [SIGN, Instr("br", "i1", None, (Reg("c"),), ("l", "r"))],
+    "l": [Instr("sub", "i64", "y", (Lit(0, "i64"), X)),
+          Instr("jmp", succs=("j",))],
+    "r": [Instr("add", "i64", "y", (X, Lit(1, "i64"))),
+          Instr("mul", "i64", "y", (Reg("y"), Lit(3, "i64"))),
+          Instr("jmp", succs=("j",))],
+    "j": [RET_Y]}
+
+
+def _decoded(blocks: dict[str, list[Instr]]):
+    return Program(Module({"d": Function("d", [("x", "i64")], "i64", [
+        Block(label, instrs) for label, instrs in blocks.items()])}, "d")
+    ).function("d")
+
+
+def test_a_cycle_of_segments_makes_no_leaf():
+    # a loop, whose body's jmp continues into the header and branches back
+    # into the body; and an arm branching back to the entry segment, which
+    # validation refuses. Both are decoded, never run
+    loop = {"e": [Instr("const", "i64", "y", (Lit(0, "i64"),)),
+                  Instr("jmp", succs=("h",))],
+            "h": [Instr("icmp", "i64", "c", (Reg("y"), X), pred="slt"),
+                  Instr("br", "i1", None, (Reg("c"),), ("b", "x"))],
+            "b": [Instr("add", "i64", "y", (Reg("y"), Lit(1, "i64"))),
+                  Instr("jmp", succs=("h",))],
+            "x": [RET_Y]}
+    back = {**DIAMOND, "r": [Instr("add", "i64", "x", (X, Lit(1, "i64"))),
+                             Instr("br", "i1", None, (Reg("c"),), ("e", "j"))]}
+    for blocks in (loop, back):
+        fn = _decoded(blocks)
+        assert fn.leaf is None and not fn.touches
+        assert fn.source.size() <= interp.INLINE_MAX
+
+
+def test_a_diamond_is_a_leaf_in_topological_order():
+    fn = _decoded(DIAMOND)
+    fuel, order, _ = fn.leaf
+    assert fn.lens == [2, 3, 4] and fuel == 2 + 4   # the longer arm
+    assert order[0] == 0 and sorted(order) == [0, 1, 2]
+    for k, (_, _, end, x, y, z, _, _) in enumerate(fn.segs):
+        succs = ((y, z) if end == interp._BR else
+                 (x,) if end == interp._JMP else ())
+        assert all(order.index(k) < order.index(t) for t in succs), k
+
+
+def test_a_hot_caller_runs_the_diamond_inline_as_the_cold_tier(monkeypatch):
+    # at every fuel: inline while fuel pays for the longer arm, called
+    # otherwise, and the cold value and trace either way
+    main = Function("main", [("x", "i64")], "i64", [Block("e", [
+        Instr("call", "i64", "r", (X,), callee="d"),
+        Instr("ret", "i64", None, (Reg("r"),))])])
+    m = Module({"main": main, "d": _decoded(DIAMOND).source}, "main")
+    for x, value in ((-5, 5), (0, 3), (7, 24)):
+        runs = {}
+        for fuel in range(9):
+            for tier, multiple in TIERS.items():
+                monkeypatch.setattr(interp, "HOT_MULTIPLE", multiple)
+                runs[tier] = _try(lambda: interpret(Program(m), "main", [x],
+                                                    fuel=fuel))
+            assert type(runs["hot"]) is type(runs["cold"]), (x, fuel)
+            if type(runs["cold"]) is not str:
+                assert (runs["hot"].value, runs["hot"].trace) == (
+                    runs["cold"].value, runs["cold"].trace), (x, fuel)
+            else:
+                assert runs["hot"] == runs["cold"] == "fuel", (x, fuel)
+        assert runs["cold"].value == value
+        assert _assert_tiers(runs["hot"]._mach.contexts, "hot") == {"d"}
 
 
 # ---------------------------------------------------------------------------
