@@ -10,7 +10,7 @@ import logging
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
-from numbers import Integral, Rational
+from numbers import Integral, Rational, Real
 from pathlib import Path
 
 from .analysis import build_call_graph, extract_loops, rank_pairs
@@ -61,6 +61,8 @@ class PipelineConfig:
             raise IRError(f"unknown mode {self.mode!r} (choose from {MODES})")
         for name in ("area_budget", "latency", "bandwidth", "clock"):
             v = getattr(self, name)
+            if not isinstance(v, Real):   # a string would fail to compare
+                raise IRError(f"{name} must be a number, got {v!r}")
             # NaN passes every comparison; inf is only an unlimited bandwidth
             if v != v or (v == float("inf") and name != "bandwidth"):
                 raise IRError(f"{name} must be "
@@ -73,6 +75,9 @@ class PipelineConfig:
             for op, cycles in (table or {}).items():
                 if op not in OPCODES:
                     raise IRError(f"{side}_table key {op!r} is not an opcode")
+                if not isinstance(cycles, Real):
+                    raise IRError(f"{side}_table[{op!r}] must be a number, "
+                                  f"got {cycles!r}")
                 if cycles != cycles or cycles == float("inf"):
                     raise IRError(f"{side}_table[{op!r}] must be a finite "
                                   f"number, got {cycles}")

@@ -36,15 +36,18 @@ one fuel comparison per segment, against the longest segment's length,
 guards the exact check. Later calls enter it, and a cold frame switches
 into it at its current segment, so one long call tiers up too. Heat gates
 compiling because it costs about eleven decodes; compiling eagerly slows
-the many short runs of profiling. A leaf (a call-free function of at most
-INLINE_MAX instructions with an acyclic segment graph, whose reads are all
-assigned first and which records no footprint) runs inline in its hot
-callers, as adaptive compilers inline hot call sites (Hölzle and Ungar,
-PLDI 1994): when fuel pays for its longest path, the caller runs its body
-on renamed locals and counts its visit and segment runs in the leaf's
-calling context; otherwise it calls it. Such a leaf reached by a call
+the many short runs of profiling. A leaf (a call-free function) and a twig
+(one whose every call goes to a leaf) run inline in their hot callers, a
+twig with its leaves nested one level inside it, as adaptive compilers
+inline hot call sites (Hölzle and Ungar, PLDI 1994). Either holds at most
+INLINE_MAX instructions, a twig's leaves counted, has an acyclic segment
+graph, reads only registers it assigned first and records no footprint.
+When fuel pays for its longest path, its leaves' included, the caller runs
+its body on renamed locals and counts its visits and segment runs in its
+calling contexts; otherwise it calls it. Such a function reached by a call
 stays cold when its heat runs out, so it is compiled only inside its
-callers.
+callers. Hot code keeps each callee's calling context in a local once it
+has looked it up.
 No output depends on the tier. Names reach generated code only as repr()
 strings, literals only as frame slots. Generated code compiles under
 filenames profilers keep apart: `<hot @NAME #N>` per hot function compiled
@@ -87,12 +90,14 @@ REGION_BASE = SCRATCH_BASE + SCRATCH_SIZE
 DEFAULT_FUEL = 10 ** 8
 
 # The deepest chain of calls a run may enter, the entry's frame included; a
-# call one deeper raises InterpError("depth"). Each interpreted frame takes
-# one or two Python frames (two when a cold frame goes on in hot code), and
-# under Python's default recursion limit of 1,000 the deepest chain that
-# ran with every frame going on in hot code was 490 calls from `mergedse
-# dse` and 472 from `sweep` under pytest. 400 keeps 72 calls (144 Python
-# frames) of margin below the lesser for callers with deeper stacks.
+# call one deeper raises InterpError("depth"). An interpreted call takes no
+# Python frame when it runs inline and one or two otherwise: two when a cold
+# frame goes on in hot code, or when inline code hands a twig over to its
+# own frame (`_handover` and the frame). Under Python's default recursion
+# limit of 1,000 the deepest chain that ran with every frame going on in hot
+# code was 490 calls from `mergedse dse` and 472 from `sweep` under pytest.
+# 400 keeps 72 calls (144 Python frames) of margin below the lesser for
+# callers with deeper stacks.
 MAX_CALL_DEPTH = 400
 
 # The most bytes the regions of one heap image may hold together (16 MiB).
@@ -193,8 +198,8 @@ _BR, _JMP, _CALL, _RET = range(4)
 # A function is compiled once the instructions it has run in one Program
 # reach this multiple of its static instruction count (see the module
 # docstring for why it is gated by heat). A bundled program's profile runs
-# at most 16 times the size of any function but a leaf reached by a call,
-# so 32 keeps a 2x margin there and long runs tier up early.
+# at most 16 times the size of any function but a leaf or twig reached by a
+# call, so 32 keeps a 2x margin there and long runs tier up early.
 HOT_MULTIPLE = 32
 
 # Numbers each compiled hot function's filename, so that profilers, which
@@ -202,9 +207,10 @@ HOT_MULTIPLE = 32
 # several Programs.
 _COMPILES = count(1)
 
-# The most instructions a leaf may hold and still run inline: every call site
-# copies its source, and the caller's heat, which gates compiling that
-# source, does not count the copies. The corpus's leaves hold 5-12.
+# The most instructions a leaf or a twig may hold and still run inline, a
+# twig counting its leaf at each call: every call site copies its source,
+# and the caller's heat, which gates compiling that source, does not count
+# the copies. The corpus's leaves hold 5-12, its twigs 10-12.
 INLINE_MAX = 16
 
 
@@ -295,11 +301,29 @@ def _footprint(reached: set, t4: set, t8: set) -> set:
     return reached
 
 
+def _frame_of(fn: "_Decoded", scope: dict, prefix: str) -> list:
+    """The frame of `fn` that generated code holds as the locals
+    <prefix><slot> of `scope`; a slot not bound there keeps its first
+    value."""
+    return [scope.get(f"{prefix}{k}", v) for k, v in enumerate(fn.frame)]
+
+
+def _handover(m: "_Machine", ctx: "_Context", scope: dict, j: int,
+              reached: set | None, fuel: int, i: int):
+    """Go on with the twig of `ctx`, which hot code ran inline on its locals
+    l<j>_<slot> until a leaf it calls took a real call that touched
+    `reached`, in its own frame from segment i: that frame charges fuel
+    exactly, whatever the call cost."""
+    r = _frame_of(ctx.fn, scope, f"l{j}_")
+    r[_HEAP], r[1], r[_HLEN] = m.heap, reached, len(m.heap)
+    return ctx.fn.run(m, ctx, None, fuel, r, i)
+
+
 def _exhaust(fn: "_Decoded", i: int, fuel: int, r: list | dict):
     """Run the instructions of segment i that `fuel` pays for on frame r,
     then raise. The hot tier passes its locals(), turned back into a frame."""
     if type(r) is dict:
-        r = [r[f"r{k}"] for k in range(len(fn.frame))]
+        r = _frame_of(fn, r, "r")
     try:
         for h in filter(None, fn.segs[i][7][:max(fuel, 0)]):
             h(r)
@@ -310,7 +334,8 @@ def _exhaust(fn: "_Decoded", i: int, fuel: int, r: list | dict):
 
 # The generated code's globals: error paths and the heap codecs.
 _NS = {"InterpError": InterpError, "oob": _oob, "footprint": _footprint,
-       "exhaust": _exhaust, "unset_store": _unset_store,
+       "exhaust": _exhaust, "handover": _handover,
+       "unset_store": _unset_store,
        "unset_ret": _unset_ret, "struct_error": struct.error, "UNSET": _UNSET,
        "unpack_i1": lambda data, addr: (data[addr] & 1,),
        **{f"unpack_{ty}": struct.Struct(f).unpack_from for ty, f in (
@@ -361,12 +386,20 @@ def _code(fn: "_Decoded", k: int, name) -> list[str]:
 def _hot_source(fn: "_Decoded") -> str:
     """Hot tier: the source of one Python function running all of `fn` from
     segment i with registers as locals r<slot>, charging fuel (one guard at
-    the loop head), counting segment runs and calling as _cold does. A call
-    of a leaf (`_Decoded.leaf`) runs its body inline on locals l<j>_<slot>
-    while fuel pays for the leaf's longest path and its context holds the
-    decoding compiled in (inl<j>); the leaves' constants come bound in c."""
-    leaves = fn.inlined()
-    names = list(leaves)
+    the loop head), counting segment runs and calling as _cold does. Each
+    callee's calling context is kept in a local sub<n>, looked up on first
+    use. A call of a leaf or a twig (`_Decoded.plan`) runs its body inline
+    on locals l<j>_<slot> while fuel pays for its longest path and its
+    context holds the decoding compiled in (inl<j>), with a twig's leaves
+    nested in it the same way under the same guard; the bodies' constants
+    come bound in c. Where a twig's leaf's context holds another decoding,
+    the call is made for real and the twig's own frame runs the rest
+    (`_handover`), charging fuel exactly whatever that call cost."""
+    bodies = fn.inlined()
+    index = {key: j for j, key in enumerate(bodies)}
+    calls = [(x,) for _, _, end, x, *_ in fn.segs if end == _CALL]
+    subs = {key: f"sub{n}" for n, key in enumerate(dict.fromkeys(
+        [*calls, *bodies]))}   # the local holding each callee's context
     out = ["def hot(m, ctx, args, fuel, r=frame, i=0, c=consts):",
            " " + "".join(f"r{k}, " for k in range(len(fn.frame))) + "= r",
            " if args is not None:",
@@ -374,42 +407,78 @@ def _hot_source(fn: "_Decoded") -> str:
 
     def emit(ind: str, text: str):
         out.extend(ind + line for line in text.split("\n"))
-    bound = [f"l{j}_{s}" for j, leaf in enumerate(leaves.values())
-             for s in leaf.leaf[2]]
+    bound = [f"l{j}_{s}" for j, body in enumerate(bodies.values())
+             for s in body.plan[2]]
+    if subs:
+        out.insert(2, " " + " = ".join(subs.values()) + " = None")
     if bound:
         out.insert(2, " " + "".join(f"{b}, " for b in bound) + "= c")
     if fn.touches:
         emit("  ", "r1, r2, r3 = set(), set(), set()")
     emit("  ", "(" + "".join(f"r{s}, " for s in fn.params) + ") = args")
-    emit(" ", "runs, callees = ctx.runs, ctx.callees\ntry:\n"
+    emit(" ", "runs = ctx.runs\ntry:\n"
               f" while True:\n  if fuel < {max(fn.lens)}:\n   if fuel < "
               f"{tuple(fn.lens)}[i]: exhaust(ctx.fn, i, fuel, locals())")
 
-    def inline(j: int, leaf: "_Decoded", args: tuple, z, ind: str):
-        """Run `leaf` on the caller's slots `args` into slot z (or None) as
-        its frame would: its segments in topological order, each entered
-        when j names it. Each ends in a branch or a return, since a segment
-        ends in a jmp only where the jmp closes a cycle."""
-        order = leaf.leaf[1]
-        runs = "lr" if len(order) > 1 else "sub.runs"
-        emit(ind, "sub.visits += 1" + ("\nlr = sub.runs" if len(order) > 1
-                                       else ""))
-        for p, a in zip(leaf.params, args):
-            emit(ind, f"l{j}_{p} = r{a}")
+    def context(sub: str, x: str, parent: str) -> str:
+        """Set `sub` to callee x's context under `parent` on first use."""
+        return (f"if {sub} is None: {sub} = {parent}.callees.get({x!r}) or "
+                f"m.context({x!r}, {parent})")
+
+    def call(sub: str, args: list[str], res) -> str:
+        """A real call through `sub` into local res (or None)."""
+        return (f"{res or '_'}, sb, fuel = {sub}.fn.run(m, {sub}, "
+                f"[{', '.join(args)}], fuel)")
+
+    def touched(sub: str) -> str:
+        """Charge the bytes a real call through `sub` returned in sb."""
+        return (f"\nif sb:\n {sub}.touched += len(sb)\n if r1 is None: r1 = "
+                "sb\n else: r1 |= sb" if fn.prog.footprints else "")
+
+    def inline(key: tuple[str, ...], args: list[str], z, ind: str):
+        """Run body `key` on the values `args` into local z (or None) as its
+        frame would: its segments in topological order, each entered when
+        the level's j names it. Each ends in a branch, a return or a twig's
+        call, since a segment ends in a jmp only where the jmp closes a
+        cycle; a twig's leaf needs no guard of its own."""
+        body, j, sub = bodies[key], index[key], subs[key]
+        order, jv = body.plan[1], "j" * len(key)
+        runs = f"{sub}.runs"
+        if len(order) > 1:
+            emit(ind, f"l{jv} = {runs}")
+            runs = f"l{jv}"
+        emit(ind, f"{sub}.visits += 1")
+        for p, a in zip(body.params, args):
+            emit(ind, f"l{j}_{p} = {a}")
         for s in order:
-            _, n, end, x, y, w, _, _ = leaf.segs[s]
+            _, n, end, x, y, w, u, _ = body.segs[s]
             sind = ind
             if s != order[0]:
-                emit(ind, f"if j == {s}:")
+                emit(ind, f"if {jv} == {s}:")
                 sind = ind + " "
             emit(sind, f"fuel -= {n}\n{runs}[{s}] += 1")
-            for text in _code(leaf, s, lambda o: f"l{j}_{o}"):
+            for text in _code(body, s, lambda o: f"l{j}_{o}"):
                 emit(sind, text)
             if end == _BR:
-                emit(sind, f"j = {y} if l{j}_{x} else {w}")
+                emit(sind, f"{jv} = {y} if l{j}_{x} else {w}")
+            elif end == _CALL:
+                leaf = subs[key + (x,)]
+                res = None if w is None else f"l{j}_{w}"
+                vals = [f"l{j}_{a}" for a in y]
+                emit(sind, context(leaf, x, sub)
+                     + f"\nif {leaf}.fn is inl{index[key + (x,)]}:")
+                inline(key + (x,), vals, res, sind + " ")
+                emit(sind, f" {jv} = {u}\nelse:")
+                # a real call; the twig's own frame takes the rest
+                emit(sind + " ", call(leaf, vals, res)
+                     + (f"\nif sb: {leaf}.touched += len(sb)"
+                        if fn.prog.footprints else "")
+                     + f"\n{z or '_'}, sb, fuel = handover(m, {sub}, "
+                     f"locals(), {j}, sb, fuel, {u})" + touched(sub)
+                     + f"\n{jv} = -1")
             elif x is not None:
                 emit(sind, f"if l{j}_{x} is UNSET: unset_ret()"
-                           + (f"\nr{z} = l{j}_{x}" if z is not None else ""))
+                           + (f"\n{z} = l{j}_{x}" if z is not None else ""))
 
     def segment(k: int, ind: str):
         _, n, end, x, y, z, u, _ = fn.segs[k]
@@ -421,21 +490,16 @@ def _hot_source(fn: "_Decoded") -> str:
         elif end == _JMP:
             emit(ind, f"i = {x}")
         elif end == _CALL:
-            emit(ind, f"sub = callees.get({x!r}) or m.context({x!r}, ctx)")
-            call = (f"{'_' if z is None else f'r{z}'}, sb, fuel = sub.fn.run("
-                    "m, sub, [" + ", ".join(f"r{a}" for a in y) + "], fuel)"
-                    + ("\nif sb:\n sub.touched += len(sb)\n if r1 is None: "
-                       "r1 = sb\n else: r1 |= sb" if fn.prog.footprints
-                       else ""))
-            if x in leaves:
-                j = names.index(x)
-                emit(ind, f"if sub.fn is inl{j} and fuel >= "
-                          f"{leaves[x].leaf[0]}:")
-                inline(j, leaves[x], y, z, ind + " ")
+            sub, vals = subs[x,], [f"r{a}" for a in y]
+            res, cind = None if z is None else f"r{z}", ind
+            emit(ind, context(sub, x, "ctx"))
+            if (x,) in bodies:
+                emit(ind, f"if {sub}.fn is inl{index[x,]} and fuel >= "
+                          f"{bodies[x,].plan[0]}:")
+                inline((x,), vals, res, ind + " ")
                 emit(ind, "else:")
-                emit(ind + " ", call)
-            else:
-                emit(ind, call)
+                cind += " "
+            emit(cind, call(sub, vals, res) + touched(sub))
             emit(ind, f"i = {u}")
         else:
             emit(ind, (f"if r{x} is UNSET: unset_ret()\n"
@@ -561,54 +625,76 @@ class _Decoded:
                            + (TYPE_WIDTH[f.ret] if f.ret != "void" else 0))
 
     @cached_property
-    def leaf(self) -> tuple[int, list[int], list[int]] | None:
+    def plan(self) -> tuple[int, list[int], list[int], dict] | None:
         """What a hot caller needs to run this function inline, if it is a
-        leaf: the fuel of its longest path, its segments in topological
-        order and its constant slots. A leaf ends no segment in a call, its
-        segments form no cycle, it reads no register some path leaves
-        unassigned (so no invocation resets a register to UNSET), it
-        records no footprint and it holds at most INLINE_MAX instructions.
-        Decided at most once, when a caller compiles or its heat runs out,
-        so decoding pays nothing for it."""
-        if (self.touches or self.source.size() > INLINE_MAX
-                or any(seg[2] == _CALL for seg in self.segs)):
+        leaf or a twig: the fuel of its longest path, its segments in
+        topological order, its constant slots and the leaves it calls by
+        name. A leaf makes no call; a twig calls only leaves, current in its
+        Program when this is decided, and its longest path includes theirs.
+        Neither forms a cycle of segments, reads a register some path leaves
+        unassigned (so no invocation resets a register to UNSET) or records
+        a footprint, and each holds at most INLINE_MAX instructions, a
+        twig's leaves counted at each call. Decided at most once, when a
+        caller compiles or its heat runs out, so decoding pays nothing."""
+        funcs, leaves = self.prog.module.functions, {}
+        size = self.source.size()
+        if self.touches or size > INLINE_MAX:
+            return None
+        for ins in (ins for b in self.source.blocks for ins in b.instrs
+                    if ins.op == "call"):
+            leaf = (self.prog.function(ins.callee) if ins.callee in funcs
+                    else None)
+            # a callee that calls is no leaf; asking that first keeps this
+            # from recursing down a chain of calls
+            if (leaf is None or any(seg[2] == _CALL for seg in leaf.segs)
+                    or leaf.plan is None):
+                return None
+            leaves[ins.callee] = leaf
+            size += leaf.source.size()
+        if size > INLINE_MAX:
             return None
 
         def succs(k: int) -> tuple:
-            _, _, end, x, y, z, _, _ = self.segs[k]
-            return (y, z) if end == _BR else (x,) if end == _JMP else ()
+            _, _, end, x, y, z, u, _ = self.segs[k]
+            return ((y, z) if end == _BR else (x,) if end == _JMP else
+                    (u,) if end == _CALL else ())
         # every segment is reachable from the entry; in postorder an edge to
         # a segment not earlier than its source closes a cycle
         longest: dict[int, int] = {}
         for k in postorder(0, succs):
             if any(t not in longest for t in succs(k)):
                 return None
-            longest[k] = self.lens[k] + max(map(longest.get, succs(k)),
-                                            default=0)
+            _, n, end, x, *_ = self.segs[k]
+            longest[k] = (n + (leaves[x].plan[0] if end == _CALL else 0)
+                          + max(map(longest.get, succs(k)), default=0))
         if unassigned_uses(self.source):
             return None
         return longest[0], list(longest)[::-1], [
             k for k in range(_RESERVED, len(self.frame))
-            if self.frame[k] is not _UNSET]
+            if self.frame[k] is not _UNSET], leaves
 
-    def inlined(self) -> dict[str, "_Decoded"]:
-        """The leaves this function calls, current in its Program, by name
-        in order of first call: its hot code runs them inline."""
+    def inlined(self) -> dict[tuple[str, ...], "_Decoded"]:
+        """What this function's hot code runs inline: the leaves and twigs
+        it calls, current in its Program, in order of first call, each
+        followed by the leaves a twig calls, keyed by the names called
+        from here."""
         funcs, out = self.prog.module.functions, {}
         for _, _, end, x, *_ in self.segs:
-            if end == _CALL and x not in out and x in funcs:
+            if end == _CALL and (x,) not in out and x in funcs:
                 callee = self.prog.function(x)
-                if callee.leaf is not None:
-                    out[x] = callee
+                if callee.plan is not None:
+                    out[x,] = callee
+                    for y, leaf in callee.plan[3].items():
+                        out[x, y] = leaf
         return out
 
     def compiled(self):
         """The hot tier's function, generated and compiled on first use."""
         if self.run is _cold:
-            leaves = self.inlined()
+            bodies = self.inlined().values()
             ns = dict(_NS, frame=self.frame, consts=tuple(
-                leaf.frame[k] for leaf in leaves.values() for k in leaf.leaf[2]),
-                **{f"inl{j}": leaf for j, leaf in enumerate(leaves.values())})
+                body.frame[k] for body in bodies for k in body.plan[2]),
+                **{f"inl{j}": body for j, body in enumerate(bodies)})
             exec(compile(_hot_source(self), f"<hot @{self.name} "
                          f"#{next(_COMPILES)}>", "exec"), ns)
             self.run = ns["hot"]
@@ -619,8 +705,9 @@ class Program:
     """A module decoded for execution. Functions are decoded on first call
     or when a caller compiles, and again if their Function object in
     `module` is replaced. Each gathers heat over every run on the Program and
-    turns hot at HOT_MULTIPLE times its size, except a leaf reached by a
-    call, which its hot callers run inline; no output depends on the tier.
+    turns hot at HOT_MULTIPLE times its size, except a leaf or twig reached
+    by a call, which its hot callers run inline; no output depends on the
+    tier.
     Footprints are for a finite bandwidth only: with `footprints=False`
     loads and stores record no touched addresses and traces mark
     `edge_bytes` as not recorded (None); everything else is the same."""
@@ -710,25 +797,29 @@ class _Machine:
         return tr
 
 
-def _cold(m: _Machine, ctx: _Context, args: list, fuel: int):
+def _cold(m: _Machine, ctx: _Context, args: list | None, fuel: int,
+          r: list | None = None, i: int = 0):
     """Run one frame in the cold tier; returns its value, the bytes the frame
     and its callees touched (None when there are none or none are recorded)
-    and the fuel left. A frame whose function turns hot goes on in hot code."""
+    and the fuel left. With `args` None it goes on with frame r from segment
+    i, as hot code hands over an inline twig. A frame whose function turns
+    hot goes on in hot code."""
     fn = ctx.fn
-    ctx.visits += 1
-    r = fn.frame[:]
-    r[_HEAP], r[_HLEN] = m.heap, len(m.heap)
-    if fn.touches:   # the _TOUCHED slots; width 1 collects callees too
-        r[1], r[2], r[3] = set(), set(), set()
-    for s, a in zip(fn.params, args):
-        r[s] = a
+    if args is not None:
+        ctx.visits += 1
+        r = fn.frame[:]
+        r[_HEAP], r[_HLEN] = m.heap, len(m.heap)
+        if fn.touches:   # the _TOUCHED slots; width 1 collects callees too
+            r[1], r[2], r[3] = set(), set(), set()
+        for s, a in zip(fn.params, args):
+            r[s] = a
     reached = r[1]   # bytes this frame and its callees touched
     segs, runs, left = fn.segs, ctx.runs, fn.left
-    i = 0
     try:
         while True:
-            # a leaf reached by a call stays cold: hot callers run it inline
-            if left <= 0 and (ctx.parent is None or fn.leaf is None):
+            # a leaf or twig reached by a call stays cold: hot callers run
+            # it inline
+            if left <= 0 and (ctx.parent is None or fn.plan is None):
                 fn.left, r[1] = left, reached
                 return fn.compiled()(m, ctx, None, fuel, r, i)
             body, n, end, x, y, z, u, _ = segs[i]

@@ -310,8 +310,11 @@ def solver_plan(p: PartitionProblem) -> tuple:
     for g, r in enumerate(roots):
         for x in [r, *p.descend[r]]:
             groups_of[index[x]].append(g)
+    # only a pair with calls or bytes can cost anything; the rest cost 0
+    members = set(p.names)
     edges = {(i, j): p.edge_cost(i, j)
-             for i in p.names for j in p.callees.get(i, ())}
+             for i, j in sorted({*p.calls, *p.bytes_})
+             if i in members and j in p.callees.get(i, ())}
     scale = math.lcm(*(c.denominator for c in [*p.sw.values(), *p.hw.values(),
                                                 *edges.values()]))
     sw = [int(p.sw[x] * scale) for x in names]
@@ -346,8 +349,9 @@ def solver_plan(p: PartitionProblem) -> tuple:
     in_groups = [sum(1 << g for g in gs) for gs in groups_of]
     blocks = [reduce(or_, (group_bits[g] for g in gs)) & merged_bits
               for gs in groups_of]
-    callee_groups = [sum(1 << roots.index(j) for j in p.callees.get(x, ())
-                         if j in p.roots) for x in names]
+    root_index = {r: g for g, r in enumerate(roots)}
+    callee_groups = [sum(1 << root_index[j] for j in p.callees.get(x, ())
+                         if j in root_index) for x in names]
     closes = [0] * n
     for g, bits in enumerate(group_bits):
         closes[bits.bit_length() - 1] |= 1 << g

@@ -7,11 +7,12 @@ runs its context makes until the frame returns, raises or switches to the
 hot tier. Those instructions are cold; all others are hot, among them the
 runs of a leaf that a hot caller runs inline. Instructions are counted as
 the fuel charges them, errored runs included; `compiled` counts the
-functions that switched to the hot tier. `cold heat/size` is the margin
-below HOT_MULTIPLE: the largest heat (instructions a function ran cold in
-its Program) per instruction of size among the functions that did not
-compile. Leaves, which stay cold when reached by a call, are reported
-apart. Usage:
+functions that switched to the hot tier, and `calls` the interpreted calls
+that ran as Python calls (entries included), not inline. `cold heat/size`
+is the margin below HOT_MULTIPLE: the largest heat (instructions a
+function ran cold in its Program) per instruction of size among the
+functions that did not compile. Leaves and twigs, which stay cold when
+reached by a call, are reported apart. Usage:
 
     PYTHONPATH=src python tests/hot_share.py [--seed 7] [WORKLOAD ...]
 """
@@ -36,6 +37,7 @@ class Watch:
         self.frames = []             # [context, its instructions at entry]
         self.cold = 0                # instructions run cold
         self.compiled = set()        # functions switched to the hot tier
+        self.calls = 0               # frames entered by a Python call
 
     @staticmethod
     def instrs(ctx) -> int:
@@ -59,18 +61,26 @@ class Watch:
             watch.contexts.append(ctx)
             return ctx
 
-        def watched_cold(mach, ctx, args, fuel):
+        def watched_cold(mach, ctx, args, fuel, r=None, i=0):
+            watch.calls += args is not None   # not a handed-over twig
             frame = [ctx, watch.instrs(ctx)]
             watch.frames.append(frame)
             try:
-                return cold(mach, ctx, args, fuel)
+                return cold(mach, ctx, args, fuel, r, i)
             finally:
                 watch.close(watch.frames.pop())
 
         def watched_compiled(fn):
             if fn.run is watched_cold:
                 watch.compiled.add(fn)
-            hot = compiled(fn)
+                raw = compiled(fn)
+
+                def called(mach, ctx, args, fuel, r=None, i=0):
+                    watch.calls += args is not None
+                    return (raw(mach, ctx, args, fuel) if r is None
+                            else raw(mach, ctx, args, fuel, r, i))
+                fn.run = called   # what later calls enter
+            hot = fn.run
 
             def switch(mach, ctx, args, fuel, r, i):   # the only caller
                 watch.close(watch.frames[-1])
@@ -94,12 +104,13 @@ class Watch:
 
     def margins(self) -> list[tuple[float, str]]:
         """The largest (heat per instruction of size, function name) of the
-        functions that did not compile, for non-leaves and leaves."""
+        functions that did not compile, for the others and for leaves and
+        twigs."""
         best = [(0.0, "-"), (0.0, "-")]
         for fn in {ctx.fn for ctx in self.contexts} - self.compiled:
             size = fn.source.size()
             heat = (interp.HOT_MULTIPLE * size - fn.left) / size
-            k = fn.leaf is not None
+            k = fn.plan is not None
             best[k] = max(best[k], (heat, "@" + fn.name))
         return best
 
@@ -122,6 +133,7 @@ def main(argv=None) -> int:
         (heat, fname), (leaf_heat, leaf) = watch.margins()
         print(f"{name:15s} instructions {total:10d}  hot {hot:10d}  "
               f"share {hot / total:.3f}  compiled {len(watch.compiled):5d}  "
+              f"calls {watch.calls:6d}  "
               f"cold heat/size {heat:.1f} ({fname}), leaves {leaf_heat:.1f} "
               f"({leaf})")
     return 0

@@ -488,6 +488,43 @@ def test_pipeline_config_rejects_a_latency_or_cycle_count_not_an_integer():
         assert str(e.value) == f"{side}_table['add'] must be an integer, got 1.5"
 
 
+def test_solver_plan_prices_only_the_pairs_that_can_cost(area_model,
+                                                         monkeypatch):
+    # a 400-deep chain has 79,800 transitive pairs and 399 calls; a pair
+    # with neither calls nor bytes costs nothing, so it is not priced
+    from test_ir import call_chain_ir
+    from mergedse.partition import PartitionProblem, solver_plan
+    cfg = PipelineConfig(mode="FE")
+    prep = prepare(parse_module(call_chain_ir(400)),
+                   [HeapImage.parse("arg 0 = 3\n")], cfg, area_model)
+    sol, problem = partition_point(prep, cfg, cfg.area_budget, cfg.latency,
+                                   cfg.bandwidth)
+    assert sum(map(len, problem.callees.values())) == 79_800
+    priced = []
+    edge_cost = PartitionProblem.edge_cost
+    monkeypatch.setattr(PartitionProblem, "edge_cost", lambda p, i, j: (
+        priced.append((i, j)) or edge_cost(p, i, j)))
+    solver_plan(problem)
+    assert 0 < len(priced) <= 399
+    # the objective and search of the plan that priced every pair
+    assert sol.optimal and sol.nodes == 8_004
+    assert sol.objective == Fraction(841, 200_000_000) == _objective(
+        problem, sol.hwv, sol.swv)[0]
+
+
+def test_pipeline_config_rejects_a_value_that_is_not_a_number():
+    # a string failed its first comparison with a TypeError
+    for field, value in (("latency", "3"), ("area_budget", "5"),
+                         ("bandwidth", "1e9"), ("clock", "1e-9")):
+        with pytest.raises(IRError) as e:
+            PipelineConfig(**{field: value})
+        assert str(e.value) == f"{field} must be a number, got {value!r}"
+    for side in ("sw", "hw"):
+        with pytest.raises(IRError) as e:
+            PipelineConfig(**{f"{side}_table": {"add": "1"}})
+        assert str(e.value) == f"{side}_table['add'] must be a number, got '1'"
+
+
 def test_a_float_clock_is_converted_as_the_cli_converts_it(corpus, area_model):
     # a float clock reached the solver, which needs a Fraction
     assert PipelineConfig(clock=1e-9).clock == Fraction(1, 10 ** 9)

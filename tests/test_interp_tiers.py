@@ -65,13 +65,13 @@ def _inline_instrs(fn, contexts) -> int:
 
 def _assert_tiers(contexts, tier: str) -> set[str]:
     """Every function that ran took the forced tier, except that forced hot
-    a leaf reached by a call stays cold and runs inline in its callers;
-    returns the names of those leaves."""
+    a leaf or twig reached by a call stays cold and runs inline in its
+    callers; returns the names of those leaves and twigs."""
     called = {ctx.fn for ctx in contexts if ctx.parent is not None}
     inline = set()
     for fn in {ctx.fn for ctx in contexts}:
         if fn.run is interp._cold and tier == "hot":
-            assert fn.leaf is not None and fn in called, fn.name
+            assert fn.plan is not None and fn in called, fn.name
             assert _inline_instrs(fn, contexts) > 0, fn.name
             inline.add(fn.name)
         else:
@@ -337,7 +337,7 @@ def test_corpus_runs_stay_below_half_the_hot_multiple(corpus):
             called = {ctx.fn for ctx in contexts if ctx.parent is not None}
             for fn in {ctx.fn for ctx in contexts}:
                 assert fn.run is interp._cold, (name, fn.name)
-                if fn.leaf is None or fn not in called:
+                if fn.plan is None or fn not in called:
                     size = fn.source.size()
                     heat = interp.HOT_MULTIPLE * size - fn.left
                     assert 2 * heat <= interp.HOT_MULTIPLE * size, (
@@ -458,8 +458,8 @@ x:
 """
 
 
-def _unset_module() -> Module:
-    m = parse_module(UNSET_SRC)
+def _unset_module(src: str = UNSET_SRC) -> Module:
+    m = parse_module(src)
     main = m.functions["main"]
     m.functions["main"] = replace(main, blocks=[replace(b, instrs=[
         ins for ins in b.instrs if ins.result != "u"]) for b in main.blocks])
@@ -546,8 +546,8 @@ def test_a_memory_leaf_is_not_inlined_where_footprints_are_recorded():
     # four calls, each storing 4 bytes and passing two i32 arguments
     assert got[2].edge_bytes[("main", "put")] == 4 * (4 + 2 * 4)
     assert _assert_tiers(mach.contexts, "hot") == {"one", "clip"}
-    assert progs["hot"].function("put").leaf is None
-    assert Program(m, footprints=False).function("put").leaf is not None
+    assert progs["hot"].function("put").plan is None
+    assert Program(m, footprints=False).function("put").plan is not None
 
 
 def test_a_leaf_over_the_size_limit_compiles_on_its_own(monkeypatch):
@@ -564,6 +564,333 @@ def test_a_leaf_over_the_size_limit_compiles_on_its_own(monkeypatch):
         r = interpret(Program(m), "main", [1])
         assert r.value == size
         assert _assert_tiers(r._mach.contexts, "hot") == inline
+
+
+# Twigs run inline with their leaves nested in them. @mix calls its leaf
+# first, as chain's @mix_a does; @combine branches before its call, as
+# pair's @combine_a does, so both arms' segments end in the call of @adjust,
+# which divides by the %d - %i that @main passes. @main also calls @scramble
+# itself, in a calling context of its own.
+TWIG_SRC = """
+func @scramble(%x: i32) -> i32 {
+e:
+  %t = mul i32 %x, 7
+  %t = xor i32 %t, 51
+  ret i32 %t
+}
+
+func @mix(%x: i32, %y: i32) -> i32 {
+e:
+  %u = call i32 @scramble(%x)
+  %v = mul i32 %u, %y
+  %w = xor i32 %v, %u
+  ret i32 %w
+}
+
+func @adjust(%c: i32, %b: i32) -> i32 {
+e:
+  %r = sdiv i32 %c, %b
+  %r = add i32 %r, %c
+  ret i32 %r
+}
+
+func @combine(%a: i32, %b: i32, %pick: i1) -> i32 {
+e:
+  br %pick, add_path, mul_path
+add_path:
+  %c = add i32 %a, %b
+  jmp tail
+mul_path:
+  %c = mul i32 %a, %b
+  jmp tail
+tail:
+  %r = call i32 @adjust(%c, %b)
+  ret i32 %r
+}
+
+func @main(%p: ptr, %n: i32, %d: i32) -> i32 {
+e:
+  %i = const i32 0
+  %acc = const i32 0
+  jmp h
+h:
+  %c = icmp slt i32 %i, %n
+  br %c, b, x
+b:
+  %q = gep i32 %p, %i
+  %v = load i32, %q
+  %a = call i32 @mix(%v, 3)
+  %par = and i32 %i, 1
+  %pk = trunc i32 %par to i1
+  %e = sub i32 %d, %i
+  %b2 = call i32 @combine(%v, %e, %pk)
+  %z = call i32 @scramble(%i)
+  %acc = add i32 %acc, %a
+  %acc = xor i32 %acc, %b2
+  %acc = add i32 %acc, %z
+  %i = add i32 %i, 1
+  jmp h
+x:
+  ret i32 %acc
+}
+"""
+# (%n, %d) over eight i32 elements: a value, oob at the ninth load, and
+# division by zero in @adjust at the third call and at the first
+TWIG_ARGS = [(4, 100), (9, 100), (4, 2), (4, 0)]
+
+# @via hands @pick the register @main never assigned (%u, as in UNSET_SRC)
+# once %i reaches %k, so @pick's return, nested in @via, raises.
+UNSET_TWIG_SRC = UNSET_SRC.split("func @main")[0] + """
+func @via(%i: i32, %k: i32, %a: i32, %b: i32) -> i32 {
+e:
+  %c = icmp slt i32 %i, %k
+  %r = call i32 @pick(%c, %a, %b)
+  ret i32 %r
+}
+
+func @main(%p: ptr, %n: i32, %k: i32) -> i32 {
+e:
+  %u = const i32 0
+  %i = const i32 0
+  %s = const i32 0
+  jmp h
+h:
+  %c = icmp slt i32 %i, %n
+  br %c, b, x
+b:
+  %v = call i32 @via(%i, %k, %i, %u)
+  %s = add i32 %s, %v
+  %i = add i32 %i, 1
+  jmp h
+x:
+  ret i32 %s
+}
+"""
+
+
+@pytest.mark.parametrize("src, arglists, inline, kinds", [
+    (TWIG_SRC, TWIG_ARGS, {"scramble", "mix", "adjust", "combine"},
+     {"value", "oob", "div-zero"}),
+    ("unset", [(4, 9), (4, 2)], {"via", "pick"}, {"value", "unassigned"})],
+    ids=["twigs", "unset"])
+def test_inline_twigs_match_cold_frames_at_every_fuel(src, arglists, inline,
+                                                      kinds):
+    # forced hot @main runs every twig inline, its leaf nested in it, while
+    # fuel pays for the twig's longest path, its leaf's included
+    m = _unset_module(UNSET_TWIG_SRC) if src == "unset" else parse_module(src)
+    seen = set()
+    for args in arglists:
+        progs = _leaf_programs(m, footprints=False)
+        want, _ = _forced_run(progs["cold"], args)
+        got, mach = _forced_run(progs["hot"], args)
+        assert got == want, args
+        assert _assert_tiers(mach.contexts, "hot") == inline, args
+        seen.add(want[0][0] if type(want[0]) is tuple else "value")
+        for fuel in range(want[2].total + 2):
+            assert (_forced_run(progs["hot"], args, fuel)[0]
+                    == _forced_run(progs["cold"], args, fuel)[0]), (args, fuel)
+    assert seen == kinds
+
+
+# @twig's leaf @get is replaced by a loop that loads %x elements, so the
+# twig's guard, which paid for the old @get, no longer pays for the call.
+REPLACED_SRC = """
+func @get(%p: ptr, %x: i32) -> i32 {
+e:
+  %y = add i32 %x, 1
+  ret i32 %y
+}
+
+func @twig(%p: ptr, %x: i32) -> i32 {
+e:
+  %u = call i32 @get(%p, %x)
+  %v = mul i32 %u, 3
+  %w = add i32 %v, %x
+  ret i32 %w
+}
+
+func @main(%p: ptr, %n: i32) -> i32 {
+e:
+  %i = const i32 0
+  %s = const i32 0
+  jmp h
+h:
+  %c = icmp slt i32 %i, %n
+  br %c, b, x
+b:
+  %v = call i32 @twig(%p, %i)
+  %s = add i32 %s, %v
+  %i = add i32 %i, 1
+  jmp h
+x:
+  ret i32 %s
+}
+"""
+LOOP_GET = """
+func @get(%p: ptr, %x: i32) -> i32 {
+e:
+  %t = const i32 0
+  %s = const i32 0
+  jmp h
+h:
+  %c = icmp slt i32 %t, %x
+  br %c, b, x
+b:
+  %q = gep i32 %p, %t
+  %v = load i32, %q
+  %s = add i32 %s, %v
+  %t = add i32 %t, 1
+  jmp h
+x:
+  ret i32 %s
+}
+"""
+
+
+@pytest.mark.parametrize("footprints", [False, True])
+def test_a_leaf_replaced_under_an_inline_twig_takes_the_call(monkeypatch,
+                                                            footprints):
+    # @main's hot code holds the @twig and @get it inlined. A new @get is
+    # decoded anew, so the call is made for real and the twig's own frame
+    # takes the rest: at every fuel, fuel runs out at the instruction, and
+    # the run ends with the outcome, heap and trace, of a cold run
+    monkeypatch.setattr(interp, "HOT_MULTIPLE", 0)
+    m = parse_module(REPLACED_SRC)
+    prog = Program(m, footprints)
+    first, _ = _forced_run(prog, (6,))
+    assert prog.function("main").run is not interp._cold
+    m.functions["get"] = parse_module(LOOP_GET).functions["get"]
+    cold = _leaf_programs(m, footprints)["cold"]
+    want, _ = _forced_run(cold, (6,))
+    got, _ = _forced_run(prog, (6,))
+    assert got == want and got[2].counts["get"]["load"] == 15
+    assert got[2].counts["get"] != first[2].counts["get"]
+    assert (want[2].edge_bytes is None) != footprints
+    # the new @get, no leaf, compiled on its own; @twig stayed cold
+    get, twig = prog.function("get"), prog.function("twig")
+    assert get.run is not interp._cold and twig.plan[3]["get"] is not get
+    assert twig.run is interp._cold
+    for fuel in range(want[2].total + 2):
+        assert _forced_run(prog, (6,), fuel)[0] == _forced_run(
+            cold, (6,), fuel)[0], fuel
+
+
+def test_a_twig_over_the_size_limit_compiles_on_its_own(monkeypatch):
+    # a twig's size counts its leaf: at INLINE_MAX instructions in all it
+    # runs inline, one more and it is called, compiled by its own heat, and
+    # runs its leaf inline
+    monkeypatch.setattr(interp, "HOT_MULTIPLE", 0)
+    for size, inline in ((interp.INLINE_MAX, {"tw", "add"}),
+                         (interp.INLINE_MAX + 1, {"add"})):
+        adds = "%y = add i64 %y, 1\n" * (size - 5 - 2)
+        m = parse_module("func @add(%x: i64) -> i64 {\ne:\n%y = add i64 %x, 1"
+                         "\n%y = add i64 %y, 1\n%y = add i64 %y, 1\n"
+                         "%y = add i64 %y, 1\nret i64 %y\n}\n"
+                         "func @tw(%x: i64) -> i64 {\ne:\n%y = call i64 "
+                         f"@add(%x)\n{adds}ret i64 %y\n}}\n"
+                         "func @main(%x: i64) -> i64 {\ne:\n"
+                         "%r = call i64 @tw(%x)\nret i64 %r\n}")
+        assert m.functions["tw"].size() + m.functions["add"].size() == size
+        r = interpret(Program(m), "main", [1])
+        assert r.value == 1 + 4 + size - 7
+        assert _assert_tiers(r._mach.contexts, "hot") == inline
+
+
+BUMP_SRC = """
+func @inc(%x: i32) -> i32 {
+e:
+  %y = add i32 %x, 1
+  ret i32 %y
+}
+
+func @bump(%p: ptr, %i: i32) -> void {
+e:
+  %q = gep i32 %p, %i
+  %v = load i32, %q
+  %w = call i32 @inc(%v)
+  store i32 %w, %q
+  ret
+}
+
+func @main(%p: ptr, %n: i32) -> i32 {
+e:
+  %i = const i32 0
+  jmp h
+h:
+  %c = icmp slt i32 %i, %n
+  br %c, b, x
+b:
+  call void @bump(%p, %i)
+  %i = add i32 %i, 1
+  jmp h
+x:
+  ret i32 %i
+}
+"""
+
+
+def test_a_memory_twig_is_not_inlined_where_footprints_are_recorded():
+    # its frame collects the addresses it touches for its call edge, so it
+    # compiles on its own and runs its leaf inline
+    m = parse_module(BUMP_SRC)
+    for footprints, inline in ((True, {"inc"}), (False, {"bump", "inc"})):
+        progs = _leaf_programs(m, footprints)
+        want, _ = _forced_run(progs["cold"], (5,))
+        got, mach = _forced_run(progs["hot"], (5,))
+        assert got == want
+        assert _assert_tiers(mach.contexts, "hot") == inline
+        assert (progs["hot"].function("bump").plan is None) == footprints
+    # five calls, each loading and storing 4 bytes and passing one i32
+    assert got[2].edge_bytes is None and want[1] != bytes(range(32))
+    assert _forced_run(progs["cold"], (5,))[0][0] == 5
+    with_bytes, _ = _forced_run(Program(m), (5,))
+    assert with_bytes[2].edge_bytes[("main", "bump")] == 5 * (4 + 4)
+
+
+def test_a_twig_reached_by_a_call_stays_cold(monkeypatch):
+    # once its heat runs out, a twig reached by a call stays cold and its
+    # hot caller runs it inline; entered, the same twig compiles. At this
+    # multiple @main compiles after one call of each twig, which is more
+    # than half of either twig's size
+    monkeypatch.setattr(interp, "HOT_MULTIPLE", Fraction(1, 2))
+    m = parse_module(TWIG_SRC)
+    prog = Program(m, footprints=False)
+    got, mach = _forced_run(prog, TWIG_ARGS[0])
+    assert prog.function("main").run is not interp._cold
+    for name in ("mix", "combine"):
+        twig = prog.function(name)
+        assert twig.plan is not None and twig.left <= 0, name
+        assert twig.run is interp._cold, name
+    monkeypatch.setattr(interp, "HOT_MULTIPLE", math.inf)
+    assert got == _forced_run(Program(m, footprints=False), TWIG_ARGS[0])[0]
+    monkeypatch.setattr(interp, "HOT_MULTIPLE", 0)
+    r = interpret(prog, "mix", [5, 3])
+    assert prog.function("mix").run is not interp._cold
+    assert r.value == interpret(Program(m), "mix", [5, 3]).value
+
+
+def test_a_cycle_of_jmps_runs_out_of_fuel_alike_in_both_tiers(monkeypatch):
+    # segments [e a b] and [a b] both end in the jmp that closes the cycle
+    main = Function("main", [], "i32", [
+        Block("e", [Instr("jmp", succs=("a",))]),
+        Block("a", [Instr("jmp", succs=("b",))]),
+        Block("b", [Instr("jmp", succs=("a",))])])
+    m = Module({"main": main}, "main")
+    fn = Program(m).function("main")
+    assert fn.lens == [3, 2] and [seg[2:4] for seg in fn.segs] == [
+        (interp._JMP, 1), (interp._JMP, 1)]
+    for fuel in range(41):
+        errors = {}
+        for tier, multiple in TIERS.items():
+            monkeypatch.setattr(interp, "HOT_MULTIPLE", multiple)
+            prog = Program(m)
+            with pytest.raises(InterpError) as e:
+                interpret(prog, fuel=fuel)
+            errors[tier] = (e.value.kind, str(e.value))
+            assert (prog.function("main").run is interp._cold) == (
+                tier == "cold")
+        assert errors["hot"] == errors["cold"] == (
+            "fuel", "fuel exhausted in @main"), fuel
 
 
 # Call-free functions of (%x: i64) -> i64 built as objects, so no validation
@@ -604,14 +931,15 @@ def test_a_cycle_of_segments_makes_no_leaf():
                              Instr("br", "i1", None, (Reg("c"),), ("e", "j"))]}
     for blocks in (loop, back):
         fn = _decoded(blocks)
-        assert fn.leaf is None and not fn.touches
+        assert fn.plan is None and not fn.touches
         assert fn.source.size() <= interp.INLINE_MAX
 
 
 def test_a_diamond_is_a_leaf_in_topological_order():
     fn = _decoded(DIAMOND)
-    fuel, order, _ = fn.leaf
+    fuel, order, _, leaves = fn.plan
     assert fn.lens == [2, 3, 4] and fuel == 2 + 4   # the longer arm
+    assert leaves == {}
     assert order[0] == 0 and sorted(order) == [0, 1, 2]
     for k, (_, _, end, x, y, z, _, _) in enumerate(fn.segs):
         succs = ((y, z) if end == interp._BR else

@@ -344,19 +344,30 @@ def test_check_solution_reports_violations():
                           Fraction(0))
     bad = check_solution(p, s)
     assert any("root-coverage" in b for b in bad)
-    # hardware caller with an uncovered root callee
-    caller = next((x for x in p.names if p.callees[x] & p.roots), None)
-    if caller is not None:
-        hwv = {caller: 1}
-        swv = {x: 1 for x in p.roots if x != caller}
-        s2 = PartitionSolution(hwv, swv, {}, Fraction(0))
-        assert any("hw-callee" in b for b in check_solution(p, s2))
-    # frontier below its lower bound
-    s3 = PartitionSolution({"f1": 1}, {x: 1 for x in p.roots if x != "f1"}, {},
-                           Fraction(0))
-    callers = [x for x in p.names if "f1" in p.callees[x] and s3.swv.get(x)]
-    if callers:
-        assert any("frontier" in b for b in check_solution(p, s3))
+    # each message on a hand-built instance: @f calls @g, and the merged @m
+    # of @f and @h calls @g too
+    p = PartitionProblem(
+        names=["f", "g", "h", "m"], sw=dict.fromkeys("fghm", Fraction(9)),
+        hw=dict.fromkeys("fghm", Fraction(1)),
+        area={"f": 5.0, "g": 5.0, "h": 5.0, "m": 8.0},
+        callees={"f": {"g"}, "g": set(), "h": set(), "m": {"g"}},
+        calls={("f", "g"): 3, ("m", "g"): 3}, bytes_={},
+        descend={"f": {"m"}, "g": set(), "h": {"m"}, "m": set()},
+        roots={"f", "g", "h"}, merged={"m"}, area_budget=12.0)
+
+    def bad(hw: str, sw: str, frontier=()) -> list[str]:
+        return check_solution(p, PartitionSolution(
+            dict.fromkeys(hw, 1), dict.fromkeys(sw, 1),
+            dict.fromkeys(frontier, 1), Fraction(0)))
+    assert bad("", "fgh") == bad("gh", "f", [("f", "g")]) == []
+    assert bad("g", "gm", [("m", "g")]) == [
+        "exclusivity: @g in both software and hardware",
+        "merged-in-software: @m", "root-coverage: @g covered 2 times"]
+    assert bad("gm", "") == ["area-budget: 13.0 > 12.0"]
+    assert bad("", "fg") == ["root-coverage: @h covered 0 times"]
+    assert bad("f", "gh") == ["hw-callee: @f in hardware but root callee @g "
+                              "not covered in hardware"]
+    assert bad("gh", "f") == ["frontier: (f->g) below swv_i + hwv_j - 1"]
 
 
 def test_solver_matches_bruteforce_randomized():
